@@ -40,6 +40,7 @@ from .similarity import (
     hyperbolic_embed,
     load_bundle,
     save_bundle,
+    score_matrix,
     sim_euclidean,
     sim_hyperbolic,
 )

@@ -7,19 +7,18 @@ anchors into the denominator; both policies are supported because the loss'
 printed indicator and its prose description disagree, and downstream code
 must be able to test either reading.
 
-Gradients with respect to the four projection matrices are computed in closed
-form. For a scored pair (a, t):
+The whole batch is one [anchors x images] score matrix with a mask marking
+each image's term set (its column). Gradients with respect to the four
+projection matrices are computed in closed form. For a scored pair (a, t),
+with e, z and x0 as ``similarity.embed_rows`` defines them:
 
-    sim_e           = (a W_EV) . (t W_ET)
-    d sim_e / d W_EV = outer(a, t W_ET)
-    d sim_e / d W_ET = outer(t, a W_EV)
-
-    z_v = a W_HV, z_t = t W_HT, x0 = sqrt(||z||^2 + 1/kappa)
-    sim_h            = -x0_v x0_t + z_v . z_t
+    d sim_e / d W_EV = outer(a, e_t)
+    d sim_e / d W_ET = outer(t, e_v)
     d sim_h / d z_v  = z_t - (x0_t / x0_v) z_v     (chain through W_HV)
     d sim_h / d z_t  = z_v - (x0_v / x0_t) z_t     (chain through W_HT)
 
-and the softmax factor (p_k - 1[k is the positive]) / tau weights each pair.
+and the softmax factor (p_k - 1[k is the positive]) / tau weights each pair,
+so summing over pairs turns each gradient into a matrix product.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lorentz import geodesic_distance
-from .similarity import EMBED_LINEAR, ProjectionBundle, hyperbolic_embed
+from .similarity import ProjectionBundle, embed_rows, hyperbolic_embed, pair_scores
 
 
 @dataclass
@@ -90,78 +89,45 @@ def contrastive_loss(
     ``score_offset`` is a test hook that adds a constant to every score in
     every term set; softmax shift invariance makes it a no-op on the loss.
     """
-    if bundle.embed_strategy != EMBED_LINEAR:
-        raise ValueError("contrastive gradients support the linear embed strategy only")
     n_img = len(batch.images)
-    dim = batch.dim
-    if dim != bundle.dim:
-        raise ValueError(f"batch feature dim {dim} does not match bundle dim {bundle.dim}")
-    alpha, tau, kappa = bundle.alpha, bundle.tau, bundle.kappa
+    alpha, tau = bundle.alpha, bundle.tau
 
     anchors = np.stack([a for img in batch.images for a in img.anchors])
-    image_of = np.concatenate(
-        [np.full(len(img.anchors), i) for i, img in enumerate(batch.images)]
-    )
-    rank_of = np.concatenate([np.arange(len(img.anchors)) for img in batch.images])
-    offsets = np.concatenate(([0], np.cumsum([len(img.anchors) for img in batch.images])))
+    texts = np.stack([img.text for img in batch.images])
+    sizes = [len(img.anchors) for img in batch.images]
+    cols = np.arange(n_img)
+    pos = np.cumsum([0] + sizes[:-1])  # row of each image's positive
+    # in_set[k, i]: anchor k is in image i's term set.
+    if intra_negatives:
+        in_set = np.ones((anchors.shape[0], n_img), dtype=bool)
+    else:
+        in_set = np.repeat(cols, sizes)[:, None] != cols[None, :]
+        in_set[pos, :] = True
 
-    ev = anchors @ bundle.w_ev
-    zv = anchors @ bundle.w_hv
-    x0v = np.sqrt(np.einsum("ij,ij->i", zv, zv) + 1.0 / kappa)
+    v = embed_rows(anchors, bundle.w_ev, bundle.w_hv, bundle.kappa, "anchor features")
+    t = embed_rows(texts, bundle.w_et, bundle.w_ht, bundle.kappa, "text features")
+    scores = (pair_scores(v, t, alpha) + score_offset) / tau
+    shifted = np.where(in_set, scores, -np.inf)
+    shifted -= shifted.max(axis=0)
+    exps = np.exp(shifted)
+    denom = exps.sum(axis=0)
+    loss = float((np.log(denom) - shifted[pos, cols]).sum()) / n_img
 
-    g_ev = np.zeros_like(bundle.w_ev) if compute_grads else None
-    g_et = np.zeros_like(bundle.w_et) if compute_grads else None
-    g_hv = np.zeros_like(bundle.w_hv) if compute_grads else None
-    g_ht = np.zeros_like(bundle.w_ht) if compute_grads else None
-
-    total = 0.0
-    for i, img in enumerate(batch.images):
-        t = img.text
-        if intra_negatives:
-            sel = np.arange(anchors.shape[0])
-        else:
-            sel = np.flatnonzero((image_of != i) | (rank_of == 0))
-        pos = int(np.searchsorted(sel, offsets[i]))
-
-        et = t @ bundle.w_et
-        zt = t @ bundle.w_ht
-        x0t = math.sqrt(float(zt @ zt) + 1.0 / kappa)
-
-        sim_e = ev[sel] @ et
-        sim_h = -x0v[sel] * x0t + zv[sel] @ zt
-        if alpha == 0.0:
-            scores = sim_e
-        elif alpha == 1.0:
-            scores = sim_h
-        else:
-            scores = (1.0 - alpha) * sim_e + alpha * sim_h
-        scores = (scores + score_offset) / tau
-
-        m = float(np.max(scores))
-        exps = np.exp(scores - m)
-        denom = float(np.sum(exps))
-        total += math.log(denom) - (scores[pos] - m)
-
-        if compute_grads:
-            gvec = exps / denom
-            gvec[pos] -= 1.0
-            gvec /= tau * n_img
-            a_sel = anchors[sel]
-            g_ev += (1.0 - alpha) * np.outer(a_sel.T @ gvec, et)
-            g_et += (1.0 - alpha) * np.outer(t, ev[sel].T @ gvec)
-            c = zt[None, :] - (x0t / x0v[sel])[:, None] * zv[sel]
-            g_hv += alpha * (a_sel.T @ (gvec[:, None] * c))
-            ht_dir = zv[sel].T @ gvec - (float(gvec @ x0v[sel]) / x0t) * zt
-            g_ht += alpha * np.outer(t, ht_dir)
-
-    loss = total / n_img
     if -1e-12 < loss < 0.0:
         # log(denom) can round a hair below the positive-term score when the
         # softmax is fully saturated; the true value is nonnegative.
         loss = 0.0
     grads = None
     if compute_grads:
-        grads = {"w_ev": g_ev, "w_et": g_et, "w_hv": g_hv, "w_ht": g_ht}
+        g = exps / denom
+        g[pos, cols] -= 1.0
+        g /= tau * n_img  # [anchors, images], zero outside the term sets
+        grads = {
+            "w_ev": (1.0 - alpha) * (anchors.T @ (g @ t.e)),
+            "w_et": (1.0 - alpha) * (texts.T @ (g.T @ v.e)),
+            "w_hv": alpha * (anchors.T @ (g @ t.z - ((g @ t.x0) / v.x0)[:, None] * v.z)),
+            "w_ht": alpha * (texts.T @ (g.T @ v.z - ((g.T @ v.x0) / t.x0)[:, None] * t.z)),
+        }
     return LossReport(loss=loss, grads=grads)
 
 
@@ -178,7 +144,7 @@ def hierarchical_loss(
     f_ref = np.asarray(f_ref, dtype=np.float64)
     if not f_cat.shape == f_base_ref.shape == f_ref.shape:
         raise ValueError("hierarchy features must share one dimension")
-    embed = lambda f: hyperbolic_embed(f, bundle.w_ht, bundle.kappa, bundle.embed_strategy)
+    embed = lambda f: hyperbolic_embed(f, bundle.w_ht, bundle.kappa)
     base = embed(f_base_ref)
     return geodesic_distance(embed(f_cat), base) + geodesic_distance(embed(f_ref), base)
 

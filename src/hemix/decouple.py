@@ -15,11 +15,12 @@ whitespace. Anything else is a ParseError carrying the offending line number.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import re
+import urllib.request
 from dataclasses import dataclass, field
-
-import requests
 
 GENERAL_INSTRUCTION = (
     "Task Explanation: You need to process an image and a referring expression. "
@@ -243,21 +244,24 @@ def decouple_via_service(
     payload = {"system": prompt.general, "user": prompt.user_message()}
     if image_b64 is not None:
         payload["image_b64"] = image_b64
-    headers = {}
+    headers = {"Content-Type": "application/json"}
     if config.api_key:
         headers["Authorization"] = f"Bearer {config.api_key}"
 
     raw = None
     last_err: Exception | None = None
+    data = json.dumps(payload).encode()
     for _ in range(config.retries + 1):
         try:
-            resp = requests.post(
-                config.endpoint, json=payload, headers=headers, timeout=config.timeout_s
-            )
-            resp.raise_for_status()
-            raw = resp.json().get("text")
-        except (requests.RequestException, ValueError) as exc:
+            # A bad URL raises ValueError, an HTTP error status an OSError (HTTPError).
+            request = urllib.request.Request(config.endpoint, data=data, headers=headers, method="POST")
+            with urllib.request.urlopen(request, timeout=config.timeout_s) as resp:
+                body = json.loads(resp.read())
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise DecoupleError(f"transport failure talking to {config.endpoint}: {exc}", raw=None) from exc
+        if not isinstance(body, dict):
+            raise DecoupleError("service response is not a JSON object", raw=json.dumps(body))
+        raw = body.get("text")
         if not isinstance(raw, str):
             raise DecoupleError("service response lacks a 'text' field", raw=str(raw))
         try:

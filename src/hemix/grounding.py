@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .similarity import ProjectionBundle, hemix
+from .similarity import ProjectionBundle, score_matrix
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ def select_anchor(
     """
     if not anchors:
         raise ValueError("anchor list is empty")
-    scores = [hemix(a.feature, text_feature, bundle) + score_offset for a in anchors]
-    return int(np.argmax(scores))
+    scores = score_matrix(np.stack([a.feature for a in anchors]), [text_feature], bundle)[:, 0]
+    return int(np.argmax(scores + score_offset))
 
 
 def ground(
@@ -81,10 +81,10 @@ def ground(
 ) -> GroundingOutput:
     """Select one box per decoupled phrase.
 
-    A zero-phrase sample produces no boxes. The confidence filter runs once
-    per image; each phrase then picks its argmax independently, so one anchor
-    may serve several phrases unless ``distinct_anchors`` greedily excludes
-    already-used anchors (leaving reuse only when nothing else remains).
+    A zero-phrase sample produces no boxes. The kept anchors are scored
+    against all phrases at once; each phrase takes its argmax (lowest index
+    on ties), so one anchor may serve several phrases unless
+    ``distinct_anchors`` greedily excludes used anchors until all are used.
     """
     if len(phrases) != len(text_features):
         raise ValueError(
@@ -93,14 +93,12 @@ def ground(
     if not phrases:
         return GroundingOutput(sample_id=sample_id, boxes=(), phrases_used=())
     pool = filter_anchors(anchors, top_fraction)
+    scores = score_matrix(np.stack([a.feature for a in pool]), text_features, bundle)
     boxes = []
-    used: set = set()
-    for feat in text_features:
-        candidates = [i for i in range(len(pool)) if i not in used] if distinct_anchors else list(range(len(pool)))
-        if not candidates:
-            candidates = list(range(len(pool)))
-        sub = [pool[i] for i in candidates]
-        idx = candidates[select_anchor(np.asarray(feat, dtype=np.float64), sub, bundle)]
-        used.add(idx)
+    free = np.ones(len(pool), dtype=bool)
+    for column in scores.T:
+        rows = np.flatnonzero(free) if distinct_anchors and free.any() else np.arange(len(pool))
+        idx = int(rows[np.argmax(column[rows])])
+        free[idx] = False
         boxes.append(pool[idx].box)
     return GroundingOutput(sample_id=sample_id, boxes=tuple(boxes), phrases_used=tuple(phrases))

@@ -110,6 +110,11 @@ def lorentz_inner(x: np.ndarray, y: np.ndarray) -> float:
     return float(-x[0] * y[0] + x[1:] @ y[1:])
 
 
+def lift_time(z: np.ndarray, kappa: float) -> np.ndarray:
+    """Row-wise ``lift`` time coordinate, sqrt(||z_i||^2 + 1/kappa), of an [n, d] stack."""
+    return np.sqrt(np.einsum("ij,ij->i", z, z) + 1.0 / kappa)
+
+
 def lift(z: np.ndarray, kappa: float) -> CurvedPoint:
     """Lift spatial coordinates onto the hyperboloid: x_0 = sqrt(||z||^2 + 1/kappa)."""
     z = np.asarray(z, dtype=np.float64)

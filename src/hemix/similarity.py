@@ -4,6 +4,9 @@ Features are row vectors; every projection is applied as f @ W. The hyperbolic
 branch projects into spatial coordinates and lifts onto the hyperboloid, where
 similarity is the Lorentzian inner product. The mixed score is the convex
 combination (1 - alpha) * sim_e + alpha * sim_h.
+
+``score_matrix`` scores every anchor row against every text row at once and is
+the one implementation of the score; the per-pair functions are 1x1 views.
 """
 
 from __future__ import annotations
@@ -12,13 +15,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .lorentz import CurvedPoint, apex, exp_map, lift, lorentz_inner, tangent_project
-
-EMBED_LINEAR = "linear"
-EMBED_EXPMAP = "expmap"
+from .lorentz import CurvedPoint, lift, lift_time
 
 DEFAULT_DIM = 512
 DEFAULT_TAU = 0.07
@@ -31,9 +32,7 @@ class ProjectionBundle:
 
     alpha must lie strictly inside (0, 1) unless ``allow_endpoint_alpha`` is
     set; the endpoints reduce the mix to a single branch and are meant for
-    diagnostics only. ``embed_strategy`` selects how the hyperbolic branch
-    reaches the manifold: "linear" lifts the projected vector directly,
-    "expmap" treats it as a tangent at the apex (ablation variant).
+    diagnostics only.
     """
 
     w_ev: np.ndarray
@@ -43,7 +42,6 @@ class ProjectionBundle:
     alpha: float
     tau: float = DEFAULT_TAU
     kappa: float = DEFAULT_KAPPA
-    embed_strategy: str = EMBED_LINEAR
     allow_endpoint_alpha: bool = field(default=False, compare=False)
 
     def __post_init__(self):
@@ -68,8 +66,6 @@ class ProjectionBundle:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.kappa <= 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.embed_strategy not in (EMBED_LINEAR, EMBED_EXPMAP):
-            raise ValueError(f"unknown embed strategy {self.embed_strategy!r}")
 
     @property
     def dim(self) -> int:
@@ -83,7 +79,6 @@ class ProjectionBundle:
         tau: float = DEFAULT_TAU,
         kappa: float = DEFAULT_KAPPA,
         seed: int = 42,
-        embed_strategy: str = EMBED_LINEAR,
     ) -> "ProjectionBundle":
         """Seeded uniform init with gain 1/sqrt(dim), keeping initial scores O(1)."""
         rng = np.random.default_rng(seed)
@@ -94,9 +89,57 @@ class ProjectionBundle:
             alpha=alpha,
             tau=tau,
             kappa=kappa,
-            embed_strategy=embed_strategy,
             allow_endpoint_alpha=(alpha == 0.0 or alpha == 1.0),
         )
+
+
+class Embedded(NamedTuple):
+    """Feature rows in both branches: e = f W_E, z = f W_H and z's lift time x0."""
+
+    e: np.ndarray
+    z: np.ndarray
+    x0: np.ndarray
+
+
+def embed_rows(f: np.ndarray, w_e: np.ndarray, w_h: np.ndarray, kappa: float, what: str) -> Embedded:
+    """Project an [n, dim] stack of feature rows into both branches."""
+    f = np.asarray(f, dtype=np.float64)
+    if f.ndim != 2 or f.shape[1] != w_e.shape[0]:
+        raise ValueError(f"{what} must be an [n, {w_e.shape[0]}] array, got shape {f.shape}")
+    e, z = f @ w_e, f @ w_h
+    if not (np.isfinite(e).all() and np.isfinite(z).all()):
+        raise ValueError(f"{what} projected to non-finite coordinates")
+    return Embedded(e, z, lift_time(z, kappa))
+
+
+def pair_scores(v: Embedded, t: Embedded, alpha: float) -> np.ndarray:
+    """[N, M] mixed scores of every visual row against every text row.
+
+    The Lorentz branch Z_v Z_t^T - outer(x0_v, x0_t) holds all pairwise
+    Lorentzian inner products; alpha = 0 and 1 return one branch bit for bit.
+    """
+    sim_e = v.e @ t.e.T
+    sim_h = v.z @ t.z.T - np.outer(v.x0, t.x0)
+    if alpha == 0.0:
+        return sim_e
+    if alpha == 1.0:
+        return sim_h
+    return (1.0 - alpha) * sim_e + alpha * sim_h
+
+
+def _scores(a: np.ndarray, t: np.ndarray, bundle: ProjectionBundle, alpha: float) -> np.ndarray:
+    v = embed_rows(a, bundle.w_ev, bundle.w_hv, bundle.kappa, "visual features")
+    return pair_scores(v, embed_rows(t, bundle.w_et, bundle.w_ht, bundle.kappa, "text features"), alpha)
+
+
+def score_matrix(a: np.ndarray, t: np.ndarray, bundle: ProjectionBundle) -> np.ndarray:
+    """Mixed similarity of every anchor row of ``a`` [N, dim] to every text row of ``t`` [M, dim].
+
+    Entry [i, j] is (1 - alpha) <a_i W_EV, t_j W_ET> + alpha <lift(a_i W_HV),
+    lift(t_j W_HT)>_L. Raises ValueError for an input that is not an
+    [n, dim] array and for non-finite projections.
+    """
+    return _scores(a, t, bundle, bundle.alpha)
 
 
 def _check_dim(f: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -106,41 +149,25 @@ def _check_dim(f: np.ndarray, dim: int, what: str) -> np.ndarray:
     return f
 
 
-def sim_euclidean(f_v: np.ndarray, f_t: np.ndarray, bundle: ProjectionBundle) -> float:
-    """<f_v @ W_EV, f_t @ W_ET>, the plain inner product of the projections."""
+def _pair(f_v: np.ndarray, f_t: np.ndarray, bundle: ProjectionBundle, alpha: float) -> float:
     f_v = _check_dim(f_v, bundle.dim, "visual feature")
     f_t = _check_dim(f_t, bundle.dim, "text feature")
-    return float((f_v @ bundle.w_ev) @ (f_t @ bundle.w_et))
+    return float(_scores(f_v[None, :], f_t[None, :], bundle, alpha)[0, 0])
 
 
-def hyperbolic_embed(
-    f: np.ndarray, w: np.ndarray, kappa: float, strategy: str = EMBED_LINEAR
-) -> CurvedPoint:
-    """Project a feature and place it on the hyperboloid.
+def sim_euclidean(f_v: np.ndarray, f_t: np.ndarray, bundle: ProjectionBundle) -> float:
+    """<f_v @ W_EV, f_t @ W_ET>, the plain inner product of the projections."""
+    return _pair(f_v, f_t, bundle, 0.0)
 
-    "linear": z = f @ W becomes the spatial part, time is solved from the
-    membership constraint. "expmap": z is read as a tangent at the apex and
-    pushed along its geodesic instead.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    z = f @ np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("projection produced non-finite coordinates")
-    if strategy == EMBED_LINEAR:
-        return lift(z, kappa)
-    if strategy == EMBED_EXPMAP:
-        base = apex(z.shape[0], kappa)
-        return exp_map(base, tangent_project(base, np.concatenate(([0.0], z))))
-    raise ValueError(f"unknown embed strategy {strategy!r}")
+
+def hyperbolic_embed(f: np.ndarray, w: np.ndarray, kappa: float) -> CurvedPoint:
+    """Project a feature and lift it: z = f @ W is the spatial part of the point."""
+    return lift(np.asarray(f, dtype=np.float64) @ np.asarray(w, dtype=np.float64), kappa)
 
 
 def sim_hyperbolic(f_v: np.ndarray, f_t: np.ndarray, bundle: ProjectionBundle) -> float:
     """Lorentzian inner product of the embedded pair; always <= -1/kappa."""
-    f_v = _check_dim(f_v, bundle.dim, "visual feature")
-    f_t = _check_dim(f_t, bundle.dim, "text feature")
-    pv = hyperbolic_embed(f_v, bundle.w_hv, bundle.kappa, bundle.embed_strategy)
-    pt = hyperbolic_embed(f_t, bundle.w_ht, bundle.kappa, bundle.embed_strategy)
-    return lorentz_inner(pv.as_vector(), pt.as_vector())
+    return _pair(f_v, f_t, bundle, 1.0)
 
 
 def hemix(f_v: np.ndarray, f_t: np.ndarray, bundle: ProjectionBundle) -> float:
@@ -148,13 +175,7 @@ def hemix(f_v: np.ndarray, f_t: np.ndarray, bundle: ProjectionBundle) -> float:
 
     The endpoints return the single-branch score itself, bit for bit.
     """
-    if bundle.alpha == 0.0:
-        return sim_euclidean(f_v, f_t, bundle)
-    if bundle.alpha == 1.0:
-        return sim_hyperbolic(f_v, f_t, bundle)
-    return (1.0 - bundle.alpha) * sim_euclidean(f_v, f_t, bundle) + bundle.alpha * sim_hyperbolic(
-        f_v, f_t, bundle
-    )
+    return _pair(f_v, f_t, bundle, bundle.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +190,8 @@ def save_bundle(bundle: ProjectionBundle, path: str | Path) -> None:
         "alpha": bundle.alpha,
         "tau": bundle.tau,
         "layout": "row-major",
-        "embed_strategy": bundle.embed_strategy,
+        # Kept so weight files stay byte-identical; "linear" is the only embedding.
+        "embed_strategy": "linear",
         "w_ev": bundle.w_ev.ravel().tolist(),
         "w_et": bundle.w_et.ravel().tolist(),
         "w_hv": bundle.w_hv.ravel().tolist(),
@@ -182,6 +204,8 @@ def load_bundle(path: str | Path) -> ProjectionBundle:
     payload = json.loads(Path(path).read_text())
     if payload.get("layout") != "row-major":
         raise ValueError(f"unsupported weight layout {payload.get('layout')!r}")
+    if payload.get("embed_strategy", "linear") != "linear":
+        raise ValueError(f"unsupported embed strategy {payload['embed_strategy']!r}")
     dim = int(payload["dim"])
     mats = {}
     for name in ("w_ev", "w_et", "w_hv", "w_ht"):
@@ -195,6 +219,5 @@ def load_bundle(path: str | Path) -> ProjectionBundle:
         alpha=alpha,
         tau=float(payload["tau"]),
         kappa=float(payload["kappa"]),
-        embed_strategy=payload.get("embed_strategy", EMBED_LINEAR),
         allow_endpoint_alpha=(alpha == 0.0 or alpha == 1.0),
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contrastive import GroundingBatch, ImageRecord, contrastive_loss
-from .similarity import ProjectionBundle, hemix
+from .similarity import ProjectionBundle, score_matrix
 
 
 class TrainingDiverged(RuntimeError):
@@ -227,7 +227,7 @@ def selection_accuracy(data: list, bundle: ProjectionBundle) -> float:
     total = 0
     for batch in data:
         for img in batch.images:
-            scores = [hemix(a, img.text, bundle) for a in img.anchors]
+            scores = score_matrix(np.stack(img.anchors), [img.text], bundle)[:, 0]
             hits += int(np.argmax(scores) == 0)
             total += 1
     return hits / total

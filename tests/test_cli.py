@@ -186,6 +186,61 @@ def test_pipeline_records_per_sample_failures(capsys, tmp_path):
     assert payload["failures"][0]["sample_id"] == "bad"
 
 
+def test_pipeline_isolates_bad_feature_samples(capsys, tmp_path):
+    # Three malformed samples appended to the fixture: each fails on its own
+    # and the eight good samples still reproduce the golden outputs.
+    anchor_recs = jsonl.read_jsonl(DATA / "anchors.jsonl")
+    bad_image = json.loads(json.dumps(anchor_recs[0]))
+    bad_image["image_id"] = "img_bad"
+    top = max(bad_image["anchors"], key=lambda a: a["confidence"])
+    top["feature"] = top["feature"][:3]
+    anchors = tmp_path / "anchors.jsonl"
+    jsonl.write_jsonl(anchors, anchor_recs + [bad_image])
+    texts = tmp_path / "texts.jsonl"
+    jsonl.write_jsonl(texts, jsonl.read_jsonl(DATA / "texts.jsonl") + [
+        {"sample_id": "short_text", "image_id": "img1", "phrases": ["p"], "features": [[0.1, 0.2, 0.3]]},
+        {"sample_id": "short_anchor", "image_id": "img_bad", "phrases": ["p"],
+         "features": [[0.1, 0.2, 0.3, 0.4]]},
+        {"sample_id": "nan_text", "image_id": "img1", "phrases": ["p"],
+         "features": [[float("nan"), 0.2, 0.3, 0.4]]},
+    ])
+    preds = tmp_path / "preds.jsonl"
+    report = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "pipeline",
+        "--anchors", str(anchors),
+        "--texts", str(texts),
+        "--weights", str(DATA / "weights.json"),
+        "--gt", str(DATA / "gt.jsonl"),
+        "--offline",
+        "--out", str(preds),
+        "--report", str(report),
+    )
+    assert code == 1
+    payload = json.loads(report.read_text())
+    errors = {f["sample_id"]: f["error"] for f in payload.pop("failures")}
+    assert list(errors) == ["short_text", "short_anchor", "nan_text"]
+    assert "text features must be an [n, 4] array" in errors["short_text"]
+    assert "same shape" in errors["short_anchor"]
+    assert "non-finite" in errors["nan_text"]
+    assert payload.pop("n_failures") == 3
+    golden = json.loads((DATA / "golden_report.json").read_text())
+    del golden["failures"], golden["n_failures"]
+    assert payload == golden
+    assert preds.read_bytes() == (DATA / "golden_predictions.jsonl").read_bytes()
+
+
+def test_ground_rejects_expmap_weights(capsys, tmp_path):
+    weights = tmp_path / "w.json"
+    weights.write_text((DATA / "weights.json").read_text().replace('"linear"', '"expmap"'))
+    code, _, err = run(
+        capsys, "ground", "--anchors", str(DATA / "anchors.jsonl"), "--texts", str(DATA / "texts.jsonl"),
+        "--weights", str(weights), "--out", str(tmp_path / "preds.jsonl"),
+    )
+    assert code == 2
+    assert "expmap" in err
+
+
 def test_missing_weights_is_config_error(capsys, tmp_path):
     code, _, err = run(
         capsys, "pipeline",

@@ -1,11 +1,15 @@
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hemix import cli, jsonl
 from hemix import decouple as D
+
+DATA = Path(__file__).parent / "data"
 
 NO_TARGET = "0"
 TWO_GUYS = "2\n1.a guy in green\n2.a rightmost guy"
@@ -144,8 +148,9 @@ class _StubHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length))
         type(self).requests.append({"body": body, "auth": self.headers.get("Authorization")})
         text = type(self).responses.pop(0) if type(self).responses else "0"
-        payload = json.dumps({"text": text}).encode()
-        self.send_response(200)
+        # A (status, body bytes) pair is sent verbatim; a string is the "text" field.
+        status, payload = text if isinstance(text, tuple) else (200, json.dumps({"text": text}).encode())
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -158,7 +163,7 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     _StubHandler.responses = []
     _StubHandler.requests = []
@@ -204,6 +209,42 @@ class TestServiceClient:
         cfg = D.VlmConfig(endpoint="http://127.0.0.1:1", timeout_s=0.5)
         with pytest.raises(D.DecoupleError):
             D.decouple_via_service("x", None, cfg)
+
+    @pytest.mark.parametrize("body", [b"[]", b'"x"', b"not json"])
+    def test_body_not_a_json_object(self, stub_server, body):
+        url, handler = stub_server
+        handler.responses = [(200, body)]
+        with pytest.raises(D.DecoupleError):
+            D.decouple_via_service("x", None, D.VlmConfig(endpoint=url))
+        assert len(handler.requests) == 1
+
+    def test_http_error_status(self, stub_server):
+        url, handler = stub_server
+        handler.responses = [(500, json.dumps({"text": TWO_GUYS}).encode())]
+        with pytest.raises(D.DecoupleError) as exc:
+            D.decouple_via_service("x", None, D.VlmConfig(endpoint=url))
+        assert "500" in str(exc.value)
+
+    def test_pipeline_keeps_going_after_non_object_reply(self, stub_server, monkeypatch, tmp_path, capsys):
+        url, handler = stub_server
+        handler.responses = [(200, b"[]"), "0"]
+        monkeypatch.setenv("VLM_ENDPOINT", url)
+        texts = tmp_path / "texts.jsonl"
+        jsonl.write_jsonl(texts, [
+            {"sample_id": "s1", "image_id": "img1", "expression": "left person", "features": []},
+            {"sample_id": "s3", "image_id": "img1", "expression": "nobody", "features": []},
+        ])
+        report = tmp_path / "report.json"
+        code = cli.main([
+            "pipeline", "--anchors", str(DATA / "anchors.jsonl"), "--texts", str(texts),
+            "--weights", str(DATA / "weights.json"), "--gt", str(DATA / "gt.jsonl"),
+            "--report", str(report),
+        ])
+        capsys.readouterr()
+        assert code == 1
+        payload = json.loads(report.read_text())
+        assert [f["sample_id"] for f in payload["failures"]] == ["s1"]
+        assert payload["n_samples"] == 1
 
     def test_env_config_requires_endpoint(self, monkeypatch):
         monkeypatch.delenv("VLM_ENDPOINT", raising=False)

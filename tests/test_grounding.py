@@ -117,6 +117,17 @@ class TestGround:
                      distinct_anchors=True)
         assert out.boxes[0] != out.boxes[1]
 
+    def test_distinct_anchors_reuse_only_after_all_used(self):
+        # Every phrase prefers anchor 0, then 1, then 2; five phrases over
+        # three kept anchors use each once before any reuse.
+        boxes = [(0, 0, 1, 1), (2, 2, 3, 3), (4, 4, 5, 5)]
+        anchors = [anchor([3 - i, 0], 0.9 - 0.1 * i, box) for i, box in enumerate(boxes)]
+        feats = [np.array([1.0, 0.0])] * 5
+        out = ground("s", anchors, list("abcde"), feats, scoring_bundle(), top_fraction=1.0,
+                     distinct_anchors=True)
+        want = [boxes[0], boxes[1], boxes[2], boxes[0], boxes[0]]
+        assert out.boxes == tuple(tuple(float(c) for c in b) for b in want)
+
     def test_feature_count_mismatch(self):
         with pytest.raises(ValueError):
             ground("s", [anchor([1, 0], 0.9)], ["a", "b"], [np.ones(2)], scoring_bundle())

@@ -5,12 +5,12 @@ import pytest
 
 from hemix import lorentz as L
 from hemix.similarity import (
-    EMBED_EXPMAP,
     ProjectionBundle,
     hemix,
     hyperbolic_embed,
     load_bundle,
     save_bundle,
+    score_matrix,
     sim_euclidean,
     sim_hyperbolic,
 )
@@ -63,14 +63,6 @@ class TestHyperbolicEmbed:
             kappa = rng.uniform(0.25, 4.0)
             p = hyperbolic_embed(rng.standard_normal(4), w, kappa)
             assert L.is_on_hyperboloid(p.as_vector(), kappa, 1e-8 * max(1.0, float(p.spatial @ p.spatial)))
-
-    def test_expmap_strategy_reaches_norm_distance(self):
-        # With the apex-tangent variant, the geodesic distance to the apex
-        # equals the projected vector's Euclidean norm.
-        z = np.array([0.8, -0.6])
-        p = hyperbolic_embed(z, np.eye(2), kappa=2.0, strategy=EMBED_EXPMAP)
-        d = L.geodesic_distance(L.apex(2, 2.0), p)
-        assert d == pytest.approx(np.linalg.norm(z), rel=1e-12)
 
 
 class TestSimHyperbolic:
@@ -134,6 +126,52 @@ class TestHemix:
             assert hemix(fv, ft, b) == pytest.approx(expected, abs=1e-15, rel=1e-15)
 
 
+class TestScoreMatrix:
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 5), (7, 1), (6, 4)])
+    def test_entries_match_pairwise_definition(self, n, m):
+        rng = np.random.default_rng(20 + n * m)
+        b = ProjectionBundle.initialize(8, alpha=0.3, kappa=1.7, seed=n + m)
+        a, t = rng.standard_normal((n, 8)), rng.standard_normal((m, 8))
+        got = score_matrix(a, t, b)
+        assert got.shape == (n, m)
+        for i in range(n):
+            for j in range(m):
+                s_e = float((a[i] @ b.w_ev) @ (t[j] @ b.w_et))
+                pv = L.lift(a[i] @ b.w_hv, b.kappa).as_vector()
+                pt = L.lift(t[j] @ b.w_ht, b.kappa).as_vector()
+                s_h = L.lorentz_inner(pv, pt)
+                want = 0.7 * s_e + 0.3 * s_h
+                assert got[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_alpha_endpoints_are_the_branch_bitwise(self):
+        rng = np.random.default_rng(21)
+        mats = ProjectionBundle.initialize(6, kappa=0.8, seed=21)
+        w = (mats.w_ev, mats.w_et, mats.w_hv, mats.w_ht)
+        b0 = ProjectionBundle(*w, alpha=0.0, kappa=0.8, allow_endpoint_alpha=True)
+        b1 = ProjectionBundle(*w, alpha=1.0, kappa=0.8, allow_endpoint_alpha=True)
+        a, t = rng.standard_normal((5, 6)), rng.standard_normal((3, 6))
+        assert np.array_equal(score_matrix(a, t, b0), (a @ mats.w_ev) @ (t @ mats.w_et).T)
+        zv, zt = a @ mats.w_hv, t @ mats.w_ht
+        lorentz = zv @ zt.T - np.outer(L.lift_time(zv, 0.8), L.lift_time(zt, 0.8))
+        assert np.array_equal(score_matrix(a, t, b1), lorentz)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 4, 1)])
+    def test_rejects_non_row_stack(self, shape):
+        b = ProjectionBundle.initialize(4, seed=22)
+        with pytest.raises(ValueError):
+            score_matrix(np.zeros(shape), np.zeros((1, 4)), b)
+        with pytest.raises(ValueError):
+            score_matrix(np.zeros((1, 4)), np.zeros(shape), b)
+
+    def test_rejects_non_finite_projection(self):
+        b = ProjectionBundle.initialize(4, seed=23)
+        bad = np.array([[np.nan, 0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError):
+            score_matrix(bad, np.ones((1, 4)), b)
+        with pytest.raises(ValueError):
+            score_matrix(np.ones((2, 4)), np.vstack([np.ones(4), [np.inf, 0, 0, 0]]), b)
+
+
 class TestBundleContract:
     def test_alpha_endpoints_need_flag(self):
         eye = np.eye(2)
@@ -165,6 +203,19 @@ def test_save_load_roundtrip(tmp_path):
     for name in ("w_ev", "w_et", "w_hv", "w_ht"):
         assert np.array_equal(getattr(b, name), getattr(loaded, name))
     assert (loaded.alpha, loaded.tau, loaded.kappa) == (0.3, 0.07, 2.0)
+
+
+def test_load_rejects_expmap_strategy(tmp_path):
+    b = ProjectionBundle.initialize(2, seed=0)
+    path = tmp_path / "w.json"
+    save_bundle(b, path)
+    text = path.read_text()
+    assert '"embed_strategy": "linear"' in text
+    path.write_text(text.replace('"embed_strategy": "linear", ', ""))
+    assert np.array_equal(load_bundle(path).w_ev, b.w_ev)
+    path.write_text(text.replace('"linear"', '"expmap"'))
+    with pytest.raises(ValueError):
+        load_bundle(path)
 
 
 def test_load_rejects_unknown_layout(tmp_path):
