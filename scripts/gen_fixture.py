@@ -6,6 +6,9 @@ are shifted or truncated on purpose), then runs the real CLI to freeze the
 golden predictions and report. Run from the repository root:
 
     python scripts/gen_fixture.py
+
+``main(out_dir)`` writes the same six files into another directory, which
+is how the test suite checks that the committed fixture is reproducible.
 """
 
 from __future__ import annotations
@@ -52,12 +55,12 @@ def shifted(box: list, frac: float) -> list:
     return [round(x1 + dx, 2), round(y1, 2), round(x2 + dx, 2), round(y2, 2)]
 
 
-def main() -> int:
-    DATA.mkdir(parents=True, exist_ok=True)
+def main(out_dir: Path = DATA) -> int:
+    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(SEED)
 
     bundle = similarity.ProjectionBundle.initialize(DIM, alpha=0.5, tau=0.07, kappa=1.0, seed=SEED)
-    similarity.save_bundle(bundle, DATA / "weights.json")
+    similarity.save_bundle(bundle, out_dir / "weights.json")
 
     samples = [
         {"sample_id": "s1", "image_id": "img1", "expression": "left person", "n_anchors": 20, "k": 1},
@@ -115,8 +118,8 @@ def main() -> int:
             predicted[s["sample_id"]] = boxes
         text_records.append(rec)
 
-    jsonl.write_jsonl(DATA / "anchors.jsonl", anchor_records)
-    jsonl.write_jsonl(DATA / "texts.jsonl", text_records)
+    jsonl.write_jsonl(out_dir / "anchors.jsonl", anchor_records)
+    jsonl.write_jsonl(out_dir / "texts.jsonl", text_records)
 
     gt_records = [
         {"sample_id": "s1", "boxes": predicted["s1"]},                       # perfect single
@@ -129,28 +132,28 @@ def main() -> int:
         {"sample_id": "s8", "boxes": shifted(predicted["s8"][0], 0.45)},     # IoU below 0.5
     ]
     gt_records[7]["boxes"] = [gt_records[7]["boxes"]]
-    jsonl.write_jsonl(DATA / "gt.jsonl", gt_records)
+    jsonl.write_jsonl(out_dir / "gt.jsonl", gt_records)
 
     # Freeze the golden outputs through the real CLI.
     code = cli.main(
         [
             "pipeline",
-            "--anchors", str(DATA / "anchors.jsonl"),
-            "--texts", str(DATA / "texts.jsonl"),
-            "--weights", str(DATA / "weights.json"),
-            "--gt", str(DATA / "gt.jsonl"),
+            "--anchors", str(out_dir / "anchors.jsonl"),
+            "--texts", str(out_dir / "texts.jsonl"),
+            "--weights", str(out_dir / "weights.json"),
+            "--gt", str(out_dir / "gt.jsonl"),
             "--offline",
-            "--out", str(DATA / "golden_predictions.jsonl"),
-            "--report", str(DATA / "golden_report.json"),
+            "--out", str(out_dir / "golden_predictions.jsonl"),
+            "--report", str(out_dir / "golden_report.json"),
         ]
     )
     assert code == 0, f"pipeline exited {code}"
-    report = json.loads((DATA / "golden_report.json").read_text())
+    report = json.loads((out_dir / "golden_report.json").read_text())
     print(json.dumps({k: v for k, v in report.items() if k != "per_sample"}, indent=2, sort_keys=True))
     assert report["n_failures"] == 0
     assert report["precision_at_f1"] == 0.5, report["precision_at_f1"]
     assert report["n_acc"] == 0.5, report["n_acc"]
-    print("fixture regenerated under", DATA)
+    print("fixture regenerated under", out_dir)
     return 0
 
 

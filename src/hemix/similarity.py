@@ -11,6 +11,7 @@ the one implementation of the score; the per-pair functions are 1x1 views.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -179,9 +180,16 @@ def hemix(f_v: np.ndarray, f_t: np.ndarray, bundle: ProjectionBundle) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Weight file format: JSON with a header (dim, kappa, alpha, tau, layout) and
-# the four matrices flattened row-major in fixed order, float64.
+# Weight file format: one sorted-key JSON object. The header (alpha, dim,
+# embed_strategy, encoding, kappa, layout, tau) is text; each of the four
+# matrices is one base64 string of its dim*dim little-endian float64 values in
+# row-major order, so values round-trip bit for bit. A file without
+# "encoding" is the legacy form with decimal lists and is still read.
 # ---------------------------------------------------------------------------
+
+_MATRICES = ("w_ev", "w_et", "w_hv", "w_ht")
+WEIGHT_ENCODING = "base64-f8le"
+
 
 def save_bundle(bundle: ProjectionBundle, path: str | Path) -> None:
     payload = {
@@ -190,14 +198,25 @@ def save_bundle(bundle: ProjectionBundle, path: str | Path) -> None:
         "alpha": bundle.alpha,
         "tau": bundle.tau,
         "layout": "row-major",
-        # Kept so weight files stay byte-identical; "linear" is the only embedding.
+        # "linear" is the only embedding; the key keeps the header stable.
         "embed_strategy": "linear",
-        "w_ev": bundle.w_ev.ravel().tolist(),
-        "w_et": bundle.w_et.ravel().tolist(),
-        "w_hv": bundle.w_hv.ravel().tolist(),
-        "w_ht": bundle.w_ht.ravel().tolist(),
+        "encoding": WEIGHT_ENCODING,
     }
+    for name in _MATRICES:
+        raw = np.ascontiguousarray(getattr(bundle, name), dtype="<f8").tobytes()
+        payload[name] = base64.b64encode(raw).decode("ascii")
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+
+
+def _decode_matrix(name: str, value, dim: int) -> np.ndarray:
+    """One base64-f8le payload as an owned, writeable [dim * dim] float64 array."""
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} is not a valid base64 payload: {exc}") from None
+    if len(raw) != 8 * dim * dim:
+        raise ValueError(f"{name} payload has {len(raw)} bytes, expected {8 * dim * dim}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 def load_bundle(path: str | Path) -> ProjectionBundle:
@@ -206,12 +225,18 @@ def load_bundle(path: str | Path) -> ProjectionBundle:
         raise ValueError(f"unsupported weight layout {payload.get('layout')!r}")
     if payload.get("embed_strategy", "linear") != "linear":
         raise ValueError(f"unsupported embed strategy {payload['embed_strategy']!r}")
+    encoding = payload.get("encoding")
+    if encoding not in (None, WEIGHT_ENCODING):
+        raise ValueError(f"unsupported weight encoding {encoding!r}")
     dim = int(payload["dim"])
     mats = {}
-    for name in ("w_ev", "w_et", "w_hv", "w_ht"):
-        flat = np.asarray(payload[name], dtype=np.float64)
+    for name in _MATRICES:
+        if encoding is None:
+            flat = np.asarray(payload[name], dtype=np.float64)
+        else:
+            flat = _decode_matrix(name, payload[name], dim)
         if flat.shape != (dim * dim,):
-            raise ValueError(f"{name} has {flat.shape[0]} entries, expected {dim * dim}")
+            raise ValueError(f"{name} has shape {flat.shape}, expected ({dim * dim},)")
         mats[name] = flat.reshape(dim, dim)
     alpha = float(payload["alpha"])
     return ProjectionBundle(

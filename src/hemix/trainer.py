@@ -251,30 +251,3 @@ def apex_report(bundle: ProjectionBundle, h: SyntheticHierarchy) -> dict:
         "child_mean_norm": child_mean,
         "parent_child_ratio": ratio,
     }
-
-
-def batches_from_records(
-    text_records: list,
-    anchors_by_image: dict,
-    batch_images: int = 2,
-) -> list:
-    """Build training batches from ingested records, honoring the validity flag.
-
-    Records with v = 0 carry no positive anchor and are excluded. Each kept
-    record names its image and the index of its positive anchor, which is
-    moved to slot 0.
-    """
-    images = []
-    for rec in text_records:
-        if rec.get("v", 1) == 0:
-            continue
-        feats = [np.asarray(a, dtype=np.float64) for a in anchors_by_image[rec["image_id"]]]
-        pos = int(rec["positive_index"])
-        if not 0 <= pos < len(feats):
-            raise ValueError(f"positive_index {pos} out of range for {rec['image_id']}")
-        ordered = [feats[pos]] + feats[:pos] + feats[pos + 1 :]
-        images.append(ImageRecord(anchors=ordered, text=np.asarray(rec["feature"], dtype=np.float64)))
-    return [
-        GroundingBatch(images=images[i : i + batch_images])
-        for i in range(0, len(images), batch_images)
-    ]

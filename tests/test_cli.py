@@ -241,6 +241,19 @@ def test_ground_rejects_expmap_weights(capsys, tmp_path):
     assert "expmap" in err
 
 
+def test_ground_rejects_truncated_weight_payload(capsys, tmp_path):
+    payload = json.loads((DATA / "weights.json").read_text())
+    payload["w_hv"] = payload["w_hv"][:-4]
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps(payload))
+    code, _, err = run(
+        capsys, "ground", "--anchors", str(DATA / "anchors.jsonl"), "--texts", str(DATA / "texts.jsonl"),
+        "--weights", str(weights), "--out", str(tmp_path / "preds.jsonl"),
+    )
+    assert code == 2
+    assert "error:" in err and "w_hv" in err
+
+
 def test_missing_weights_is_config_error(capsys, tmp_path):
     code, _, err = run(
         capsys, "pipeline",

@@ -1,9 +1,12 @@
+import base64
+import json
 import math
 
 import numpy as np
 import pytest
 
 from hemix import lorentz as L
+from hemix.contrastive import GroundingBatch, ImageRecord, gradient_check
 from hemix.similarity import (
     ProjectionBundle,
     hemix,
@@ -225,3 +228,84 @@ def test_load_rejects_unknown_layout(tmp_path):
     path.write_text(path.read_text().replace("row-major", "column-major"))
     with pytest.raises(ValueError):
         load_bundle(path)
+
+
+class TestWeightFormat:
+    EDGE = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+            0.1, 1 / 3, -2.718281828459045, 1.0000000000000002, 123456789.01234567)
+
+    def saved(self, tmp_path, dim=3, seed=0):
+        path = tmp_path / "w.json"
+        save_bundle(ProjectionBundle.initialize(dim, seed=seed), path)
+        return path, json.loads(path.read_text())
+
+    def test_bitwise_roundtrip_d512(self, tmp_path):
+        rng = np.random.default_rng(5)
+        mats = [rng.standard_normal((512, 512)) for _ in range(4)]
+        for k, m in enumerate(mats):
+            m.flat[k : k + len(self.EDGE)] = self.EDGE
+        b = ProjectionBundle(*mats, alpha=0.5)
+        path = tmp_path / "w.json"
+        save_bundle(b, path)
+        loaded = load_bundle(path)
+        for name in ("w_ev", "w_et", "w_hv", "w_ht"):
+            got = getattr(loaded, name)
+            assert got.tobytes() == getattr(b, name).tobytes()
+            assert got.flags.writeable and got.flags.c_contiguous
+        assert np.signbit(loaded.w_ev.flat[0]) and loaded.w_ev.flat[1] == 5e-324
+        again = tmp_path / "again.json"
+        save_bundle(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_header_is_text_and_payload_is_base64(self, tmp_path):
+        _, payload = self.saved(tmp_path, dim=3)
+        assert payload["encoding"] == "base64-f8le"
+        assert sorted(payload) == ["alpha", "dim", "embed_strategy", "encoding", "kappa", "layout",
+                                   "tau", "w_et", "w_ev", "w_ht", "w_hv"]
+        assert len(base64.b64decode(payload["w_ev"], validate=True)) == 8 * 3 * 3
+
+    def test_legacy_decimal_lists_load(self, tmp_path):
+        w = np.array([[0.1, -0.0], [1e-300, 17.000000000000004]])
+        legacy = {"alpha": 0.25, "dim": 2, "kappa": 1.5, "layout": "row-major", "tau": 0.07,
+                  "w_ev": w.ravel().tolist(), "w_et": (2 * w).ravel().tolist(),
+                  "w_hv": (-w).ravel().tolist(), "w_ht": [1.0, 2.0, 3.0, 4.0]}
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(legacy))
+        b = load_bundle(path)
+        assert b.w_ev.tobytes() == w.tobytes()
+        assert b.w_et.tobytes() == (2 * w).tobytes() and b.w_hv.tobytes() == (-w).tobytes()
+        assert np.array_equal(b.w_ht, [[1.0, 2.0], [3.0, 4.0]])
+        assert (b.alpha, b.tau, b.kappa) == (0.25, 0.07, 1.5)
+        for bad in (5.0, [1.0, 2.0, 3.0], [[1.0, 2.0], [3.0, 4.0]]):
+            path.write_text(json.dumps({**legacy, "w_ht": bad}))
+            with pytest.raises(ValueError, match="w_ht"):
+                load_bundle(path)
+
+    def test_garbled_base64_rejected(self, tmp_path):
+        path, payload = self.saved(tmp_path)
+        payload["w_et"] = "!" + payload["w_et"][1:]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="w_et"):
+            load_bundle(path)
+
+    def test_short_payload_rejected(self, tmp_path):
+        path, payload = self.saved(tmp_path)
+        payload["w_hv"] = base64.b64encode(base64.b64decode(payload["w_hv"])[:-8]).decode()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="w_hv"):
+            load_bundle(path)
+
+    def test_unknown_encoding_rejected(self, tmp_path):
+        path, payload = self.saved(tmp_path)
+        payload["encoding"] = "base64-f4le"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="base64-f4le"):
+            load_bundle(path)
+
+    def test_loaded_bundle_supports_gradient_check(self, tmp_path):
+        path, _ = self.saved(tmp_path, dim=4, seed=9)
+        rng = np.random.default_rng(9)
+        batch = GroundingBatch(
+            [ImageRecord([rng.standard_normal(4) for _ in range(3)], rng.standard_normal(4)) for _ in range(3)]
+        )
+        assert gradient_check(batch, load_bundle(path), epsilon=1e-5) < 1e-4

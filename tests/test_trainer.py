@@ -111,32 +111,6 @@ class TestApexReport:
         assert all(v == 0.0 for v in report["concept_norms"].values())
 
 
-class TestBatchesFromRecords:
-    def test_validity_flag_excludes_records(self):
-        anchors = {"imgA": [np.ones(4), np.zeros(4)], "imgB": [np.zeros(4), 2 * np.ones(4)]}
-        records = [
-            {"sample_id": "a", "image_id": "imgA", "feature": [1, 1, 1, 1], "positive_index": 0, "v": 1},
-            {"sample_id": "b", "image_id": "imgB", "feature": [2, 2, 2, 2], "positive_index": 1, "v": 0},
-            {"sample_id": "c", "image_id": "imgB", "feature": [0, 0, 0, 1], "positive_index": 1},
-        ]
-        batches = T.batches_from_records(records, anchors, batch_images=4)
-        images = [img for b in batches for img in b.images]
-        assert len(images) == 2  # the v=0 record is gone
-
-    def test_positive_index_moves_to_front(self):
-        anchors = {"img": [np.zeros(3), np.ones(3), 2 * np.ones(3)]}
-        records = [{"sample_id": "a", "image_id": "img", "feature": [1, 0, 0], "positive_index": 2}]
-        (batch,) = T.batches_from_records(records, anchors)
-        assert np.array_equal(batch.images[0].anchors[0], 2 * np.ones(3))
-        assert np.array_equal(batch.images[0].anchors[1], np.zeros(3))
-
-    def test_bad_positive_index(self):
-        anchors = {"img": [np.zeros(3)]}
-        records = [{"sample_id": "a", "image_id": "img", "feature": [1, 0, 0], "positive_index": 5}]
-        with pytest.raises(ValueError):
-            T.batches_from_records(records, anchors)
-
-
 def test_hierarchy_validation():
     with pytest.raises(ValueError):
         T.SyntheticHierarchy(parents=("p0",), children={"p0": ["c"]})
