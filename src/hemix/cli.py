@@ -134,10 +134,8 @@ def cmd_train_toy(args) -> int:
         negatives_per_image=args.negatives, batch_images=args.batch_images,
     )
     cfg = trainer.TrainConfig(
-        steps=args.steps, lr=args.lr, batch_images=args.batch_images,
-        negatives_per_image=args.negatives, alpha=args.alpha, tau=args.tau,
-        kappa=args.kappa, optimizer=args.optimizer, seed=args.seed,
-        intra_negatives=args.intra_negatives,
+        steps=args.steps, lr=args.lr, alpha=args.alpha, tau=args.tau,
+        kappa=args.kappa, seed=args.seed, intra_negatives=args.intra_negatives,
     )
     bundle, trace = trainer.train(data, cfg)
 
@@ -197,33 +195,59 @@ def cmd_decouple(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_anchor_map(path) -> dict:
+    """image_id -> its AnchorRecords, or the error message of a malformed entry."""
     anchor_map = {}
     for rec in jsonl.read_jsonl(path):
-        anchor_map[rec["image_id"]] = [
-            grounding.AnchorRecord(feature=a["feature"], confidence=a["confidence"], box=a["box"])
-            for a in rec["anchors"]
-        ]
+        image_id = rec["image_id"]
+        try:
+            anchor_map[image_id] = [
+                grounding.AnchorRecord(feature=a["feature"], confidence=a["confidence"], box=a["box"])
+                for a in rec["anchors"]
+            ]
+        except (ValueError, KeyError, TypeError) as exc:
+            anchor_map[image_id] = f"anchors of image {image_id!r}: {exc}"
     return anchor_map
+
+
+def _ground_records(records: list, phrases_of, anchor_map: dict, bundle, args) -> tuple[list, list]:
+    """Ground each record on ``phrases_of(record)``; returns (predictions, failures)."""
+    predictions, failures = [], []
+    for rec in records:
+        if not isinstance(rec, dict):
+            failures.append({"sample_id": "<missing sample_id>", "error": "record is not a JSON object"})
+            continue
+        sample_id = rec.get("sample_id", "<missing sample_id>")
+        try:
+            phrases = list(phrases_of(rec))
+            anchors = anchor_map[rec["image_id"]] if phrases else []
+            if isinstance(anchors, str):
+                raise ValueError(anchors)
+            output = grounding.ground(
+                sample_id=sample_id,
+                anchors=anchors,
+                phrases=phrases,
+                text_features=rec.get("features", []),
+                bundle=bundle,
+                top_fraction=args.top_frac,
+                distinct_anchors=args.distinct_anchors,
+            )
+            predictions.append({"sample_id": sample_id, "boxes": [list(b) for b in output.boxes]})
+        except (ValueError, KeyError, TypeError, decouple.DecoupleError) as exc:
+            failures.append({"sample_id": sample_id, "error": str(exc)})
+    return predictions, failures
 
 
 def cmd_ground(args) -> int:
     bundle = similarity.load_bundle(args.weights)
     anchor_map = _load_anchor_map(args.anchors)
-    outputs = []
-    for rec in jsonl.read_jsonl(args.texts):
-        result = grounding.ground(
-            sample_id=rec["sample_id"],
-            anchors=anchor_map[rec["image_id"]],
-            phrases=rec["phrases"],
-            text_features=rec["features"],
-            bundle=bundle,
-            top_fraction=args.top_frac,
-            distinct_anchors=args.distinct_anchors,
-        )
-        outputs.append({"sample_id": result.sample_id, "boxes": [list(b) for b in result.boxes]})
-    jsonl.write_jsonl(args.out, outputs)
-    print(f"wrote {len(outputs)} predictions to {args.out}")
-    return 0
+    predictions, failures = _ground_records(
+        jsonl.read_jsonl(args.texts), lambda rec: rec["phrases"], anchor_map, bundle, args
+    )
+    jsonl.write_jsonl(args.out, predictions)
+    print(f"wrote {len(predictions)} predictions to {args.out}")
+    for failure in failures:
+        print(f"error: {failure['sample_id']}: {failure['error']}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _eval_samples(gt_records: list, pred_map: dict) -> list:
@@ -284,47 +308,22 @@ def _decouple_record(rec: dict, offline: bool, vlm_cfg) -> decouple.DecoupleResu
 def cmd_pipeline(args) -> int:
     bundle = similarity.load_bundle(args.weights)
     anchor_map = _load_anchor_map(args.anchors)
-    text_records = jsonl.read_jsonl(args.texts)
     gt_records = jsonl.read_jsonl(args.gt)
 
     vlm_cfg = None
     if not args.offline:
         vlm_cfg = decouple.VlmConfig.from_env(timeout_s=args.vlm_timeout_s, retries=args.retries)
 
-    predictions = []
-    failures = []
-    for rec in text_records:
-        sample_id = rec.get("sample_id", "<missing sample_id>")
-        try:
-            result = _decouple_record(rec, args.offline, vlm_cfg)
-            if result.count == 0:
-                boxes = ()
-            else:
-                features = rec.get("features", [])
-                if len(features) != result.count:
-                    raise ValueError(
-                        f"decoupled {result.count} phrases but {len(features)} text features supplied"
-                    )
-                output = grounding.ground(
-                    sample_id=sample_id,
-                    anchors=anchor_map[rec["image_id"]],
-                    phrases=list(result.phrases),
-                    text_features=features,
-                    bundle=bundle,
-                    top_fraction=args.top_frac,
-                    distinct_anchors=args.distinct_anchors,
-                )
-                boxes = output.boxes
-            predictions.append({"sample_id": sample_id, "boxes": [list(b) for b in boxes]})
-        except (ValueError, KeyError, decouple.DecoupleError) as exc:
-            failures.append({"sample_id": sample_id, "error": str(exc)})
+    predictions, failures = _ground_records(
+        jsonl.read_jsonl(args.texts), lambda rec: _decouple_record(rec, args.offline, vlm_cfg).phrases,
+        anchor_map, bundle, args,
+    )
 
     if args.out:
         jsonl.write_jsonl(args.out, predictions)
 
     pred_map = {p["sample_id"]: p["boxes"] for p in predictions}
-    evaluated_ids = set(pred_map)
-    eval_gt = [rec for rec in gt_records if rec["sample_id"] in evaluated_ids]
+    eval_gt = [rec for rec in gt_records if rec["sample_id"] in pred_map]
     samples = _eval_samples(eval_gt, pred_map)
     report = _grec_report(samples, args.iou, per_sample=True) if samples else {
         "n_samples": 0, "iou_threshold": args.iou, "precision_at_f1": None, "n_acc": None,
@@ -379,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--negatives", type=int, default=2)
     p.add_argument("--intra-negatives", action="store_true")
-    p.add_argument("--optimizer", choices=["sgd", "adam_variant"], default="adam_variant")
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("--batch-images", type=int, default=2)
     p.add_argument("--parents", type=int, default=3)

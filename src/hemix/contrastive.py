@@ -81,14 +81,9 @@ def contrastive_loss(
     bundle: ProjectionBundle,
     intra_negatives: bool = False,
     *,
-    score_offset: float = 0.0,
     compute_grads: bool = True,
 ) -> LossReport:
-    """Mean over images of -log softmax(positive | term set), with analytic grads.
-
-    ``score_offset`` is a test hook that adds a constant to every score in
-    every term set; softmax shift invariance makes it a no-op on the loss.
-    """
+    """Mean over images of -log softmax(positive | term set), with analytic grads."""
     n_img = len(batch.images)
     alpha, tau = bundle.alpha, bundle.tau
 
@@ -106,7 +101,7 @@ def contrastive_loss(
 
     v = embed_rows(anchors, bundle.w_ev, bundle.w_hv, bundle.kappa, "anchor features")
     t = embed_rows(texts, bundle.w_et, bundle.w_ht, bundle.kappa, "text features")
-    scores = (pair_scores(v, t, alpha) + score_offset) / tau
+    scores = pair_scores(v, t, alpha) / tau
     shifted = np.where(in_set, scores, -np.inf)
     shifted -= shifted.max(axis=0)
     exps = np.exp(shifted)

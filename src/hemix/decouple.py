@@ -19,6 +19,7 @@ import http.client
 import json
 import os
 import re
+import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 
@@ -54,7 +55,6 @@ class PromptParts:
     constraints: str
     examples: str | None
     query: str
-    image_ref: object = None
 
     def __post_init__(self):
         if not self.general or not self.constraints or not self.query:
@@ -105,7 +105,7 @@ class DecoupleError(RuntimeError):
         self.raw = raw
 
 
-def build_prompt(expression: str, include_examples: bool = True, image_ref: object = None) -> PromptParts:
+def build_prompt(expression: str, include_examples: bool = True) -> PromptParts:
     """Assemble the four prompt parts with the expression interpolated.
 
     An empty expression is legal; the protocol instructs the model to answer
@@ -117,7 +117,6 @@ def build_prompt(expression: str, include_examples: bool = True, image_ref: obje
         constraints=OUTPUT_CONSTRAINTS,
         examples=IN_CONTEXT_EXAMPLES if include_examples else None,
         query=QUERY_TEMPLATE.format(expression),
-        image_ref=image_ref,
     )
 
 
@@ -240,7 +239,7 @@ def decouple_via_service(
     final failure (transport or parse) raises DecoupleError with the last raw
     text attached.
     """
-    prompt = build_prompt(expression, include_examples, image_ref=image_b64)
+    prompt = build_prompt(expression, include_examples)
     payload = {"system": prompt.general, "user": prompt.user_message()}
     if image_b64 is not None:
         payload["image_b64"] = image_b64
@@ -258,6 +257,8 @@ def decouple_via_service(
             with urllib.request.urlopen(request, timeout=config.timeout_s) as resp:
                 body = json.loads(resp.read())
         except (OSError, http.client.HTTPException, ValueError) as exc:
+            if isinstance(exc, urllib.error.HTTPError):
+                exc.close()  # an HTTPError holds the open response
             raise DecoupleError(f"transport failure talking to {config.endpoint}: {exc}", raw=None) from exc
         if not isinstance(body, dict):
             raise DecoupleError("service response is not a JSON object", raw=json.dumps(body))

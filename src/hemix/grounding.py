@@ -32,7 +32,6 @@ class AnchorRecord:
 class GroundingOutput:
     sample_id: str
     boxes: tuple
-    phrases_used: tuple
 
 
 def filter_anchors(anchors: list, top_fraction: float) -> list:
@@ -56,18 +55,12 @@ def select_anchor(
     text_feature: np.ndarray,
     anchors: list,
     bundle: ProjectionBundle,
-    *,
-    score_offset: float = 0.0,
 ) -> int:
-    """Index of the anchor with the highest mixed similarity to the text.
-
-    Ties go to the lowest index. ``score_offset`` is a test hook adding a
-    constant to every score; the argmax must not move.
-    """
+    """Index of the anchor with the highest mixed similarity to the text (lowest on ties)."""
     if not anchors:
         raise ValueError("anchor list is empty")
     scores = score_matrix(np.stack([a.feature for a in anchors]), [text_feature], bundle)[:, 0]
-    return int(np.argmax(scores + score_offset))
+    return int(np.argmax(scores))
 
 
 def ground(
@@ -91,7 +84,7 @@ def ground(
             f"expected {len(phrases)} text features to match the phrases, got {len(text_features)}"
         )
     if not phrases:
-        return GroundingOutput(sample_id=sample_id, boxes=(), phrases_used=())
+        return GroundingOutput(sample_id=sample_id, boxes=())
     pool = filter_anchors(anchors, top_fraction)
     scores = score_matrix(np.stack([a.feature for a in pool]), text_features, bundle)
     boxes = []
@@ -101,4 +94,4 @@ def ground(
         idx = int(rows[np.argmax(column[rows])])
         free[idx] = False
         boxes.append(pool[idx].box)
-    return GroundingOutput(sample_id=sample_id, boxes=tuple(boxes), phrases_used=tuple(phrases))
+    return GroundingOutput(sample_id=sample_id, boxes=tuple(boxes))

@@ -97,6 +97,8 @@ def generate_dataset(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    if negatives_per_image < 0:
+        raise ValueError("negatives_per_image must be nonnegative")
     desc = concept_descriptors(h)
     children = h.all_children()
     parent_of = h.parent_of()
@@ -132,15 +134,11 @@ def generate_dataset(
 class TrainConfig:
     steps: int = 500
     lr: float = 0.025
-    batch_images: int = 2
-    negatives_per_image: int = 2
     alpha: float = 0.5
     tau: float = 0.07
     kappa: float = 1.0
-    optimizer: str = "adam_variant"
     seed: int = 42
     intra_negatives: bool = False
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         if self.steps < 1:
@@ -148,18 +146,13 @@ class TrainConfig:
         # lr = 0 is allowed as the documented no-op run.
         if self.lr < 0:
             raise ValueError("lr must be nonnegative")
-        if self.negatives_per_image < 0:
-            raise ValueError("negatives_per_image must be nonnegative")
-        if self.optimizer not in ("sgd", "adam_variant"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 class _Adam:
-    """Plain Adam with bias correction and optional decoupled weight decay."""
+    """Plain Adam with bias correction."""
 
-    def __init__(self, lr: float, weight_decay: float = 0.0):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.weight_decay = weight_decay
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
         self.m: dict = {}
@@ -175,17 +168,7 @@ class _Adam:
             self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
             m_hat = self.m[name] / (1 - self.beta1**self.t)
             v_hat = self.v[name] / (1 - self.beta2**self.t)
-            params[name] -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * params[name])
-
-
-class _Sgd:
-    def __init__(self, lr: float, weight_decay: float = 0.0):
-        self.lr = lr
-        self.weight_decay = weight_decay
-
-    def step(self, params: dict, grads: dict) -> None:
-        for name, g in grads.items():
-            params[name] -= self.lr * (g + self.weight_decay * params[name])
+            params[name] -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps))
 
 
 def train(data: list, cfg: TrainConfig) -> tuple[ProjectionBundle, list]:
@@ -200,7 +183,7 @@ def train(data: list, cfg: TrainConfig) -> tuple[ProjectionBundle, list]:
         dim, alpha=cfg.alpha, tau=cfg.tau, kappa=cfg.kappa, seed=cfg.seed
     )
     params = {"w_ev": bundle.w_ev, "w_et": bundle.w_et, "w_hv": bundle.w_hv, "w_ht": bundle.w_ht}
-    opt = _Adam(cfg.lr, cfg.weight_decay) if cfg.optimizer == "adam_variant" else _Sgd(cfg.lr, cfg.weight_decay)
+    opt = _Adam(cfg.lr)
     rng = np.random.default_rng(cfg.seed)
 
     trace = []

@@ -81,10 +81,10 @@ def test_train_toy_writes_artifacts(capsys, tmp_path):
     assert summary["final_loss"] > 0.0
 
 
-def test_ground_cli(capsys, tmp_path):
-    bundle = ProjectionBundle.initialize(2, seed=0)
+def ground_inputs(tmp_path):
+    """A d=2 weight file and one image "img" with two anchors."""
     weights = tmp_path / "w.json"
-    save_bundle(bundle, weights)
+    save_bundle(ProjectionBundle.initialize(2, seed=0), weights)
     anchors = tmp_path / "anchors.jsonl"
     jsonl.write_jsonl(anchors, [{
         "image_id": "img",
@@ -93,6 +93,11 @@ def test_ground_cli(capsys, tmp_path):
             {"feature": [0.0, 1.0], "confidence": 0.8, "box": [20, 20, 30, 30]},
         ],
     }])
+    return weights, anchors
+
+
+def test_ground_cli(capsys, tmp_path):
+    weights, anchors = ground_inputs(tmp_path)
     texts = tmp_path / "texts.jsonl"
     jsonl.write_jsonl(texts, [
         {"sample_id": "a", "image_id": "img", "phrases": ["p"], "features": [[1.0, 0.0]]},
@@ -203,6 +208,7 @@ def test_pipeline_isolates_bad_feature_samples(capsys, tmp_path):
          "features": [[0.1, 0.2, 0.3, 0.4]]},
         {"sample_id": "nan_text", "image_id": "img1", "phrases": ["p"],
          "features": [[float("nan"), 0.2, 0.3, 0.4]]},
+        ["a", "JSON", "array"],
     ])
     preds = tmp_path / "preds.jsonl"
     report = tmp_path / "report.json"
@@ -219,15 +225,101 @@ def test_pipeline_isolates_bad_feature_samples(capsys, tmp_path):
     assert code == 1
     payload = json.loads(report.read_text())
     errors = {f["sample_id"]: f["error"] for f in payload.pop("failures")}
-    assert list(errors) == ["short_text", "short_anchor", "nan_text"]
+    assert list(errors) == ["short_text", "short_anchor", "nan_text", "<missing sample_id>"]
     assert "text features must be an [n, 4] array" in errors["short_text"]
     assert "same shape" in errors["short_anchor"]
     assert "non-finite" in errors["nan_text"]
-    assert payload.pop("n_failures") == 3
+    assert errors["<missing sample_id>"] == "record is not a JSON object"
+    assert payload.pop("n_failures") == 4
     golden = json.loads((DATA / "golden_report.json").read_text())
     del golden["failures"], golden["n_failures"]
     assert payload == golden
     assert preds.read_bytes() == (DATA / "golden_predictions.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("referenced", [False, True])
+def test_pipeline_bad_anchor_entry_fails_only_its_samples(capsys, tmp_path, referenced):
+    # A box with three coordinates, on an image listed first: the run goes on
+    # and only samples that reference that image fail.
+    anchor_recs = jsonl.read_jsonl(DATA / "anchors.jsonl")
+    bad_image = json.loads(json.dumps(anchor_recs[0]))
+    bad_image["image_id"] = "img_bad"
+    bad_image["anchors"][-1]["box"] = [0.0, 0.0, 5.0]
+    anchors = tmp_path / "anchors.jsonl"
+    jsonl.write_jsonl(anchors, [bad_image] + anchor_recs)
+    text_recs = jsonl.read_jsonl(DATA / "texts.jsonl")
+    if referenced:
+        text_recs.append({"sample_id": "uses_bad", "image_id": "img_bad", "phrases": ["p"],
+                          "features": [[0.1, 0.2, 0.3, 0.4]]})
+    texts = tmp_path / "texts.jsonl"
+    jsonl.write_jsonl(texts, text_recs)
+    preds = tmp_path / "preds.jsonl"
+    report = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "pipeline",
+        "--anchors", str(anchors),
+        "--texts", str(texts),
+        "--weights", str(DATA / "weights.json"),
+        "--gt", str(DATA / "gt.jsonl"),
+        "--offline",
+        "--out", str(preds),
+        "--report", str(report),
+    )
+    assert preds.read_bytes() == (DATA / "golden_predictions.jsonl").read_bytes()
+    if not referenced:
+        assert code == 0
+        assert report.read_bytes() == (DATA / "golden_report.json").read_bytes()
+        return
+    assert code == 1
+    payload = json.loads(report.read_text())
+    (failure,) = payload.pop("failures")
+    assert failure["sample_id"] == "uses_bad"
+    assert "img_bad" in failure["error"] and "four coordinates" in failure["error"]
+    assert payload.pop("n_failures") == 1
+    golden = json.loads((DATA / "golden_report.json").read_text())
+    del golden["failures"], golden["n_failures"]
+    assert payload == golden
+
+
+def test_ground_isolates_bad_records(capsys, tmp_path):
+    # Malformed records fail one by one; the good ones are written exactly as
+    # a clean run writes them, and each failure is one stderr line.
+    weights, anchors = ground_inputs(tmp_path)
+    good = [
+        {"sample_id": "a", "image_id": "img", "phrases": ["p"], "features": [[1.0, 0.0]]},
+        {"sample_id": "b", "image_id": "img", "phrases": ["p", "q"], "features": [[0.0, 1.0], [1.0, 0.0]]},
+        # No phrases: no anchors needed, so an unknown image is fine.
+        {"sample_id": "none", "image_id": "nowhere", "phrases": [], "features": []},
+    ]
+    bad = [
+        {"sample_id": "short", "image_id": "img", "phrases": ["p"], "features": [[1.0]]},
+        {"sample_id": "lost", "image_id": "nowhere", "phrases": ["p"], "features": [[1.0, 0.0]]},
+        ["a", "JSON", "array"],
+        {"sample_id": "count", "image_id": "img", "phrases": ["p", "q"], "features": [[1.0, 0.0]]},
+        {"sample_id": "null", "image_id": "img", "phrases": ["p"], "features": None},
+    ]
+
+    def ground(name, records):
+        texts = tmp_path / f"{name}.jsonl"
+        jsonl.write_jsonl(texts, records)
+        out = tmp_path / f"{name}_preds.jsonl"
+        code, _, err = run(
+            capsys, "ground", "--anchors", str(anchors), "--texts", str(texts),
+            "--weights", str(weights), "--top-frac", "1.0", "--out", str(out),
+        )
+        return code, out.read_bytes(), [line for line in err.splitlines() if line.startswith("error: ")]
+
+    clean_code, clean_preds, clean_errors = ground("clean", good)
+    assert (clean_code, clean_errors) == (0, [])
+    code, preds, errors = ground("mixed", bad[:2] + good[:1] + bad[2:4] + good[1:] + bad[4:])
+    assert code == 1
+    assert preds == clean_preds
+    assert len(errors) == len(bad)
+    assert errors[0].startswith("error: short: ")
+    assert errors[1] == "error: lost: 'nowhere'"
+    assert errors[2] == "error: <missing sample_id>: record is not a JSON object"
+    assert errors[3] == "error: count: expected 2 text features to match the phrases, got 1"
+    assert errors[4].startswith("error: null: ")
 
 
 def test_ground_rejects_expmap_weights(capsys, tmp_path):

@@ -71,16 +71,6 @@ class TestSelectAnchor:
         anchors = [anchor([1, 0], 0.5), anchor([2, 0], 0.5), anchor([0.5, 0], 0.5)]
         assert select_anchor(np.array([1.0, 0.0]), anchors, scoring_bundle()) == 1
 
-    def test_offset_never_moves_argmax(self):
-        rng = np.random.default_rng(1)
-        bundle = ProjectionBundle.initialize(4, seed=1)
-        for _ in range(20):
-            anchors = [anchor(rng.standard_normal(4), 0.5, (0, 0, 1, 1)) for _ in range(5)]
-            text = rng.standard_normal(4)
-            base = select_anchor(text, anchors, bundle)
-            for off in (-100.0, 3.7, 1e6):
-                assert select_anchor(text, anchors, bundle, score_offset=off) == base
-
 
 class TestGround:
     def test_no_phrases_no_boxes(self):
