@@ -19,7 +19,7 @@ from .decouple import (
     render,
     rule_based_decompose,
 )
-from .grounding import AnchorRecord, GroundingOutput, filter_anchors, ground, select_anchor
+from .grounding import AnchorRecord, AnchorSet, GroundingOutput, filter_anchors, ground, select_anchor
 from .lorentz import (
     CurvedPoint,
     TangentVector,

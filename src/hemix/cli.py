@@ -194,18 +194,27 @@ def cmd_decouple(args) -> int:
 # ground / eval / pipeline
 # ---------------------------------------------------------------------------
 
+def _message(exc: Exception) -> str:
+    """The failure text for ``exc``; a KeyError names the missing field."""
+    if isinstance(exc, KeyError):
+        return f"record has no {exc.args[0]!r} field"
+    return str(exc)
+
+
 def _load_anchor_map(path) -> dict:
-    """image_id -> its AnchorRecords, or the error message of a malformed entry."""
+    """image_id -> its AnchorSet, or the error message of a malformed entry.
+
+    The file is streamed: each record is dropped before the next line is
+    decoded, so only one image's parsed JSON is alive at a time.
+    """
     anchor_map = {}
-    for rec in jsonl.read_jsonl(path):
+    for rec in jsonl.iter_jsonl(path, objects=True):
         image_id = rec["image_id"]
         try:
-            anchor_map[image_id] = [
-                grounding.AnchorRecord(feature=a["feature"], confidence=a["confidence"], box=a["box"])
-                for a in rec["anchors"]
-            ]
+            anchor_map[image_id] = grounding.AnchorSet.from_json(rec["anchors"])
         except (ValueError, KeyError, TypeError) as exc:
-            anchor_map[image_id] = f"anchors of image {image_id!r}: {exc}"
+            anchor_map[image_id] = f"anchors of image {image_id!r}: {_message(exc)}"
+        del rec
     return anchor_map
 
 
@@ -219,7 +228,9 @@ def _ground_records(records: list, phrases_of, anchor_map: dict, bundle, args) -
         sample_id = rec.get("sample_id", "<missing sample_id>")
         try:
             phrases = list(phrases_of(rec))
-            anchors = anchor_map[rec["image_id"]] if phrases else []
+            anchors = anchor_map.get(rec["image_id"]) if phrases else []
+            if anchors is None:
+                raise ValueError(f"unknown image_id {rec['image_id']!r}")
             if isinstance(anchors, str):
                 raise ValueError(anchors)
             output = grounding.ground(
@@ -233,7 +244,7 @@ def _ground_records(records: list, phrases_of, anchor_map: dict, bundle, args) -
             )
             predictions.append({"sample_id": sample_id, "boxes": [list(b) for b in output.boxes]})
         except (ValueError, KeyError, TypeError, decouple.DecoupleError) as exc:
-            failures.append({"sample_id": sample_id, "error": str(exc)})
+            failures.append({"sample_id": sample_id, "error": _message(exc)})
     return predictions, failures
 
 
@@ -281,8 +292,8 @@ def _grec_report(samples: list, iou_thresh: float, per_sample: bool) -> dict:
 
 
 def cmd_eval(args) -> int:
-    gt_records = jsonl.read_jsonl(args.gt)
-    pred_map = {rec["sample_id"]: rec["boxes"] for rec in jsonl.read_jsonl(args.pred)}
+    gt_records = jsonl.read_jsonl(args.gt, objects=True)
+    pred_map = {rec["sample_id"]: rec["boxes"] for rec in jsonl.read_jsonl(args.pred, objects=True)}
     samples = _eval_samples(gt_records, pred_map)
     if args.metric == "wrec":
         report = {"n_samples": len(samples), "iou_threshold": args.iou,
@@ -308,7 +319,7 @@ def _decouple_record(rec: dict, offline: bool, vlm_cfg) -> decouple.DecoupleResu
 def cmd_pipeline(args) -> int:
     bundle = similarity.load_bundle(args.weights)
     anchor_map = _load_anchor_map(args.anchors)
-    gt_records = jsonl.read_jsonl(args.gt)
+    gt_records = jsonl.read_jsonl(args.gt, objects=True)
 
     vlm_cfg = None
     if not args.offline:

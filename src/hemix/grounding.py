@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .similarity import ProjectionBundle, score_matrix
+from .similarity import Embedded, ProjectionBundle, embed_rows, pair_scores, score_matrix
 
 
 @dataclass(frozen=True)
@@ -34,21 +34,90 @@ class GroundingOutput:
     boxes: tuple
 
 
-def filter_anchors(anchors: list, top_fraction: float) -> list:
-    """Keep the ceil(top_fraction * n) most confident anchors, at least one.
+def _kept_indices(confidence: np.ndarray, top_fraction: float) -> np.ndarray:
+    """Ascending indices of the ceil(top_fraction * n) most confident anchors, at least one.
 
-    Sorting is by confidence descending with ties broken by original index,
+    Ranking is by confidence descending with ties broken by original index,
     so the result is deterministic and every kept confidence is >= every
     dropped one.
     """
-    if not anchors:
+    if not len(confidence):
         raise ValueError("anchor list is empty")
     if not 0.0 < top_fraction <= 1.0:
         raise ValueError(f"top_fraction must lie in (0, 1], got {top_fraction}")
-    keep = max(1, math.ceil(top_fraction * len(anchors)))
-    ranked = sorted(range(len(anchors)), key=lambda i: (-anchors[i].confidence, i))
-    kept = sorted(ranked[:keep])
-    return [anchors[i] for i in kept]
+    keep = max(1, math.ceil(top_fraction * len(confidence)))
+    return np.sort(np.argsort(-confidence, kind="stable")[:keep])
+
+
+def filter_anchors(anchors: list, top_fraction: float) -> list:
+    """The kept AnchorRecords of ``anchors``, in their original order (see _kept_indices)."""
+    confidence = np.array([a.confidence for a in anchors], dtype=np.float64)
+    return [anchors[i] for i in _kept_indices(confidence, top_fraction)]
+
+
+def _as_rows(rows: list, n: int, width: int | None) -> np.ndarray | None:
+    """``rows`` as one [n, width] float64 array (any common width for None), else None."""
+    try:
+        arr = np.array(rows, dtype=np.float64)
+    except ValueError:
+        if len({np.shape(r) for r in rows}) < 2:
+            raise  # an entry that is not a number
+        return None
+    if n == 0:
+        return arr.reshape(0, width or 0)
+    return arr if arr.ndim == 2 and len(arr) == n and width in (None, arr.shape[1]) else None
+
+
+class AnchorSet:
+    """One image's anchors as arrays, checked as AnchorRecord checks one anchor.
+
+    ``features`` is [n, d] float64, ``confidence`` [n] and ``boxes`` [n, 4];
+    ``len()`` is n, the count before filtering. ``pool`` keeps the most
+    confident anchors and projects their features once, then reuses that
+    while ``top_fraction`` and the bundle (the same object) are unchanged.
+    """
+
+    def __init__(self, features, confidence, boxes):
+        conf = np.array(confidence)
+        # A dtype check, not a cast: float64 conversion would accept "0.5".
+        if conf.ndim != 1 or conf.dtype.kind not in "biuf":
+            raise ValueError("confidence must be a finite number")
+        conf = conf.astype(np.float64)
+        if not np.isfinite(conf).all():
+            raise ValueError("confidence must be finite")
+        n = len(conf)
+        box = _as_rows(boxes, n, 4)
+        if box is None:
+            bad = next((b for b in boxes if np.shape(b) != (4,)), None)
+            raise ValueError(f"box must have four coordinates, got {bad}")
+        inverted = ~((box[:, 0] < box[:, 2]) & (box[:, 1] < box[:, 3]))
+        if inverted.any():
+            bad = tuple(box[inverted.argmax()].tolist())
+            raise ValueError(f"box must satisfy x1<x2 and y1<y2, got {bad}")
+        feats = _as_rows(features, n, None)
+        if feats is None:
+            raise ValueError("anchor features must be vectors that all have the same shape")
+        self.features, self.confidence, self.boxes = feats, conf, box
+        self._pool = None
+
+    @classmethod
+    def from_json(cls, entries: list) -> "AnchorSet":
+        """From anchor entries {"feature": [...], "confidence": c, "box": [x1, y1, x2, y2]}."""
+        return cls([a["feature"] for a in entries], [a["confidence"] for a in entries],
+                   [a["box"] for a in entries])
+
+    def __len__(self) -> int:
+        return len(self.confidence)
+
+    def pool(self, top_fraction: float, bundle: ProjectionBundle) -> tuple[np.ndarray, Embedded]:
+        """The kept boxes [k, 4] and their features projected by the bundle's visual matrices."""
+        memo = self._pool
+        if memo is None or memo[0] != top_fraction or memo[1] is not bundle:
+            kept = _kept_indices(self.confidence, top_fraction)
+            visual = embed_rows(self.features[kept], bundle.w_ev, bundle.w_hv, bundle.kappa,
+                                "visual features")
+            memo = self._pool = (top_fraction, bundle, self.boxes[kept], visual)
+        return memo[2], memo[3]
 
 
 def select_anchor(
@@ -65,7 +134,7 @@ def select_anchor(
 
 def ground(
     sample_id: str,
-    anchors: list,
+    anchors: AnchorSet | list,
     phrases: list,
     text_features: list,
     bundle: ProjectionBundle,
@@ -74,7 +143,9 @@ def ground(
 ) -> GroundingOutput:
     """Select one box per decoupled phrase.
 
-    A zero-phrase sample produces no boxes. The kept anchors are scored
+    ``anchors`` is the image's AnchorSet, or a list of AnchorRecords that is
+    turned into one. A zero-phrase sample produces no boxes. The kept anchors
+    (projected once per AnchorSet, see ``AnchorSet.pool``) are scored
     against all phrases at once; each phrase takes its argmax (lowest index
     on ties), so one anchor may serve several phrases unless
     ``distinct_anchors`` greedily excludes used anchors until all are used.
@@ -85,13 +156,17 @@ def ground(
         )
     if not phrases:
         return GroundingOutput(sample_id=sample_id, boxes=())
-    pool = filter_anchors(anchors, top_fraction)
-    scores = score_matrix(np.stack([a.feature for a in pool]), text_features, bundle)
+    if not isinstance(anchors, AnchorSet):
+        anchors = AnchorSet([a.feature for a in anchors], [a.confidence for a in anchors],
+                            [a.box for a in anchors])
+    pool_boxes, visual = anchors.pool(top_fraction, bundle)
+    text = embed_rows(text_features, bundle.w_et, bundle.w_ht, bundle.kappa, "text features")
+    scores = pair_scores(visual, text, bundle.alpha)
     boxes = []
-    free = np.ones(len(pool), dtype=bool)
+    free = np.ones(len(pool_boxes), dtype=bool)
     for column in scores.T:
-        rows = np.flatnonzero(free) if distinct_anchors and free.any() else np.arange(len(pool))
+        rows = np.flatnonzero(free) if distinct_anchors and free.any() else np.arange(len(pool_boxes))
         idx = int(rows[np.argmax(column[rows])])
         free[idx] = False
-        boxes.append(pool[idx].box)
+        boxes.append(tuple(pool_boxes[idx].tolist()))
     return GroundingOutput(sample_id=sample_id, boxes=tuple(boxes))

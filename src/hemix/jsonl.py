@@ -22,9 +22,15 @@ def write_jsonl(path, records: list) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_jsonl(path) -> list:
+def iter_jsonl(path, *, objects: bool = False):
+    """Yield the records of ``path`` one line at a time, skipping blank lines.
+
+    With ``objects`` a record that is not a JSON object raises SchemaError
+    naming its line. The raw line is dropped before its record is yielded and
+    the record before the next line is decoded, so a caller that also drops
+    each record holds one parsed line at a time.
+    """
     path = Path(path)
-    records = []
     with path.open() as fh:
         for i, line in enumerate(fh, start=1):
             line = line.strip()
@@ -34,9 +40,16 @@ def read_jsonl(path) -> list:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{path}:{i}: invalid JSON: {exc}") from exc
+            del line
             if i == 1 and isinstance(obj, dict) and set(obj.keys()) == {"v"}:
                 if obj["v"] != SCHEMA_VERSION:
                     raise SchemaError(f"{path}: unsupported schema version {obj['v']}")
                 continue
-            records.append(obj)
-    return records
+            if objects and not isinstance(obj, dict):
+                raise SchemaError(f"{path}:{i}: record is not a JSON object")
+            yield obj
+            del obj
+
+
+def read_jsonl(path, *, objects: bool = False) -> list:
+    return list(iter_jsonl(path, objects=objects))

@@ -316,10 +316,59 @@ def test_ground_isolates_bad_records(capsys, tmp_path):
     assert preds == clean_preds
     assert len(errors) == len(bad)
     assert errors[0].startswith("error: short: ")
-    assert errors[1] == "error: lost: 'nowhere'"
+    assert errors[1] == "error: lost: unknown image_id 'nowhere'"
     assert errors[2] == "error: <missing sample_id>: record is not a JSON object"
     assert errors[3] == "error: count: expected 2 text features to match the phrases, got 1"
     assert errors[4].startswith("error: null: ")
+
+
+def test_ground_names_missing_field(capsys, tmp_path):
+    weights, anchors = ground_inputs(tmp_path)
+    texts = tmp_path / "texts.jsonl"
+    jsonl.write_jsonl(texts, [{"sample_id": "b", "image_id": "img", "features": [[1.0, 0.0]]}])
+    code, _, err = run(
+        capsys, "ground", "--anchors", str(anchors), "--texts", str(texts),
+        "--weights", str(weights), "--out", str(tmp_path / "preds.jsonl"),
+    )
+    assert code == 1
+    assert err.splitlines()[-1] == "error: b: record has no 'phrases' field"
+
+
+def test_pipeline_rejects_features_of_different_lengths_on_one_image(capsys, tmp_path):
+    # One dropped (least confident) anchor with a short feature fails every
+    # sample on its image; the other images are unaffected.
+    anchor_recs = jsonl.read_jsonl(DATA / "anchors.jsonl")
+    low = min(anchor_recs[0]["anchors"], key=lambda a: a["confidence"])
+    low["feature"] = low["feature"][:3]
+    anchors = tmp_path / "anchors.jsonl"
+    jsonl.write_jsonl(anchors, anchor_recs)
+    report = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "pipeline", "--anchors", str(anchors), "--texts", str(DATA / "texts.jsonl"),
+        "--weights", str(DATA / "weights.json"), "--gt", str(DATA / "gt.jsonl"), "--offline",
+        "--report", str(report),
+    )
+    assert code == 1
+    (failure,) = json.loads(report.read_text())["failures"]
+    assert failure["sample_id"] == "s1"
+    assert "img1" in failure["error"] and "same shape" in failure["error"]
+
+
+@pytest.mark.parametrize("kind", ["anchors", "gt", "pred"])
+def test_non_object_line_is_a_run_error(capsys, tmp_path, kind):
+    # A valid JSON line that is not an object, on line 3 after the header.
+    bad = tmp_path / f"{kind}.jsonl"
+    source = DATA / ("golden_predictions.jsonl" if kind == "pred" else f"{kind}.jsonl")
+    jsonl.write_jsonl(bad, jsonl.read_jsonl(source)[:1] + [[1, 2]])
+    if kind == "pred":
+        argv = ["eval", "--gt", str(DATA / "gt.jsonl"), "--pred", str(bad)]
+    else:
+        paths = {"anchors": DATA / "anchors.jsonl", "gt": DATA / "gt.jsonl", kind: bad}
+        argv = ["pipeline", "--anchors", str(paths["anchors"]), "--texts", str(DATA / "texts.jsonl"),
+                "--weights", str(DATA / "weights.json"), "--gt", str(paths["gt"]), "--offline"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.splitlines()[-1] == f"error: {bad}:3: record is not a JSON object"
 
 
 def test_ground_rejects_expmap_weights(capsys, tmp_path):
@@ -376,6 +425,26 @@ def test_jsonl_headerless_input_accepted(tmp_path):
     path = tmp_path / "x.jsonl"
     path.write_text('{"a": 1}\n{"a": 2}\n')
     assert jsonl.read_jsonl(path) == [{"a": 1}, {"a": 2}]
+
+
+def test_iter_jsonl_matches_read_jsonl(tmp_path):
+    path = tmp_path / "x.jsonl"
+    path.write_text('{"v": 1}\n\n{"a": 1}\n   \n[1, 2]\n{"v": 1}\n')
+    assert list(jsonl.iter_jsonl(path)) == jsonl.read_jsonl(path) == [{"a": 1}, [1, 2], {"v": 1}]
+    with pytest.raises(jsonl.SchemaError, match=r"x\.jsonl:5: record is not a JSON object"):
+        jsonl.read_jsonl(path, objects=True)
+
+
+@pytest.mark.parametrize("text, match", [
+    ('{"v": 1}\n\n{"a": 1}\n{"a": \n', r"x\.jsonl:4: invalid JSON"),
+    ('{"v": 99}\n{"a": 1}\n', "unsupported schema version 99"),
+])
+def test_iter_jsonl_raises_what_read_jsonl_raises(tmp_path, text, match):
+    path = tmp_path / "x.jsonl"
+    path.write_text(text)
+    for read in (jsonl.read_jsonl, lambda p: list(jsonl.iter_jsonl(p))):
+        with pytest.raises(jsonl.SchemaError, match=match):
+            read(path)
 
 
 def test_jsonl_unknown_version_rejected(tmp_path):

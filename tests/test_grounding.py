@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hemix.grounding import AnchorRecord, filter_anchors, ground, select_anchor
-from hemix.similarity import ProjectionBundle
+from hemix import grounding
+from hemix.grounding import AnchorRecord, AnchorSet, filter_anchors, ground, select_anchor
+from hemix.similarity import ProjectionBundle, embed_rows
 
 
 def anchor(feature, confidence, box=(0.0, 0.0, 10.0, 10.0)):
@@ -140,3 +141,82 @@ class TestAnchorRecord:
     def test_nonfinite_confidence_rejected(self):
         with pytest.raises(ValueError):
             AnchorRecord(feature=np.zeros(2), confidence=float("nan"), box=(0, 0, 1, 1))
+
+
+def anchor_set(anchors):
+    return AnchorSet.from_json(
+        [{"feature": list(a.feature), "confidence": a.confidence, "box": list(a.box)} for a in anchors]
+    )
+
+
+class TestAnchorSet:
+    @pytest.mark.parametrize("field, value", [
+        ("box", [0.0, 0.0, 1.0]),
+        ("box", [10.0, 0.0, 0.0, 10.0]),
+        ("confidence", float("nan")),
+        ("confidence", "0.5"),
+    ])
+    def test_rejects_what_anchor_record_rejects(self, field, value):
+        entry = {"feature": [0.0, 1.0], "confidence": 0.5, "box": [0.0, 0.0, 1.0, 1.0], field: value}
+        with pytest.raises((ValueError, TypeError)):
+            AnchorRecord(feature=entry["feature"], confidence=entry["confidence"], box=entry["box"])
+        good = {"feature": [1.0, 0.0], "confidence": 0.9, "box": [0.0, 0.0, 2.0, 2.0]}
+        with pytest.raises(ValueError):
+            AnchorSet.from_json([good, entry])
+
+    def test_features_of_different_lengths_rejected_even_if_dropped(self):
+        entries = [{"feature": [1.0, 0.0], "confidence": 0.9, "box": [0, 0, 1, 1]},
+                   {"feature": [1.0], "confidence": 0.1, "box": [0, 0, 1, 1]}]
+        with pytest.raises(ValueError, match="same shape"):
+            AnchorSet.from_json(entries)
+
+    def test_arrays_and_length(self):
+        s = AnchorSet.from_json([{"feature": [1, 2], "confidence": 1, "box": [0, 0, 3, 4]}] * 3)
+        assert len(s) == 3
+        assert s.features.shape == (3, 2) and s.boxes.shape == (3, 4) and s.confidence.shape == (3,)
+        assert s.features.dtype == s.boxes.dtype == s.confidence.dtype == np.float64
+
+    def test_empty_set_fails_only_when_grounded(self):
+        empty = AnchorSet.from_json([])
+        assert len(empty) == 0
+        assert ground("s", empty, [], [], scoring_bundle()).boxes == ()
+        with pytest.raises(ValueError, match="empty"):
+            ground("s", empty, ["p"], [np.ones(2)], scoring_bundle())
+
+    def test_pool_keeps_what_filter_anchors_keeps(self):
+        rng = np.random.default_rng(5)
+        bundle = scoring_bundle()
+        for n, top in ((1, 0.1), (12, 0.25), (40, 0.1), (40, 1.0)):
+            anchors = [anchor(rng.standard_normal(2), int(rng.integers(0, 4)) / 4, (i, 0, i + 1, 1))
+                       for i in range(n)]
+            boxes, _ = anchor_set(anchors).pool(top, bundle)
+            assert [tuple(b) for b in boxes.tolist()] == [a.box for a in filter_anchors(anchors, top)]
+
+    def test_visual_projection_once_per_image(self, monkeypatch):
+        calls = []
+
+        def counting(f, w_e, w_h, kappa, what):
+            calls.append(what)
+            return embed_rows(f, w_e, w_h, kappa, what)
+
+        monkeypatch.setattr(grounding, "embed_rows", counting)
+        rng = np.random.default_rng(3)
+        bundle = ProjectionBundle.initialize(3, seed=3)
+        anchors = [anchor(rng.standard_normal(3), float(rng.uniform()), (i, i, i + 5, i + 5))
+                   for i in range(30)]
+        shared = anchor_set(anchors)
+        feats = [[rng.standard_normal(3) for _ in range(k)] for k in (2, 3)]
+        for f in feats:
+            phrases = [f"p{i}" for i in range(len(f))]
+            out = ground("s", shared, phrases, f, bundle, top_fraction=0.2)
+            fresh = [AnchorRecord(feature=a.feature, confidence=a.confidence, box=a.box) for a in anchors]
+            assert out.boxes == ground("s", fresh, phrases, f, bundle, top_fraction=0.2).boxes
+        # The shared set projected once for both samples; each fresh list once more.
+        assert calls.count("visual features") == 1 + 2
+        calls.clear()
+        ground("s", shared, ["p"], feats[0][:1], bundle, top_fraction=0.2)
+        assert calls.count("visual features") == 0
+        ground("s", shared, ["p"], feats[0][:1], bundle, top_fraction=0.5)
+        assert calls.count("visual features") == 1
+        ground("s", shared, ["p"], feats[0][:1], ProjectionBundle.initialize(3, seed=3), top_fraction=0.5)
+        assert calls.count("visual features") == 2
