@@ -19,7 +19,7 @@ from .decouple import (
     render,
     rule_based_decompose,
 )
-from .grounding import AnchorRecord, AnchorSet, GroundingOutput, filter_anchors, ground, select_anchor
+from .grounding import AnchorRecord, AnchorSet, GroundingOutput, filter_anchors, ground
 from .lorentz import (
     CurvedPoint,
     TangentVector,
@@ -37,7 +37,6 @@ from .mixture import MixtureErrorModel, monte_carlo_mse, mse_of_mix, optimal_alp
 from .similarity import (
     ProjectionBundle,
     hemix,
-    hyperbolic_embed,
     load_bundle,
     save_bundle,
     score_matrix,

@@ -451,7 +451,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, jsonl.SchemaError, decouple.DecoupleError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 2
 
 

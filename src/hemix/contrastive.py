@@ -25,11 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .lorentz import geodesic_distance
-from .similarity import ProjectionBundle, embed_rows, hyperbolic_embed, pair_scores
+from .lorentz import geodesic_distance, lift
+from .similarity import ProjectionBundle, embed_rows, pair_scores
+
+_WEIGHTS = ("w_ev", "w_et", "w_hv", "w_ht")
 
 
 @dataclass
@@ -76,54 +79,70 @@ class LossReport:
                     raise ValueError(f"gradient {name} contains non-finite entries")
 
 
-def contrastive_loss(
-    batch: GroundingBatch,
-    bundle: ProjectionBundle,
-    intra_negatives: bool = False,
-    *,
-    compute_grads: bool = True,
-) -> LossReport:
-    """Mean over images of -log softmax(positive | term set), with analytic grads."""
-    n_img = len(batch.images)
-    alpha, tau = bundle.alpha, bundle.tau
+class _TermSets(NamedTuple):
+    """A batch as one [anchors x images] problem."""
 
+    anchors: np.ndarray  # [anchors, dim], each image's anchors in order, positive first
+    texts: np.ndarray  # [images, dim]
+    pos: np.ndarray  # row of each image's positive
+    in_set: np.ndarray  # [anchors, images]: anchor k is in image i's term set
+
+
+def _term_sets(batch: GroundingBatch, intra_negatives: bool) -> _TermSets:
+    n_img = len(batch.images)
     anchors = np.stack([a for img in batch.images for a in img.anchors])
-    texts = np.stack([img.text for img in batch.images])
     sizes = [len(img.anchors) for img in batch.images]
     cols = np.arange(n_img)
-    pos = np.cumsum([0] + sizes[:-1])  # row of each image's positive
-    # in_set[k, i]: anchor k is in image i's term set.
+    pos = np.cumsum([0] + sizes[:-1])
     if intra_negatives:
         in_set = np.ones((anchors.shape[0], n_img), dtype=bool)
     else:
         in_set = np.repeat(cols, sizes)[:, None] != cols[None, :]
         in_set[pos, :] = True
+    return _TermSets(anchors, np.stack([img.text for img in batch.images]), pos, in_set)
 
-    v = embed_rows(anchors, bundle.w_ev, bundle.w_hv, bundle.kappa, "anchor features")
-    t = embed_rows(texts, bundle.w_et, bundle.w_ht, bundle.kappa, "text features")
-    scores = pair_scores(v, t, alpha) / tau
-    shifted = np.where(in_set, scores, -np.inf)
-    shifted -= shifted.max(axis=0)
+
+def _loss(terms: _TermSets, bundle: ProjectionBundle, **stacked: np.ndarray):
+    """Mean over images of -log softmax(positive | term set).
+
+    A keyword named after one of the bundle's matrices replaces it with an
+    [s, dim, dim] stack of weights, and the loss is then an [s] array. Also
+    returns what the gradients reuse: both embeddings and the softmax.
+    """
+    w = {name: stacked.get(name, getattr(bundle, name)) for name in _WEIGHTS}
+    v = embed_rows(terms.anchors, w["w_ev"], w["w_hv"], bundle.kappa, "anchor features")
+    t = embed_rows(terms.texts, w["w_et"], w["w_ht"], bundle.kappa, "text features")
+    scores = pair_scores(v, t, bundle.alpha) / bundle.tau
+    shifted = np.where(terms.in_set, scores, -np.inf)
+    shifted -= shifted.max(axis=-2, keepdims=True)
     exps = np.exp(shifted)
-    denom = exps.sum(axis=0)
-    loss = float((np.log(denom) - shifted[pos, cols]).sum()) / n_img
+    denom = exps.sum(axis=-2)
+    cols = np.arange(len(terms.pos))
+    loss = (np.log(denom) - shifted[..., terms.pos, cols]).sum(axis=-1) / len(cols)
+    # log(denom) can round a hair below the positive-term score when the
+    # softmax is fully saturated; the true value is nonnegative.
+    return np.where((-1e-12 < loss) & (loss < 0.0), 0.0, loss), v, t, exps / denom[..., None, :]
 
-    if -1e-12 < loss < 0.0:
-        # log(denom) can round a hair below the positive-term score when the
-        # softmax is fully saturated; the true value is nonnegative.
-        loss = 0.0
-    grads = None
-    if compute_grads:
-        g = exps / denom
-        g[pos, cols] -= 1.0
-        g /= tau * n_img  # [anchors, images], zero outside the term sets
-        grads = {
-            "w_ev": (1.0 - alpha) * (anchors.T @ (g @ t.e)),
-            "w_et": (1.0 - alpha) * (texts.T @ (g.T @ v.e)),
-            "w_hv": alpha * (anchors.T @ (g @ t.z - ((g @ t.x0) / v.x0)[:, None] * v.z)),
-            "w_ht": alpha * (texts.T @ (g.T @ v.z - ((g.T @ v.x0) / t.x0)[:, None] * t.z)),
-        }
-    return LossReport(loss=loss, grads=grads)
+
+def contrastive_loss(
+    batch: GroundingBatch,
+    bundle: ProjectionBundle,
+    intra_negatives: bool = False,
+) -> LossReport:
+    """Mean over images of -log softmax(positive | term set), with analytic grads."""
+    terms = _term_sets(batch, intra_negatives)
+    loss, v, t, g = _loss(terms, bundle)
+    alpha, n_img = bundle.alpha, len(terms.pos)
+    g[terms.pos, np.arange(n_img)] -= 1.0
+    g /= bundle.tau * n_img  # [anchors, images], zero outside the term sets
+    anchors, texts = terms.anchors, terms.texts
+    grads = {
+        "w_ev": (1.0 - alpha) * (anchors.T @ (g @ t.e)),
+        "w_et": (1.0 - alpha) * (texts.T @ (g.T @ v.e)),
+        "w_hv": alpha * (anchors.T @ (g @ t.z - ((g @ t.x0) / v.x0)[:, None] * v.z)),
+        "w_ht": alpha * (texts.T @ (g.T @ v.z - ((g.T @ v.x0) / t.x0)[:, None] * t.z)),
+    }
+    return LossReport(loss=float(loss), grads=grads)
 
 
 def hierarchical_loss(
@@ -139,9 +158,14 @@ def hierarchical_loss(
     f_ref = np.asarray(f_ref, dtype=np.float64)
     if not f_cat.shape == f_base_ref.shape == f_ref.shape:
         raise ValueError("hierarchy features must share one dimension")
-    embed = lambda f: hyperbolic_embed(f, bundle.w_ht, bundle.kappa)
+    embed = lambda f: lift(f @ bundle.w_ht, bundle.kappa)
     base = embed(f_base_ref)
     return geodesic_distance(embed(f_cat), base) + geodesic_distance(embed(f_ref), base)
+
+
+# gradient_check evaluates its perturbed weights in slices of at most this
+# many bytes per stacked matrix (one matrix when a single one is larger).
+_STACK_BYTES = 4 << 20
 
 
 def gradient_check(
@@ -153,25 +177,28 @@ def gradient_check(
     """Max relative error of analytic grads vs central finite differences.
 
     The relative error denominator is max(|analytic|, |numeric|, 1e-8),
-    evaluated over every entry of the four projection matrices.
+    evaluated over every entry of the four projection matrices. The 2 dim^2
+    perturbed losses of one matrix are evaluated as weight stacks.
     """
     if not 1e-6 <= epsilon <= 1e-4:
         raise ValueError(f"epsilon must lie in [1e-6, 1e-4], got {epsilon}")
     analytic = contrastive_loss(batch, bundle, intra_negatives).grads
+    terms = _term_sets(batch, intra_negatives)
+    size = bundle.dim * bundle.dim
+    per_slice = max(1, _STACK_BYTES // (8 * size))
     worst = 0.0
-    for name in ("w_ev", "w_et", "w_hv", "w_ht"):
-        mat = getattr(bundle, name)
-        it = np.nditer(mat, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = mat[idx]
-            mat[idx] = orig + epsilon
-            up = contrastive_loss(batch, bundle, intra_negatives, compute_grads=False).loss
-            mat[idx] = orig - epsilon
-            down = contrastive_loss(batch, bundle, intra_negatives, compute_grads=False).loss
-            mat[idx] = orig
-            numeric = (up - down) / (2.0 * epsilon)
-            a = float(analytic[name][idx])
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
+    for name in _WEIGHTS:
+        flat = getattr(bundle, name).reshape(size)
+        # Perturbation j moves entry j // 2 by +epsilon (j even) or -epsilon (j odd).
+        losses = np.empty(2 * size)
+        for start in range(0, 2 * size, per_slice):
+            j = np.arange(start, min(start + per_slice, 2 * size))
+            k = j // 2
+            stack = np.repeat(flat[None], len(j), axis=0)
+            stack[np.arange(len(j)), k] = np.where(j % 2 == 0, flat[k] + epsilon, flat[k] - epsilon)
+            losses[j] = _loss(terms, bundle, **{name: stack.reshape(-1, bundle.dim, bundle.dim)})[0]
+        numeric = (losses[0::2] - losses[1::2]) / (2.0 * epsilon)
+        a = analytic[name].reshape(size)
+        err = np.abs(a - numeric) / np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
+        worst = np.maximum(worst, err.max())
+    return float(worst)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .similarity import Embedded, ProjectionBundle, embed_rows, pair_scores, score_matrix
+from .similarity import Embedded, ProjectionBundle, embed_rows, pair_scores
 
 
 @dataclass(frozen=True)
@@ -118,18 +118,6 @@ class AnchorSet:
                                 "visual features")
             memo = self._pool = (top_fraction, bundle, self.boxes[kept], visual)
         return memo[2], memo[3]
-
-
-def select_anchor(
-    text_feature: np.ndarray,
-    anchors: list,
-    bundle: ProjectionBundle,
-) -> int:
-    """Index of the anchor with the highest mixed similarity to the text (lowest on ties)."""
-    if not anchors:
-        raise ValueError("anchor list is empty")
-    scores = score_matrix(np.stack([a.feature for a in anchors]), [text_feature], bundle)[:, 0]
-    return int(np.argmax(scores))
 
 
 def ground(

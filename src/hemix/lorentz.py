@@ -9,32 +9,38 @@ with the Lorentzian inner product
 
     <x, y>_L = -x_0 y_0 + sum_i x_i y_i.
 
-All operations here are exact closed forms, computed in float64, with small
-guards (arccosh clamp, series branches near zero) against roundoff. Everything
-is a pure function of its inputs and safe to call concurrently.
+Each formula lives in one row function over [m, n+1] stacks of ambient
+vectors, with one kappa per row or one for all rows: ``inner_rows``,
+``lift_time``/``lift_rows``, ``distance_rows``, ``exp_map_rows``,
+``log_map_rows`` and ``tangent_project_rows``. ``CurvedPoint`` and
+``TangentVector`` validate single points and vectors at the API edge; the
+per-object functions (``lift``, ``geodesic_distance``, ``exp_map``,
+``log_map``, ``tangent_project``) check their arguments and call the row
+functions with n = 1.
+
+Distance and log map work from y - x with its time part taken from the
+spatial parts, so neither subtracts two large times and near-coincident
+points keep their distance at any radius. The only guard is
+max(||x - y||^2_L, 0); exp_map uses its series limit below a Lorentz norm of
+1e-8. Everything is computed in float64, is a pure function of its inputs and
+is safe to call concurrently.
 """
 
 from __future__ import annotations
 
-import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 # Constraint tolerance at float64; scaled by spatial magnitude where points
 # are validated.
 MEMBERSHIP_TOL = 1e-9
 
-# Below this Lorentz norm / distance, exp and log switch to their series
-# limits to avoid 0/0.
+# Below this Lorentz norm exp_map switches to its series limit p + v, whose
+# coefficients cosh and sinh(x)/x already round to 1 there.
 _SERIES_EPS = 1e-8
-
-# arccosh argument deficits larger than this are reported: they signal
-# ill-conditioned inputs rather than ordinary roundoff.
-_CLAMP_WARN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -101,18 +107,127 @@ class TangentVector:
         return math.sqrt(max(sq, 0.0))
 
 
+# ---------------------------------------------------------------------------
+# Row functions: x, y, p, q, v are [m, n+1] stacks of ambient vectors and
+# kappa is one value or one per row.
+# ---------------------------------------------------------------------------
+
+def inner_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise <x_i, y_i>_L."""
+    return np.einsum("ij,ij->i", x[:, 1:], y[:, 1:]) - x[:, 0] * y[:, 0]
+
+
+def lift_time(z: np.ndarray, kappa) -> np.ndarray:
+    """Row-wise ``lift`` time coordinate, sqrt(||z_i||^2 + 1/kappa), of a [..., n, d] stack."""
+    return np.sqrt(np.einsum("...ij,...ij->...i", z, z) + 1.0 / kappa)
+
+
+def lift_rows(z: np.ndarray, kappa) -> np.ndarray:
+    """The hyperboloid points whose spatial parts are the rows of the [n, d] stack z."""
+    return np.concatenate((lift_time(z, kappa)[:, None], z), axis=1)
+
+
+def tangent_project_rows(p: np.ndarray, v: np.ndarray, kappa) -> np.ndarray:
+    """Row-wise v + kappa <p,v>_L p, which is Lorentz-orthogonal to p."""
+    return v + (kappa * inner_rows(p, v))[:, None] * p
+
+
+def _tangent_norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(inner_rows(v, v), 0.0))
+
+
+def exp_map_rows(p: np.ndarray, v: np.ndarray, kappa) -> np.ndarray:
+    """Row-wise exp_p(v) = cosh(sqrt(kappa)||v||) p + sinh(sqrt(kappa)||v||)/(sqrt(kappa)||v||) v.
+
+    ||v|| is the Lorentz norm; below 1e-8 the series limit p + v is used. The
+    result is re-lifted from its spatial part, which keeps it on the
+    hyperboloid at large ||v||.
+    """
+    nv = _tangent_norm(v)
+    series = nv < _SERIES_EPS
+    a = np.where(series, 1.0, np.sqrt(kappa) * nv)
+    coef_p = np.where(series, 1.0, np.cosh(a))
+    coef_v = np.where(series, 1.0, np.sinh(a) / a)
+    w = coef_p[:, None] * p + coef_v[:, None] * v
+    return lift_rows(w[:, 1:], kappa)
+
+
+def _unit(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Rows z / r, with zero rows left at zero."""
+    return np.divide(z, r[:, None], out=np.zeros_like(z), where=r[:, None] > 0)
+
+
+def _difference(x: np.ndarray, y: np.ndarray, kappa) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """y - x for hyperboloid rows as its time part dt [n] and spatial part dz [n, d], and
+    max(||y - x||^2_L, 0).
+
+    With s = z_x + z_y and T = t_x + t_y, dt = dz.s / T equals t_y - t_x
+    without subtracting two large times. ||y - x||^2_L = ||dz||^2 - dt^2 is
+    then formed from nonnegative terms. Near pairs (||dz||^2 < 2 t_x t_y)
+    split dz across and along s: (||dz_across||^2 + 4q/kappa) / (1 - q) with
+    q = dt^2 / ||s||^2 <= 1/2. Far pairs split it into radius and angle:
+    (2/kappa) u^2 / (sqrt(1 + u^2) + 1) + r_x r_y ||z_x/r_x - z_y/r_y||^2
+    with r = ||z|| and u = (r_x^2 - r_y^2) / (r_x t_y + r_y t_x), the sinh of
+    the difference of the two points' scaled distances from the apex.
+    Swapping x and y negates dz, dt and u exactly, so the result is exactly
+    symmetric.
+    """
+    dz, s = y[:, 1:] - x[:, 1:], x[:, 1:] + y[:, 1:]
+    along = np.einsum("ij,ij->i", dz, s)
+    dt = along / (x[:, 0] + y[:, 0])
+    ss = np.einsum("ij,ij->i", s, s)
+    is_near = np.einsum("ij,ij->i", dz, dz) < 2.0 * x[:, 0] * y[:, 0]
+    across = dz - np.divide(along, ss, out=np.zeros_like(ss), where=ss > 0)[:, None] * s
+    q = np.divide(dt * dt, ss, out=np.zeros_like(ss), where=is_near & (ss > 0))
+    near = (np.einsum("ij,ij->i", across, across) + 4.0 / kappa * q) / (1.0 - q)
+    r_x, r_y = np.linalg.norm(x[:, 1:], axis=1), np.linalg.norm(y[:, 1:], axis=1)
+    apart = r_x * y[:, 0] + r_y * x[:, 0]  # 0 only for two apex points, which are near
+    u = np.divide(-along, apart, out=np.zeros_like(apart), where=apart > 0)
+    turn = _unit(y[:, 1:], r_y) - _unit(x[:, 1:], r_x)
+    far = 2.0 / kappa * u * u / (np.sqrt(1.0 + u * u) + 1.0) + r_x * r_y * np.einsum(
+        "ij,ij->i", turn, turn)
+    return dt, dz, np.maximum(np.where(is_near, near, far), 0.0)
+
+
+def _distance(sq: np.ndarray, kappa) -> np.ndarray:
+    """Geodesic distance from the squared chord ||x - y||^2_L."""
+    sk = np.sqrt(kappa)
+    return 2.0 / sk * np.arcsinh(sk * np.sqrt(sq) / 2.0)
+
+
+def distance_rows(x: np.ndarray, y: np.ndarray, kappa) -> np.ndarray:
+    """Row-wise geodesic distance (2/sqrt(kappa)) asinh(sqrt(kappa) ||x - y||_L / 2).
+
+    Equal to arccosh(-kappa <x,y>_L) / sqrt(kappa), without its cancellation
+    near 1 for close points.
+    """
+    return _distance(_difference(x, y, kappa)[2], kappa)
+
+
+def log_map_rows(p: np.ndarray, q: np.ndarray, kappa) -> np.ndarray:
+    """Row-wise log_p(q) = (sqrt(kappa) d / sinh(sqrt(kappa) d)) ((q - p) - (kappa/2) ||q - p||^2_L p).
+
+    d is the geodesic distance, so the Lorentz norm of the result is d. The
+    factor takes its limit 1 at d = 0.
+    """
+    dt, dz, sq = _difference(p, q, kappa)
+    a = np.sqrt(kappa) * _distance(sq, kappa)
+    coef = np.divide(a, np.sinh(a), out=np.ones_like(a), where=a > 0)
+    w = np.concatenate((dt[:, None], dz), axis=1) - (kappa / 2.0 * sq)[:, None] * p
+    return coef[:, None] * w
+
+
+# ---------------------------------------------------------------------------
+# Per-object API: validates its arguments and calls the row functions.
+# ---------------------------------------------------------------------------
+
 def lorentz_inner(x: np.ndarray, y: np.ndarray) -> float:
     """<x, y>_L = -x_0 y_0 + sum_{i>=1} x_i y_i for (n+1)-vectors."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or x.shape[0] < 2:
         raise ValueError(f"expected equal (n+1)-vectors with n >= 1, got {x.shape} and {y.shape}")
-    return float(-x[0] * y[0] + x[1:] @ y[1:])
-
-
-def lift_time(z: np.ndarray, kappa: float) -> np.ndarray:
-    """Row-wise ``lift`` time coordinate, sqrt(||z_i||^2 + 1/kappa), of an [n, d] stack."""
-    return np.sqrt(np.einsum("ij,ij->i", z, z) + 1.0 / kappa)
+    return float(inner_rows(x[None], y[None])[0])
 
 
 def lift(z: np.ndarray, kappa: float) -> CurvedPoint:
@@ -122,8 +237,7 @@ def lift(z: np.ndarray, kappa: float) -> CurvedPoint:
         raise ValueError(f"kappa must be positive, got {kappa}")
     if not np.all(np.isfinite(z)):
         raise ValueError("spatial coordinates must be finite")
-    time = math.sqrt(float(z @ z) + 1.0 / kappa)
-    return CurvedPoint(time=time, spatial=z, kappa=kappa)
+    return CurvedPoint(time=float(lift_time(z[None], kappa)[0]), spatial=z, kappa=kappa)
 
 
 def apex(dim: int, kappa: float) -> CurvedPoint:
@@ -141,27 +255,14 @@ def is_on_hyperboloid(x: np.ndarray, kappa: float, tol: float = MEMBERSHIP_TOL) 
     return abs(lorentz_inner(x, x) + 1.0 / kappa) <= tol
 
 
-def _cosh_arg(x: CurvedPoint, y: CurvedPoint) -> float:
-    """-kappa * <x,y>_L clamped to >= 1, reporting large clamps."""
-    u = -x.kappa * lorentz_inner(x.as_vector(), y.as_vector())
-    if u < 1.0:
-        if 1.0 - u > _CLAMP_WARN:
-            logger.warning("arccosh argument clamped by %.3e; inputs are ill-conditioned", 1.0 - u)
-        u = 1.0
-    return u
-
-
 def geodesic_distance(x: CurvedPoint, y: CurvedPoint) -> float:
-    """d(x,y) = (1/sqrt(kappa)) * arccosh(-kappa * <x,y>_L).
+    """d(x,y) = (1/sqrt(kappa)) * arccosh(-kappa * <x,y>_L), see ``distance_rows``.
 
-    Value-identical points return 0 exactly; arccosh near 1 would otherwise
-    turn the constraint roundoff of <x,x>_L into a sqrt-scale distance.
+    Identical points are exactly 0 apart.
     """
     if x.kappa != y.kappa:
         raise ValueError(f"curvature mismatch: {x.kappa} != {y.kappa}")
-    if x.time == y.time and np.array_equal(x.spatial, y.spatial):
-        return 0.0
-    return math.acosh(_cosh_arg(x, y)) / math.sqrt(x.kappa)
+    return float(distance_rows(x.as_vector()[None], y.as_vector()[None], x.kappa)[0])
 
 
 def tangent_project(p: CurvedPoint, v: np.ndarray) -> TangentVector:
@@ -174,16 +275,14 @@ def tangent_project(p: CurvedPoint, v: np.ndarray) -> TangentVector:
     pv = p.as_vector()
     if v.shape != pv.shape:
         raise ValueError(f"expected a {pv.shape[0]}-vector, got shape {v.shape}")
-    w = v + p.kappa * lorentz_inner(pv, v) * pv
+    w = tangent_project_rows(pv[None], v[None], p.kappa)[0]
     return TangentVector(time=float(w[0]), spatial=w[1:], base=p)
 
 
 def exp_map(p: CurvedPoint, v: TangentVector) -> CurvedPoint:
-    """Move p along the geodesic with initial velocity v.
+    """Move p along the geodesic with initial velocity v (see ``exp_map_rows``).
 
-    exp_p(v) = cosh(sqrt(kappa)||v||) p + sinh(sqrt(kappa)||v||)/(sqrt(kappa)||v||) v
-    with ||v|| the Lorentz norm. For ||v|| < 1e-8 the series limit p + v is
-    used, so a zero tangent returns p exactly.
+    A zero tangent returns p exactly.
     """
     if v.base is not p and not (
         v.base.kappa == p.kappa
@@ -191,62 +290,38 @@ def exp_map(p: CurvedPoint, v: TangentVector) -> CurvedPoint:
         and np.array_equal(v.base.spatial, p.spatial)
     ):
         raise ValueError("tangent vector is not based at the given point")
-    nv = v.lorentz_norm()
-    sk = math.sqrt(p.kappa)
-    if nv < _SERIES_EPS:
-        coef_p, coef_v = 1.0, 1.0
-    else:
-        coef_p = math.cosh(sk * nv)
-        coef_v = math.sinh(sk * nv) / (sk * nv)
-    w = coef_p * p.as_vector() + coef_v * v.as_vector()
-    # Re-lift instead of trusting w's time coordinate: keeps the membership
-    # invariant exact at large ||v||.
+    w = exp_map_rows(p.as_vector()[None], v.as_vector()[None], p.kappa)[0]
     return lift(w[1:], p.kappa)
 
 
 def log_map(p: CurvedPoint, q: CurvedPoint) -> TangentVector:
     """Initial velocity of the geodesic from p to q; inverse of exp_map.
 
-    log_p(q) = (sqrt(kappa) d / sinh(sqrt(kappa) d)) * (q + kappa <p,q>_L p)
-    with d = geodesic_distance(p, q), so the Lorentz norm of the result equals
-    d. For d < 1e-8 the zero vector is returned.
+    The Lorentz norm of the result equals geodesic_distance(p, q); see
+    ``log_map_rows``.
     """
     if p.kappa != q.kappa:
         raise ValueError(f"curvature mismatch: {p.kappa} != {q.kappa}")
-    d = geodesic_distance(p, q)
-    if d < _SERIES_EPS:
-        return TangentVector(time=0.0, spatial=np.zeros(p.dim), base=p)
-    sk = math.sqrt(p.kappa)
-    pv, qv = p.as_vector(), q.as_vector()
-    w = qv + p.kappa * lorentz_inner(pv, qv) * pv
-    coef = sk * d / math.sinh(sk * d)
-    w = coef * w
-    return TangentVector(time=float(w[0]), spatial=w[1:], base=p)
-
-
-def random_point(rng: np.random.Generator, dim: int, kappa: float, radius: float = 3.0) -> CurvedPoint:
-    """Lift of a uniformly drawn spatial vector with ||z|| <= radius."""
-    z = rng.uniform(-1.0, 1.0, size=dim)
-    norm = np.linalg.norm(z)
-    scale = rng.uniform(0.0, radius)
-    if norm > 0:
-        z = z / norm * scale
-    return lift(z, kappa)
-
-
-def random_tangent(rng: np.random.Generator, p: CurvedPoint, norm: float) -> TangentVector:
-    """Tangent vector at p with the requested Lorentz norm."""
-    v = tangent_project(p, rng.standard_normal(p.dim + 1))
-    nv = v.lorentz_norm()
-    if nv < 1e-12:
-        return random_tangent(rng, p, norm)
-    w = v.as_vector() * (norm / nv)
+    w = log_map_rows(p.as_vector()[None], q.as_vector()[None], p.kappa)[0]
     return TangentVector(time=float(w[0]), spatial=w[1:], base=p)
 
 
 # ---------------------------------------------------------------------------
 # Property suite (shared by the geom-check CLI and the acceptance tests)
+#
+# Each check draws its cases one at a time from its seeded generator, making
+# the same calls in the same order as a per-case loop would, into arrays
+# with one row per case. Then it checks all cases of one dimension with one
+# call per row function.
 # ---------------------------------------------------------------------------
+
+# A drawn tangent direction whose projection is shorter than this is
+# replaced by a fresh draw.
+_SHORT_TANGENT = 1e-12
+
+# Cases draw their dimension from 1 to this; the draw arrays are this wide.
+_MAX_DIM = 5
+
 
 @dataclass
 class PropertyResult:
@@ -256,72 +331,142 @@ class PropertyResult:
     failures: list = field(default_factory=list)
 
 
+def _draw_point(rng: np.random.Generator, z: np.ndarray, radius: float = 3.0) -> float:
+    """Draw a random point's direction into z and return its length, drawn from [0, radius)."""
+    z[:] = rng.uniform(-1.0, 1.0, size=len(z))
+    return rng.uniform(0.0, radius)
+
+
+def _points(z: np.ndarray, length: np.ndarray, kappa) -> np.ndarray:
+    """Lifts of the rows z / ||z|| * length; a zero direction gives the apex."""
+    return lift_rows(_unit(z, np.linalg.norm(z, axis=1)) * length[:, None], kappa)
+
+
+def _groups(dims: np.ndarray):
+    """(dim, indices of the cases of that dimension) for each dimension drawn."""
+    for dim in range(1, _MAX_DIM + 1):
+        idx = np.flatnonzero(dims == dim)
+        if len(idx):
+            yield dim, idx
+
+
+def _failure(name: str, bad: np.ndarray, dims: np.ndarray, kappa: np.ndarray, what) -> PropertyResult:
+    """The failed result naming the first failing case; ``what(i)`` says how case i failed."""
+    i = int(np.argmax(bad))
+    return PropertyResult(name, False, f"case {i} (dim {dims[i]}, kappa={kappa[i]:.3f}): {what(i)}")
+
+
 def check_hyperboloid_closure(seed: int = 42, cases: int = 1000) -> PropertyResult:
     """lift(z, kappa) lands on the hyperboloid for ||z|| <= 10, kappa in [0.25, 4]."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cases):
-        dim = int(rng.integers(1, 6))
-        z = rng.uniform(-1, 1, size=dim)
-        n = np.linalg.norm(z)
-        if n > 0:
-            z = z / n * rng.uniform(0, 10.0)
-        kappa = rng.uniform(0.25, 4.0)
-        p = lift(z, kappa)
-        tol = 1e-8 * max(1.0, float(z @ z))
-        resid = abs(lorentz_inner(p.as_vector(), p.as_vector()) + 1.0 / kappa)
-        worst = max(worst, resid / max(tol, 1e-300))
-        if not is_on_hyperboloid(p.as_vector(), kappa, tol):
-            return PropertyResult("hyperboloid-closure", False, f"residual {resid:.3e} at kappa={kappa}")
+    n = max(cases, 0)
+    dims, kappa = np.zeros(n, dtype=int), np.zeros(n)
+    z, length = np.zeros((n, _MAX_DIM)), np.zeros(n)
+    for i in range(n):
+        dim = dims[i] = rng.integers(1, _MAX_DIM + 1)
+        z[i, :dim] = rng.uniform(-1, 1, size=dim)
+        if z[i].any():  # the length is drawn only for a nonzero direction
+            length[i] = rng.uniform(0, 10.0)
+        kappa[i] = rng.uniform(0.25, 4.0)
+    resid, tol = np.zeros(n), np.ones(n)
+    for dim, idx in _groups(dims):
+        x = _points(z[idx, :dim], length[idx], kappa[idx])
+        tol[idx] = 1e-8 * np.maximum(1.0, np.einsum("ij,ij->i", x[:, 1:], x[:, 1:]))
+        resid[idx] = np.where(x[:, 0] > 0, np.abs(inner_rows(x, x) + 1.0 / kappa[idx]), np.inf)
+    bad = ~(resid <= tol)
+    if bad.any():
+        return _failure("hyperboloid-closure", bad, dims, kappa, lambda i: f"residual {resid[i]:.3e}")
+    worst = (resid / np.maximum(tol, 1e-300)).max(initial=0.0)
     return PropertyResult("hyperboloid-closure", True, f"{cases} cases, worst residual/tol {worst:.3e}")
 
 
 def check_exp_log_inverse(seed: int = 43, cases: int = 1000) -> PropertyResult:
     """||log(p, exp(p, v)) - v|| <= 1e-6 * (1 + ||v||) for ||v|| <= 5."""
+    n = max(cases, 0)
+    dims, kappa = np.zeros(n, dtype=int), np.zeros(n)
+    z, length = np.zeros((n, _MAX_DIM)), np.zeros(n)
+    norm, direction = np.zeros(n), np.zeros((n, _MAX_DIM + 1))
+    redraws = Counter()  # case index -> tangent directions it drew again
+    while True:
+        rng = np.random.default_rng(seed)
+        for i in range(n):
+            dim = dims[i] = rng.integers(1, _MAX_DIM + 1)
+            kappa[i] = rng.uniform(0.25, 4.0)
+            length[i] = _draw_point(rng, z[i, :dim])
+            norm[i] = rng.uniform(0.0, 5.0)
+            for _ in range(1 + redraws[i]):
+                direction[i, :dim + 1] = rng.standard_normal(dim + 1)
+        short, rel = np.zeros(n, dtype=bool), np.zeros(n)
+        for dim, idx in _groups(dims):
+            k = kappa[idx]
+            p = _points(z[idx, :dim], length[idx], k)
+            v = tangent_project_rows(p, direction[idx, :dim + 1], k)
+            nv = _tangent_norm(v)
+            short[idx] = nv < _SHORT_TANGENT
+            v = v * (norm[idx] / nv)[:, None]
+            back = log_map_rows(p, exp_map_rows(p, v, k), k)
+            rel[idx] = np.linalg.norm(back - v, axis=1) / (1.0 + norm[idx])
+        if not short.any():
+            break
+        # A short projection is redrawn at once, which shifts every later
+        # draw: replay the stream with the first one redrawn.
+        redraws[int(np.argmax(short))] += 1
+    bad = ~(rel <= 1e-6)
+    if bad.any():
+        return _failure("exp-log-inverse", bad, dims, kappa, lambda i: f"error {rel[i]:.3e} at ||v||={norm[i]:.3f}")
+    return PropertyResult("exp-log-inverse", True, f"{cases} cases, worst rel error {rel.max(initial=0.0):.3e}")
+
+
+_AXIOMS = ("symmetry violated", "d(p,p) != 0", "triangle inequality violated")
+
+
+def _point_triples(seed: int, cases: int):
+    """Per case a dimension and a kappa, then the draws of three points: dims [n],
+    kappa [n], directions [3, n, _MAX_DIM] and lengths [3, n]."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cases):
-        dim = int(rng.integers(1, 6))
-        kappa = rng.uniform(0.25, 4.0)
-        p = random_point(rng, dim, kappa)
-        norm = rng.uniform(0.0, 5.0)
-        v = random_tangent(rng, p, norm)
-        back = log_map(p, exp_map(p, v))
-        err = float(np.linalg.norm(back.as_vector() - v.as_vector()))
-        rel = err / (1.0 + norm)
-        worst = max(worst, rel)
-        if rel > 1e-6:
-            return PropertyResult("exp-log-inverse", False, f"error {rel:.3e} at ||v||={norm:.3f}, kappa={kappa:.3f}")
-    return PropertyResult("exp-log-inverse", True, f"{cases} cases, worst rel error {worst:.3e}")
+    n = max(cases, 0)
+    dims, kappa = np.zeros(n, dtype=int), np.zeros(n)
+    z, length = np.zeros((3, n, _MAX_DIM)), np.zeros((3, n))
+    for i in range(n):
+        dim = dims[i] = rng.integers(1, _MAX_DIM + 1)
+        kappa[i] = rng.uniform(0.25, 4.0)
+        for j in range(3):
+            length[j, i] = _draw_point(rng, z[j, i, :dim])
+    return dims, kappa, z, length
 
 
 def check_distance_axioms(seed: int = 44, cases: int = 1000) -> PropertyResult:
     """Symmetry (exact), d(p,p)=0, triangle inequality within 1e-8."""
-    rng = np.random.default_rng(seed)
-    for _ in range(cases):
-        dim = int(rng.integers(1, 6))
-        kappa = rng.uniform(0.25, 4.0)
-        a, b, c = (random_point(rng, dim, kappa) for _ in range(3))
-        if geodesic_distance(a, b) != geodesic_distance(b, a):
-            return PropertyResult("distance-axioms", False, "symmetry violated")
-        if geodesic_distance(a, a) != 0.0:
-            return PropertyResult("distance-axioms", False, "d(p,p) != 0")
-        if geodesic_distance(a, c) > geodesic_distance(a, b) + geodesic_distance(b, c) + 1e-8:
-            return PropertyResult("distance-axioms", False, "triangle inequality violated")
+    dims, kappa, z, length = _point_triples(seed, cases)
+    failed = np.zeros(len(dims), dtype=int)  # 1 + index into _AXIOMS of the first one violated
+    for dim, idx in _groups(dims):
+        k = kappa[idx]
+        a, b, c = (_points(z[j, idx, :dim], length[j, idx], k) for j in range(3))
+        ab = distance_rows(a, b, k)
+        violated = np.stack([
+            ab != distance_rows(b, a, k),
+            distance_rows(a, a, k) != 0.0,
+            distance_rows(a, c, k) > ab + distance_rows(b, c, k) + 1e-8,
+        ])
+        failed[idx] = np.where(violated.any(axis=0), violated.argmax(axis=0) + 1, 0)
+    if failed.any():
+        return _failure("distance-axioms", failed > 0, dims, kappa, lambda i: _AXIOMS[failed[i] - 1])
     return PropertyResult("distance-axioms", True, f"{cases} random triples")
 
 
 def check_inner_monotonicity(seed: int = 45, cases: int = 1000) -> PropertyResult:
     """Larger Lorentzian inner product implies smaller geodesic distance."""
-    rng = np.random.default_rng(seed)
-    for _ in range(cases):
-        dim = int(rng.integers(1, 6))
-        kappa = rng.uniform(0.25, 4.0)
-        x, y1, y2 = (random_point(rng, dim, kappa) for _ in range(3))
-        i1 = lorentz_inner(x.as_vector(), y1.as_vector())
-        i2 = lorentz_inner(x.as_vector(), y2.as_vector())
-        if i1 > i2 and not geodesic_distance(x, y1) < geodesic_distance(x, y2):
-            return PropertyResult("inner-monotonicity", False, f"inner {i1:.6f} > {i2:.6f} but distance not smaller")
+    dims, kappa, z, length = _point_triples(seed, cases)
+    i1, i2 = np.zeros(len(dims)), np.zeros(len(dims))
+    bad = np.zeros(len(dims), dtype=bool)
+    for dim, idx in _groups(dims):
+        k = kappa[idx]
+        x, y1, y2 = (_points(z[j, idx, :dim], length[j, idx], k) for j in range(3))
+        i1[idx], i2[idx] = inner_rows(x, y1), inner_rows(x, y2)
+        bad[idx] = (i1[idx] > i2[idx]) & ~(distance_rows(x, y1, k) < distance_rows(x, y2, k))
+    if bad.any():
+        return _failure("inner-monotonicity", bad, dims, kappa,
+                        lambda i: f"inner {i1[i]:.6f} > {i2[i]:.6f} but distance not smaller")
     return PropertyResult("inner-monotonicity", True, f"{cases} cases")
 
 

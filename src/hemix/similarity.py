@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lorentz import CurvedPoint, lift, lift_time
+from .lorentz import lift_time
 
 DEFAULT_DIM = 512
 DEFAULT_TAU = 0.07
@@ -103,10 +103,13 @@ class Embedded(NamedTuple):
 
 
 def embed_rows(f: np.ndarray, w_e: np.ndarray, w_h: np.ndarray, kappa: float, what: str) -> Embedded:
-    """Project an [n, dim] stack of feature rows into both branches."""
+    """Project an [n, dim] stack of feature rows into both branches.
+
+    The weights may be [s, dim, dim] stacks; the branches are then [s, n, dim].
+    """
     f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 2 or f.shape[1] != w_e.shape[0]:
-        raise ValueError(f"{what} must be an [n, {w_e.shape[0]}] array, got shape {f.shape}")
+    if f.ndim != 2 or f.shape[1] != w_e.shape[-2]:
+        raise ValueError(f"{what} must be an [n, {w_e.shape[-2]}] array, got shape {f.shape}")
     e, z = f @ w_e, f @ w_h
     if not (np.isfinite(e).all() and np.isfinite(z).all()):
         raise ValueError(f"{what} projected to non-finite coordinates")
@@ -118,9 +121,10 @@ def pair_scores(v: Embedded, t: Embedded, alpha: float) -> np.ndarray:
 
     The Lorentz branch Z_v Z_t^T - outer(x0_v, x0_t) holds all pairwise
     Lorentzian inner products; alpha = 0 and 1 return one branch bit for bit.
+    Either side may carry a leading stack axis, which the scores then share.
     """
-    sim_e = v.e @ t.e.T
-    sim_h = v.z @ t.z.T - np.outer(v.x0, t.x0)
+    sim_e = v.e @ t.e.swapaxes(-1, -2)
+    sim_h = v.z @ t.z.swapaxes(-1, -2) - v.x0[..., :, None] * t.x0[..., None, :]
     if alpha == 0.0:
         return sim_e
     if alpha == 1.0:
@@ -159,11 +163,6 @@ def _pair(f_v: np.ndarray, f_t: np.ndarray, bundle: ProjectionBundle, alpha: flo
 def sim_euclidean(f_v: np.ndarray, f_t: np.ndarray, bundle: ProjectionBundle) -> float:
     """<f_v @ W_EV, f_t @ W_ET>, the plain inner product of the projections."""
     return _pair(f_v, f_t, bundle, 0.0)
-
-
-def hyperbolic_embed(f: np.ndarray, w: np.ndarray, kappa: float) -> CurvedPoint:
-    """Project a feature and lift it: z = f @ W is the spatial part of the point."""
-    return lift(np.asarray(f, dtype=np.float64) @ np.asarray(w, dtype=np.float64), kappa)
 
 
 def sim_hyperbolic(f_v: np.ndarray, f_t: np.ndarray, bundle: ProjectionBundle) -> float:

@@ -371,6 +371,20 @@ def test_non_object_line_is_a_run_error(capsys, tmp_path, kind):
     assert err.splitlines()[-1] == f"error: {bad}:3: record is not a JSON object"
 
 
+@pytest.mark.parametrize("kind, field", [("gt", "sample_id"), ("anchors", "image_id")])
+def test_record_without_key_field_is_a_named_run_error(capsys, tmp_path, kind, field):
+    bad = tmp_path / f"{kind}.jsonl"
+    bad.write_text('{"v": 1}\n' + ('{"boxes": []}' if kind == "gt" else '{"anchors": []}') + "\n")
+    if kind == "gt":
+        argv = ["eval", "--gt", str(bad), "--pred", str(DATA / "golden_predictions.jsonl")]
+    else:
+        argv = ["pipeline", "--anchors", str(bad), "--texts", str(DATA / "texts.jsonl"),
+                "--weights", str(DATA / "weights.json"), "--gt", str(DATA / "gt.jsonl"), "--offline"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.splitlines()[-1] == f"error: record has no '{field}' field"
+
+
 def test_ground_rejects_expmap_weights(capsys, tmp_path):
     weights = tmp_path / "w.json"
     weights.write_text((DATA / "weights.json").read_text().replace('"linear"', '"expmap"'))

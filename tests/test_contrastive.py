@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hemix import contrastive
 from hemix.contrastive import (
     GroundingBatch,
     ImageRecord,
@@ -11,8 +12,8 @@ from hemix.contrastive import (
     gradient_check,
     hierarchical_loss,
 )
-from hemix.lorentz import geodesic_distance
-from hemix.similarity import ProjectionBundle, hemix, hyperbolic_embed
+from hemix.lorentz import geodesic_distance, lift
+from hemix.similarity import ProjectionBundle, hemix
 
 
 def rand_batch(rng, dim, n_images=None, n_anchors=None):
@@ -118,6 +119,30 @@ class TestGradientCheck:
         batch = rand_batch(rng, 4, n_images=3)
         assert gradient_check(batch, bundle, epsilon=1e-5, intra_negatives=intra) < 1e-4
 
+    def test_stacked_check_equals_per_entry_loop(self):
+        # At dim 23 a slice holds 991 of a matrix's 2 * 23^2 = 1058 perturbed
+        # copies, so each matrix takes two slices and one +/- pair is split.
+        dim, eps = 23, 1e-5
+        assert 2 * dim * dim > contrastive._STACK_BYTES // (8 * dim * dim)
+        rng = np.random.default_rng(14)
+        bundle = ProjectionBundle.initialize(dim, alpha=0.6, tau=0.4, kappa=1.3, seed=14)
+        batch = rand_batch(rng, dim, n_images=2, n_anchors=2)
+        analytic = contrastive_loss(batch, bundle, True).grads
+        worst = 0.0
+        for name in ("w_ev", "w_et", "w_hv", "w_ht"):
+            mat = getattr(bundle, name)
+            for idx in np.ndindex(mat.shape):
+                orig = mat[idx]
+                mat[idx] = orig + eps
+                up = contrastive_loss(batch, bundle, True).loss
+                mat[idx] = orig - eps
+                down = contrastive_loss(batch, bundle, True).loss
+                mat[idx] = orig
+                numeric = (up - down) / (2.0 * eps)
+                a = float(analytic[name][idx])
+                worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
+        assert gradient_check(batch, bundle, epsilon=eps, intra_negatives=True) == pytest.approx(worst, rel=1e-12)
+
     @pytest.mark.parametrize("eps", [1e-7, 1e-3])
     def test_epsilon_range_enforced(self, eps):
         bundle = ProjectionBundle.initialize(4, seed=10)
@@ -136,7 +161,7 @@ class TestHierarchicalLoss:
         rng = np.random.default_rng(12)
         bundle = ProjectionBundle.initialize(4, seed=12)
         cat, base, ref = (rng.standard_normal(4) for _ in range(3))
-        embed = lambda f: hyperbolic_embed(f, bundle.w_ht, bundle.kappa)
+        embed = lambda f: lift(f @ bundle.w_ht, bundle.kappa)
         expected = geodesic_distance(embed(cat), embed(base)) + geodesic_distance(embed(ref), embed(base))
         assert hierarchical_loss(cat, base, ref, bundle) == pytest.approx(expected, rel=1e-14)
 

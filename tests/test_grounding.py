@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hemix import grounding
-from hemix.grounding import AnchorRecord, AnchorSet, filter_anchors, ground, select_anchor
+from hemix.grounding import AnchorRecord, AnchorSet, filter_anchors, ground
 from hemix.similarity import ProjectionBundle, embed_rows
 
 
@@ -59,21 +59,28 @@ class TestFilterAnchors:
             filter_anchors([anchor([0, 0], 0.5)], 0.0)
 
 
-class TestSelectAnchor:
-    def test_singleton(self):
-        assert select_anchor(np.ones(2), [anchor([1, 0], 0.9)], scoring_bundle()) == 0
+def pick(text, anchors):
+    """Index of the anchor whose box ``ground`` returns for one phrase, all anchors kept."""
+    out = ground("s", anchors, ["x"], [text], scoring_bundle(), top_fraction=1.0)
+    return [a.box for a in anchors].index(out.boxes[0])
 
-    def test_identical_features_tie_break(self):
-        anchors = [anchor([1, 1], 0.5) for _ in range(3)]
-        assert select_anchor(np.ones(2), anchors, scoring_bundle()) == 0
 
-    def test_crafted_scores(self):
-        # Dot products against the text (1, 0): 1.0, 2.0, 0.5.
-        anchors = [anchor([1, 0], 0.5), anchor([2, 0], 0.5), anchor([0.5, 0], 0.5)]
-        assert select_anchor(np.array([1.0, 0.0]), anchors, scoring_bundle()) == 1
+def box(i):
+    return (float(i), 0.0, i + 1.0, 1.0)
 
 
 class TestGround:
+    def test_singleton(self):
+        assert pick(np.ones(2), [anchor([1, 0], 0.9)]) == 0
+
+    def test_identical_features_tie_break(self):
+        assert pick(np.ones(2), [anchor([1, 1], 0.5, box(i)) for i in range(3)]) == 0
+
+    def test_crafted_scores(self):
+        # Dot products against the text (1, 0): 1.0, 2.0, 0.5.
+        anchors = [anchor([1, 0], 0.5, box(0)), anchor([2, 0], 0.5, box(1)), anchor([0.5, 0], 0.5, box(2))]
+        assert pick(np.array([1.0, 0.0]), anchors) == 1
+
     def test_no_phrases_no_boxes(self):
         out = ground("s", [anchor([1, 0], 0.9)], [], [], scoring_bundle())
         assert out.boxes == ()

@@ -9,9 +9,10 @@ from hemix import lorentz as L
 from hemix.contrastive import GroundingBatch, ImageRecord, gradient_check
 from hemix.similarity import (
     ProjectionBundle,
+    embed_rows,
     hemix,
-    hyperbolic_embed,
     load_bundle,
+    pair_scores,
     save_bundle,
     score_matrix,
     sim_euclidean,
@@ -49,23 +50,49 @@ class TestSimEuclidean:
             sim_euclidean(np.zeros(3), np.zeros(2), identity_bundle())
 
 
-class TestHyperbolicEmbed:
+class TestEmbedRows:
     def test_zero_maps_to_apex(self):
-        p = hyperbolic_embed(np.zeros(2), np.eye(2), kappa=4.0)
-        assert p.time == 0.5
-        assert np.all(p.spatial == 0)
+        out = embed_rows(np.zeros((1, 2)), np.eye(2), np.eye(2), 4.0, "f")
+        assert out.x0[0] == 0.5
+        assert np.all(out.z == 0)
 
     def test_identity_projection_matches_lift(self):
-        p = hyperbolic_embed(np.array([3.0, 0.0]), np.eye(2), kappa=1.0)
-        assert p.time == pytest.approx(math.sqrt(10))
+        out = embed_rows(np.array([[3.0, 0.0]]), np.eye(2), np.eye(2), 1.0, "f")
+        assert out.x0[0] == pytest.approx(math.sqrt(10))
 
     def test_always_on_hyperboloid(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             w = rng.standard_normal((4, 4))
             kappa = rng.uniform(0.25, 4.0)
-            p = hyperbolic_embed(rng.standard_normal(4), w, kappa)
-            assert L.is_on_hyperboloid(p.as_vector(), kappa, 1e-8 * max(1.0, float(p.spatial @ p.spatial)))
+            out = embed_rows(rng.standard_normal((1, 4)), w, w, kappa, "f")
+            z = out.z[0]
+            x = np.concatenate((out.x0, z))
+            assert L.is_on_hyperboloid(x, kappa, 1e-8 * max(1.0, float(z @ z)))
+
+    @pytest.mark.parametrize("dim", [4, 512])
+    def test_two_dimensional_input_is_plain_matmul_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        w = [rng.uniform(-0.05, 0.05, (dim, dim)) for _ in range(4)]
+        a, t = rng.standard_normal((7, dim)), rng.standard_normal((3, dim))
+        v, u = embed_rows(a, w[0], w[1], 0.8, "a"), embed_rows(t, w[2], w[3], 0.8, "t")
+        for got, f, m in ((v, a, w), (u, t, w[2:])):
+            z = f @ m[1]
+            assert np.array_equal(got.e, f @ m[0]) and np.array_equal(got.z, z)
+            assert np.array_equal(got.x0, np.sqrt(np.einsum("ij,ij->i", z, z) + 1.0 / 0.8))
+        sim_e = v.e @ u.e.T
+        sim_h = v.z @ u.z.T - np.outer(v.x0, u.x0)
+        assert np.array_equal(pair_scores(v, u, 0.3), 0.7 * sim_e + 0.3 * sim_h)
+
+    def test_weight_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(5)
+        w_e, w_h = rng.standard_normal((3, 4, 4)), rng.standard_normal((3, 4, 4))
+        a, t = rng.standard_normal((5, 4)), rng.standard_normal((2, 4))
+        text = embed_rows(t, w_e[0], w_h[0], 1.5, "t")
+        stacked = pair_scores(embed_rows(a, w_e, w_h, 1.5, "a"), text, 0.4)
+        for s in range(3):
+            one = pair_scores(embed_rows(a, w_e[s], w_h[s], 1.5, "a"), text, 0.4)
+            np.testing.assert_allclose(stacked[s], one, rtol=1e-13, atol=1e-13)
 
 
 class TestSimHyperbolic:
