@@ -52,7 +52,7 @@ def _random_batch(rng: np.random.Generator, dim: int) -> contrastive.GroundingBa
         n_anchors = int(rng.integers(1, 5))
         images.append(
             contrastive.ImageRecord(
-                anchors=[rng.standard_normal(dim) for _ in range(n_anchors)],
+                anchors=rng.standard_normal((n_anchors, dim)),
                 text=rng.standard_normal(dim),
             )
         )

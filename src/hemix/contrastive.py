@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,32 +36,51 @@ _WEIGHTS = ("w_ev", "w_et", "w_hv", "w_ht")
 
 @dataclass
 class ImageRecord:
-    """Anchors of one image (index 0 is the positive) and its text feature."""
+    """Anchors [n, dim] of one image (row 0 is the positive) and its text feature [dim]."""
 
-    anchors: list
+    anchors: np.ndarray
     text: np.ndarray
 
     def __post_init__(self):
         if len(self.anchors) < 1:
             raise ValueError("an image record needs at least one anchor")
-        self.anchors = [np.asarray(a, dtype=np.float64) for a in self.anchors]
+        self.anchors = np.asarray(self.anchors, dtype=np.float64)
         self.text = np.asarray(self.text, dtype=np.float64)
-        dim = self.text.shape[0]
-        if any(a.shape != (dim,) for a in self.anchors):
+        if self.text.ndim != 1 or self.anchors.shape[1:] != self.text.shape:
             raise ValueError("anchor and text feature dimensions differ")
 
 
 @dataclass
 class GroundingBatch:
+    """Images scored together, stacked once into the arrays the loss reads.
+
+    Construction copies every image's anchors and text into ``anchors`` and
+    ``texts`` and rebinds each record's ``anchors`` and ``text`` to views of
+    them, so the batch holds one copy of its features.
+    """
+
     images: list
+    anchors: np.ndarray = field(init=False, repr=False, compare=False)  # [anchors, dim], positive first per image
+    texts: np.ndarray = field(init=False, repr=False, compare=False)  # [images, dim]
+    pos: np.ndarray = field(init=False, repr=False, compare=False)  # row of each image's positive
+    owner: np.ndarray = field(init=False, repr=False, compare=False)  # image of each anchor row
 
     def __post_init__(self):
         if len(self.images) == 0:
             raise ValueError("batch must contain at least one image")
+        if len({img.text.shape for img in self.images}) != 1:
+            raise ValueError("all images of a batch must share one feature dimension")
+        sizes = [len(img.anchors) for img in self.images]
+        self.anchors = np.concatenate([img.anchors for img in self.images])
+        self.texts = np.stack([img.text for img in self.images])
+        self.pos = np.cumsum([0] + sizes[:-1])
+        self.owner = np.repeat(np.arange(len(sizes)), sizes)
+        for img, start, size, text in zip(self.images, self.pos, sizes, self.texts):
+            img.anchors, img.text = self.anchors[start : start + size], text
 
     @property
     def dim(self) -> int:
-        return self.images[0].text.shape[0]
+        return self.texts.shape[1]
 
 
 @dataclass
@@ -79,30 +97,16 @@ class LossReport:
                     raise ValueError(f"gradient {name} contains non-finite entries")
 
 
-class _TermSets(NamedTuple):
-    """A batch as one [anchors x images] problem."""
-
-    anchors: np.ndarray  # [anchors, dim], each image's anchors in order, positive first
-    texts: np.ndarray  # [images, dim]
-    pos: np.ndarray  # row of each image's positive
-    in_set: np.ndarray  # [anchors, images]: anchor k is in image i's term set
-
-
-def _term_sets(batch: GroundingBatch, intra_negatives: bool) -> _TermSets:
-    n_img = len(batch.images)
-    anchors = np.stack([a for img in batch.images for a in img.anchors])
-    sizes = [len(img.anchors) for img in batch.images]
-    cols = np.arange(n_img)
-    pos = np.cumsum([0] + sizes[:-1])
+def _in_set(batch: GroundingBatch, intra_negatives: bool) -> np.ndarray:
+    """[anchors, images] mask: anchor k is in image i's term set."""
     if intra_negatives:
-        in_set = np.ones((anchors.shape[0], n_img), dtype=bool)
-    else:
-        in_set = np.repeat(cols, sizes)[:, None] != cols[None, :]
-        in_set[pos, :] = True
-    return _TermSets(anchors, np.stack([img.text for img in batch.images]), pos, in_set)
+        return np.ones((len(batch.owner), len(batch.pos)), dtype=bool)
+    in_set = batch.owner[:, None] != np.arange(len(batch.pos))[None, :]
+    in_set[batch.pos, :] = True
+    return in_set
 
 
-def _loss(terms: _TermSets, bundle: ProjectionBundle, **stacked: np.ndarray):
+def _loss(batch: GroundingBatch, in_set: np.ndarray, bundle: ProjectionBundle, **stacked: np.ndarray):
     """Mean over images of -log softmax(positive | term set).
 
     A keyword named after one of the bundle's matrices replaces it with an
@@ -110,15 +114,15 @@ def _loss(terms: _TermSets, bundle: ProjectionBundle, **stacked: np.ndarray):
     returns what the gradients reuse: both embeddings and the softmax.
     """
     w = {name: stacked.get(name, getattr(bundle, name)) for name in _WEIGHTS}
-    v = embed_rows(terms.anchors, w["w_ev"], w["w_hv"], bundle.kappa, "anchor features")
-    t = embed_rows(terms.texts, w["w_et"], w["w_ht"], bundle.kappa, "text features")
+    v = embed_rows(batch.anchors, w["w_ev"], w["w_hv"], bundle.kappa, "anchor features")
+    t = embed_rows(batch.texts, w["w_et"], w["w_ht"], bundle.kappa, "text features")
     scores = pair_scores(v, t, bundle.alpha) / bundle.tau
-    shifted = np.where(terms.in_set, scores, -np.inf)
+    shifted = np.where(in_set, scores, -np.inf)
     shifted -= shifted.max(axis=-2, keepdims=True)
     exps = np.exp(shifted)
     denom = exps.sum(axis=-2)
-    cols = np.arange(len(terms.pos))
-    loss = (np.log(denom) - shifted[..., terms.pos, cols]).sum(axis=-1) / len(cols)
+    cols = np.arange(len(batch.pos))
+    loss = (np.log(denom) - shifted[..., batch.pos, cols]).sum(axis=-1) / len(cols)
     # log(denom) can round a hair below the positive-term score when the
     # softmax is fully saturated; the true value is nonnegative.
     return np.where((-1e-12 < loss) & (loss < 0.0), 0.0, loss), v, t, exps / denom[..., None, :]
@@ -130,18 +134,22 @@ def contrastive_loss(
     intra_negatives: bool = False,
 ) -> LossReport:
     """Mean over images of -log softmax(positive | term set), with analytic grads."""
-    terms = _term_sets(batch, intra_negatives)
-    loss, v, t, g = _loss(terms, bundle)
-    alpha, n_img = bundle.alpha, len(terms.pos)
-    g[terms.pos, np.arange(n_img)] -= 1.0
+    loss, v, t, g = _loss(batch, _in_set(batch, intra_negatives), bundle)
+    alpha, n_img = bundle.alpha, len(batch.pos)
+    g[batch.pos, np.arange(n_img)] -= 1.0
     g /= bundle.tau * n_img  # [anchors, images], zero outside the term sets
-    anchors, texts = terms.anchors, terms.texts
+    anchors, texts = batch.anchors, batch.texts
     grads = {
-        "w_ev": (1.0 - alpha) * (anchors.T @ (g @ t.e)),
-        "w_et": (1.0 - alpha) * (texts.T @ (g.T @ v.e)),
-        "w_hv": alpha * (anchors.T @ (g @ t.z - ((g @ t.x0) / v.x0)[:, None] * v.z)),
-        "w_ht": alpha * (texts.T @ (g.T @ v.z - ((g.T @ v.x0) / t.x0)[:, None] * t.z)),
+        "w_ev": anchors.T @ (g @ t.e),
+        "w_et": texts.T @ (g.T @ v.e),
+        "w_hv": anchors.T @ (g @ t.z - ((g @ t.x0) / v.x0)[:, None] * v.z),
+        "w_ht": texts.T @ (g.T @ v.z - ((g.T @ v.x0) / t.x0)[:, None] * t.z),
     }
+    # Scaled in place: a scaled copy would be one more [dim, dim] temporary each.
+    for name in ("w_ev", "w_et"):
+        grads[name] *= 1.0 - alpha
+    for name in ("w_hv", "w_ht"):
+        grads[name] *= alpha
     return LossReport(loss=float(loss), grads=grads)
 
 
@@ -183,7 +191,7 @@ def gradient_check(
     if not 1e-6 <= epsilon <= 1e-4:
         raise ValueError(f"epsilon must lie in [1e-6, 1e-4], got {epsilon}")
     analytic = contrastive_loss(batch, bundle, intra_negatives).grads
-    terms = _term_sets(batch, intra_negatives)
+    in_set = _in_set(batch, intra_negatives)
     size = bundle.dim * bundle.dim
     per_slice = max(1, _STACK_BYTES // (8 * size))
     worst = 0.0
@@ -196,7 +204,7 @@ def gradient_check(
             k = j // 2
             stack = np.repeat(flat[None], len(j), axis=0)
             stack[np.arange(len(j)), k] = np.where(j % 2 == 0, flat[k] + epsilon, flat[k] - epsilon)
-            losses[j] = _loss(terms, bundle, **{name: stack.reshape(-1, bundle.dim, bundle.dim)})[0]
+            losses[j] = _loss(batch, in_set, bundle, **{name: stack.reshape(-1, bundle.dim, bundle.dim)})[0]
         numeric = (losses[0::2] - losses[1::2]) / (2.0 * epsilon)
         a = analytic[name].reshape(size)
         err = np.abs(a - numeric) / np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)

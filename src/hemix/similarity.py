@@ -110,7 +110,10 @@ def embed_rows(f: np.ndarray, w_e: np.ndarray, w_h: np.ndarray, kappa: float, wh
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 2 or f.shape[1] != w_e.shape[-2]:
         raise ValueError(f"{what} must be an [n, {w_e.shape[-2]}] array, got shape {f.shape}")
-    e, z = f @ w_e, f @ w_h
+    # A NaN, infinite or overflowing feature is reported by the check below
+    # alone, not also by a floating-point warning from the product.
+    with np.errstate(invalid="ignore", over="ignore"):
+        e, z = f @ w_e, f @ w_h
     if not (np.isfinite(e).all() and np.isfinite(z).all()):
         raise ValueError(f"{what} projected to non-finite coordinates")
     return Embedded(e, z, lift_time(z, kappa))

@@ -13,7 +13,10 @@ hyperbolic spatial norm than specific ones.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,6 +26,11 @@ from .similarity import ProjectionBundle, score_matrix
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss leaves the finite range mid-run."""
+
+
+# Children sit at a fixed angular spread around their parent descriptor; unit
+# norms keep the untrained parent/child norm ratio at 1.
+_CHILD_SPREAD = 0.6
 
 
 @dataclass(frozen=True)
@@ -46,6 +54,24 @@ class SyntheticHierarchy:
     def parent_of(self) -> dict:
         return {c: p for p in self.parents for c in self.children[p]}
 
+    @cached_property
+    def descriptors(self) -> Mapping:
+        """Read-only unit descriptor per concept id, drawn from ``seed``."""
+        rng = np.random.default_rng(self.seed)
+        d = self.feature_dim
+        if len(self.parents) > d:
+            raise ValueError("feature_dim must be at least the number of parents")
+        basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        descriptors = {}
+        for i, p in enumerate(self.parents):
+            descriptors[p] = basis[:, i].copy()
+            for c in self.children[p]:
+                v = descriptors[p] + _CHILD_SPREAD * rng.standard_normal(d) / math.sqrt(d)
+                descriptors[c] = v / np.linalg.norm(v)
+        for v in descriptors.values():
+            v.flags.writeable = False
+        return MappingProxyType(descriptors)
+
 
 def default_hierarchy(
     n_parents: int = 3,
@@ -59,25 +85,9 @@ def default_hierarchy(
     return SyntheticHierarchy(parents, children, feature_dim, noise_scale, seed)
 
 
-# Children sit at a fixed angular spread around their parent descriptor; unit
-# norms keep the untrained parent/child norm ratio at 1.
-_CHILD_SPREAD = 0.6
-
-
-def concept_descriptors(h: SyntheticHierarchy) -> dict:
-    """Deterministic unit descriptor per concept id."""
-    rng = np.random.default_rng(h.seed)
-    d = h.feature_dim
-    if len(h.parents) > d:
-        raise ValueError("feature_dim must be at least the number of parents")
-    basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
-    descriptors = {}
-    for i, p in enumerate(h.parents):
-        descriptors[p] = basis[:, i].copy()
-        for c in h.children[p]:
-            v = descriptors[p] + _CHILD_SPREAD * rng.standard_normal(d) / math.sqrt(d)
-            descriptors[c] = v / np.linalg.norm(v)
-    return descriptors
+def concept_descriptors(h: SyntheticHierarchy) -> Mapping:
+    """Deterministic unit descriptor per concept id (computed once per hierarchy)."""
+    return h.descriptors
 
 
 def generate_dataset(
@@ -108,8 +118,7 @@ def generate_dataset(
     def noisy(v):
         return v + h.noise_scale * rng.standard_normal(d)
 
-    records = []
-    for _ in range(n_samples):
+    def record():
         child = children[int(rng.integers(len(children)))]
         parent = parent_of[child]
         general = rng.random() < 0.5
@@ -122,11 +131,13 @@ def generate_dataset(
         if negatives_per_image > 0:
             picks = rng.choice(len(pool), size=negatives_per_image, replace=negatives_per_image > len(pool))
             anchors.extend(noisy(desc[pool[int(k)]]) for k in picks)
-        records.append(ImageRecord(anchors=anchors, text=text))
+        return ImageRecord(anchors=anchors, text=text)
 
+    # Records are drawn one batch at a time, so their own arrays, which the
+    # batch replaces with views of its stacks, are short-lived.
     return [
-        GroundingBatch(images=records[i : i + batch_images])
-        for i in range(0, len(records), batch_images)
+        GroundingBatch(images=[record() for _ in range(min(batch_images, n_samples - start))])
+        for start in range(0, n_samples, batch_images)
     ]
 
 
@@ -148,8 +159,18 @@ class TrainConfig:
             raise ValueError("lr must be nonnegative")
 
 
+# _Adam updates each matrix this many rows at a time, so the rows of the
+# moments, gradient, parameters and scratch it touches stay in cache.
+_ADAM_ROWS = 64
+
+
 class _Adam:
-    """Plain Adam with bias correction."""
+    """Plain Adam with bias correction, updating moments and parameters in place.
+
+    Each step runs the textbook update's operations in the textbook order, one
+    block of rows at a time through two preallocated scratch blocks, so the
+    parameters match the allocating form bit for bit.
+    """
 
     def __init__(self, lr: float):
         self.lr = lr
@@ -157,18 +178,41 @@ class _Adam:
         self.t = 0
         self.m: dict = {}
         self.v: dict = {}
+        self._scratch = np.empty((2, 0, 0))
 
     def step(self, params: dict, grads: dict) -> None:
         self.t += 1
+        b1, b2, eps, lr = self.beta1, self.beta2, self.eps, self.lr
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for name, g in grads.items():
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / (1 - self.beta1**self.t)
-            v_hat = self.v[name] / (1 - self.beta2**self.t)
-            params[name] -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps))
+            m, v, p = self.m[name], self.v[name], params[name]
+            cols = g.shape[1]
+            if self._scratch.shape[2] != cols:
+                self._scratch = np.empty((2, _ADAM_ROWS, cols))
+            for start in range(0, g.shape[0], _ADAM_ROWS):
+                rows = slice(start, start + _ADAM_ROWS)
+                gb, mb, vb, pb = g[rows], m[rows], v[rows], p[rows]
+                a, b = self._scratch[0, : len(gb)], self._scratch[1, : len(gb)]
+                # m = b1 m + (1 - b1) g
+                np.multiply(mb, b1, out=mb)
+                np.multiply(gb, 1 - b1, out=a)
+                np.add(mb, a, out=mb)
+                # v = b2 v + (1 - b2) g g
+                np.multiply(vb, b2, out=vb)
+                np.multiply(gb, 1 - b2, out=a)
+                np.multiply(a, gb, out=a)
+                np.add(vb, a, out=vb)
+                # p -= lr (m / c1) / (sqrt(v / c2) + eps)
+                np.divide(vb, c2, out=a)
+                np.sqrt(a, out=a)
+                np.add(a, eps, out=a)
+                np.divide(mb, c1, out=b)
+                np.divide(b, a, out=b)
+                np.multiply(b, lr, out=b)
+                np.subtract(pb, b, out=pb)
 
 
 def train(data: list, cfg: TrainConfig) -> tuple[ProjectionBundle, list]:
@@ -176,9 +220,8 @@ def train(data: list, cfg: TrainConfig) -> tuple[ProjectionBundle, list]:
     if not data:
         raise ValueError("training data is empty")
     dim = data[0].dim
-    for batch in data:
-        if batch.dim != dim or any(img.text.shape != (dim,) for img in batch.images):
-            raise ValueError("all batches must share one feature dimension")
+    if any(batch.dim != dim for batch in data):
+        raise ValueError("all batches must share one feature dimension")
     bundle = ProjectionBundle.initialize(
         dim, alpha=cfg.alpha, tau=cfg.tau, kappa=cfg.kappa, seed=cfg.seed
     )
@@ -205,14 +248,18 @@ def train(data: list, cfg: TrainConfig) -> tuple[ProjectionBundle, list]:
 
 
 def selection_accuracy(data: list, bundle: ProjectionBundle) -> float:
-    """Fraction of image records whose own positive anchor wins the argmax."""
+    """Fraction of image records whose own positive anchor wins the argmax.
+
+    Each batch is embedded once; an image's scores are its own text's column
+    over its own anchor rows, and its positive wins when it attains the
+    segment's maximum (argmax returns the first maximum).
+    """
     hits = 0
     total = 0
     for batch in data:
-        for img in batch.images:
-            scores = score_matrix(np.stack(img.anchors), [img.text], bundle)[:, 0]
-            hits += int(np.argmax(scores) == 0)
-            total += 1
+        own = score_matrix(batch.anchors, batch.texts, bundle)[np.arange(len(batch.owner)), batch.owner]
+        hits += int(np.count_nonzero(own[batch.pos] == np.maximum.reduceat(own, batch.pos)))
+        total += len(batch.pos)
     return hits / total
 
 

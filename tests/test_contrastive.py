@@ -75,6 +75,27 @@ class TestLossValues:
             ImageRecord([], np.zeros(4))
 
 
+class TestBatchLayout:
+    def test_stacks_once_and_records_view_the_stacks(self):
+        rng = np.random.default_rng(5)
+        anchors = [rng.standard_normal((n, 4)) for n in (1, 3, 2)]
+        texts = rng.standard_normal((3, 4))
+        batch = GroundingBatch([ImageRecord(a.copy(), t.copy()) for a, t in zip(anchors, texts)])
+        assert np.array_equal(batch.anchors, np.concatenate(anchors))
+        assert np.array_equal(batch.texts, texts)
+        assert batch.pos.tolist() == [0, 1, 4]
+        assert batch.owner.tolist() == [0, 1, 1, 1, 2, 2]
+        for img, a, t in zip(batch.images, anchors, texts):
+            assert np.array_equal(img.anchors, a) and np.shares_memory(img.anchors, batch.anchors)
+            assert np.array_equal(img.text, t) and np.shares_memory(img.text, batch.texts)
+
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="anchor and text feature dimensions differ"):
+            ImageRecord(np.zeros((2, 4)), np.zeros(3))
+        with pytest.raises(ValueError, match="share one feature dimension"):
+            GroundingBatch([ImageRecord(np.zeros((1, 4)), np.zeros(4)), ImageRecord(np.zeros((1, 3)), np.zeros(3))])
+
+
 class TestLossIdentities:
     def test_tau_rescaling(self):
         # Doubling tau must equal halving every similarity before a tau=1 loss.

@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,12 +195,20 @@ class TestScoreMatrix:
             score_matrix(np.zeros((1, 4)), np.zeros(shape), b)
 
     def test_rejects_non_finite_projection(self):
+        # The typed error is the only report: no floating-point warning first.
         b = ProjectionBundle.initialize(4, seed=23)
-        bad = np.array([[np.nan, 0.0, 0.0, 0.0]])
-        with pytest.raises(ValueError):
-            score_matrix(bad, np.ones((1, 4)), b)
-        with pytest.raises(ValueError):
-            score_matrix(np.ones((2, 4)), np.vstack([np.ones(4), [np.inf, 0, 0, 0]]), b)
+        big = ProjectionBundle(*(np.ones((4, 4)),) * 4, alpha=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bundle, bad in (
+                (b, [np.nan, 0.0, 0.0, 0.0]),
+                (b, [np.inf, 0.0, 0.0, 0.0]),
+                (big, [1e308, 1e308, 0.0, 0.0]),  # finite, but the product overflows
+            ):
+                with pytest.raises(ValueError, match="visual features projected to non-finite"):
+                    score_matrix(np.array([bad]), np.ones((1, 4)), bundle)
+                with pytest.raises(ValueError, match="text features projected to non-finite"):
+                    score_matrix(np.ones((2, 4)), np.vstack([np.ones(4), bad]), bundle)
 
 
 class TestBundleContract:

@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from hemix import cli
 from hemix import trainer as T
-from hemix.similarity import ProjectionBundle
+from hemix.contrastive import GroundingBatch, ImageRecord
+from hemix.similarity import ProjectionBundle, score_matrix
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +96,137 @@ class TestTraining:
             T.TrainConfig(steps=0)
         with pytest.raises(ValueError):
             T.TrainConfig(lr=-0.1)
+
+
+class _TextbookAdam:
+    """The allocating Adam update, one whole-matrix expression per line."""
+
+    def __init__(self, lr):
+        self.lr, self.beta1, self.beta2, self.eps = lr, 0.9, 0.999, 1e-8
+        self.t, self.m, self.v = 0, {}, {}
+
+    def step(self, params, grads):
+        self.t += 1
+        for name, g in grads.items():
+            if name not in self.m:
+                self.m[name] = np.zeros_like(g)
+                self.v[name] = np.zeros_like(g)
+            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
+            m_hat = self.m[name] / (1 - self.beta1**self.t)
+            v_hat = self.v[name] / (1 - self.beta2**self.t)
+            params[name] -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps))
+
+
+class TestAdam:
+    # 70 and 130 rows leave a partial last block; 64 is exactly one block.
+    @pytest.mark.parametrize("dim", [8, 64, 70, 130])
+    @pytest.mark.parametrize("lr", [0.025, 0.0])
+    def test_matches_textbook_bit_for_bit(self, dim, lr):
+        rng = np.random.default_rng(dim)
+        init = {name: rng.uniform(-1, 1, (dim, dim)) for name in ("w_ev", "w_et", "w_hv", "w_ht")}
+        got = {name: w.copy() for name, w in init.items()}
+        want = {name: w.copy() for name, w in init.items()}
+        opt, ref = T._Adam(lr), _TextbookAdam(lr)
+        for _ in range(40):
+            scale = 10.0 ** rng.uniform(-6, 2)
+            grads = {name: scale * rng.standard_normal((dim, dim)) for name in ("w_ev", "w_et")}
+            # All-zero gradients, as for the hyperbolic weights at alpha = 0.
+            grads.update(w_hv=np.zeros((dim, dim)), w_ht=np.zeros((dim, dim)))
+            opt.step(got, grads)
+            ref.step(want, grads)
+        for name in init:
+            assert np.array_equal(got[name], want[name]), name
+            assert np.array_equal(opt.m[name], ref.m[name]) and np.array_equal(opt.v[name], ref.v[name])
+        assert np.array_equal(got["w_hv"], init["w_hv"]) and np.array_equal(got["w_ht"], init["w_ht"])
+        if lr == 0.0:
+            assert all(np.array_equal(got[name], init[name]) for name in init)
+        else:
+            assert not np.array_equal(got["w_ev"], init["w_ev"])
+
+
+def _per_image_accuracy(data, bundle):
+    """selection_accuracy as one score_matrix call per image."""
+    hits = [
+        int(np.argmax(score_matrix(img.anchors, img.text[None, :], bundle)[:, 0]) == 0)
+        for batch in data
+        for img in batch.images
+    ]
+    return sum(hits) / len(hits)
+
+
+class TestSelectionAccuracy:
+    def test_tier1_hierarchy_matches_per_image_scores(self, hierarchy):
+        data = T.generate_dataset(hierarchy, 64)
+        bundle, _ = T.train(data, T.TrainConfig(steps=40, seed=42))
+        noisy = T.default_hierarchy(noise_scale=0.6)
+        for eval_data in (
+            T.generate_dataset(hierarchy, 200, seed=42 + 9999),
+            T.generate_dataset(noisy, 200, negatives_per_image=4, batch_images=3, seed=5),
+        ):
+            got = T.selection_accuracy(eval_data, bundle)
+            assert got == _per_image_accuracy(eval_data, bundle)
+        assert 0.0 < got < 1.0
+
+    def test_d512_matches_per_image_scores(self):
+        h = T.default_hierarchy(feature_dim=512, noise_scale=0.2, seed=1)
+        data = T.generate_dataset(h, 200, negatives_per_image=8, batch_images=8, seed=10000)
+        bundle = ProjectionBundle.initialize(512, seed=1)
+        got = T.selection_accuracy(data, bundle)
+        assert got == _per_image_accuracy(data, bundle)
+        assert 0.0 < got < 1.0
+
+    def test_unequal_anchor_counts(self):
+        rng = np.random.default_rng(11)
+        bundle = ProjectionBundle.initialize(6, seed=11)
+        data = [
+            GroundingBatch([ImageRecord(rng.standard_normal((n, 6)), rng.standard_normal(6)) for n in sizes])
+            for sizes in ((1, 2, 9), (9, 1), (2,), (9, 2, 1, 2))
+            for _ in range(10)
+        ]
+        got = T.selection_accuracy(data, bundle)
+        assert got == _per_image_accuracy(data, bundle)
+        assert 0.0 < got < 1.0
+
+
+# SHA-256 of the outputs of `train-toy --dim 16 --steps 30 --batch-images 4
+# --negatives 3 --samples 32 --seed 3`, as the allocating Adam over per-image
+# anchor lists wrote them; the in-place Adam and the stacked batch layout must
+# reproduce them byte for byte. A BLAS build that rounds its products
+# differently can change them.
+_TRAIN_TOY_PIN = {
+    "weights.json": "a3203a65a8c7175497dd3d61949ca164bb8566e0ad9290435f16122e5b03257b",
+    "loss_trace.csv": "c8933f86ee9033265f5c38252e906f16ef65c5873377eb98c50c6eb7e25ff60c",
+    "apex_report.json": "f462f62eccf13d13003af134e295f8d5b3eecac5b356967f6eceded7b87bb264",
+}
+
+
+def _train_toy(tmp_path, capsys):
+    code = cli.main([
+        "train-toy", "--dim", "16", "--steps", "30", "--batch-images", "4", "--negatives", "3",
+        "--samples", "32", "--seed", "3", "--out", str(tmp_path / "weights.json"),
+    ])
+    capsys.readouterr()
+    assert code == 0
+
+
+def test_train_toy_outputs_are_pinned(tmp_path, capsys):
+    _train_toy(tmp_path, capsys)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _TRAIN_TOY_PIN}
+    assert got == _TRAIN_TOY_PIN
+
+
+def test_train_toy_draws_descriptors_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    _train_toy(tmp_path, capsys)
+    assert len(calls) == 1
 
 
 class TestApexReport:
