@@ -201,17 +201,18 @@ def _message(exc: Exception) -> str:
     return str(exc)
 
 
-def _load_anchor_map(path) -> dict:
-    """image_id -> its AnchorSet, or the error message of a malformed entry.
+def _load_anchor_map(path, top_fraction: float) -> dict:
+    """image_id -> its AnchorSet cut to ``top_fraction``, or the error message of a malformed entry.
 
     The file is streamed: each record is dropped before the next line is
-    decoded, so only one image's parsed JSON is alive at a time.
+    decoded, so only one image's parsed JSON is alive at a time, and each
+    image keeps only the rows that grounding at ``top_fraction`` reads.
     """
     anchor_map = {}
     for rec in jsonl.iter_jsonl(path, objects=True):
         image_id = rec["image_id"]
         try:
-            anchor_map[image_id] = grounding.AnchorSet.from_json(rec["anchors"])
+            anchor_map[image_id] = grounding.AnchorSet.from_json(rec["anchors"], top_fraction)
         except (ValueError, KeyError, TypeError) as exc:
             anchor_map[image_id] = f"anchors of image {image_id!r}: {_message(exc)}"
         del rec
@@ -250,7 +251,7 @@ def _ground_records(records: list, phrases_of, anchor_map: dict, bundle, args) -
 
 def cmd_ground(args) -> int:
     bundle = similarity.load_bundle(args.weights)
-    anchor_map = _load_anchor_map(args.anchors)
+    anchor_map = _load_anchor_map(args.anchors, args.top_frac)
     predictions, failures = _ground_records(
         jsonl.read_jsonl(args.texts), lambda rec: rec["phrases"], anchor_map, bundle, args
     )
@@ -318,7 +319,7 @@ def _decouple_record(rec: dict, offline: bool, vlm_cfg) -> decouple.DecoupleResu
 
 def cmd_pipeline(args) -> int:
     bundle = similarity.load_bundle(args.weights)
-    anchor_map = _load_anchor_map(args.anchors)
+    anchor_map = _load_anchor_map(args.anchors, args.top_frac)
     gt_records = jsonl.read_jsonl(args.gt, objects=True)
 
     vlm_cfg = None

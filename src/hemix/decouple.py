@@ -15,12 +15,9 @@ whitespace. Anything else is a ParseError carrying the offending line number.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 
 GENERAL_INSTRUCTION = (
@@ -239,6 +236,11 @@ def decouple_via_service(
     final failure (transport or parse) raises DecoupleError with the last raw
     text attached.
     """
+    # Imported here, on the first call: offline runs never load the HTTP and SSL stack.
+    import http.client
+    import urllib.error
+    import urllib.request
+
     prompt = build_prompt(expression, include_examples)
     payload = {"system": prompt.general, "user": prompt.user_message()}
     if image_b64 is not None:

@@ -34,18 +34,23 @@ class GroundingOutput:
     boxes: tuple
 
 
+def _keep_count(n: int, top_fraction: float) -> int:
+    """ceil(top_fraction * n), at least one; raises for an empty set or a fraction outside (0, 1]."""
+    if not n:
+        raise ValueError("anchor list is empty")
+    if not 0.0 < top_fraction <= 1.0:
+        raise ValueError(f"top_fraction must lie in (0, 1], got {top_fraction}")
+    return max(1, math.ceil(top_fraction * n))
+
+
 def _kept_indices(confidence: np.ndarray, top_fraction: float) -> np.ndarray:
-    """Ascending indices of the ceil(top_fraction * n) most confident anchors, at least one.
+    """Ascending indices of the _keep_count most confident anchors.
 
     Ranking is by confidence descending with ties broken by original index,
     so the result is deterministic and every kept confidence is >= every
     dropped one.
     """
-    if not len(confidence):
-        raise ValueError("anchor list is empty")
-    if not 0.0 < top_fraction <= 1.0:
-        raise ValueError(f"top_fraction must lie in (0, 1], got {top_fraction}")
-    keep = max(1, math.ceil(top_fraction * len(confidence)))
+    keep = _keep_count(len(confidence), top_fraction)
     return np.sort(np.argsort(-confidence, kind="stable")[:keep])
 
 
@@ -75,9 +80,14 @@ class AnchorSet:
     ``len()`` is n, the count before filtering. ``pool`` keeps the most
     confident anchors and projects their features once, then reuses that
     while ``top_fraction`` and the bundle (the same object) are unchanged.
+
+    Given ``top_fraction``, the set is cut at construction: every anchor is
+    checked, but only the kept rows are stored, and ``pool`` serves that
+    fraction alone. An empty set or a fraction outside (0, 1] stores no rows
+    and fails in ``pool``, as an uncut set does.
     """
 
-    def __init__(self, features, confidence, boxes):
+    def __init__(self, features, confidence, boxes, top_fraction: float | None = None):
         conf = np.array(confidence)
         # A dtype check, not a cast: float64 conversion would accept "0.5".
         if conf.ndim != 1 or conf.dtype.kind not in "biuf":
@@ -97,23 +107,37 @@ class AnchorSet:
         feats = _as_rows(features, n, None)
         if feats is None:
             raise ValueError("anchor features must be vectors that all have the same shape")
+        if top_fraction is not None:
+            try:
+                kept = _kept_indices(conf, top_fraction)
+            except ValueError:
+                kept = np.arange(0)  # nothing can be grounded; pool says why
+            feats, conf, box = feats[kept], conf[kept], box[kept]
         self.features, self.confidence, self.boxes = feats, conf, box
+        self.top_fraction, self._n = top_fraction, n
         self._pool = None
 
     @classmethod
-    def from_json(cls, entries: list) -> "AnchorSet":
+    def from_json(cls, entries: list, top_fraction: float | None = None) -> "AnchorSet":
         """From anchor entries {"feature": [...], "confidence": c, "box": [x1, y1, x2, y2]}."""
         return cls([a["feature"] for a in entries], [a["confidence"] for a in entries],
-                   [a["box"] for a in entries])
+                   [a["box"] for a in entries], top_fraction)
 
     def __len__(self) -> int:
-        return len(self.confidence)
+        return self._n
 
     def pool(self, top_fraction: float, bundle: ProjectionBundle) -> tuple[np.ndarray, Embedded]:
         """The kept boxes [k, 4] and their features projected by the bundle's visual matrices."""
         memo = self._pool
         if memo is None or memo[0] != top_fraction or memo[1] is not bundle:
-            kept = _kept_indices(self.confidence, top_fraction)
+            if self.top_fraction is None:
+                kept = _kept_indices(self.confidence, top_fraction)
+            else:
+                _keep_count(self._n, top_fraction)  # an empty set or a bad fraction raises
+                if top_fraction != self.top_fraction:
+                    raise ValueError(f"anchors were cut to top_fraction {self.top_fraction}, "
+                                     f"got {top_fraction}")
+                kept = slice(None)
             visual = embed_rows(self.features[kept], bundle.w_ev, bundle.w_hv, bundle.kappa,
                                 "visual features")
             memo = self._pool = (top_fraction, bundle, self.boxes[kept], visual)

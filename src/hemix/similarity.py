@@ -111,12 +111,14 @@ def embed_rows(f: np.ndarray, w_e: np.ndarray, w_h: np.ndarray, kappa: float, wh
     if f.ndim != 2 or f.shape[1] != w_e.shape[-2]:
         raise ValueError(f"{what} must be an [n, {w_e.shape[-2]}] array, got shape {f.shape}")
     # A NaN, infinite or overflowing feature is reported by the check below
-    # alone, not also by a floating-point warning from the product.
+    # alone, not also by a floating-point warning. A finite z can still
+    # overflow its lift time, which would score -inf.
     with np.errstate(invalid="ignore", over="ignore"):
         e, z = f @ w_e, f @ w_h
-    if not (np.isfinite(e).all() and np.isfinite(z).all()):
+        x0 = lift_time(z, kappa)
+    if not (np.isfinite(e).all() and np.isfinite(z).all() and np.isfinite(x0).all()):
         raise ValueError(f"{what} projected to non-finite coordinates")
-    return Embedded(e, z, lift_time(z, kappa))
+    return Embedded(e, z, x0)
 
 
 def pair_scores(v: Embedded, t: Embedded, alpha: float) -> np.ndarray:
@@ -204,10 +206,15 @@ def save_bundle(bundle: ProjectionBundle, path: str | Path) -> None:
         "embed_strategy": "linear",
         "encoding": WEIGHT_ENCODING,
     }
-    for name in _MATRICES:
-        raw = np.ascontiguousarray(getattr(bundle, name), dtype="<f8").tobytes()
-        payload[name] = base64.b64encode(raw).decode("ascii")
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    # The matrix keys sort after every header key, and base64 needs no JSON
+    # escaping, so the strings are written after the header as they are:
+    # the bytes of json.dumps(payload with matrices, sort_keys=True) + "\n".
+    with Path(path).open("wb") as fh:
+        fh.write(json.dumps(payload, sort_keys=True)[:-1].encode("ascii"))
+        for name in sorted(_MATRICES):
+            raw = np.ascontiguousarray(getattr(bundle, name), dtype="<f8").tobytes()
+            fh.writelines((f', "{name}": "'.encode("ascii"), base64.b64encode(raw), b'"'))
+        fh.write(b"}\n")
 
 
 def _decode_matrix(name: str, value, dim: int) -> np.ndarray:

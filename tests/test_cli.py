@@ -1,4 +1,8 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -192,7 +196,7 @@ def test_pipeline_records_per_sample_failures(capsys, tmp_path):
 
 
 def test_pipeline_isolates_bad_feature_samples(capsys, tmp_path):
-    # Three malformed samples appended to the fixture: each fails on its own
+    # Malformed samples appended to the fixture: each fails on its own
     # and the eight good samples still reproduce the golden outputs.
     anchor_recs = jsonl.read_jsonl(DATA / "anchors.jsonl")
     bad_image = json.loads(json.dumps(anchor_recs[0]))
@@ -208,6 +212,8 @@ def test_pipeline_isolates_bad_feature_samples(capsys, tmp_path):
          "features": [[0.1, 0.2, 0.3, 0.4]]},
         {"sample_id": "nan_text", "image_id": "img1", "phrases": ["p"],
          "features": [[float("nan"), 0.2, 0.3, 0.4]]},
+        # Finite projections whose lift time overflows.
+        {"sample_id": "huge_text", "image_id": "img1", "phrases": ["p"], "features": [[1e160] * 4]},
         ["a", "JSON", "array"],
     ])
     preds = tmp_path / "preds.jsonl"
@@ -225,12 +231,12 @@ def test_pipeline_isolates_bad_feature_samples(capsys, tmp_path):
     assert code == 1
     payload = json.loads(report.read_text())
     errors = {f["sample_id"]: f["error"] for f in payload.pop("failures")}
-    assert list(errors) == ["short_text", "short_anchor", "nan_text", "<missing sample_id>"]
+    assert list(errors) == ["short_text", "short_anchor", "nan_text", "huge_text", "<missing sample_id>"]
     assert "text features must be an [n, 4] array" in errors["short_text"]
     assert "same shape" in errors["short_anchor"]
-    assert "non-finite" in errors["nan_text"]
+    assert "non-finite" in errors["nan_text"] and "non-finite" in errors["huge_text"]
     assert errors["<missing sample_id>"] == "record is not a JSON object"
-    assert payload.pop("n_failures") == 4
+    assert payload.pop("n_failures") == 5
     golden = json.loads((DATA / "golden_report.json").read_text())
     del golden["failures"], golden["n_failures"]
     assert payload == golden
@@ -352,6 +358,78 @@ def test_pipeline_rejects_features_of_different_lengths_on_one_image(capsys, tmp
     (failure,) = json.loads(report.read_text())["failures"]
     assert failure["sample_id"] == "s1"
     assert "img1" in failure["error"] and "same shape" in failure["error"]
+
+
+def pipeline_report(capsys, tmp_path, anchors, *extra):
+    """(exit code, report) of an offline pipeline run over the fixture's texts and ``anchors``."""
+    report = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "pipeline", "--anchors", str(anchors), "--texts", str(DATA / "texts.jsonl"),
+        "--weights", str(DATA / "weights.json"), "--gt", str(DATA / "gt.jsonl"), "--offline",
+        "--report", str(report), *extra,
+    )
+    return code, json.loads(report.read_text())
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("box", [0.0, 0.0, 5.0], "four coordinates"),
+    ("box", [5.0, 0.0, 0.0, 5.0], "x1<x2"),
+    ("confidence", None, "finite number"),
+])
+def test_dropped_anchor_faults_fail_their_image(capsys, tmp_path, field, value, match):
+    # As with a short feature above: the least confident anchor, which
+    # --top-frac 0.1 drops, still fails every sample on its image.
+    anchor_recs = jsonl.read_jsonl(DATA / "anchors.jsonl")
+    min(anchor_recs[0]["anchors"], key=lambda a: a["confidence"])[field] = value
+    anchors = tmp_path / "anchors.jsonl"
+    jsonl.write_jsonl(anchors, anchor_recs)
+    code, report = pipeline_report(capsys, tmp_path, anchors)
+    assert code == 1
+    (failure,) = report["failures"]
+    assert failure["sample_id"] == "s1"
+    assert failure["error"].startswith("anchors of image 'img1': ") and match in failure["error"]
+
+
+def test_load_anchor_map_keeps_the_kept_rows(tmp_path):
+    entry = {"feature": [0.5, 1.0, 2.0], "confidence": 0.5, "box": [0, 0, 1, 1]}
+    counts = {"a": 1, "b": 9, "c": 10, "d": 11, "e": 200}
+    anchors = tmp_path / "anchors.jsonl"
+    jsonl.write_jsonl(anchors, [{"image_id": k, "anchors": [entry] * n} for k, n in counts.items()])
+    for top in (0.05, 0.1, 0.5, 1.0):
+        anchor_map = cli._load_anchor_map(anchors, top)
+        assert {k: len(s) for k, s in anchor_map.items()} == counts
+        assert {k: s.features.shape for k, s in anchor_map.items()} == {
+            k: (max(1, math.ceil(top * n)), 3) for k, n in counts.items()}
+
+
+def test_empty_image_fails_its_samples_only(capsys, tmp_path):
+    anchor_recs = jsonl.read_jsonl(DATA / "anchors.jsonl")
+    anchor_recs[0]["anchors"] = []
+    anchors = tmp_path / "anchors.jsonl"
+    jsonl.write_jsonl(anchors, anchor_recs)
+    code, report = pipeline_report(capsys, tmp_path, anchors)
+    assert code == 1
+    assert report["failures"] == [{"sample_id": "s1", "error": "anchor list is empty"}]
+
+
+@pytest.mark.parametrize("top", ["0", "1.5"])
+def test_out_of_range_top_frac_fails_each_grounded_sample(capsys, tmp_path, top):
+    code, report = pipeline_report(capsys, tmp_path, DATA / "anchors.jsonl", "--top-frac", top)
+    assert code == 1
+    # s3 decouples to no target, so it needs no anchors and still succeeds.
+    want = f"top_fraction must lie in (0, 1], got {float(top)}"
+    assert report["failures"] == [{"sample_id": f"s{i}", "error": want} for i in (1, 2, 4, 5, 6, 7, 8)]
+    assert report["n_samples"] == 1
+
+
+def test_import_does_not_load_the_http_stack():
+    # The HTTP client is imported by the first decoupling service call only.
+    code = ("import sys, hemix.cli; "
+            "print(sorted(m for m in ('http.client', 'urllib.request', 'ssl') if m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("kind", ["anchors", "gt", "pred"])

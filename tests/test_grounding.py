@@ -174,8 +174,9 @@ class TestAnchorSet:
     def test_features_of_different_lengths_rejected_even_if_dropped(self):
         entries = [{"feature": [1.0, 0.0], "confidence": 0.9, "box": [0, 0, 1, 1]},
                    {"feature": [1.0], "confidence": 0.1, "box": [0, 0, 1, 1]}]
-        with pytest.raises(ValueError, match="same shape"):
-            AnchorSet.from_json(entries)
+        for top in (None, 0.5):
+            with pytest.raises(ValueError, match="same shape"):
+                AnchorSet.from_json(entries, top)
 
     def test_arrays_and_length(self):
         s = AnchorSet.from_json([{"feature": [1, 2], "confidence": 1, "box": [0, 0, 3, 4]}] * 3)
@@ -227,3 +228,67 @@ class TestAnchorSet:
         assert calls.count("visual features") == 1
         ground("s", shared, ["p"], feats[0][:1], ProjectionBundle.initialize(3, seed=3), top_fraction=0.5)
         assert calls.count("visual features") == 2
+
+
+def random_entries(rng, n, dim=3):
+    return [{"feature": rng.standard_normal(dim).tolist(), "confidence": int(rng.integers(0, 4)) / 4,
+             "box": [i, 0, i + 1, 1]} for i in range(n)]
+
+
+class TestCutAnchorSet:
+    """An AnchorSet cut to one top_fraction at construction."""
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("box", [0.0, 0.0, 1.0], "four coordinates"),
+        ("box", [10.0, 0.0, 0.0, 10.0], "x1<x2"),
+        ("confidence", float("-inf"), "finite"),
+        ("confidence", "0.0", "finite number"),
+        ("feature", [1.0], "same shape"),
+    ])
+    def test_dropped_anchor_is_still_checked(self, field, value, match):
+        good = {"feature": [1.0, 0.0], "confidence": 0.9, "box": [0.0, 0.0, 2.0, 2.0]}
+        dropped = {"feature": [0.0, 1.0], "confidence": 0.0, "box": [0.0, 0.0, 1.0, 1.0], field: value}
+        with pytest.raises(ValueError, match=match):
+            AnchorSet.from_json([good] * 9 + [dropped], 0.1)
+
+    def test_keeps_only_the_kept_rows(self):
+        rng = np.random.default_rng(8)
+        cut = AnchorSet.from_json(random_entries(rng, 40), 0.1)
+        assert len(cut) == 40
+        assert cut.features.shape == (4, 3) and cut.boxes.shape == (4, 4) and cut.confidence.shape == (4,)
+        assert cut.features.base is None  # a copy: the full array is not held
+
+    @pytest.mark.parametrize("n, top", [(1, 0.1), (7, 0.5), (12, 0.25), (40, 0.1), (40, 0.05),
+                                        (40, 1.0), (200, 0.05), (1000, 0.1)])
+    def test_pool_matches_the_uncut_set(self, n, top):
+        rng = np.random.default_rng(n)
+        entries = random_entries(rng, n)
+        bundle = ProjectionBundle.initialize(3, seed=n)
+        cut_boxes, cut_visual = AnchorSet.from_json(entries, top).pool(top, bundle)
+        boxes, visual = AnchorSet.from_json(entries).pool(top, bundle)
+        assert cut_boxes.tobytes() == boxes.tobytes()
+        for got, want in zip(cut_visual, visual):
+            assert got.tobytes() == want.tobytes()
+        text = rng.standard_normal((3, 3))
+        assert (ground("s", AnchorSet.from_json(entries, top), list("abc"), text, bundle, top).boxes
+                == ground("s", AnchorSet.from_json(entries), list("abc"), text, bundle, top).boxes)
+
+    def test_another_fraction_raises(self):
+        cut = AnchorSet.from_json(random_entries(np.random.default_rng(1), 10), 0.2)
+        with pytest.raises(ValueError, match="cut to top_fraction 0.2"):
+            cut.pool(0.5, scoring_bundle(3))
+        with pytest.raises(ValueError, match="cut to top_fraction 0.2"):
+            ground("s", cut, ["p"], [np.ones(3)], scoring_bundle(3), top_fraction=0.1)
+
+    @pytest.mark.parametrize("n, top", [(0, 0.1), (0, 0.0), (3, 0.0), (3, 1.5), (3, float("nan"))])
+    def test_empty_set_or_bad_fraction_fails_when_grounded(self, n, top):
+        entries = random_entries(np.random.default_rng(2), n)
+        cut = AnchorSet.from_json(entries, top)
+        assert len(cut) == n and len(cut.features) == 0
+        assert ground("s", cut, [], [], scoring_bundle(3), top_fraction=top).boxes == ()
+        with pytest.raises(ValueError) as uncut:
+            ground("s", AnchorSet.from_json(entries), ["p"], [np.ones(3)], scoring_bundle(3), top)
+        with pytest.raises(ValueError) as got:
+            ground("s", cut, ["p"], [np.ones(3)], scoring_bundle(3), top)
+        assert str(got.value) == str(uncut.value)
+        assert str(got.value).startswith("anchor list is empty" if n == 0 else "top_fraction must lie")

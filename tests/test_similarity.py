@@ -210,6 +210,22 @@ class TestScoreMatrix:
                 with pytest.raises(ValueError, match="text features projected to non-finite"):
                     score_matrix(np.ones((2, 4)), np.vstack([np.ones(4), bad]), bundle)
 
+    def test_rejects_overflowing_lift_time(self):
+        # The projections of 1e160 are finite, but their squared norm is not:
+        # the lift time overflows, which used to score -inf with no report.
+        b = ProjectionBundle.initialize(4, seed=23)
+        big = np.full(4, 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="visual features projected to non-finite"):
+                score_matrix(big[None], np.ones((1, 4)), b)
+            with pytest.raises(ValueError, match="text features projected to non-finite"):
+                score_matrix(np.ones((1, 4)), big[None], b)
+            with pytest.raises(ValueError, match="visual features projected to non-finite"):
+                hemix(big, np.ones(4), b)
+            with pytest.raises(ValueError, match="text features projected to non-finite"):
+                hemix(np.ones(4), big, b)
+
 
 class TestBundleContract:
     def test_alpha_endpoints_need_flag(self):
@@ -299,6 +315,16 @@ class TestWeightFormat:
         assert sorted(payload) == ["alpha", "dim", "embed_strategy", "encoding", "kappa", "layout",
                                    "tau", "w_et", "w_ev", "w_ht", "w_hv"]
         assert len(base64.b64decode(payload["w_ev"], validate=True)) == 8 * 3 * 3
+
+    def test_bytes_are_sorted_json_dumps(self, tmp_path):
+        b = ProjectionBundle.initialize(3, alpha=0.3, tau=0.05, kappa=2.0, seed=4)
+        path = tmp_path / "w.json"
+        save_bundle(b, path)
+        payload = {"alpha": 0.3, "dim": 3, "embed_strategy": "linear", "encoding": "base64-f8le",
+                   "kappa": 2.0, "layout": "row-major", "tau": 0.05}
+        for name in ("w_ev", "w_et", "w_hv", "w_ht"):
+            payload[name] = base64.b64encode(getattr(b, name).astype("<f8").tobytes()).decode()
+        assert path.read_bytes() == (json.dumps(payload, sort_keys=True) + "\n").encode()
 
     def test_legacy_decimal_lists_load(self, tmp_path):
         w = np.array([[0.1, -0.0], [1e-300, 17.000000000000004]])
