@@ -83,7 +83,7 @@ def main(out_dir: Path = DATA) -> int:
     for s in samples:
         anchors = make_anchors(rng, s["n_anchors"])
         anchor_records.append({"image_id": s["image_id"], "anchors": anchors})
-        anchor_map[s["image_id"]] = grounding.AnchorSet.from_json(anchors)
+        anchor_map[s["image_id"]] = grounding.AnchorSet.from_json(anchors, TOP_FRAC)
         rec = {"sample_id": s["sample_id"], "image_id": s["image_id"], "expression": s["expression"]}
         if "decouple_response" in s:
             rec["decouple_response"] = s["decouple_response"]

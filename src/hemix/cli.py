@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
 import sys
 from pathlib import Path
 
@@ -229,8 +228,8 @@ def _ground_records(records: list, phrases_of, anchor_map: dict, bundle, args) -
         sample_id = rec.get("sample_id", "<missing sample_id>")
         try:
             phrases = list(phrases_of(rec))
-            anchors = anchor_map.get(rec["image_id"]) if phrases else []
-            if anchors is None:
+            anchors = anchor_map.get(rec["image_id"]) if phrases else None
+            if phrases and anchors is None:
                 raise ValueError(f"unknown image_id {rec['image_id']!r}")
             if isinstance(anchors, str):
                 raise ValueError(anchors)
@@ -357,7 +356,6 @@ def cmd_pipeline(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42, help="seed for anything randomized")
-    common.add_argument("--log-level", default="WARNING", help="python logging level name")
 
     parser = argparse.ArgumentParser(prog="hemix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -447,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING))
     _echo_config(args)
     try:
         return args.func(args)

@@ -86,15 +86,14 @@ class GroundingBatch:
 @dataclass
 class LossReport:
     loss: float
-    grads: dict | None = field(default=None)
+    grads: dict
 
     def __post_init__(self):
         if not math.isfinite(self.loss) or self.loss < 0.0:
             raise ValueError(f"loss must be finite and nonnegative, got {self.loss}")
-        if self.grads is not None:
-            for name, g in self.grads.items():
-                if not np.all(np.isfinite(g)):
-                    raise ValueError(f"gradient {name} contains non-finite entries")
+        for name, g in self.grads.items():
+            if not np.all(np.isfinite(g)):
+                raise ValueError(f"gradient {name} contains non-finite entries")
 
 
 def _in_set(batch: GroundingBatch, intra_negatives: bool) -> np.ndarray:

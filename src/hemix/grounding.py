@@ -74,20 +74,17 @@ def _as_rows(rows: list, n: int, width: int | None) -> np.ndarray | None:
 
 
 class AnchorSet:
-    """One image's anchors as arrays, checked as AnchorRecord checks one anchor.
+    """One image's anchors, checked as AnchorRecord checks one anchor, cut to one fraction.
 
-    ``features`` is [n, d] float64, ``confidence`` [n] and ``boxes`` [n, 4];
-    ``len()`` is n, the count before filtering. ``pool`` keeps the most
-    confident anchors and projects their features once, then reuses that
-    while ``top_fraction`` and the bundle (the same object) are unchanged.
-
-    Given ``top_fraction``, the set is cut at construction: every anchor is
-    checked, but only the kept rows are stored, and ``pool`` serves that
-    fraction alone. An empty set or a fraction outside (0, 1] stores no rows
-    and fails in ``pool``, as an uncut set does.
+    Every anchor is checked, then only the kept ones (see _kept_indices) are
+    stored, in their original order: ``features`` [k, d] and ``boxes`` [k, 4],
+    both float64. ``len()`` is n, the count before the cut. ``pool`` serves
+    ``top_fraction`` alone and projects the kept features once per bundle.
+    An empty set or a fraction outside (0, 1] stores no rows and fails in
+    ``pool``.
     """
 
-    def __init__(self, features, confidence, boxes, top_fraction: float | None = None):
+    def __init__(self, features, confidence, boxes, top_fraction: float):
         conf = np.array(confidence)
         # A dtype check, not a cast: float64 conversion would accept "0.5".
         if conf.ndim != 1 or conf.dtype.kind not in "biuf":
@@ -107,18 +104,16 @@ class AnchorSet:
         feats = _as_rows(features, n, None)
         if feats is None:
             raise ValueError("anchor features must be vectors that all have the same shape")
-        if top_fraction is not None:
-            try:
-                kept = _kept_indices(conf, top_fraction)
-            except ValueError:
-                kept = np.arange(0)  # nothing can be grounded; pool says why
-            feats, conf, box = feats[kept], conf[kept], box[kept]
-        self.features, self.confidence, self.boxes = feats, conf, box
+        try:
+            kept = _kept_indices(conf, top_fraction)
+        except ValueError:
+            kept = np.arange(0)  # nothing can be grounded; pool says why
+        self.features, self.boxes = feats[kept], box[kept]
         self.top_fraction, self._n = top_fraction, n
         self._pool = None
 
     @classmethod
-    def from_json(cls, entries: list, top_fraction: float | None = None) -> "AnchorSet":
+    def from_json(cls, entries: list, top_fraction: float) -> "AnchorSet":
         """From anchor entries {"feature": [...], "confidence": c, "box": [x1, y1, x2, y2]}."""
         return cls([a["feature"] for a in entries], [a["confidence"] for a in entries],
                    [a["box"] for a in entries], top_fraction)
@@ -126,41 +121,34 @@ class AnchorSet:
     def __len__(self) -> int:
         return self._n
 
-    def pool(self, top_fraction: float, bundle: ProjectionBundle) -> tuple[np.ndarray, Embedded]:
-        """The kept boxes [k, 4] and their features projected by the bundle's visual matrices."""
-        memo = self._pool
-        if memo is None or memo[0] != top_fraction or memo[1] is not bundle:
-            if self.top_fraction is None:
-                kept = _kept_indices(self.confidence, top_fraction)
-            else:
-                _keep_count(self._n, top_fraction)  # an empty set or a bad fraction raises
-                if top_fraction != self.top_fraction:
-                    raise ValueError(f"anchors were cut to top_fraction {self.top_fraction}, "
-                                     f"got {top_fraction}")
-                kept = slice(None)
-            visual = embed_rows(self.features[kept], bundle.w_ev, bundle.w_hv, bundle.kappa,
-                                "visual features")
-            memo = self._pool = (top_fraction, bundle, self.boxes[kept], visual)
-        return memo[2], memo[3]
+    def pool(self, top_fraction: float, bundle: ProjectionBundle) -> Embedded:
+        """The kept features projected by the bundle's visual matrices (reused per bundle object)."""
+        _keep_count(self._n, top_fraction)  # an empty set or a bad fraction raises
+        if top_fraction != self.top_fraction:
+            raise ValueError(f"anchors were cut to top_fraction {self.top_fraction}, got {top_fraction}")
+        if self._pool is None or self._pool[0] is not bundle:
+            self._pool = (bundle, embed_rows(self.features, bundle.w_ev, bundle.w_hv, bundle.kappa,
+                                             "visual features"))
+        return self._pool[1]
 
 
 def ground(
     sample_id: str,
-    anchors: AnchorSet | list,
+    anchors: AnchorSet | None,
     phrases: list,
     text_features: list,
     bundle: ProjectionBundle,
     top_fraction: float = 0.10,
     distinct_anchors: bool = False,
 ) -> GroundingOutput:
-    """Select one box per decoupled phrase.
+    """Select one box per decoupled phrase from the image's AnchorSet.
 
-    ``anchors`` is the image's AnchorSet, or a list of AnchorRecords that is
-    turned into one. A zero-phrase sample produces no boxes. The kept anchors
-    (projected once per AnchorSet, see ``AnchorSet.pool``) are scored
-    against all phrases at once; each phrase takes its argmax (lowest index
-    on ties), so one anchor may serve several phrases unless
-    ``distinct_anchors`` greedily excludes used anchors until all are used.
+    A zero-phrase sample produces no boxes and reads no anchors (``None``
+    will do). The kept anchors (projected once per bundle, see
+    ``AnchorSet.pool``) are scored against all phrases at once; each phrase
+    takes its argmax (lowest index on ties), so one anchor may serve several
+    phrases unless ``distinct_anchors`` greedily excludes used anchors until
+    all are used.
     """
     if len(phrases) != len(text_features):
         raise ValueError(
@@ -168,17 +156,14 @@ def ground(
         )
     if not phrases:
         return GroundingOutput(sample_id=sample_id, boxes=())
-    if not isinstance(anchors, AnchorSet):
-        anchors = AnchorSet([a.feature for a in anchors], [a.confidence for a in anchors],
-                            [a.box for a in anchors])
-    pool_boxes, visual = anchors.pool(top_fraction, bundle)
+    visual = anchors.pool(top_fraction, bundle)
     text = embed_rows(text_features, bundle.w_et, bundle.w_ht, bundle.kappa, "text features")
     scores = pair_scores(visual, text, bundle.alpha)
     boxes = []
-    free = np.ones(len(pool_boxes), dtype=bool)
+    free = np.ones(len(anchors.boxes), dtype=bool)
     for column in scores.T:
-        rows = np.flatnonzero(free) if distinct_anchors and free.any() else np.arange(len(pool_boxes))
+        rows = np.flatnonzero(free) if distinct_anchors and free.any() else np.arange(len(free))
         idx = int(rows[np.argmax(column[rows])])
         free[idx] = False
-        boxes.append(tuple(pool_boxes[idx].tolist()))
+        boxes.append(tuple(anchors.boxes[idx].tolist()))
     return GroundingOutput(sample_id=sample_id, boxes=tuple(boxes))

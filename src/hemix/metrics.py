@@ -60,10 +60,15 @@ def iou(a, b) -> float:
     return inter / union
 
 
-def match_sample(s: EvalSample, iou_thresh: float = 0.5) -> MatchReport:
-    """Run the matching procedure on one sample."""
+def _check_threshold(iou_thresh: float) -> None:
+    """Raise unless the IoU threshold lies in (0, 1] (NaN included)."""
     if not 0.0 < iou_thresh <= 1.0:
         raise ValueError(f"iou_thresh must lie in (0, 1], got {iou_thresh}")
+
+
+def match_sample(s: EvalSample, iou_thresh: float = 0.5) -> MatchReport:
+    """Run the matching procedure on one sample."""
+    _check_threshold(iou_thresh)
     n_gt, n_pred = len(s.gt_boxes), len(s.pred_boxes)
     if n_gt == 0:
         return MatchReport(tp=0, fp=n_pred, fn=0, f1=1.0 if n_pred == 0 else 0.0)
@@ -112,6 +117,7 @@ def n_acc(samples: list) -> float:
 
 def iou_at_05(samples: list, iou_thresh: float = 0.5) -> float:
     """Single-box protocol: fraction of samples with IoU >= threshold."""
+    _check_threshold(iou_thresh)
     if not samples:
         raise ValueError("sample set is empty")
     for s in samples:

@@ -42,6 +42,8 @@ class SyntheticHierarchy:
     seed: int = 42
 
     def __post_init__(self):
+        if not self.parents:
+            raise ValueError("parents must not be empty")
         for parent, kids in self.children.items():
             if parent not in self.parents:
                 raise ValueError(f"unknown parent {parent!r}")
@@ -85,11 +87,6 @@ def default_hierarchy(
     return SyntheticHierarchy(parents, children, feature_dim, noise_scale, seed)
 
 
-def concept_descriptors(h: SyntheticHierarchy) -> Mapping:
-    """Deterministic unit descriptor per concept id (computed once per hierarchy)."""
-    return h.descriptors
-
-
 def generate_dataset(
     h: SyntheticHierarchy,
     n_samples: int,
@@ -109,7 +106,9 @@ def generate_dataset(
         raise ValueError("n_samples must be at least 1")
     if negatives_per_image < 0:
         raise ValueError("negatives_per_image must be nonnegative")
-    desc = concept_descriptors(h)
+    if batch_images < 1:
+        raise ValueError("batch_images must be at least 1")
+    desc = h.descriptors
     children = h.all_children()
     parent_of = h.parent_of()
     rng = np.random.default_rng(h.seed + 1 if seed is None else seed)
@@ -270,7 +269,7 @@ def apex_report(bundle: ProjectionBundle, h: SyntheticHierarchy) -> dict:
     nearer the apex": a trained ratio below 1 means parents embed with
     smaller spatial norm than their children.
     """
-    desc = concept_descriptors(h)
+    desc = h.descriptors
     norms = {cid: float(np.linalg.norm(v @ bundle.w_ht)) for cid, v in desc.items()}
     parent_mean = float(np.mean([norms[p] for p in h.parents]))
     child_mean = float(np.mean([norms[c] for c in h.all_children()]))

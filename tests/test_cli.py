@@ -154,6 +154,20 @@ def test_eval_cli_wrec_metric(capsys, tmp_path):
     assert json.loads(out)["iou_at_thresh"] == 1.0
 
 
+@pytest.mark.parametrize("metric", ["grec", "wrec"])
+@pytest.mark.parametrize("iou", ["1.5", "0", "-1", "nan"])
+def test_eval_rejects_an_iou_threshold_outside_unit_interval(capsys, tmp_path, metric, iou):
+    gt = tmp_path / "gt.jsonl"
+    pred = tmp_path / "pred.jsonl"
+    jsonl.write_jsonl(gt, [{"sample_id": "a", "boxes": [[0, 0, 10, 10]]}])
+    jsonl.write_jsonl(pred, [{"sample_id": "a", "boxes": [[0, 0, 10, 9]]}])
+    code, out, err = run(capsys, "eval", "--gt", str(gt), "--pred", str(pred), "--metric", metric,
+                         "--iou", iou)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: iou_thresh must lie in (0, 1], got {float(iou)}"
+
+
 def test_pipeline_reproduces_golden(capsys, tmp_path):
     preds = tmp_path / "preds.jsonl"
     report = tmp_path / "report.json"

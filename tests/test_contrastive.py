@@ -197,8 +197,8 @@ class TestHierarchicalLoss:
 
 def test_loss_report_rejects_nonfinite():
     with pytest.raises(ValueError):
-        LossReport(loss=float("inf"))
+        LossReport(loss=float("inf"), grads={})
     with pytest.raises(ValueError):
-        LossReport(loss=-0.1)
+        LossReport(loss=-0.1, grads={})
     with pytest.raises(ValueError):
         LossReport(loss=0.5, grads={"w_ev": np.array([np.nan])})

@@ -59,9 +59,17 @@ class TestFilterAnchors:
             filter_anchors([anchor([0, 0], 0.5)], 0.0)
 
 
+def anchor_set(anchors, top_fraction=1.0):
+    """The AnchorSet of the AnchorRecords ``anchors``, cut to ``top_fraction``."""
+    return AnchorSet.from_json(
+        [{"feature": list(a.feature), "confidence": a.confidence, "box": list(a.box)} for a in anchors],
+        top_fraction,
+    )
+
+
 def pick(text, anchors):
     """Index of the anchor whose box ``ground`` returns for one phrase, all anchors kept."""
-    out = ground("s", anchors, ["x"], [text], scoring_bundle(), top_fraction=1.0)
+    out = ground("s", anchor_set(anchors), ["x"], [text], scoring_bundle(), top_fraction=1.0)
     return [a.box for a in anchors].index(out.boxes[0])
 
 
@@ -82,15 +90,17 @@ class TestGround:
         assert pick(np.array([1.0, 0.0]), anchors) == 1
 
     def test_no_phrases_no_boxes(self):
-        out = ground("s", [anchor([1, 0], 0.9)], [], [], scoring_bundle())
+        out = ground("s", anchor_set([anchor([1, 0], 0.9)], 0.10), [], [], scoring_bundle())
         assert out.boxes == ()
+        assert ground("s", None, [], [], scoring_bundle()).boxes == ()
 
     def test_single_phrase_matches_selection(self):
         anchors = [
             anchor([1, 0], 0.9, (0, 0, 10, 10)),
             anchor([2, 0], 0.8, (20, 20, 30, 30)),
         ]
-        out = ground("s", anchors, ["x"], [np.array([1.0, 0.0])], scoring_bundle(), top_fraction=1.0)
+        out = ground("s", anchor_set(anchors), ["x"], [np.array([1.0, 0.0])], scoring_bundle(),
+                     top_fraction=1.0)
         assert out.boxes == ((20.0, 20.0, 30.0, 30.0),)
 
     def test_orthogonal_phrases_pick_distinct_anchors(self):
@@ -99,19 +109,19 @@ class TestGround:
             anchor([0, 5], 0.8, (20, 20, 30, 30)),
         ]
         feats = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        out = ground("s", anchors, ["a", "b"], feats, scoring_bundle(), top_fraction=1.0)
+        out = ground("s", anchor_set(anchors), ["a", "b"], feats, scoring_bundle(), top_fraction=1.0)
         assert out.boxes == ((0.0, 0.0, 10.0, 10.0), (20.0, 20.0, 30.0, 30.0))
 
     def test_anchor_reuse_allowed_by_default(self):
         anchors = [anchor([5, 5], 0.9, (0, 0, 10, 10)), anchor([-5, -5], 0.8, (20, 20, 30, 30))]
         feats = [np.ones(2), np.ones(2)]
-        out = ground("s", anchors, ["a", "b"], feats, scoring_bundle(), top_fraction=1.0)
+        out = ground("s", anchor_set(anchors), ["a", "b"], feats, scoring_bundle(), top_fraction=1.0)
         assert out.boxes[0] == out.boxes[1]
 
     def test_distinct_anchors_flag_forces_spread(self):
         anchors = [anchor([5, 5], 0.9, (0, 0, 10, 10)), anchor([4, 4], 0.8, (20, 20, 30, 30))]
         feats = [np.ones(2), np.ones(2)]
-        out = ground("s", anchors, ["a", "b"], feats, scoring_bundle(), top_fraction=1.0,
+        out = ground("s", anchor_set(anchors), ["a", "b"], feats, scoring_bundle(), top_fraction=1.0,
                      distinct_anchors=True)
         assert out.boxes[0] != out.boxes[1]
 
@@ -121,19 +131,20 @@ class TestGround:
         boxes = [(0, 0, 1, 1), (2, 2, 3, 3), (4, 4, 5, 5)]
         anchors = [anchor([3 - i, 0], 0.9 - 0.1 * i, box) for i, box in enumerate(boxes)]
         feats = [np.array([1.0, 0.0])] * 5
-        out = ground("s", anchors, list("abcde"), feats, scoring_bundle(), top_fraction=1.0,
+        out = ground("s", anchor_set(anchors), list("abcde"), feats, scoring_bundle(), top_fraction=1.0,
                      distinct_anchors=True)
         want = [boxes[0], boxes[1], boxes[2], boxes[0], boxes[0]]
         assert out.boxes == tuple(tuple(float(c) for c in b) for b in want)
 
     def test_feature_count_mismatch(self):
         with pytest.raises(ValueError):
-            ground("s", [anchor([1, 0], 0.9)], ["a", "b"], [np.ones(2)], scoring_bundle())
+            ground("s", anchor_set([anchor([1, 0], 0.9)], 0.10), ["a", "b"], [np.ones(2)], scoring_bundle())
 
     def test_box_count_equals_phrase_count(self):
         rng = np.random.default_rng(2)
         bundle = ProjectionBundle.initialize(3, seed=2)
-        anchors = [anchor(rng.standard_normal(3), float(rng.uniform()), (0, 0, 5, 5)) for _ in range(9)]
+        anchors = anchor_set(
+            [anchor(rng.standard_normal(3), float(rng.uniform()), (0, 0, 5, 5)) for _ in range(9)], 0.10)
         for k in range(4):
             feats = [rng.standard_normal(3) for _ in range(k)]
             out = ground("s", anchors, [f"p{i}" for i in range(k)], feats, bundle)
@@ -150,12 +161,6 @@ class TestAnchorRecord:
             AnchorRecord(feature=np.zeros(2), confidence=float("nan"), box=(0, 0, 1, 1))
 
 
-def anchor_set(anchors):
-    return AnchorSet.from_json(
-        [{"feature": list(a.feature), "confidence": a.confidence, "box": list(a.box)} for a in anchors]
-    )
-
-
 class TestAnchorSet:
     @pytest.mark.parametrize("field, value", [
         ("box", [0.0, 0.0, 1.0]),
@@ -169,23 +174,23 @@ class TestAnchorSet:
             AnchorRecord(feature=entry["feature"], confidence=entry["confidence"], box=entry["box"])
         good = {"feature": [1.0, 0.0], "confidence": 0.9, "box": [0.0, 0.0, 2.0, 2.0]}
         with pytest.raises(ValueError):
-            AnchorSet.from_json([good, entry])
+            AnchorSet.from_json([good, entry], 1.0)
 
     def test_features_of_different_lengths_rejected_even_if_dropped(self):
         entries = [{"feature": [1.0, 0.0], "confidence": 0.9, "box": [0, 0, 1, 1]},
                    {"feature": [1.0], "confidence": 0.1, "box": [0, 0, 1, 1]}]
-        for top in (None, 0.5):
+        for top in (0.5, 1.0):
             with pytest.raises(ValueError, match="same shape"):
                 AnchorSet.from_json(entries, top)
 
     def test_arrays_and_length(self):
-        s = AnchorSet.from_json([{"feature": [1, 2], "confidence": 1, "box": [0, 0, 3, 4]}] * 3)
+        s = AnchorSet.from_json([{"feature": [1, 2], "confidence": 1, "box": [0, 0, 3, 4]}] * 3, 1.0)
         assert len(s) == 3
-        assert s.features.shape == (3, 2) and s.boxes.shape == (3, 4) and s.confidence.shape == (3,)
-        assert s.features.dtype == s.boxes.dtype == s.confidence.dtype == np.float64
+        assert s.features.shape == (3, 2) and s.boxes.shape == (3, 4)
+        assert s.features.dtype == s.boxes.dtype == np.float64
 
     def test_empty_set_fails_only_when_grounded(self):
-        empty = AnchorSet.from_json([])
+        empty = AnchorSet.from_json([], 0.10)
         assert len(empty) == 0
         assert ground("s", empty, [], [], scoring_bundle()).boxes == ()
         with pytest.raises(ValueError, match="empty"):
@@ -193,12 +198,13 @@ class TestAnchorSet:
 
     def test_pool_keeps_what_filter_anchors_keeps(self):
         rng = np.random.default_rng(5)
-        bundle = scoring_bundle()
         for n, top in ((1, 0.1), (12, 0.25), (40, 0.1), (40, 1.0)):
             anchors = [anchor(rng.standard_normal(2), int(rng.integers(0, 4)) / 4, (i, 0, i + 1, 1))
                        for i in range(n)]
-            boxes, _ = anchor_set(anchors).pool(top, bundle)
-            assert [tuple(b) for b in boxes.tolist()] == [a.box for a in filter_anchors(anchors, top)]
+            kept = filter_anchors(anchors, top)
+            cut = anchor_set(anchors, top)
+            assert [tuple(b) for b in cut.boxes.tolist()] == [a.box for a in kept]
+            assert cut.features.tobytes() == np.array([a.feature for a in kept]).tobytes()
 
     def test_visual_projection_once_per_image(self, monkeypatch):
         calls = []
@@ -212,27 +218,29 @@ class TestAnchorSet:
         bundle = ProjectionBundle.initialize(3, seed=3)
         anchors = [anchor(rng.standard_normal(3), float(rng.uniform()), (i, i, i + 5, i + 5))
                    for i in range(30)]
-        shared = anchor_set(anchors)
+        shared = anchor_set(anchors, 0.2)
         feats = [[rng.standard_normal(3) for _ in range(k)] for k in (2, 3)]
         for f in feats:
             phrases = [f"p{i}" for i in range(len(f))]
             out = ground("s", shared, phrases, f, bundle, top_fraction=0.2)
-            fresh = [AnchorRecord(feature=a.feature, confidence=a.confidence, box=a.box) for a in anchors]
+            fresh = anchor_set(anchors, 0.2)
             assert out.boxes == ground("s", fresh, phrases, f, bundle, top_fraction=0.2).boxes
-        # The shared set projected once for both samples; each fresh list once more.
+        # The shared set projected once for both samples; each fresh set once more.
         assert calls.count("visual features") == 1 + 2
         calls.clear()
         ground("s", shared, ["p"], feats[0][:1], bundle, top_fraction=0.2)
         assert calls.count("visual features") == 0
-        ground("s", shared, ["p"], feats[0][:1], bundle, top_fraction=0.5)
+        ground("s", shared, ["p"], feats[0][:1], ProjectionBundle.initialize(3, seed=3), top_fraction=0.2)
         assert calls.count("visual features") == 1
-        ground("s", shared, ["p"], feats[0][:1], ProjectionBundle.initialize(3, seed=3), top_fraction=0.5)
-        assert calls.count("visual features") == 2
 
 
 def random_entries(rng, n, dim=3):
     return [{"feature": rng.standard_normal(dim).tolist(), "confidence": int(rng.integers(0, 4)) / 4,
              "box": [i, 0, i + 1, 1]} for i in range(n)]
+
+
+def records(entries):
+    return [AnchorRecord(feature=e["feature"], confidence=e["confidence"], box=e["box"]) for e in entries]
 
 
 class TestCutAnchorSet:
@@ -255,23 +263,28 @@ class TestCutAnchorSet:
         rng = np.random.default_rng(8)
         cut = AnchorSet.from_json(random_entries(rng, 40), 0.1)
         assert len(cut) == 40
-        assert cut.features.shape == (4, 3) and cut.boxes.shape == (4, 4) and cut.confidence.shape == (4,)
+        assert cut.features.shape == (4, 3) and cut.boxes.shape == (4, 4)
+        assert not hasattr(cut, "confidence")  # no reader once the cut is made
         assert cut.features.base is None  # a copy: the full array is not held
 
     @pytest.mark.parametrize("n, top", [(1, 0.1), (7, 0.5), (12, 0.25), (40, 0.1), (40, 0.05),
                                         (40, 1.0), (200, 0.05), (1000, 0.1)])
     def test_pool_matches_the_uncut_set(self, n, top):
+        # The uncut anchors, as AnchorRecords, through filter_anchors and embed_rows.
         rng = np.random.default_rng(n)
         entries = random_entries(rng, n)
         bundle = ProjectionBundle.initialize(3, seed=n)
-        cut_boxes, cut_visual = AnchorSet.from_json(entries, top).pool(top, bundle)
-        boxes, visual = AnchorSet.from_json(entries).pool(top, bundle)
-        assert cut_boxes.tobytes() == boxes.tobytes()
-        for got, want in zip(cut_visual, visual):
-            assert got.tobytes() == want.tobytes()
+        cut = AnchorSet.from_json(entries, top)
+        kept = filter_anchors(records(entries), top)
+        features = np.array([a.feature for a in kept])
+        assert cut.boxes.tobytes() == np.array([a.box for a in kept]).tobytes()
+        want = embed_rows(features, bundle.w_ev, bundle.w_hv, bundle.kappa, "visual features")
+        for got, w in zip(cut.pool(top, bundle), want):
+            assert got.tobytes() == w.tobytes()
         text = rng.standard_normal((3, 3))
-        assert (ground("s", AnchorSet.from_json(entries, top), list("abc"), text, bundle, top).boxes
-                == ground("s", AnchorSet.from_json(entries), list("abc"), text, bundle, top).boxes)
+        prefiltered = AnchorSet(features, [a.confidence for a in kept], [a.box for a in kept], 1.0)
+        assert (ground("s", cut, list("abc"), text, bundle, top).boxes
+                == ground("s", prefiltered, list("abc"), text, bundle, 1.0).boxes)
 
     def test_another_fraction_raises(self):
         cut = AnchorSet.from_json(random_entries(np.random.default_rng(1), 10), 0.2)
@@ -287,7 +300,7 @@ class TestCutAnchorSet:
         assert len(cut) == n and len(cut.features) == 0
         assert ground("s", cut, [], [], scoring_bundle(3), top_fraction=top).boxes == ()
         with pytest.raises(ValueError) as uncut:
-            ground("s", AnchorSet.from_json(entries), ["p"], [np.ones(3)], scoring_bundle(3), top)
+            filter_anchors(records(entries), top)
         with pytest.raises(ValueError) as got:
             ground("s", cut, ["p"], [np.ones(3)], scoring_bundle(3), top)
         assert str(got.value) == str(uncut.value)

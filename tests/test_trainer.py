@@ -25,7 +25,7 @@ class TestDatasetGeneration:
 
     def test_zero_noise_hits_centroid_exactly(self):
         h = T.default_hierarchy(noise_scale=0.0)
-        desc = T.concept_descriptors(h)
+        desc = h.descriptors
         centroids = {tuple(v) for v in desc.values()}
         data = T.generate_dataset(h, 10)
         for batch in data:
@@ -47,6 +47,8 @@ class TestDatasetGeneration:
             T.generate_dataset(hierarchy, 0)
         with pytest.raises(ValueError):
             T.generate_dataset(hierarchy, 4, negatives_per_image=-1)
+        with pytest.raises(ValueError, match="batch_images must be at least 1"):
+            T.generate_dataset(hierarchy, 4, batch_images=0)
 
 
 class TestTraining:
@@ -251,3 +253,17 @@ def test_hierarchy_validation():
         T.SyntheticHierarchy(parents=("p0",), children={"p0": ["c"]})
     with pytest.raises(ValueError):
         T.SyntheticHierarchy(parents=("p0",), children={"zzz": ["a", "b"]})
+    with pytest.raises(ValueError, match="parents must not be empty"):
+        T.SyntheticHierarchy(parents=(), children={})
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--batch-images", "0", "batch_images must be at least 1"),
+    ("--batch-images", "-1", "batch_images must be at least 1"),
+    ("--parents", "0", "parents must not be empty"),
+])
+def test_train_toy_names_an_empty_shape(tmp_path, capsys, flag, value, message):
+    code = cli.main(["train-toy", "--steps", "1", flag, value, "--out", str(tmp_path / "w.json")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not (tmp_path / "w.json").exists()
