@@ -34,7 +34,14 @@ def _dump(obj) -> str:
 # geom-check / grad-check
 # ---------------------------------------------------------------------------
 
+def _check_count(flag: str, value: int) -> None:
+    """Reject a verification run that would check nothing."""
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
+
+
 def cmd_geom_check(args) -> int:
+    _check_count("--cases", args.cases)
     results = lorentz.run_property_suite(seed=args.seed, cases=args.cases)
     ok = True
     for r in results:
@@ -59,6 +66,7 @@ def _random_batch(rng: np.random.Generator, dim: int) -> contrastive.GroundingBa
 
 
 def cmd_grad_check(args) -> int:
+    _check_count("--batches", args.batches)
     rng = np.random.default_rng(args.seed)
     dims = [4, 8, 16]
     worst = 0.0
@@ -200,21 +208,136 @@ def _message(exc: Exception) -> str:
     return str(exc)
 
 
-def _load_anchor_map(path, top_fraction: float) -> dict:
-    """image_id -> its AnchorSet cut to ``top_fraction``, or the error message of a malformed entry.
+# The anchors file is decoded in ranges of at least this many bytes, at most
+# one per CPU. Splitting a 1 MiB file in two saved nothing on two CPUs: the
+# fork and the pickled reply took about what the second CPU saved.
+_MIN_RANGE_BYTES = 1 << 20
 
-    The file is streamed: each record is dropped before the next line is
-    decoded, so only one image's parsed JSON is alive at a time, and each
-    image keeps only the rows that grounding at ``top_fraction`` reads.
+
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where it cannot fork or ask."""
+    import os
+
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _line_ranges(path, n: int) -> list:
+    """At most ``n`` (start, end) byte ranges of whole lines that tile ``path``, the last ending at None.
+
+    There are at most ``size // _MIN_RANGE_BYTES`` ranges, and one for a file
+    under that size. Each split is the line boundary nearest ``k * size / n``,
+    so a long line that straddles a share's edge goes to whichever side the
+    boundary is closer to; a split that would leave a range empty is dropped.
     """
+    import os
+
+    n = min(n, os.stat(path).st_size // _MIN_RANGE_BYTES) if n > 1 else 1
+    cuts = [0]
+    if n > 1:
+        import mmap
+
+        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            size = len(mm)
+            for k in range(1, n):
+                target = k * size // n
+                before = mm.rfind(b"\n", 0, target) + 1
+                after = mm.find(b"\n", target) + 1 or size
+                cut = before if target - before <= after - target else after
+                if cuts[-1] < cut < size:
+                    cuts.append(cut)
+    return list(zip(cuts, cuts[1:] + [None]))
+
+
+def _anchor_range(path, top_fraction: float, start: int, end: int | None) -> dict:
+    """image_id -> its AnchorSet or the error message of a malformed entry, for bytes [start, end) of ``path``."""
     anchor_map = {}
-    for rec in jsonl.iter_jsonl(path, objects=True):
+    for rec in jsonl.iter_jsonl(path, objects=True, start=start, end=end):
         image_id = rec["image_id"]
         try:
             anchor_map[image_id] = grounding.AnchorSet.from_json(rec["anchors"], top_fraction)
         except (ValueError, KeyError, TypeError) as exc:
             anchor_map[image_id] = f"anchors of image {image_id!r}: {_message(exc)}"
         del rec
+    return anchor_map
+
+
+def _fork_range(path, top_fraction: float, start: int, end: int | None) -> tuple:
+    """(pid, read end of its pipe) of a child that decodes bytes [start, end) of ``path``.
+
+    The child pickles ``(True, _anchor_range(...))``, or ``(False, exception)``
+    for what that raised, into the pipe once and exits. It runs only JSON
+    decoding and AnchorSet construction (no BLAS call), and never returns
+    into its caller.
+    """
+    import os
+    import pickle
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                try:
+                    reply = (True, _anchor_range(path, top_fraction, start, end))
+                except Exception as exc:  # sent to the parent, which raises it
+                    reply = (False, exc)
+                pickle.dump(reply, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _load_anchor_map(path, top_fraction: float) -> dict:
+    """image_id -> its AnchorSet cut to ``top_fraction``, or the error message of a malformed entry.
+
+    The file is split into line-aligned byte ranges, one per available CPU
+    (see _line_ranges). This process decodes the first range and a forked
+    child each other one; the parts are merged in file order, so the map,
+    its key order and any error are those of one whole-file read. When
+    several ranges fail, the first in file order is raised; a child that
+    exits without a reply fails the run. Every process streams its range:
+    each record is dropped before the next line is decoded, and each image
+    keeps only the rows that grounding at ``top_fraction`` reads.
+    """
+    import os
+    import pickle
+
+    first, *rest = _line_ranges(path, _cpu_count())
+    workers = []
+    try:
+        for span in rest:
+            workers.append(_fork_range(path, top_fraction, *span))
+        anchor_map = _anchor_range(path, top_fraction, *first)
+        for _, pipe in workers:
+            try:
+                ok, part = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(f"{path}: a process decoding part of this file exited "
+                                        "without a result") from None
+            if not ok:
+                raise part
+            anchor_map.update(part)
+    except BaseException:
+        import signal  # only here: the module costs memory on every run
+
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.waitpid(pid, 0)
     return anchor_map
 
 
@@ -317,6 +440,7 @@ def _decouple_record(rec: dict, offline: bool, vlm_cfg) -> decouple.DecoupleResu
 
 
 def cmd_pipeline(args) -> int:
+    metrics._check_threshold(args.iou)  # a bad --iou stops the run before any work or output
     bundle = similarity.load_bundle(args.weights)
     anchor_map = _load_anchor_map(args.anchors, args.top_frac)
     gt_records = jsonl.read_jsonl(args.gt, objects=True)
@@ -448,7 +572,8 @@ def main(argv=None) -> int:
     _echo_config(args)
     try:
         return args.func(args)
-    except (OSError, jsonl.SchemaError, decouple.DecoupleError, ValueError, KeyError) as exc:
+    except (OSError, jsonl.SchemaError, decouple.DecoupleError, ValueError, KeyError,
+            trainer.TrainingDiverged) as exc:
         print(f"error: {_message(exc)}", file=sys.stderr)
         return 2
 

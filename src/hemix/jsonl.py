@@ -6,6 +6,7 @@ without the header (hand-written inputs) but reject unknown versions.
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
@@ -22,8 +23,47 @@ def write_jsonl(path, records: list) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def iter_jsonl(path, *, objects: bool = False):
+class _Span(io.RawIOBase):
+    """The next ``limit`` bytes of an open binary file (all of them for None); closing closes the file."""
+
+    def __init__(self, fh, limit: int | None):
+        super().__init__()
+        self._fh, self._left = fh, limit
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self._fh.readinto(buf if self._left is None else memoryview(buf)[: self._left])
+        if self._left is not None:
+            self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._fh.close()
+        super().close()
+
+
+def _open_span(path: Path, start: int, end: int | None):
+    """Bytes [start, end) of ``path`` as text, decoded and split into lines as ``path.open()`` does."""
+    fh = open(path, "rb", buffering=0)
+    try:
+        if start:  # a pipe cannot seek, but is read from its start
+            fh.seek(start)
+    except BaseException:
+        fh.close()
+        raise
+    return io.TextIOWrapper(io.BufferedReader(_Span(fh, None if end is None else end - start)))
+
+
+def iter_jsonl(path, *, objects: bool = False, start: int = 0, end: int | None = None):
     """Yield the records of ``path`` one line at a time, skipping blank lines.
+
+    Only the lines in bytes [start, end) are read (to the end of the file for
+    ``end`` None); both must fall on line boundaries. A header is recognised
+    on the file's first line only, so only in a span starting at 0. Messages
+    number lines as a whole-file read does: a span that hits an error counts
+    the lines before ``start`` then.
 
     With ``objects`` a record that is not a JSON object raises SchemaError
     naming its line. The raw line is dropped before its record is yielded and
@@ -31,7 +71,14 @@ def iter_jsonl(path, *, objects: bool = False):
     each record holds one parsed line at a time.
     """
     path = Path(path)
-    with path.open() as fh:
+
+    def where(i: int) -> str:
+        if start:
+            with _open_span(path, 0, start) as before:
+                i += sum(1 for _ in before)
+        return f"{path}:{i}"
+
+    with _open_span(path, start, end) as fh:
         for i, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -39,14 +86,14 @@ def iter_jsonl(path, *, objects: bool = False):
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{i}: invalid JSON: {exc}") from exc
+                raise SchemaError(f"{where(i)}: invalid JSON: {exc}") from exc
             del line
-            if i == 1 and isinstance(obj, dict) and set(obj.keys()) == {"v"}:
+            if start == 0 and i == 1 and isinstance(obj, dict) and set(obj.keys()) == {"v"}:
                 if obj["v"] != SCHEMA_VERSION:
                     raise SchemaError(f"{path}: unsupported schema version {obj['v']}")
                 continue
             if objects and not isinstance(obj, dict):
-                raise SchemaError(f"{path}:{i}: record is not a JSON object")
+                raise SchemaError(f"{where(i)}: record is not a JSON object")
             yield obj
             del obj
 

@@ -154,8 +154,8 @@ class TrainConfig:
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
         # lr = 0 is allowed as the documented no-op run.
-        if self.lr < 0:
-            raise ValueError("lr must be nonnegative")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and nonnegative, got {self.lr}")
 
 
 # _Adam updates each matrix this many rows at a time, so the rows of the

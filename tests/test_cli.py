@@ -32,6 +32,20 @@ def test_grad_check(capsys):
     assert "max rel error" in out
 
 
+@pytest.mark.parametrize("command, flag", [("geom-check", "--cases"), ("grad-check", "--batches")])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verification_run_that_checks_nothing_is_an_error(capsys, monkeypatch, command, flag, value):
+    def never(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli.lorentz, "run_property_suite", never)
+    monkeypatch.setattr(cli.contrastive, "gradient_check", never)
+    code, out, err = run(capsys, command, flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: {flag} must be at least 1, got {value}"
+
+
 def test_analyze_alpha(capsys):
     code, out, _ = run(
         capsys, "analyze-alpha", "--b-e", "0.5", "--b-h", "-0.5",
@@ -184,6 +198,23 @@ def test_pipeline_reproduces_golden(capsys, tmp_path):
     assert code == 0
     assert preds.read_bytes() == (DATA / "golden_predictions.jsonl").read_bytes()
     assert report.read_bytes() == (DATA / "golden_report.json").read_bytes()
+
+
+def test_pipeline_rejects_a_bad_iou_before_any_work(capsys, tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the run went on")
+
+    monkeypatch.setattr(cli.similarity, "load_bundle", never)
+    preds = tmp_path / "preds.jsonl"
+    code, out, err = run(
+        capsys, "pipeline", "--anchors", str(DATA / "anchors.jsonl"), "--texts", str(DATA / "texts.jsonl"),
+        "--weights", str(DATA / "weights.json"), "--gt", str(DATA / "gt.jsonl"), "--offline",
+        "--iou", "2", "--out", str(preds),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == "error: iou_thresh must lie in (0, 1], got 2.0"
+    assert not preds.exists()
 
 
 def test_pipeline_records_per_sample_failures(capsys, tmp_path):

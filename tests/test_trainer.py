@@ -98,6 +98,9 @@ class TestTraining:
             T.TrainConfig(steps=0)
         with pytest.raises(ValueError):
             T.TrainConfig(lr=-0.1)
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lr must be finite and nonnegative"):
+                T.TrainConfig(lr=lr)
 
 
 class _TextbookAdam:
@@ -267,3 +270,22 @@ def test_train_toy_names_an_empty_shape(tmp_path, capsys, flag, value, message):
     assert code == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
     assert not (tmp_path / "w.json").exists()
+
+
+@pytest.mark.parametrize("steps", ["1", "3"])
+def test_train_toy_rejects_a_nan_lr_before_writing(tmp_path, capsys, steps):
+    code = cli.main(["train-toy", "--steps", steps, "--lr", "nan", "--samples", "16",
+                     "--out", str(tmp_path / "w.json")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: lr must be finite and nonnegative, got nan"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_toy_reports_divergence_as_one_error_line(tmp_path, capsys):
+    code = cli.main(["train-toy", "--steps", "3", "--lr", "1e300", "--samples", "16",
+                     "--out", str(tmp_path / "w.json")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "error: loss became non-finite at step 1"
+    assert len(err) == 2  # the config echo and the error, no traceback
+    assert list(tmp_path.iterdir()) == []
