@@ -208,10 +208,17 @@ def _message(exc: Exception) -> str:
     return str(exc)
 
 
-# The anchors file is decoded in ranges of at least this many bytes, at most
-# one per CPU. Splitting a 1 MiB file in two saved nothing on two CPUs: the
-# fork and the pickled reply took about what the second CPU saved.
+# The anchors file is decoded in spans of at least this many bytes. Splitting
+# a 1 MiB file in two saved nothing on two CPUs: the fork and the pickled
+# reply took about what the second CPU saved.
 _MIN_RANGE_BYTES = 1 << 20
+# Spans per CPU. Every process takes the next span from one queue, so a CPU
+# that runs slow for a while decodes fewer spans instead of holding up the
+# load, as the slower of two fixed halves does.
+_SPANS_PER_CPU = 8
+# Bytes read at a time while looking for a line boundary. Reads of 64 KiB
+# raised the ground-d512 pipeline's peak RSS by 0.3 MB; 4 KiB reads did not.
+_SCAN_BYTES = 1 << 12
 
 
 def _cpu_count() -> int:
@@ -230,24 +237,50 @@ def _line_ranges(path, n: int) -> list:
     under that size. Each split is the line boundary nearest ``k * size / n``,
     so a long line that straddles a share's edge goes to whichever side the
     boundary is closer to; a split that would leave a range empty is dropped.
+    The file is searched with small reads, not mapped: every mapped page a
+    search touched counted towards this process's peak RSS.
     """
     import os
 
     n = min(n, os.stat(path).st_size // _MIN_RANGE_BYTES) if n > 1 else 1
     cuts = [0]
     if n > 1:
-        import mmap
-
-        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-            size = len(mm)
+        with open(path, "rb", buffering=0) as fh:
+            fd, size = fh.fileno(), os.fstat(fh.fileno()).st_size
+            before = after = 0  # the line [before, after) holding the last target
             for k in range(1, n):
                 target = k * size // n
-                before = mm.rfind(b"\n", 0, target) + 1
-                after = mm.find(b"\n", target) + 1 or size
+                if not before <= target < after:
+                    before, after = _line_start_before(fd, target), _line_start_after(fd, target, size)
                 cut = before if target - before <= after - target else after
                 if cuts[-1] < cut < size:
                     cuts.append(cut)
     return list(zip(cuts, cuts[1:] + [None]))
+
+
+def _line_start_before(fd: int, pos: int) -> int:
+    """Start of the line holding byte ``pos`` of the file ``fd``: just past the last newline before ``pos``."""
+    import os
+
+    while pos > 0:
+        low = max(0, pos - _SCAN_BYTES)
+        i = os.pread(fd, pos - low, low).rfind(b"\n")
+        if i >= 0:
+            return low + i + 1
+        pos = low
+    return 0
+
+
+def _line_start_after(fd: int, pos: int, size: int) -> int:
+    """Start of the line after the one holding byte ``pos`` of the file ``fd``, or ``size`` if there is none."""
+    import os
+
+    while chunk := os.pread(fd, _SCAN_BYTES, pos):
+        i = chunk.find(b"\n")
+        if i >= 0:
+            return pos + i + 1
+        pos += len(chunk)
+    return size
 
 
 def _anchor_range(path, top_fraction: float, start: int, end: int | None) -> dict:
@@ -263,13 +296,48 @@ def _anchor_range(path, top_fraction: float, start: int, end: int | None) -> dic
     return anchor_map
 
 
-def _fork_range(path, top_fraction: float, start: int, end: int | None) -> tuple:
-    """(pid, read end of its pipe) of a child that decodes bytes [start, end) of ``path``.
+def _span_queue(count: int) -> int:
+    """Read end of a pipe that holds the span indices 0 .. count-1, one byte each, then ends."""
+    import os
 
-    The child pickles ``(True, _anchor_range(...))``, or ``(False, exception)``
-    for what that raised, into the pipe once and exits. It runs only JSON
-    decoding and AnchorSet construction (no BLAS call), and never returns
-    into its caller.
+    r, w = os.pipe()
+    try:
+        os.write(w, bytes(range(count)))
+    except BaseException:
+        os.close(r)
+        raise
+    finally:
+        os.close(w)
+    return r
+
+
+def _decode_queued(path, top_fraction: float, spans: list, queue: int) -> dict:
+    """span index -> its _anchor_range map, or the exception it raised, for each span taken from ``queue``.
+
+    Every process reads the one queue, so spans are taken in file order. A
+    failing span empties the queue: no later span is needed, every process
+    stops after the span it holds, and a span nobody took comes after a
+    failed one.
+    """
+    import os
+
+    parts = {}
+    while taken := os.read(queue, 1):
+        i = taken[0]
+        try:
+            parts[i] = _anchor_range(path, top_fraction, *spans[i])
+        except Exception as exc:  # raised by the merge, in file order
+            parts[i] = exc
+            os.read(queue, 256)
+    return parts
+
+
+def _fork_decoder(path, top_fraction: float, spans: list, queue: int) -> tuple:
+    """(pid, read end of its pipe) of a child that decodes spans taken from ``queue``.
+
+    The child pickles its _decode_queued result into the pipe once and exits.
+    It runs only JSON decoding and AnchorSet construction (no BLAS call), and
+    never returns into its caller.
     """
     import os
     import pickle
@@ -286,11 +354,7 @@ def _fork_range(path, top_fraction: float, start: int, end: int | None) -> tuple
         try:
             os.close(r)
             with open(w, "wb") as pipe:
-                try:
-                    reply = (True, _anchor_range(path, top_fraction, start, end))
-                except Exception as exc:  # sent to the parent, which raises it
-                    reply = (False, exc)
-                pickle.dump(reply, pipe)
+                pickle.dump(_decode_queued(path, top_fraction, spans, queue), pipe)
             code = 0
         finally:
             os._exit(code)
@@ -301,33 +365,38 @@ def _fork_range(path, top_fraction: float, start: int, end: int | None) -> tuple
 def _load_anchor_map(path, top_fraction: float) -> dict:
     """image_id -> its AnchorSet cut to ``top_fraction``, or the error message of a malformed entry.
 
-    The file is split into line-aligned byte ranges, one per available CPU
-    (see _line_ranges). This process decodes the first range and a forked
-    child each other one; the parts are merged in file order, so the map,
-    its key order and any error are those of one whole-file read. When
-    several ranges fail, the first in file order is raised; a child that
-    exits without a reply fails the run. Every process streams its range:
+    The file is split into line-aligned byte spans, _SPANS_PER_CPU per
+    available CPU (see _line_ranges), and decoded by this process and a
+    forked child per further CPU, each taking the next span from a shared
+    queue until none is left. The parts are merged in file order, so the
+    map, its key order and any error are those of one whole-file read. When
+    several spans fail, the first in file order is raised; a child that
+    exits without a reply fails the run. Every process streams its spans:
     each record is dropped before the next line is decoded, and each image
     keeps only the rows that grounding at ``top_fraction`` reads.
     """
     import os
     import pickle
 
-    first, *rest = _line_ranges(path, _cpu_count())
+    cpus = _cpu_count()
+    spans = _line_ranges(path, 1 if cpus == 1 else min(cpus * _SPANS_PER_CPU, 256))  # one byte names a span
+    queue = _span_queue(len(spans))
     workers = []
     try:
-        for span in rest:
-            workers.append(_fork_range(path, top_fraction, *span))
-        anchor_map = _anchor_range(path, top_fraction, *first)
+        for _ in range(min(cpus, len(spans)) - 1):
+            workers.append(_fork_decoder(path, top_fraction, spans, queue))
+        parts = _decode_queued(path, top_fraction, spans, queue)
         for _, pipe in workers:
             try:
-                ok, part = pickle.load(pipe)
+                parts.update(pickle.load(pipe))
             except (EOFError, pickle.UnpicklingError):
                 raise ChildProcessError(f"{path}: a process decoding part of this file exited "
                                         "without a result") from None
-            if not ok:
-                raise part
-            anchor_map.update(part)
+        anchor_map = {}
+        for i in sorted(parts):
+            if isinstance(parts[i], Exception):
+                raise parts[i]
+            anchor_map.update(parts[i])
     except BaseException:
         import signal  # only here: the module costs memory on every run
 
@@ -335,6 +404,7 @@ def _load_anchor_map(path, top_fraction: float) -> dict:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        os.close(queue)
         for pid, pipe in workers:
             pipe.close()
             os.waitpid(pid, 0)

@@ -1,8 +1,10 @@
-"""The anchors file decoded in line-aligned ranges by forked workers equals a one-range read.
+"""The anchors file decoded in line-aligned spans by forked workers equals a one-range read.
 
 The tests force the split by lowering ``cli._MIN_RANGE_BYTES`` to one byte
-and setting the CPU count. After each test no child process and no pipe may
-be left behind.
+and setting the CPU count. Which process decodes which span is settled at
+run time; with ``children`` set, the test process takes no span, so the
+forked children decode all of them and every error is raised in a child.
+After each test no child process and no pipe may be left behind.
 """
 
 import json
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hemix import cli
+from hemix import cli, jsonl
 
 DATA = Path(__file__).parent / "data"
 
@@ -58,6 +60,16 @@ def forks(monkeypatch):
 
 def set_cpus(monkeypatch, n):
     monkeypatch.setattr(cli, "_cpu_count", lambda: n)
+
+
+def leave_spans_to_children(monkeypatch):
+    """The calling process takes no span from the queue; its forked children take them all."""
+    parent, real = os.getpid(), cli._decode_queued
+    monkeypatch.setattr(cli, "_decode_queued", lambda *args: {} if os.getpid() == parent else real(*args))
+
+
+def spans_of(path, cpus):
+    return cli._line_ranges(path, cpus * cli._SPANS_PER_CPU)
 
 
 def entry(i, dim=4, confidence=None):
@@ -112,13 +124,16 @@ def mixed_records():
     ]
 
 
+@pytest.mark.parametrize("children", [False, True])
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("top", [0.1, 0.5, 1.0])
-def test_parallel_map_equals_one_range_read(monkeypatch, tmp_path, forks, cpus, top):
+def test_parallel_map_equals_one_range_read(monkeypatch, tmp_path, forks, cpus, top, children):
     path = write_lines(tmp_path / "anchors.jsonl", lines_of(mixed_records()))
     want = one_range_read(monkeypatch, path, top)
     assert len(forks) == 0
     set_cpus(monkeypatch, cpus)
+    if children:
+        leave_spans_to_children(monkeypatch)
     got = cli._load_anchor_map(path, top)
     assert len(forks) == cpus - 1
     assert_same_map(got, want)
@@ -126,15 +141,19 @@ def test_parallel_map_equals_one_range_read(monkeypatch, tmp_path, forks, cpus, 
     assert got["no_anchors"] == "anchors of image 'no_anchors': record has no 'anchors' field"
 
 
+@pytest.mark.parametrize("children", [False, True])
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_duplicate_image_ids_across_ranges_keep_the_last(monkeypatch, tmp_path, forks, cpus):
+def test_duplicate_image_ids_across_ranges_keep_the_last(monkeypatch, tmp_path, forks, cpus, children):
     records = [image("a", 2), image("b", 3), image("c", 4), image("a", 5), image("d", 6), image("b", 7),
                image("e", 8), image("a", 9)]
     path = write_lines(tmp_path / "anchors.jsonl", lines_of(records))
+    want = one_range_read(monkeypatch, path, 1.0)
     set_cpus(monkeypatch, cpus)
+    if children:
+        leave_spans_to_children(monkeypatch)
     assert len(cli._line_ranges(path, cpus)) == cpus
     got = cli._load_anchor_map(path, 1.0)
-    assert_same_map(got, one_range_read(monkeypatch, path, 1.0))
+    assert_same_map(got, want)
     assert list(got) == ["a", "b", "c", "d", "e"]
     assert {k: len(v) for k, v in got.items()} == {"a": 9, "b": 7, "c": 4, "d": 6, "e": 8}
 
@@ -203,27 +222,28 @@ def bad_file(tmp_path, bad, newline="\n"):
     return path, starts
 
 
-def range_of(path, offset, n):
-    for k, (start, end) in enumerate(cli._line_ranges(path, n)):
+def span_of(path, offset, cpus):
+    for k, (start, end) in enumerate(spans_of(path, cpus)):
         if start <= offset and (end is None or offset < end):
             return k
     raise AssertionError(offset)
 
 
+@pytest.mark.parametrize("children", [False, True])
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 @pytest.mark.parametrize("kind", sorted(BAD_LINES))
-@pytest.mark.parametrize("where", [0, 1, 2])
+@pytest.mark.parametrize("index", [2, 6, 11])
 def test_bad_line_in_any_range_is_the_one_range_error(monkeypatch, capsys, tmp_path, forks, newline, kind,
-                                                      where):
+                                                      index, children):
     text, what = BAD_LINES[kind]
-    index = {0: 2, 1: 6, 2: 11}[where]
     path, starts = bad_file(tmp_path, {index: text}, newline)
-    assert len(cli._line_ranges(path, 3)) == 3
-    assert range_of(path, starts[index], 3) == where
+    assert span_of(path, starts[index], 3) > 0
     with monkeypatch.context() as m:
         m.setattr(cli, "_cpu_count", lambda: 1)
         want = run_pipeline(capsys, path)
     set_cpus(monkeypatch, 3)
+    if children:
+        leave_spans_to_children(monkeypatch)
     got = run_pipeline(capsys, path)
     assert len(forks) == 2
     assert got == want
@@ -235,11 +255,14 @@ def test_bad_line_in_any_range_is_the_one_range_error(monkeypatch, capsys, tmp_p
         assert message.startswith(f"error: {path}:{index + 1}: {what}")
 
 
+@pytest.mark.parametrize("children", [False, True])
 @pytest.mark.parametrize("cpus, first", [(2, 2), (3, 2), (3, 6)])
-def test_two_bad_ranges_report_the_earlier(monkeypatch, capsys, tmp_path, forks, cpus, first):
+def test_two_bad_ranges_report_the_earlier(monkeypatch, capsys, tmp_path, forks, cpus, first, children):
     path, starts = bad_file(tmp_path, {first: "[1, 2]", 11: '{"anchors": []}'})
-    assert range_of(path, starts[first], cpus) < range_of(path, starts[11], cpus)
+    assert span_of(path, starts[first], cpus) < span_of(path, starts[11], cpus)
     set_cpus(monkeypatch, cpus)
+    if children:
+        leave_spans_to_children(monkeypatch)
     assert run_pipeline(capsys, path) == (2, f"error: {path}:{first + 1}: record is not a JSON object")
     assert len(forks) == cpus - 1
 
@@ -303,14 +326,129 @@ def test_splits_fall_on_the_line_boundary_nearest_each_share(tmp_path, monkeypat
     assert cli._line_ranges(path, 5) == [(0, 9), (9, second), (second, None)]
 
 
-@pytest.mark.parametrize("where", [1, 2])
-def test_header_after_the_first_line_is_a_record_in_every_range(monkeypatch, capsys, tmp_path, forks, where):
+@pytest.mark.parametrize("children", [False, True])
+@pytest.mark.parametrize("where", [1, 5])
+def test_header_after_the_first_line_is_a_record_in_every_range(monkeypatch, capsys, tmp_path, forks, where,
+                                                                children):
     path, starts = bad_file(tmp_path, {})
-    first_lines = [starts.index(start) for start, _ in cli._line_ranges(path, 3)]
+    first_lines = [starts.index(start) for start, _ in spans_of(path, 3)]
     index = first_lines[where]
     lines = path.read_text().splitlines()
-    lines[index] = '{"v": 1}'.ljust(len(lines[index]))  # same length, so the same ranges
+    lines[index] = '{"v": 1}'.ljust(len(lines[index]))  # same length, so the same spans
     write_lines(path, lines)
-    assert [starts.index(start) for start, _ in cli._line_ranges(path, 3)] == first_lines
+    assert [starts.index(start) for start, _ in spans_of(path, 3)] == first_lines
     set_cpus(monkeypatch, 3)
+    if children:
+        leave_spans_to_children(monkeypatch)
     assert run_pipeline(capsys, path) == (2, "error: record has no 'image_id' field")
+
+
+def nearest_splits(data: bytes, n: int) -> list:
+    """_line_ranges with _MIN_RANGE_BYTES at 1, searched in the whole file at once."""
+    n = min(n, len(data))
+    cuts = [0]
+    for k in range(1, n):
+        target = k * len(data) // n
+        before = data.rfind(b"\n", 0, target) + 1
+        after = data.find(b"\n", target) + 1 or len(data)
+        cut = before if target - before <= after - target else after
+        if cuts[-1] < cut < len(data):
+            cuts.append(cut)
+    return list(zip(cuts, cuts[1:] + [None]))
+
+
+@pytest.mark.parametrize("scan", [1, 2, 5, 64])
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "none"])
+def test_splits_read_in_small_pieces_match_a_whole_file_search(monkeypatch, tmp_path, scan, ending):
+    monkeypatch.setattr(cli, "_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(cli, "_SCAN_BYTES", scan)
+    lines = ["x" * (k * 7 % 23) for k in range(30)] + ["y" * 200, "z"]
+    newline = "\r\n" if ending == "\r\n" else "\n"
+    data = newline.join(lines).encode() + (b"" if ending == "none" else newline.encode())
+    path = tmp_path / "x.jsonl"
+    path.write_bytes(data)
+    for n in (2, 3, 5, 16, 64, 1000):
+        assert cli._line_ranges(path, n) == nearest_splits(data, n)
+
+
+def log_taken_spans(monkeypatch, log):
+    """Every process appends the start of each span it decodes to ``log``; returns a reader of those starts."""
+    real = cli._anchor_range
+
+    def logged(path, top_fraction, start, end):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{start}\n".encode())
+        finally:
+            os.close(fd)
+        return real(path, top_fraction, start, end)
+
+    monkeypatch.setattr(cli, "_anchor_range", logged)
+    return lambda: [int(line) for line in log.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_every_span_is_decoded_once(monkeypatch, tmp_path, forks, cpus):
+    path = write_lines(tmp_path / "anchors.jsonl", lines_of(mixed_records()))
+    taken_spans = log_taken_spans(monkeypatch, tmp_path / "taken.log")
+    set_cpus(monkeypatch, cpus)
+    cli._load_anchor_map(path, 0.5)
+    taken = taken_spans()
+    assert sorted(taken) == [start for start, _ in spans_of(path, cpus)]
+    assert len(taken) > cpus
+    assert len(forks) == cpus - 1
+
+
+@pytest.mark.parametrize("cpus, asked", [(1, 1), (2, 16), (3, 24), (40, 256)])
+def test_spans_asked_per_cpu(monkeypatch, tmp_path, forks, cpus, asked):
+    path = write_lines(tmp_path / "anchors.jsonl", lines_of(mixed_records()))
+    want = one_range_read(monkeypatch, path, 0.5)
+    asks = []
+
+    def one_span(path, n):
+        asks.append(n)
+        return [(0, None)]
+
+    monkeypatch.setattr(cli, "_line_ranges", one_span)
+    set_cpus(monkeypatch, cpus)
+    assert_same_map(cli._load_anchor_map(path, 0.5), want)
+    assert asks == [asked]
+    assert len(forks) == 0  # no more processes than spans
+
+
+def test_span_queue_hands_out_each_index_once_in_order():
+    queue = cli._span_queue(256)
+    try:
+        got = []
+        while taken := os.read(queue, 1):
+            got.append(taken[0])
+    finally:
+        os.close(queue)
+    assert got == list(range(256))
+
+
+def test_a_process_takes_no_span_after_a_failed_one(monkeypatch, capsys, tmp_path, forks):
+    path, starts = bad_file(tmp_path, {2: "[1, 2]"})
+    taken_spans = log_taken_spans(monkeypatch, tmp_path / "taken.log")
+    set_cpus(monkeypatch, 2)
+    leave_spans_to_children(monkeypatch)  # one child takes the spans one after another
+    assert run_pipeline(capsys, path) == (2, f"error: {path}:3: record is not a JSON object")
+    spans = spans_of(path, 2)
+    failed = spans[span_of(path, starts[2], 2)][0]
+    assert taken_spans() == [start for start, _ in spans if start <= failed]
+    assert len(spans) > len(taken_spans())
+
+
+def test_a_failed_span_empties_the_queue(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_MIN_RANGE_BYTES", 1)
+    path, starts = bad_file(tmp_path, {2: "[1, 2]"})
+    spans = spans_of(path, 2)
+    failed = span_of(path, starts[2], 2)
+    queue = cli._span_queue(len(spans))
+    try:
+        parts = cli._decode_queued(path, 0.5, spans, queue)
+        assert os.read(queue, 256) == b""  # no other process would take a span either
+    finally:
+        os.close(queue)
+    assert sorted(parts) == list(range(failed + 1)) and failed + 1 < len(spans)
+    assert isinstance(parts[failed], jsonl.SchemaError)
