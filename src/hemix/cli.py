@@ -286,7 +286,7 @@ def _line_start_after(fd: int, pos: int, size: int) -> int:
 def _anchor_range(path, top_fraction: float, start: int, end: int | None) -> dict:
     """image_id -> its AnchorSet or the error message of a malformed entry, for bytes [start, end) of ``path``."""
     anchor_map = {}
-    for rec in jsonl.iter_jsonl(path, objects=True, start=start, end=end):
+    for rec in jsonl.iter_jsonl(path, objects=True, start=start, end=end, key="image_id"):
         image_id = rec["image_id"]
         try:
             anchor_map[image_id] = grounding.AnchorSet.from_json(rec["anchors"], top_fraction)

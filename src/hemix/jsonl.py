@@ -56,7 +56,7 @@ def _open_span(path: Path, start: int, end: int | None):
     return io.TextIOWrapper(io.BufferedReader(_Span(fh, None if end is None else end - start)))
 
 
-def iter_jsonl(path, *, objects: bool = False, start: int = 0, end: int | None = None):
+def iter_jsonl(path, *, objects: bool = False, start: int = 0, end: int | None = None, key: str | None = None):
     """Yield the records of ``path`` one line at a time, skipping blank lines.
 
     Only the lines in bytes [start, end) are read (to the end of the file for
@@ -66,9 +66,11 @@ def iter_jsonl(path, *, objects: bool = False, start: int = 0, end: int | None =
     the lines before ``start`` then.
 
     With ``objects`` a record that is not a JSON object raises SchemaError
-    naming its line. The raw line is dropped before its record is yielded and
-    the record before the next line is decoded, so a caller that also drops
-    each record holds one parsed line at a time.
+    naming its line, as does, with ``key``, an object whose ``key`` field is a
+    JSON array or object and so cannot key a dict. The raw line is dropped
+    before its record is yielded and the record before the next line is
+    decoded, so a caller that also drops each record holds one parsed line at
+    a time.
     """
     path = Path(path)
 
@@ -94,6 +96,8 @@ def iter_jsonl(path, *, objects: bool = False, start: int = 0, end: int | None =
                 continue
             if objects and not isinstance(obj, dict):
                 raise SchemaError(f"{where(i)}: record is not a JSON object")
+            if isinstance(obj, dict) and isinstance(obj.get(key), (list, dict)):
+                raise SchemaError(f"{where(i)}: {key} must be a string or a number, got {json.dumps(obj[key])}")
             yield obj
             del obj
 

@@ -309,10 +309,10 @@ def log_map(p: CurvedPoint, q: CurvedPoint) -> TangentVector:
 # ---------------------------------------------------------------------------
 # Property suite (shared by the geom-check CLI and the acceptance tests)
 #
-# Each check draws its cases one at a time from its seeded generator, making
-# the same calls in the same order as a per-case loop would, into arrays
-# with one row per case. Then it checks all cases of one dimension with one
-# call per row function.
+# Each case makes one rng.integers call for its dimension and one rng.random
+# block for its uniforms, which _uniform maps as rng.uniform would: the same
+# stream and values as a per-case loop of rng.uniform calls. Each check then
+# maps and checks all cases of one dimension with one call per row function.
 # ---------------------------------------------------------------------------
 
 # A drawn tangent direction whose projection is shorter than this is
@@ -331,10 +331,9 @@ class PropertyResult:
     failures: list = field(default_factory=list)
 
 
-def _draw_point(rng: np.random.Generator, z: np.ndarray, radius: float = 3.0) -> float:
-    """Draw a random point's direction into z and return its length, drawn from [0, radius)."""
-    z[:] = rng.uniform(-1.0, 1.0, size=len(z))
-    return rng.uniform(0.0, radius)
+def _uniform(r: np.ndarray, low: float, high: float) -> np.ndarray:
+    """The rng.uniform(low, high) draws that the rng.random draws r stand for, bit for bit."""
+    return low + (high - low) * r
 
 
 def _points(z: np.ndarray, length: np.ndarray, kappa) -> np.ndarray:
@@ -359,18 +358,17 @@ def _failure(name: str, bad: np.ndarray, dims: np.ndarray, kappa: np.ndarray, wh
 def check_hyperboloid_closure(seed: int = 42, cases: int = 1000) -> PropertyResult:
     """lift(z, kappa) lands on the hyperboloid for ||z|| <= 10, kappa in [0.25, 4]."""
     rng = np.random.default_rng(seed)
-    n = max(cases, 0)
-    dims, kappa = np.zeros(n, dtype=int), np.zeros(n)
-    z, length = np.zeros((n, _MAX_DIM)), np.zeros(n)
-    for i in range(n):
-        dim = dims[i] = rng.integers(1, _MAX_DIM + 1)
-        z[i, :dim] = rng.uniform(-1, 1, size=dim)
-        if z[i].any():  # the length is drawn only for a nonzero direction
-            length[i] = rng.uniform(0, 10.0)
-        kappa[i] = rng.uniform(0.25, 4.0)
-    resid, tol = np.zeros(n), np.ones(n)
+    dims, tails, blocks = [], [], [[] for _ in range(_MAX_DIM + 1)]
+    for _ in range(max(cases, 0)):
+        dims.append(dim := int(rng.integers(1, _MAX_DIM + 1)))
+        blocks[dim].append(r := rng.random(dim))
+        # Length and kappa; the length is drawn only for a nonzero direction -1 + 2r.
+        tails.append(rng.random(2) if r.tolist() != [0.5] * dim else np.array([0.0, rng.random()]))
+    dims, tails = np.array(dims, dtype=int), np.array(tails).reshape(-1, 2)
+    length, kappa = _uniform(tails[:, 0], 0.0, 10.0), _uniform(tails[:, 1], 0.25, 4.0)
+    resid, tol = np.zeros(len(dims)), np.ones(len(dims))
     for dim, idx in _groups(dims):
-        x = _points(z[idx, :dim], length[idx], kappa[idx])
+        x = _points(_uniform(np.array(blocks[dim]), -1.0, 1.0), length[idx], kappa[idx])
         tol[idx] = 1e-8 * np.maximum(1.0, np.einsum("ij,ij->i", x[:, 1:], x[:, 1:]))
         resid[idx] = np.where(x[:, 0] > 0, np.abs(inner_rows(x, x) + 1.0 / kappa[idx]), np.inf)
     bad = ~(resid <= tol)
@@ -383,24 +381,24 @@ def check_hyperboloid_closure(seed: int = 42, cases: int = 1000) -> PropertyResu
 def check_exp_log_inverse(seed: int = 43, cases: int = 1000) -> PropertyResult:
     """||log(p, exp(p, v)) - v|| <= 1e-6 * (1 + ||v||) for ||v|| <= 5."""
     n = max(cases, 0)
-    dims, kappa = np.zeros(n, dtype=int), np.zeros(n)
-    z, length = np.zeros((n, _MAX_DIM)), np.zeros(n)
-    norm, direction = np.zeros(n), np.zeros((n, _MAX_DIM + 1))
+    kappa, norm = np.zeros(n), np.zeros(n)
     redraws = Counter()  # case index -> tangent directions it drew again
     while True:
         rng = np.random.default_rng(seed)
+        dims, blocks, directions = [], [[] for _ in range(_MAX_DIM + 1)], [[] for _ in range(_MAX_DIM + 1)]
         for i in range(n):
-            dim = dims[i] = rng.integers(1, _MAX_DIM + 1)
-            kappa[i] = rng.uniform(0.25, 4.0)
-            length[i] = _draw_point(rng, z[i, :dim])
-            norm[i] = rng.uniform(0.0, 5.0)
+            dims.append(dim := int(rng.integers(1, _MAX_DIM + 1)))
+            blocks[dim].append(rng.random(dim + 3))  # kappa, point direction, point length, norm
             for _ in range(1 + redraws[i]):
-                direction[i, :dim + 1] = rng.standard_normal(dim + 1)
-        short, rel = np.zeros(n, dtype=bool), np.zeros(n)
+                direction = rng.standard_normal(dim + 1)
+            directions[dim].append(direction)
+        dims, short, rel = np.array(dims, dtype=int), np.zeros(n, dtype=bool), np.zeros(n)
         for dim, idx in _groups(dims):
-            k = kappa[idx]
-            p = _points(z[idx, :dim], length[idx], k)
-            v = tangent_project_rows(p, direction[idx, :dim + 1], k)
+            u = np.array(blocks[dim])
+            k = kappa[idx] = _uniform(u[:, 0], 0.25, 4.0)
+            norm[idx] = _uniform(u[:, dim + 2], 0.0, 5.0)
+            p = _points(_uniform(u[:, 1:dim + 1], -1.0, 1.0), _uniform(u[:, dim + 1], 0.0, 3.0), k)
+            v = tangent_project_rows(p, np.array(directions[dim]), k)
             nv = _tangent_norm(v)
             short[idx] = nv < _SHORT_TANGENT
             v = v * (norm[idx] / nv)[:, None]
@@ -425,13 +423,17 @@ def _point_triples(seed: int, cases: int):
     kappa [n], directions [3, n, _MAX_DIM] and lengths [3, n]."""
     rng = np.random.default_rng(seed)
     n = max(cases, 0)
-    dims, kappa = np.zeros(n, dtype=int), np.zeros(n)
-    z, length = np.zeros((3, n, _MAX_DIM)), np.zeros((3, n))
-    for i in range(n):
-        dim = dims[i] = rng.integers(1, _MAX_DIM + 1)
-        kappa[i] = rng.uniform(0.25, 4.0)
-        for j in range(3):
-            length[j, i] = _draw_point(rng, z[j, i, :dim])
+    dims, blocks = [], [[] for _ in range(_MAX_DIM + 1)]
+    for _ in range(n):
+        dims.append(dim := int(rng.integers(1, _MAX_DIM + 1)))
+        blocks[dim].append(rng.random(3 * dim + 4))  # kappa, then direction and length of each point
+    dims, kappa, z, length = np.array(dims, dtype=int), np.zeros(n), np.zeros((3, n, _MAX_DIM)), np.zeros((3, n))
+    for dim, idx in _groups(dims):
+        u = np.array(blocks[dim])
+        kappa[idx] = _uniform(u[:, 0], 0.25, 4.0)
+        points = u[:, 1:].reshape(len(idx), 3, dim + 1).transpose(1, 0, 2)
+        z[:, idx, :dim] = _uniform(points[..., :dim], -1.0, 1.0)
+        length[:, idx] = _uniform(points[..., dim], 0.0, 3.0)
     return dims, kappa, z, length
 
 

@@ -84,17 +84,22 @@ def monte_carlo_mse(
     """Empirical (mean square, standard error) of the mixed error.
 
     Draws n correlated Gaussian error pairs with the model's variances and
-    correlation and averages the squared mixed error.
+    correlation and averages the squared mixed error, formed in place in the
+    two draws by the allocating expression's operations in its order.
     """
     if n < 10_000:
         raise ValueError(f"need at least 1e4 draws for a usable estimate, got {n}")
     rng = np.random.default_rng(seed)
     g1 = rng.standard_normal(n)
     g2 = rng.standard_normal(n)
-    eps_e = m.sigma_e * g1
-    eps_h = m.sigma_h * (m.rho * g1 + math.sqrt(max(0.0, 1.0 - m.rho**2)) * g2)
-    err = (1.0 - alpha) * (m.b_e + eps_e) + alpha * (m.b_h + eps_h)
-    sq = err * err
+    g2 *= math.sqrt(max(0.0, 1.0 - m.rho**2))
+    g2 += m.rho * g1  # eps_h / sigma_h
+    for g, sigma, bias, weight in ((g1, m.sigma_e, m.b_e, 1.0 - alpha), (g2, m.sigma_h, m.b_h, alpha)):
+        g *= sigma
+        g += bias
+        g *= weight
+    g1 += g2  # err
+    sq = np.multiply(g1, g1, out=g1)
     estimate = float(np.mean(sq))
     if m.sigma_e == 0.0 and m.sigma_h == 0.0:
         return estimate, 0.0

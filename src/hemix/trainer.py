@@ -25,7 +25,7 @@ from .similarity import ProjectionBundle, score_matrix
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss leaves the finite range mid-run."""
+    """Raised when the loss, or what the final parameters project, leaves the finite range."""
 
 
 # Children sit at a fixed angular spread around their parent descriptor; unit
@@ -129,7 +129,11 @@ def generate_dataset(
             pool = [c for c in children if c != child]
         if negatives_per_image > 0:
             picks = rng.choice(len(pool), size=negatives_per_image, replace=negatives_per_image > len(pool))
-            anchors.extend(noisy(desc[pool[int(k)]]) for k in picks)
+            # One draw for all negatives, scaled and shifted in place: noisy()'s values, without its temporaries.
+            noise = rng.standard_normal((negatives_per_image, d))
+            noise *= h.noise_scale
+            noise += [desc[pool[int(k)]] for k in picks]
+            anchors.extend(noise)
         return ImageRecord(anchors=anchors, text=text)
 
     # Records are drawn one batch at a time, so their own arrays, which the
@@ -243,6 +247,10 @@ def train(data: list, cfg: TrainConfig) -> tuple[ProjectionBundle, list]:
             raise TrainingDiverged(f"loss became non-finite at step {step}") from exc
         trace.append(report.loss)
         opt.step(params, report.grads)
+    try:  # the last update can overflow the projections with finite weights
+        score_matrix(batch.anchors, batch.texts, bundle)
+    except ValueError as exc:
+        raise TrainingDiverged(f"training diverged at step {cfg.steps - 1}: {exc}") from exc
     return bundle, trace
 
 

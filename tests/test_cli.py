@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -57,6 +58,28 @@ def test_analyze_alpha(capsys):
     assert report["coeffs"] == {"a": 4.8, "b": -0.9, "c": 1.25}
     assert len(report["mse_curve"]) == 11
     assert report["monte_carlo"]["within_3_stderr"] is True
+
+
+# SHA-256 of the standard output of the property suite and of the mixing
+# analysis at the benchmark's arguments, as the per-call draws and the
+# allocating Monte-Carlo oracle printed them. A change to the drawn cases or
+# to the oracle's arithmetic shows here.
+_SUITE_PINS = {
+    ("geom-check", "--cases", "2000", "--seed", "1"):
+        "24cb8f7525e2056c1b38c341aaf1b2ce14bf9f55086fb29398e40d5af6f19dbe",
+    ("geom-check", "--cases", "100", "--seed", "42"):
+        "09e14f045eedba8c58eb9659fc44a63e6a19dd26319d99469ca993ea677caef7",
+    ("analyze-alpha", "--b-e", "0.5", "--b-h", "-0.5", "--sigma-e", "1", "--sigma-h", "2", "--rho", "0.3",
+     "--mc-n", "1000000", "--seed", "1"):
+        "dbf0d9d9754eba328cf190e0980084972b0c2c352f304e8d231a075d572ebafd",
+}
+
+
+@pytest.mark.parametrize("argv", list(_SUITE_PINS), ids=lambda argv: " ".join(argv[:3]))
+def test_suite_outputs_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SUITE_PINS[argv]
 
 
 def test_analyze_alpha_degenerate(capsys):

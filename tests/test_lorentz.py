@@ -329,3 +329,119 @@ class TestPropertySuiteCases:
         final_pass = checked[-len(want):]
         for dim, got in zip(sorted(want), final_pass):
             np.testing.assert_allclose(got, np.stack(want[dim]), rtol=1e-12, atol=1e-12)
+
+
+# The property suite draws each case as one rng.integers call and one
+# rng.random block. These per-case loops make the rng.uniform calls the
+# suite's cases are defined by; the drawn arrays must match them exactly.
+
+STREAM_SEEDS = [0, 1, 42, 43, 44, 45, 2024]
+
+
+def closure_cases(rng, cases):
+    """(dim, direction, length, kappa) of each check_hyperboloid_closure case."""
+    out = []
+    for _ in range(cases):
+        dim = int(rng.integers(1, 6))
+        z = rng.uniform(-1.0, 1.0, size=dim)
+        length = rng.uniform(0.0, 10.0) if z.any() else 0.0
+        out.append((dim, z, length, rng.uniform(0.25, 4.0)))
+    return out
+
+
+def exp_log_cases(rng, cases):
+    """(dim, direction, length, kappa, norm, tangent direction) of each check_exp_log_inverse case."""
+    out = []
+    for _ in range(cases):
+        dim, kappa = int(rng.integers(1, 6)), rng.uniform(0.25, 4.0)
+        z, length = rng.uniform(-1.0, 1.0, size=dim), rng.uniform(0.0, 3.0)
+        norm = rng.uniform(0.0, 5.0)
+        out.append((dim, z, length, kappa, norm, rng.standard_normal(dim + 1)))
+    return out
+
+
+def by_dimension(cases):
+    """Per dimension drawn, in increasing order, the fields of its cases stacked in case order."""
+    return [[np.array(field) for field in zip(*(c[1:] for c in cases if c[0] == dim))]
+            for dim in sorted({c[0] for c in cases})]
+
+
+def assert_same(got, want):
+    np.testing.assert_array_equal(got, want, strict=True)
+
+
+class Rigged:
+    """The Generator ``rng``, except that its ``at``-th call of ``method`` returns ``value`` in place of its draws."""
+
+    def __init__(self, rng, method, at, value):
+        self.rng, self.method, self.at, self.value, self.calls = rng, method, at, value, 0
+
+    def __getattr__(self, name):
+        real = getattr(self.rng, name)
+        if name != self.method:
+            return real
+
+        def call(*args, **kwargs):
+            out = real(*args, **kwargs)
+            self.calls += 1
+            return np.full_like(out, self.value) if self.calls == self.at else out
+        return call
+
+
+def record_calls(monkeypatch, name):
+    """The arguments of every call of the property suite's ``name``, recorded as it runs."""
+    calls, real = [], getattr(L, name)
+    monkeypatch.setattr(L, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+class TestPropertySuiteStream:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_point_triples(self, seed):
+        dims, kappa, z, length = L._point_triples(seed, 300)
+        rng = np.random.default_rng(seed)
+        for i in range(300):
+            dim = int(rng.integers(1, 6))
+            assert dims[i] == dim
+            assert kappa[i] == rng.uniform(0.25, 4.0)
+            for j in range(3):
+                assert_same(z[j, i], np.concatenate((rng.uniform(-1.0, 1.0, size=dim), np.zeros(5 - dim))))
+                assert length[j, i] == rng.uniform(0.0, 3.0)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_hyperboloid_closure(self, monkeypatch, seed):
+        points = record_calls(monkeypatch, "_points")
+        assert L.check_hyperboloid_closure(seed, 300).passed
+        want = by_dimension(closure_cases(np.random.default_rng(seed), 300))
+        assert len(points) == len(want)
+        for got, fields in zip(points, want):
+            for g, w in zip(got, fields):
+                assert_same(g, w)
+
+    def test_hyperboloid_closure_zero_direction_draws_no_length(self, monkeypatch):
+        # Case 0's direction is all zero: it draws its kappa and no length.
+        real = np.random.default_rng
+        cases = closure_cases(Rigged(real(3), "uniform", 1, 0.0), 40)
+        assert not cases[0][1].any() and cases[0][2] == 0.0
+        want = by_dimension(cases)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Rigged(real(seed), "random", 1, 0.5))
+        points = record_calls(monkeypatch, "_points")
+        assert L.check_hyperboloid_closure(3, 40).passed
+        assert len(points) == len(want)
+        for got, fields in zip(points, want):
+            for g, w in zip(got, fields):
+                assert_same(g, w)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_exp_log_inverse(self, monkeypatch, seed):
+        points = record_calls(monkeypatch, "_points")
+        projected = record_calls(monkeypatch, "tangent_project_rows")
+        moved = record_calls(monkeypatch, "exp_map_rows")
+        assert L.check_exp_log_inverse(seed, 300).passed
+        want = by_dimension(exp_log_cases(np.random.default_rng(seed), 300))
+        assert len(points) == len(projected) == len(moved) == len(want)  # one pass: no direction redrawn
+        for (z, length, kappa), (_, direction, _), (_, v, _), w in zip(points, projected, moved, want):
+            for g, f in zip((z, length, kappa, direction), (w[0], w[1], w[2], w[4])):
+                assert_same(g, f)
+            u = L.tangent_project_rows(L._points(z, length, kappa), direction, kappa)
+            assert_same(v, u * (w[3] / L._tangent_norm(u))[:, None])

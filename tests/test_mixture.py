@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,26 @@ class TestMonteCarlo:
     def test_minimum_draw_count(self):
         with pytest.raises(ValueError):
             monte_carlo_mse(0.5, SYMMETRIC, n=100)
+
+    @pytest.mark.parametrize("m, alpha", [
+        (ASYMMETRIC, 0.1875),
+        (MixtureErrorModel(0.3, -1.2, 0.7, 1.9, 1.0), 0.4),
+        (MixtureErrorModel(-0.4, 0.9, 1.3, 0.6, -1.0), 0.75),
+        (MixtureErrorModel(0.5, -0.5, 0.0, 0.0, 0.0), 0.3),
+        (MixtureErrorModel(0.5, -0.5, 0.0, 0.0, 1.0), -0.2),
+        (MixtureErrorModel(1.1, 0.2, 0.8, 0.0, -0.6), 1.5),
+    ])
+    def test_in_place_oracle_equals_the_allocating_expression(self, m, alpha):
+        n, seed = 20_000, 7
+        rng = np.random.default_rng(seed)
+        g1 = rng.standard_normal(n)
+        g2 = rng.standard_normal(n)
+        eps_e = m.sigma_e * g1
+        eps_h = m.sigma_h * (m.rho * g1 + math.sqrt(max(0.0, 1.0 - m.rho**2)) * g2)
+        err = (1.0 - alpha) * (m.b_e + eps_e) + alpha * (m.b_h + eps_h)
+        sq = err * err
+        want_stderr = 0.0 if m.sigma_e == m.sigma_h == 0.0 else float(np.std(sq, ddof=1) / math.sqrt(n))
+        assert monte_carlo_mse(alpha, m, n=n, seed=seed) == (float(np.mean(sq)), want_stderr)
 
 
 @pytest.mark.parametrize("bad", [

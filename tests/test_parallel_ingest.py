@@ -201,6 +201,7 @@ BAD_LINES = {
     "invalid_json": ('{"image_id": "x", "anchors": [', "invalid JSON: "),
     "non_object": ("[1, 2]", "record is not a JSON object"),
     "missing_image_id": ('{"anchors": []}', None),
+    "unkeyable_image_id": ('{"image_id": ["x"], "anchors": []}', 'image_id must be a string or a number, got ["x"]'),
 }
 
 

@@ -289,3 +289,14 @@ def test_train_toy_reports_divergence_as_one_error_line(tmp_path, capsys):
     assert err[-1] == "error: loss became non-finite at step 1"
     assert len(err) == 2  # the config echo and the error, no traceback
     assert list(tmp_path.iterdir()) == []
+
+
+def test_train_toy_writes_nothing_when_the_last_step_diverges(tmp_path, capsys):
+    # The one step's loss is finite, but its update overflows the projections.
+    code = cli.main(["train-toy", "--steps", "1", "--lr", "1e300", "--samples", "16",
+                     "--out", str(tmp_path / "w.json")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "error: training diverged at step 0: visual features projected to non-finite coordinates"
+    assert len(err) == 2  # the config echo and the error, no warning or traceback
+    assert list(tmp_path.iterdir()) == []
