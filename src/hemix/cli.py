@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import contrastive, decouple, grounding, jsonl, lorentz, metrics, mixture, similarity, trainer
+from . import contrastive, decouple, grounding, ingest, jsonl, lorentz, metrics, mixture, similarity, trainer
 
 
 def _echo_config(args: argparse.Namespace) -> None:
@@ -201,216 +201,6 @@ def cmd_decouple(args) -> int:
 # ground / eval / pipeline
 # ---------------------------------------------------------------------------
 
-def _message(exc: Exception) -> str:
-    """The failure text for ``exc``; a KeyError names the missing field."""
-    if isinstance(exc, KeyError):
-        return f"record has no {exc.args[0]!r} field"
-    return str(exc)
-
-
-# The anchors file is decoded in spans of at least this many bytes. Splitting
-# a 1 MiB file in two saved nothing on two CPUs: the fork and the pickled
-# reply took about what the second CPU saved.
-_MIN_RANGE_BYTES = 1 << 20
-# Spans per CPU. Every process takes the next span from one queue, so a CPU
-# that runs slow for a while decodes fewer spans instead of holding up the
-# load, as the slower of two fixed halves does.
-_SPANS_PER_CPU = 8
-# Bytes read at a time while looking for a line boundary. Reads of 64 KiB
-# raised the ground-d512 pipeline's peak RSS by 0.3 MB; 4 KiB reads did not.
-_SCAN_BYTES = 1 << 12
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on; 1 where it cannot fork or ask."""
-    import os
-
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _line_ranges(path, n: int) -> list:
-    """At most ``n`` (start, end) byte ranges of whole lines that tile ``path``, the last ending at None.
-
-    There are at most ``size // _MIN_RANGE_BYTES`` ranges, and one for a file
-    under that size. Each split is the line boundary nearest ``k * size / n``,
-    so a long line that straddles a share's edge goes to whichever side the
-    boundary is closer to; a split that would leave a range empty is dropped.
-    The file is searched with small reads, not mapped: every mapped page a
-    search touched counted towards this process's peak RSS.
-    """
-    import os
-
-    n = min(n, os.stat(path).st_size // _MIN_RANGE_BYTES) if n > 1 else 1
-    cuts = [0]
-    if n > 1:
-        with open(path, "rb", buffering=0) as fh:
-            fd, size = fh.fileno(), os.fstat(fh.fileno()).st_size
-            before = after = 0  # the line [before, after) holding the last target
-            for k in range(1, n):
-                target = k * size // n
-                if not before <= target < after:
-                    before, after = _line_start_before(fd, target), _line_start_after(fd, target, size)
-                cut = before if target - before <= after - target else after
-                if cuts[-1] < cut < size:
-                    cuts.append(cut)
-    return list(zip(cuts, cuts[1:] + [None]))
-
-
-def _line_start_before(fd: int, pos: int) -> int:
-    """Start of the line holding byte ``pos`` of the file ``fd``: just past the last newline before ``pos``."""
-    import os
-
-    while pos > 0:
-        low = max(0, pos - _SCAN_BYTES)
-        i = os.pread(fd, pos - low, low).rfind(b"\n")
-        if i >= 0:
-            return low + i + 1
-        pos = low
-    return 0
-
-
-def _line_start_after(fd: int, pos: int, size: int) -> int:
-    """Start of the line after the one holding byte ``pos`` of the file ``fd``, or ``size`` if there is none."""
-    import os
-
-    while chunk := os.pread(fd, _SCAN_BYTES, pos):
-        i = chunk.find(b"\n")
-        if i >= 0:
-            return pos + i + 1
-        pos += len(chunk)
-    return size
-
-
-def _anchor_range(path, top_fraction: float, start: int, end: int | None) -> dict:
-    """image_id -> its AnchorSet or the error message of a malformed entry, for bytes [start, end) of ``path``."""
-    anchor_map = {}
-    for rec in jsonl.iter_jsonl(path, objects=True, start=start, end=end, key="image_id"):
-        image_id = rec["image_id"]
-        try:
-            anchor_map[image_id] = grounding.AnchorSet.from_json(rec["anchors"], top_fraction)
-        except (ValueError, KeyError, TypeError) as exc:
-            anchor_map[image_id] = f"anchors of image {image_id!r}: {_message(exc)}"
-        del rec
-    return anchor_map
-
-
-def _span_queue(count: int) -> int:
-    """Read end of a pipe that holds the span indices 0 .. count-1, one byte each, then ends."""
-    import os
-
-    r, w = os.pipe()
-    try:
-        os.write(w, bytes(range(count)))
-    except BaseException:
-        os.close(r)
-        raise
-    finally:
-        os.close(w)
-    return r
-
-
-def _decode_queued(path, top_fraction: float, spans: list, queue: int) -> dict:
-    """span index -> its _anchor_range map, or the exception it raised, for each span taken from ``queue``.
-
-    Every process reads the one queue, so spans are taken in file order. A
-    failing span empties the queue: no later span is needed, every process
-    stops after the span it holds, and a span nobody took comes after a
-    failed one.
-    """
-    import os
-
-    parts = {}
-    while taken := os.read(queue, 1):
-        i = taken[0]
-        try:
-            parts[i] = _anchor_range(path, top_fraction, *spans[i])
-        except Exception as exc:  # raised by the merge, in file order
-            parts[i] = exc
-            os.read(queue, 256)
-    return parts
-
-
-def _fork_decoder(path, top_fraction: float, spans: list, queue: int) -> tuple:
-    """(pid, read end of its pipe) of a child that decodes spans taken from ``queue``.
-
-    The child pickles its _decode_queued result into the pipe once and exits.
-    It runs only JSON decoding and AnchorSet construction (no BLAS call), and
-    never returns into its caller.
-    """
-    import os
-    import pickle
-
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                pickle.dump(_decode_queued(path, top_fraction, spans, queue), pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, open(r, "rb")
-
-
-def _load_anchor_map(path, top_fraction: float) -> dict:
-    """image_id -> its AnchorSet cut to ``top_fraction``, or the error message of a malformed entry.
-
-    The file is split into line-aligned byte spans, _SPANS_PER_CPU per
-    available CPU (see _line_ranges), and decoded by this process and a
-    forked child per further CPU, each taking the next span from a shared
-    queue until none is left. The parts are merged in file order, so the
-    map, its key order and any error are those of one whole-file read. When
-    several spans fail, the first in file order is raised; a child that
-    exits without a reply fails the run. Every process streams its spans:
-    each record is dropped before the next line is decoded, and each image
-    keeps only the rows that grounding at ``top_fraction`` reads.
-    """
-    import os
-    import pickle
-
-    cpus = _cpu_count()
-    spans = _line_ranges(path, 1 if cpus == 1 else min(cpus * _SPANS_PER_CPU, 256))  # one byte names a span
-    queue = _span_queue(len(spans))
-    workers = []
-    try:
-        for _ in range(min(cpus, len(spans)) - 1):
-            workers.append(_fork_decoder(path, top_fraction, spans, queue))
-        parts = _decode_queued(path, top_fraction, spans, queue)
-        for _, pipe in workers:
-            try:
-                parts.update(pickle.load(pipe))
-            except (EOFError, pickle.UnpicklingError):
-                raise ChildProcessError(f"{path}: a process decoding part of this file exited "
-                                        "without a result") from None
-        anchor_map = {}
-        for i in sorted(parts):
-            if isinstance(parts[i], Exception):
-                raise parts[i]
-            anchor_map.update(parts[i])
-    except BaseException:
-        import signal  # only here: the module costs memory on every run
-
-        for pid, _ in workers:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.close(queue)
-        for pid, pipe in workers:
-            pipe.close()
-            os.waitpid(pid, 0)
-    return anchor_map
-
-
 def _ground_records(records: list, phrases_of, anchor_map: dict, bundle, args) -> tuple[list, list]:
     """Ground each record on ``phrases_of(record)``; returns (predictions, failures)."""
     predictions, failures = [], []
@@ -421,7 +211,7 @@ def _ground_records(records: list, phrases_of, anchor_map: dict, bundle, args) -
         sample_id = rec.get("sample_id", "<missing sample_id>")
         try:
             phrases = list(phrases_of(rec))
-            anchors = anchor_map.get(rec["image_id"]) if phrases else None
+            anchors = anchor_map.get(jsonl._record_key(rec, "image_id")) if phrases else None
             if phrases and anchors is None:
                 raise ValueError(f"unknown image_id {rec['image_id']!r}")
             if isinstance(anchors, str):
@@ -437,13 +227,13 @@ def _ground_records(records: list, phrases_of, anchor_map: dict, bundle, args) -
             )
             predictions.append({"sample_id": sample_id, "boxes": [list(b) for b in output.boxes]})
         except (ValueError, KeyError, TypeError, decouple.DecoupleError) as exc:
-            failures.append({"sample_id": sample_id, "error": _message(exc)})
+            failures.append({"sample_id": sample_id, "error": jsonl._message(exc)})
     return predictions, failures
 
 
 def cmd_ground(args) -> int:
     bundle = similarity.load_bundle(args.weights)
-    anchor_map = _load_anchor_map(args.anchors, args.top_frac)
+    anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac)
     predictions, failures = _ground_records(
         jsonl.read_jsonl(args.texts), lambda rec: rec["phrases"], anchor_map, bundle, args
     )
@@ -512,7 +302,7 @@ def _decouple_record(rec: dict, offline: bool, vlm_cfg) -> decouple.DecoupleResu
 def cmd_pipeline(args) -> int:
     metrics._check_threshold(args.iou)  # a bad --iou stops the run before any work or output
     bundle = similarity.load_bundle(args.weights)
-    anchor_map = _load_anchor_map(args.anchors, args.top_frac)
+    anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac)
     gt_records = jsonl.read_jsonl(args.gt, objects=True)
 
     vlm_cfg = None
@@ -644,7 +434,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, jsonl.SchemaError, decouple.DecoupleError, ValueError, KeyError,
             trainer.TrainingDiverged) as exc:
-        print(f"error: {_message(exc)}", file=sys.stderr)
+        print(f"error: {jsonl._message(exc)}", file=sys.stderr)
         return 2
 
 

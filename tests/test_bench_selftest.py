@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -18,3 +19,45 @@ def test_bench_selftest_passes(tmp_path):
     assert out.returncode == 0, out.stdout + out.stderr
     assert out.stdout.split() == ["ok", "check_scorer", "ok", "check_filter", "ok", "check_matcher",
                                   "ok", "check_generator"]
+
+
+# The bench tracer's per-module call counts for the fixture pipeline, taken
+# on the code it was written against. The tracer wraps the program from
+# outside, so a change that moves, renames or re-imports what it wraps loses
+# spans without an error; these counts show it.
+TRACED_CALLS = {
+    "cli.calls": 3, "contrastive.calls": 0, "contrastive.grad_calls": 0, "contrastive.loss_calls": 0,
+    "decouple.calls": 8, "grounding.calls": 8, "jsonl.calls": 5, "lorentz.calls": 14,
+    "lorentz.exp_map_calls": 0, "lorentz.geodesic_distance_calls": 0, "lorentz.lift_calls": 0,
+    "lorentz.log_map_calls": 0, "metrics.calls": 78, "mixture.calls": 0, "similarity.calls": 22,
+    "trainer.calls": 0,
+}
+
+TRACED_RUN = """
+import contextlib, io, json, sys
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+import hemix.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = hemix.cli.main(sys.argv[2:])
+tracer.write_spans(sys.argv[1])
+print(json.dumps({"rc": rc, "calls": {k: v for k, v in tracer.per_layer().items() if k.endswith("calls")}}))
+"""
+
+
+def test_traced_fixture_pipeline_keeps_its_call_counts(tmp_path):
+    data = ROOT / "tests" / "data"
+    paths = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), "PYTHONDONTWRITEBYTECODE": "1"}
+    spans = tmp_path / "spans.jsonl"
+    argv = ["pipeline", "--anchors", str(data / "anchors.jsonl"), "--texts", str(data / "texts.jsonl"),
+            "--weights", str(data / "weights.json"), "--gt", str(data / "gt.jsonl"), "--offline"]
+    out = subprocess.run([sys.executable, "-c", TRACED_RUN, str(spans), *argv], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert json.loads(out.stdout) == {"rc": 0, "calls": TRACED_CALLS}
+    spans = [json.loads(line) for line in spans.read_text().splitlines()]
+    assert [s["sample_id"] for s in spans if s["name"] == "grounding.ground"] == [f"s{i}" for i in range(1, 9)]

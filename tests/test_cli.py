@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hemix import cli, jsonl
+from hemix import cli, ingest, jsonl
 from hemix.similarity import ProjectionBundle, save_bundle
 
 DATA = Path(__file__).parent / "data"
@@ -464,7 +464,7 @@ def test_load_anchor_map_keeps_the_kept_rows(tmp_path):
     anchors = tmp_path / "anchors.jsonl"
     jsonl.write_jsonl(anchors, [{"image_id": k, "anchors": [entry] * n} for k, n in counts.items()])
     for top in (0.05, 0.1, 0.5, 1.0):
-        anchor_map = cli._load_anchor_map(anchors, top)
+        anchor_map = ingest.load_anchor_map(anchors, top)
         assert {k: len(s) for k, s in anchor_map.items()} == counts
         assert {k: s.features.shape for k, s in anchor_map.items()} == {
             k: (max(1, math.ceil(top * n)), 3) for k, n in counts.items()}
@@ -528,7 +528,25 @@ def test_record_without_key_field_is_a_named_run_error(capsys, tmp_path, kind, f
                 "--weights", str(DATA / "weights.json"), "--gt", str(DATA / "gt.jsonl"), "--offline"]
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert err.splitlines()[-1] == f"error: record has no '{field}' field"
+    where = f"{bad}:2: " if kind == "anchors" else ""  # anchors lines are checked as they are read
+    assert err.splitlines()[-1] == f"error: {where}record has no '{field}' field"
+
+
+@pytest.mark.parametrize("image_id", [["x"], {"a": 1}])
+def test_unkeyable_texts_image_id_fails_its_sample(capsys, tmp_path, image_id):
+    text_recs = jsonl.read_jsonl(DATA / "texts.jsonl")
+    text_recs[0]["image_id"] = image_id
+    texts = tmp_path / "texts.jsonl"
+    jsonl.write_jsonl(texts, text_recs)
+    report = tmp_path / "report.json"
+    code, _, _ = run(capsys, "pipeline", "--anchors", str(DATA / "anchors.jsonl"), "--texts", str(texts),
+                     "--weights", str(DATA / "weights.json"), "--gt", str(DATA / "gt.jsonl"), "--offline",
+                     "--report", str(report))
+    assert code == 1
+    payload = json.loads(report.read_text())
+    assert payload["failures"] == [{"sample_id": text_recs[0]["sample_id"],
+                                    "error": f"image_id must be a string or a number, got {json.dumps(image_id)}"}]
+    assert payload["n_samples"] == len(text_recs) - 1
 
 
 def test_ground_rejects_expmap_weights(capsys, tmp_path):

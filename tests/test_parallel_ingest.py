@@ -1,10 +1,13 @@
-"""The anchors file decoded in line-aligned spans by forked workers equals a one-range read.
+"""The anchors file decoded in byte ranges by forked workers equals a one-range read.
 
-The tests force the split by lowering ``cli._MIN_RANGE_BYTES`` to one byte
-and setting the CPU count. Which process decodes which span is settled at
-run time; with ``children`` set, the test process takes no span, so the
-forked children decode all of them and every error is raised in a child.
-After each test no child process and no pipe may be left behind.
+``ingest`` cuts the file into equal byte ranges without looking at its
+content, and ``jsonl.iter_jsonl`` reads the lines that start in each range.
+The reader is checked on its own at every cut of small files. The ingest
+tests force the split by lowering ``ingest._MIN_RANGE_BYTES`` to one byte and
+setting the CPU count. Which process decodes which span is settled at run
+time; with ``children`` set, the test process takes no span, so the forked
+children decode all of them and every error is raised in a child. After each
+test no child process and no pipe may be left behind.
 """
 
 import json
@@ -14,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hemix import cli, jsonl
+from hemix import cli, ingest, jsonl
 
 DATA = Path(__file__).parent / "data"
 
@@ -54,22 +57,22 @@ def forks(monkeypatch):
         return real()
 
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(cli, "_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 1)
     return calls
 
 
 def set_cpus(monkeypatch, n):
-    monkeypatch.setattr(cli, "_cpu_count", lambda: n)
+    monkeypatch.setattr(ingest, "_cpu_count", lambda: n)
 
 
 def leave_spans_to_children(monkeypatch):
     """The calling process takes no span from the queue; its forked children take them all."""
-    parent, real = os.getpid(), cli._decode_queued
-    monkeypatch.setattr(cli, "_decode_queued", lambda *args: {} if os.getpid() == parent else real(*args))
+    parent, real = os.getpid(), ingest._decode_queued
+    monkeypatch.setattr(ingest, "_decode_queued", lambda *args: {} if os.getpid() == parent else real(*args))
 
 
 def spans_of(path, cpus):
-    return cli._line_ranges(path, cpus * cli._SPANS_PER_CPU)
+    return ingest._byte_ranges(path, cpus * ingest._SPANS_PER_CPU)
 
 
 def entry(i, dim=4, confidence=None):
@@ -93,8 +96,8 @@ def lines_of(records, header=True):
 
 def one_range_read(monkeypatch, path, top):
     with monkeypatch.context() as m:
-        m.setattr(cli, "_cpu_count", lambda: 1)
-        return cli._load_anchor_map(path, top)
+        m.setattr(ingest, "_cpu_count", lambda: 1)
+        return ingest.load_anchor_map(path, top)
 
 
 def assert_same_map(got, want):
@@ -134,7 +137,7 @@ def test_parallel_map_equals_one_range_read(monkeypatch, tmp_path, forks, cpus, 
     set_cpus(monkeypatch, cpus)
     if children:
         leave_spans_to_children(monkeypatch)
-    got = cli._load_anchor_map(path, top)
+    got = ingest.load_anchor_map(path, top)
     assert len(forks) == cpus - 1
     assert_same_map(got, want)
     assert isinstance(got["bad_box"], str) and "four coordinates" in got["bad_box"]
@@ -151,8 +154,8 @@ def test_duplicate_image_ids_across_ranges_keep_the_last(monkeypatch, tmp_path, 
     set_cpus(monkeypatch, cpus)
     if children:
         leave_spans_to_children(monkeypatch)
-    assert len(cli._line_ranges(path, cpus)) == cpus
-    got = cli._load_anchor_map(path, 1.0)
+    assert len(ingest._byte_ranges(path, cpus)) == cpus
+    got = ingest.load_anchor_map(path, 1.0)
     assert_same_map(got, want)
     assert list(got) == ["a", "b", "c", "d", "e"]
     assert {k: len(v) for k, v in got.items()} == {"a": 9, "b": 7, "c": 4, "d": 6, "e": 8}
@@ -184,10 +187,69 @@ def test_file_shapes_read_as_one_range(monkeypatch, tmp_path, forks, cpus, shape
     else:
         path.write_bytes(b"")
     set_cpus(monkeypatch, cpus)
-    got = cli._load_anchor_map(path, 0.5)
+    got = ingest.load_anchor_map(path, 0.5)
     assert_same_map(got, one_range_read(monkeypatch, path, 0.5))
     want_keys = {"empty": [], "header_only": [], "whitespace_only": [], "one_record": ["i0"]}
     assert list(got) == want_keys.get(shape, [f"i{k}" for k in range(5)])
+
+
+SHAPES = {
+    "lf": b'{"v": 1}\n{"a": 1}\n[2]\n{"a": "\xc3\xa9"}\n',
+    "crlf": b'{"v": 1}\r\n{"a": 1}\r\n[2]\r\n{"a": 3}\r\n',
+    "no_final_newline": b'{"a": 1}\n{"a": 22}\n{"a": 333}',
+    "blank_lines": b'\n{"v": 1}\n\n  \n{"a": 1}\n\t\n\n{"a": 2}\n\n',
+    "header_after_line_1": b'{"a": 1}\n{"v": 1}\n{"a": 2}\n{"v": 1}\n',
+    "lone_cr": b'{"v": 1}\r{"a": 1}\r\n{"a": 2}\r{"a": 3}\n{"a": 4}\n',
+    "invalid_json": b'{"v": 1}\n{"a": 1}\n{"a": \n{"a": 3}\n',
+    "missing_key": b'{"v": 1}\r\n{"image_id": 1}\r\n\r\n{"a": 2}\r\n{"image_id": 3}\r\n',
+}
+
+
+def read_cut(path, cuts, **kw):
+    """The records of the consecutive ranges between ``cuts`` (in order) and the first error's text, if any."""
+    bounds = [0, *cuts, None]
+    records = []
+    try:
+        for start, end in zip(bounds, bounds[1:]):
+            records.extend(jsonl.iter_jsonl(path, start=start, end=end, **kw))
+    except jsonl.SchemaError as exc:
+        return records, str(exc)
+    return records, None
+
+
+@pytest.mark.parametrize("kw", [{}, {"objects": True, "key": "image_id"}], ids=["any", "keyed"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_ranges_cut_at_any_offsets_read_each_line_once(tmp_path, shape, kw):
+    path = tmp_path / "x.jsonl"
+    path.write_bytes(SHAPES[shape])
+    want = read_cut(path, [], **kw)  # one whole-file read
+    size = path.stat().st_size
+    for a in range(size + 2):
+        assert read_cut(path, [a], **kw) == want, a
+        for b in range(a, size + 2):
+            assert read_cut(path, [a, b], **kw) == want, (a, b)
+
+
+def test_range_inside_a_long_line_reads_no_byte_past_its_end(monkeypatch, tmp_path):
+    path = write_lines(tmp_path / "x.jsonl", ['{"v": 1}', "[" + "1," * 5000 + "1]", "[2]"])
+    second = len(b'{"v": 1}\n')
+    third = second + 10004
+    reads, real = [], os.pread
+
+    def pread(fd, n, offset):
+        data = real(fd, n, offset)
+        reads.append((offset, len(data)))
+        return data
+
+    monkeypatch.setattr(os, "pread", pread)
+    for start, end in [(second + 1, second + 2), (second + 1000, second + 5000), (third - 1, third)]:
+        reads.clear()
+        assert list(jsonl.iter_jsonl(path, start=start, end=end)) == []
+        assert reads and all(start - 1 <= offset and offset + n <= end for offset, n in reads)
+        assert sum(n for _, n in reads) <= end - start + 1
+    reads.clear()  # a range holding a line start scans to it, and from its end to the next line start
+    assert list(jsonl.iter_jsonl(path, start=second + 1, end=third + 1)) == [[2]]
+    assert sum(n for _, n in reads) == (third - second) + len(b"[2]\n")
 
 
 def run_pipeline(capsys, anchors):
@@ -200,7 +262,7 @@ def run_pipeline(capsys, anchors):
 BAD_LINES = {
     "invalid_json": ('{"image_id": "x", "anchors": [', "invalid JSON: "),
     "non_object": ("[1, 2]", "record is not a JSON object"),
-    "missing_image_id": ('{"anchors": []}', None),
+    "missing_image_id": ('{"anchors": []}', "record has no 'image_id' field"),
     "unkeyable_image_id": ('{"image_id": ["x"], "anchors": []}', 'image_id must be a string or a number, got ["x"]'),
 }
 
@@ -224,6 +286,7 @@ def bad_file(tmp_path, bad, newline="\n"):
 
 
 def span_of(path, offset, cpus):
+    """Index of the span that reads the line starting at byte ``offset``: the span it starts in."""
     for k, (start, end) in enumerate(spans_of(path, cpus)):
         if start <= offset and (end is None or offset < end):
             return k
@@ -240,7 +303,7 @@ def test_bad_line_in_any_range_is_the_one_range_error(monkeypatch, capsys, tmp_p
     path, starts = bad_file(tmp_path, {index: text}, newline)
     assert span_of(path, starts[index], 3) > 0
     with monkeypatch.context() as m:
-        m.setattr(cli, "_cpu_count", lambda: 1)
+        m.setattr(ingest, "_cpu_count", lambda: 1)
         want = run_pipeline(capsys, path)
     set_cpus(monkeypatch, 3)
     if children:
@@ -250,10 +313,7 @@ def test_bad_line_in_any_range_is_the_one_range_error(monkeypatch, capsys, tmp_p
     assert got == want
     code, message = got
     assert code == 2
-    if what is None:
-        assert message == "error: record has no 'image_id' field"
-    else:
-        assert message.startswith(f"error: {path}:{index + 1}: {what}")
+    assert message.startswith(f"error: {path}:{index + 1}: {what}")
 
 
 @pytest.mark.parametrize("children", [False, True])
@@ -271,14 +331,14 @@ def test_two_bad_ranges_report_the_earlier(monkeypatch, capsys, tmp_path, forks,
 def test_worker_that_dies_without_a_result_fails_the_run(monkeypatch, capsys, tmp_path, forks):
     path, _ = bad_file(tmp_path, {})
     parent = os.getpid()
-    real = cli._anchor_range
+    real = ingest._anchor_range
 
     def dying(*args):
         if os.getpid() != parent:
             os._exit(3)
         return real(*args)
 
-    monkeypatch.setattr(cli, "_anchor_range", dying)
+    monkeypatch.setattr(ingest, "_anchor_range", dying)
     set_cpus(monkeypatch, 3)
     code, message = run_pipeline(capsys, path)
     assert len(forks) == 2
@@ -304,27 +364,23 @@ def test_no_fork_for_one_cpu_a_small_file_or_no_fork(monkeypatch, tmp_path, fork
     path = write_lines(tmp_path / "anchors.jsonl", lines_of(mixed_records()))
     want = one_range_read(monkeypatch, path, 0.5)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert cli._cpu_count() == 1
-    assert_same_map(cli._load_anchor_map(path, 0.5), want)
+    assert ingest._cpu_count() == 1
+    assert_same_map(ingest.load_anchor_map(path, 0.5), want)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(cli, "_MIN_RANGE_BYTES", path.stat().st_size + 1)
-    assert cli._line_ranges(path, cli._cpu_count()) == [(0, None)]
-    assert_same_map(cli._load_anchor_map(path, 0.5), want)
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", path.stat().st_size + 1)
+    assert ingest._byte_ranges(path, ingest._cpu_count()) == [(0, None)]
+    assert_same_map(ingest.load_anchor_map(path, 0.5), want)
     monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(cli, "_MIN_RANGE_BYTES", 1)
-    assert cli._cpu_count() == 1
-    assert_same_map(cli._load_anchor_map(path, 0.5), want)
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 1)
+    assert ingest._cpu_count() == 1
+    assert_same_map(ingest.load_anchor_map(path, 0.5), want)
     assert len(forks) == 0
 
 
-def test_splits_fall_on_the_line_boundary_nearest_each_share(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_MIN_RANGE_BYTES", 1)
-    # Two long lines after a short header: the split lands between them, not
-    # after the header, where the second long line starts.
-    path = write_lines(tmp_path / "x.jsonl", ['{"v": 1}', "[" + "1," * 1000 + "1]", "[" + "2," * 1000 + "2]"])
-    second = 9 + 2004
-    assert cli._line_ranges(path, 2) == [(0, second), (second, None)]
-    assert cli._line_ranges(path, 5) == [(0, 9), (9, second), (second, None)]
+def first_lines(path, starts, cpus):
+    """Index of the first line starting in each span that a line starts in."""
+    spans = [span_of(path, start, cpus) for start in starts[:-1]]
+    return [spans.index(k) for k in sorted(set(spans))]
 
 
 @pytest.mark.parametrize("children", [False, True])
@@ -332,49 +388,20 @@ def test_splits_fall_on_the_line_boundary_nearest_each_share(tmp_path, monkeypat
 def test_header_after_the_first_line_is_a_record_in_every_range(monkeypatch, capsys, tmp_path, forks, where,
                                                                 children):
     path, starts = bad_file(tmp_path, {})
-    first_lines = [starts.index(start) for start, _ in spans_of(path, 3)]
-    index = first_lines[where]
+    index = first_lines(path, starts, 3)[where]
     lines = path.read_text().splitlines()
     lines[index] = '{"v": 1}'.ljust(len(lines[index]))  # same length, so the same spans
     write_lines(path, lines)
-    assert [starts.index(start) for start, _ in spans_of(path, 3)] == first_lines
+    assert first_lines(path, starts, 3)[where] == index
     set_cpus(monkeypatch, 3)
     if children:
         leave_spans_to_children(monkeypatch)
-    assert run_pipeline(capsys, path) == (2, "error: record has no 'image_id' field")
-
-
-def nearest_splits(data: bytes, n: int) -> list:
-    """_line_ranges with _MIN_RANGE_BYTES at 1, searched in the whole file at once."""
-    n = min(n, len(data))
-    cuts = [0]
-    for k in range(1, n):
-        target = k * len(data) // n
-        before = data.rfind(b"\n", 0, target) + 1
-        after = data.find(b"\n", target) + 1 or len(data)
-        cut = before if target - before <= after - target else after
-        if cuts[-1] < cut < len(data):
-            cuts.append(cut)
-    return list(zip(cuts, cuts[1:] + [None]))
-
-
-@pytest.mark.parametrize("scan", [1, 2, 5, 64])
-@pytest.mark.parametrize("ending", ["\n", "\r\n", "none"])
-def test_splits_read_in_small_pieces_match_a_whole_file_search(monkeypatch, tmp_path, scan, ending):
-    monkeypatch.setattr(cli, "_MIN_RANGE_BYTES", 1)
-    monkeypatch.setattr(cli, "_SCAN_BYTES", scan)
-    lines = ["x" * (k * 7 % 23) for k in range(30)] + ["y" * 200, "z"]
-    newline = "\r\n" if ending == "\r\n" else "\n"
-    data = newline.join(lines).encode() + (b"" if ending == "none" else newline.encode())
-    path = tmp_path / "x.jsonl"
-    path.write_bytes(data)
-    for n in (2, 3, 5, 16, 64, 1000):
-        assert cli._line_ranges(path, n) == nearest_splits(data, n)
+    assert run_pipeline(capsys, path) == (2, f"error: {path}:{index + 1}: record has no 'image_id' field")
 
 
 def log_taken_spans(monkeypatch, log):
     """Every process appends the start of each span it decodes to ``log``; returns a reader of those starts."""
-    real = cli._anchor_range
+    real = ingest._anchor_range
 
     def logged(path, top_fraction, start, end):
         fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
@@ -384,7 +411,7 @@ def log_taken_spans(monkeypatch, log):
             os.close(fd)
         return real(path, top_fraction, start, end)
 
-    monkeypatch.setattr(cli, "_anchor_range", logged)
+    monkeypatch.setattr(ingest, "_anchor_range", logged)
     return lambda: [int(line) for line in log.read_text().splitlines()]
 
 
@@ -393,7 +420,7 @@ def test_every_span_is_decoded_once(monkeypatch, tmp_path, forks, cpus):
     path = write_lines(tmp_path / "anchors.jsonl", lines_of(mixed_records()))
     taken_spans = log_taken_spans(monkeypatch, tmp_path / "taken.log")
     set_cpus(monkeypatch, cpus)
-    cli._load_anchor_map(path, 0.5)
+    ingest.load_anchor_map(path, 0.5)
     taken = taken_spans()
     assert sorted(taken) == [start for start, _ in spans_of(path, cpus)]
     assert len(taken) > cpus
@@ -410,15 +437,15 @@ def test_spans_asked_per_cpu(monkeypatch, tmp_path, forks, cpus, asked):
         asks.append(n)
         return [(0, None)]
 
-    monkeypatch.setattr(cli, "_line_ranges", one_span)
+    monkeypatch.setattr(ingest, "_byte_ranges", one_span)
     set_cpus(monkeypatch, cpus)
-    assert_same_map(cli._load_anchor_map(path, 0.5), want)
+    assert_same_map(ingest.load_anchor_map(path, 0.5), want)
     assert asks == [asked]
     assert len(forks) == 0  # no more processes than spans
 
 
 def test_span_queue_hands_out_each_index_once_in_order():
-    queue = cli._span_queue(256)
+    queue = ingest._span_queue(256)
     try:
         got = []
         while taken := os.read(queue, 1):
@@ -441,13 +468,13 @@ def test_a_process_takes_no_span_after_a_failed_one(monkeypatch, capsys, tmp_pat
 
 
 def test_a_failed_span_empties_the_queue(monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 1)
     path, starts = bad_file(tmp_path, {2: "[1, 2]"})
     spans = spans_of(path, 2)
     failed = span_of(path, starts[2], 2)
-    queue = cli._span_queue(len(spans))
+    queue = ingest._span_queue(len(spans))
     try:
-        parts = cli._decode_queued(path, 0.5, spans, queue)
+        parts = ingest._decode_queued(path, 0.5, spans, queue)
         assert os.read(queue, 256) == b""  # no other process would take a span either
     finally:
         os.close(queue)
