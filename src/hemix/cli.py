@@ -275,8 +275,9 @@ def _grec_report(samples: list, iou_thresh: float, per_sample: bool) -> dict:
 
 
 def cmd_eval(args) -> int:
-    gt_records = jsonl.read_jsonl(args.gt, objects=True)
-    pred_map = {rec["sample_id"]: rec["boxes"] for rec in jsonl.read_jsonl(args.pred, objects=True)}
+    gt_records = jsonl.read_jsonl(args.gt, objects=True, key="sample_id")
+    pred_map = {rec["sample_id"]: rec["boxes"]
+                for rec in jsonl.read_jsonl(args.pred, objects=True, key="sample_id")}
     samples = _eval_samples(gt_records, pred_map)
     if args.metric == "wrec":
         report = {"n_samples": len(samples), "iou_threshold": args.iou,
@@ -303,7 +304,7 @@ def cmd_pipeline(args) -> int:
     metrics._check_threshold(args.iou)  # a bad --iou stops the run before any work or output
     bundle = similarity.load_bundle(args.weights)
     anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac)
-    gt_records = jsonl.read_jsonl(args.gt, objects=True)
+    gt_records = jsonl.read_jsonl(args.gt, objects=True, key="sample_id")
 
     vlm_cfg = None
     if not args.offline:

@@ -6,7 +6,6 @@ without the header (hand-written inputs) but reject unknown versions.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from pathlib import Path
@@ -39,40 +38,7 @@ def _record_key(record: dict, key: str):
     return value
 
 
-class _Span(io.RawIOBase):
-    """The next ``limit`` bytes of an open binary file (all of them for None); closing closes the file."""
-
-    def __init__(self, fh, limit: int | None):
-        super().__init__()
-        self._fh, self._left = fh, limit
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        n = self._fh.readinto(buf if self._left is None else memoryview(buf)[: self._left])
-        if self._left is not None:
-            self._left -= n
-        return n
-
-    def close(self) -> None:
-        self._fh.close()
-        super().close()
-
-
-def _open_span(path: Path, start: int, end: int | None):
-    """Bytes [start, end) of ``path`` as text, decoded and split into lines as ``path.open()`` does."""
-    fh = open(path, "rb", buffering=0)
-    try:
-        if start:  # a pipe cannot seek, but is read from its start
-            fh.seek(start)
-    except BaseException:
-        fh.close()
-        raise
-    return io.TextIOWrapper(io.BufferedReader(_Span(fh, None if end is None else end - start)))
-
-
-# Bytes read at a time while looking for a line start. Reads of 64 KiB raised
+# Bytes read at a time while looking for newlines. Reads of 64 KiB raised
 # the ground-d512 pipeline's peak RSS by 0.3 MB; 4 KiB reads did not.
 _SCAN_BYTES = 1 << 12
 
@@ -99,38 +65,51 @@ def _line_start(path: Path, pos: int, end: int | None) -> int | None:
 
 
 def iter_jsonl(path, *, objects: bool = False, start: int = 0, end: int | None = None, key: str | None = None):
-    """Yield the records of ``path`` one line at a time, skipping blank lines.
+    r"""Yield the records of ``path`` one line at a time, skipping blank lines.
 
-    Only the lines that start in bytes [start, end) are read (to the end of
-    the file for ``end`` None), for any offsets: the last one may run past
-    ``end``, and no byte past ``end`` is read for a range that no line starts
-    in. Consecutive ranges thus read each line once. A header is recognised on
-    the file's first line only, so only in a range starting at 0. Messages
-    number lines as a whole-file read does: a range that hits an error counts
-    the lines before it then.
+    A record is one UTF-8 line ending in ``\n`` (the last line may lack it);
+    surrounding whitespace is stripped, so CRLF files read as LF files do, and
+    a lone ``\r`` does not end a line. Only the lines that start in bytes
+    [start, end) are read (to the end of the file for ``end`` None), for any
+    offsets: the last one may run past ``end``, and no byte past ``end`` is
+    read for a range that no line starts in. Consecutive ranges thus read each
+    line once. A header is recognised on the file's first line only, so only
+    in a range starting at 0. Messages number lines as a whole-file read does:
+    a range that hits an error counts the lines before it then.
 
-    With ``objects`` a record that is not a JSON object raises SchemaError
-    naming its line, as does, with ``key``, an object without a ``key`` field
-    or whose ``key`` is a JSON array or object and so cannot key a dict. The
-    raw line is dropped before its record is yielded and the record before the
-    next line is decoded, so a caller that also drops each record holds one
-    parsed line at a time.
+    A line that is not UTF-8 or not JSON raises SchemaError naming its line.
+    With ``objects`` so does a record that is not a JSON object, and with
+    ``key`` an object without a ``key`` field or whose ``key`` is a JSON array
+    or object and so cannot key a dict. The raw line is dropped before its
+    record is yielded and the record before the next line is read, so a caller
+    that also drops each record holds one parsed line at a time.
     """
     path = Path(path)
     start = _line_start(path, start, end)
     if start is None:
         return
-    if end is not None:  # the last line runs to the next line start, or to the end of the file
-        end = _line_start(path, end, None)
 
     def where(i: int) -> str:
         if start:
-            with _open_span(path, 0, start) as before:
-                i += sum(1 for _ in before)
+            with open(path, "rb") as before:
+                for offset in range(0, start, _SCAN_BYTES):
+                    i += before.read(min(_SCAN_BYTES, start - offset)).count(b"\n")
         return f"{path}:{i}"
 
-    with _open_span(path, start, end) as fh:
-        for i, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        if start:  # a pipe cannot seek, but is read from its start
+            fh.seek(start)
+        pos, i = start, 0
+        while end is None or pos < end:
+            raw = fh.readline()
+            if not raw:
+                break
+            pos, i = pos + len(raw), i + 1
+            try:
+                line = raw.decode()
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"{where(i)}: invalid UTF-8: {exc}") from exc
+            del raw  # freed before strip() copies the line, so at most two copies of it are alive
             line = line.strip()
             if not line:
                 continue
@@ -154,5 +133,5 @@ def iter_jsonl(path, *, objects: bool = False, start: int = 0, end: int | None =
             del obj
 
 
-def read_jsonl(path, *, objects: bool = False) -> list:
-    return list(iter_jsonl(path, objects=objects))
+def read_jsonl(path, *, objects: bool = False, key: str | None = None) -> list:
+    return list(iter_jsonl(path, objects=objects, key=key))

@@ -517,19 +517,21 @@ def test_non_object_line_is_a_run_error(capsys, tmp_path, kind):
     assert err.splitlines()[-1] == f"error: {bad}:3: record is not a JSON object"
 
 
-@pytest.mark.parametrize("kind, field", [("gt", "sample_id"), ("anchors", "image_id")])
+@pytest.mark.parametrize("kind, field", [("gt", "sample_id"), ("pred", "sample_id"), ("pipeline_gt", "sample_id"),
+                                         ("anchors", "image_id")])
 def test_record_without_key_field_is_a_named_run_error(capsys, tmp_path, kind, field):
     bad = tmp_path / f"{kind}.jsonl"
-    bad.write_text('{"v": 1}\n' + ('{"boxes": []}' if kind == "gt" else '{"anchors": []}') + "\n")
-    if kind == "gt":
-        argv = ["eval", "--gt", str(bad), "--pred", str(DATA / "golden_predictions.jsonl")]
+    bad.write_text('{"v": 1}\n' + ('{"anchors": []}' if kind == "anchors" else '{"boxes": []}') + "\n")
+    paths = {"gt": DATA / "gt.jsonl", "pred": DATA / "golden_predictions.jsonl", "anchors": DATA / "anchors.jsonl",
+             "pipeline_gt": DATA / "gt.jsonl", kind: bad}
+    if kind in ("gt", "pred"):
+        argv = ["eval", "--gt", str(paths["gt"]), "--pred", str(paths["pred"])]
     else:
-        argv = ["pipeline", "--anchors", str(bad), "--texts", str(DATA / "texts.jsonl"),
-                "--weights", str(DATA / "weights.json"), "--gt", str(DATA / "gt.jsonl"), "--offline"]
+        argv = ["pipeline", "--anchors", str(paths["anchors"]), "--texts", str(DATA / "texts.jsonl"),
+                "--weights", str(DATA / "weights.json"), "--gt", str(paths["pipeline_gt"]), "--offline"]
     code, _, err = run(capsys, *argv)
     assert code == 2
-    where = f"{bad}:2: " if kind == "anchors" else ""  # anchors lines are checked as they are read
-    assert err.splitlines()[-1] == f"error: {where}record has no '{field}' field"
+    assert err.splitlines()[-1] == f"error: {bad}:2: record has no '{field}' field"
 
 
 @pytest.mark.parametrize("image_id", [["x"], {"a": 1}])

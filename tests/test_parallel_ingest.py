@@ -1,15 +1,19 @@
-"""The anchors file decoded in byte ranges by forked workers equals a one-range read.
+r"""The anchors file decoded in byte ranges by forked workers equals a one-range read.
 
 ``ingest`` cuts the file into equal byte ranges without looking at its
 content, and ``jsonl.iter_jsonl`` reads the lines that start in each range.
-The reader is checked on its own at every cut of small files. The ingest
-tests force the split by lowering ``ingest._MIN_RANGE_BYTES`` to one byte and
-setting the CPU count. Which process decodes which span is settled at run
-time; with ``children`` set, the test process takes no span, so the forked
-children decode all of them and every error is raised in a child. After each
-test no child process and no pipe may be left behind.
+A record is one UTF-8 line ending in ``\n``: CRLF files read as LF files do,
+and a lone ``\r`` does not end a line. The reader is checked on its own at
+every cut of small files, and what a whole-file read of each returns is
+pinned. The ingest tests force the split by lowering
+``ingest._MIN_RANGE_BYTES`` to one byte and setting the CPU count. Which
+process decodes which span is settled at run time; with ``children`` set,
+the test process takes no span, so the forked children decode all of them
+and every error is raised in a child. After each test no child process and
+no pipe may be left behind.
 """
 
+import io
 import json
 import os
 from pathlib import Path
@@ -86,7 +90,8 @@ def image(image_id, n, dim=4):
 
 
 def write_lines(path, lines, newline="\n"):
-    path.write_bytes(newline.join(lines).encode() + newline.encode())
+    r"""Writes ``lines`` as UTF-8, a lone surrogate \udcXX as the one byte 0xXX."""
+    path.write_bytes((newline.join(lines) + newline).encode(errors="surrogateescape"))
     return path
 
 
@@ -202,6 +207,30 @@ SHAPES = {
     "lone_cr": b'{"v": 1}\r{"a": 1}\r\n{"a": 2}\r{"a": 3}\n{"a": 4}\n',
     "invalid_json": b'{"v": 1}\n{"a": 1}\n{"a": \n{"a": 3}\n',
     "missing_key": b'{"v": 1}\r\n{"image_id": 1}\r\n\r\n{"a": 2}\r\n{"image_id": 3}\r\n',
+    "bad_utf8": b'{"v": 1}\n{"image_id": 1}\n{"image_id": "\xff"}\n{"image_id": 3}\n',
+    "nbsp_padding": b'{"v": 1}\n\xc2\xa0{"image_id": 1}\xc2\xa0\n\xc2\xa0\n{"image_id": "\xc2\xa0"}\n',
+}
+
+
+def no_image_id(line):
+    return f"x.jsonl:{line}: record has no 'image_id' field"
+
+
+# What a whole-file read of each shape returns: (records, error text) with no
+# checks and with objects=True, key="image_id". A lone "\r" does not end a line.
+WHOLE = {
+    "lf": (([{"a": 1}, [2], {"a": "\u00e9"}], None), ([], no_image_id(2))),
+    "crlf": (([{"a": 1}, [2], {"a": 3}], None), ([], no_image_id(2))),
+    "no_final_newline": (([{"a": 1}, {"a": 22}, {"a": 333}], None), ([], no_image_id(1))),
+    "blank_lines": (([{"v": 1}, {"a": 1}, {"a": 2}], None), ([], no_image_id(2))),
+    "header_after_line_1": (([{"a": 1}, {"v": 1}, {"a": 2}, {"v": 1}], None), ([], no_image_id(1))),
+    "lone_cr": 2 * (([], "x.jsonl:1: invalid JSON: Extra data: line 1 column 10 (char 9)"),),
+    "invalid_json": (([{"a": 1}], "x.jsonl:3: invalid JSON: Expecting value: line 1 column 6 (char 5)"),
+                     ([], no_image_id(2))),
+    "missing_key": (([{"image_id": 1}, {"a": 2}, {"image_id": 3}], None), ([{"image_id": 1}], no_image_id(4))),
+    "bad_utf8": 2 * (([{"image_id": 1}], "x.jsonl:3: invalid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                                         "in position 14: invalid start byte"),),
+    "nbsp_padding": 2 * (([{"image_id": 1}, {"image_id": "\u00a0"}], None),),
 }
 
 
@@ -217,12 +246,15 @@ def read_cut(path, cuts, **kw):
     return records, None
 
 
-@pytest.mark.parametrize("kw", [{}, {"objects": True, "key": "image_id"}], ids=["any", "keyed"])
+@pytest.mark.parametrize("keyed", [False, True], ids=["any", "keyed"])
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_ranges_cut_at_any_offsets_read_each_line_once(tmp_path, shape, kw):
-    path = tmp_path / "x.jsonl"
+def test_ranges_cut_at_any_offsets_read_each_line_once(monkeypatch, tmp_path, shape, keyed):
+    monkeypatch.chdir(tmp_path)
+    path = Path("x.jsonl")
     path.write_bytes(SHAPES[shape])
+    kw = {"objects": True, "key": "image_id"} if keyed else {}
     want = read_cut(path, [], **kw)  # one whole-file read
+    assert want == WHOLE[shape][keyed]
     size = path.stat().st_size
     for a in range(size + 2):
         assert read_cut(path, [a], **kw) == want, a
@@ -247,9 +279,35 @@ def test_range_inside_a_long_line_reads_no_byte_past_its_end(monkeypatch, tmp_pa
         assert list(jsonl.iter_jsonl(path, start=start, end=end)) == []
         assert reads and all(start - 1 <= offset and offset + n <= end for offset, n in reads)
         assert sum(n for _, n in reads) <= end - start + 1
-    reads.clear()  # a range holding a line start scans to it, and from its end to the next line start
+    reads.clear()  # a range holding a line start scans to it; its end is found while its lines are read
     assert list(jsonl.iter_jsonl(path, start=second + 1, end=third + 1)) == [[2]]
-    assert sum(n for _, n in reads) == (third - second) + len(b"[2]\n")
+    assert sum(n for _, n in reads) == third - second
+
+
+def test_split_reads_decode_each_byte_once(monkeypatch, tmp_path):
+    lines = ['{"v": 1}', "[" + "1," * 5000 + "1]", "[2]", "", "[" + "3," * 3000 + "3]"]
+    path = write_lines(tmp_path / "x.jsonl", lines)
+    size = path.stat().st_size
+    starts = [0]
+    for line in lines:
+        starts.append(starts[-1] + len(line) + 1)
+    want = list(jsonl.iter_jsonl(path))
+    read = []
+
+    class Counted(io.BufferedReader):
+        def readline(self, *args):
+            offset, line = self.tell(), super().readline(*args)
+            if line:
+                read.append((offset, len(line)))
+            return line
+
+    monkeypatch.setattr(jsonl, "open", lambda file, mode, buffering=-1: Counted(io.FileIO(file)), raising=False)
+    cuts = sorted({1, size - 1, size, size + 1} | {s + d for s in starts[1:-1] for d in (-1, 0, 1, 700)})
+    for a in cuts:
+        for b in [c for c in cuts if c >= a]:
+            read.clear()
+            assert read_cut(path, [a, b]) == (want, None), (a, b)
+            assert sorted(read) == [(s, e - s) for s, e in zip(starts, starts[1:])], (a, b)
 
 
 def run_pipeline(capsys, anchors):
@@ -261,6 +319,8 @@ def run_pipeline(capsys, anchors):
 
 BAD_LINES = {
     "invalid_json": ('{"image_id": "x", "anchors": [', "invalid JSON: "),
+    "invalid_utf8": ('{"image_id": "x\udcff", "anchors": []}',
+                     "invalid UTF-8: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
     "non_object": ("[1, 2]", "record is not a JSON object"),
     "missing_image_id": ('{"anchors": []}', "record has no 'image_id' field"),
     "unkeyable_image_id": ('{"image_id": ["x"], "anchors": []}', 'image_id must be a string or a number, got ["x"]'),
