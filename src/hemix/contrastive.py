@@ -131,18 +131,27 @@ def contrastive_loss(
     batch: GroundingBatch,
     bundle: ProjectionBundle,
     intra_negatives: bool = False,
+    *,
+    out: dict | None = None,
 ) -> LossReport:
-    """Mean over images of -log softmax(positive | term set), with analytic grads."""
+    """Mean over images of -log softmax(positive | term set), with analytic grads.
+
+    ``out``, if given, maps each weight name to a [dim, dim] float64 array
+    that receives that gradient. The report's ``grads`` are then those arrays
+    themselves, so the next call with the same ``out`` overwrites them.
+    Without ``out`` every call returns fresh arrays.
+    """
     loss, v, t, g = _loss(batch, _in_set(batch, intra_negatives), bundle)
     alpha, n_img = bundle.alpha, len(batch.pos)
     g[batch.pos, np.arange(n_img)] -= 1.0
     g /= bundle.tau * n_img  # [anchors, images], zero outside the term sets
     anchors, texts = batch.anchors, batch.texts
+    out = out or {}
     grads = {
-        "w_ev": anchors.T @ (g @ t.e),
-        "w_et": texts.T @ (g.T @ v.e),
-        "w_hv": anchors.T @ (g @ t.z - ((g @ t.x0) / v.x0)[:, None] * v.z),
-        "w_ht": texts.T @ (g.T @ v.z - ((g.T @ v.x0) / t.x0)[:, None] * t.z),
+        "w_ev": np.matmul(anchors.T, g @ t.e, out=out.get("w_ev")),
+        "w_et": np.matmul(texts.T, g.T @ v.e, out=out.get("w_et")),
+        "w_hv": np.matmul(anchors.T, g @ t.z - ((g @ t.x0) / v.x0)[:, None] * v.z, out=out.get("w_hv")),
+        "w_ht": np.matmul(texts.T, g.T @ v.z - ((g.T @ v.x0) / t.x0)[:, None] * t.z, out=out.get("w_ht")),
     }
     # Scaled in place: a scaled copy would be one more [dim, dim] temporary each.
     for name in ("w_ev", "w_et"):

@@ -63,10 +63,10 @@ class ProjectionBundle:
                 f"alpha must be strictly inside (0, 1), got {self.alpha}; "
                 "set allow_endpoint_alpha=True for single-branch diagnostics"
             )
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        for name in ("tau", "kappa"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @property
     def dim(self) -> int:

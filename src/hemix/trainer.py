@@ -229,6 +229,8 @@ def train(data: list, cfg: TrainConfig) -> tuple[ProjectionBundle, list]:
         dim, alpha=cfg.alpha, tau=cfg.tau, kappa=cfg.kappa, seed=cfg.seed
     )
     params = {"w_ev": bundle.w_ev, "w_et": bundle.w_et, "w_hv": bundle.w_hv, "w_ht": bundle.w_ht}
+    # Every step's gradients are written into these, so no step allocates a [dim, dim] array.
+    grads = {name: np.empty_like(w) for name, w in params.items()}
     opt = _Adam(cfg.lr)
     rng = np.random.default_rng(cfg.seed)
 
@@ -242,11 +244,11 @@ def train(data: list, cfg: TrainConfig) -> tuple[ProjectionBundle, list]:
         batch = data[int(order[cursor])]
         cursor += 1
         try:
-            report = contrastive_loss(batch, bundle, cfg.intra_negatives)
+            report = contrastive_loss(batch, bundle, cfg.intra_negatives, out=grads)
         except ValueError as exc:
             raise TrainingDiverged(f"loss became non-finite at step {step}") from exc
         trace.append(report.loss)
-        opt.step(params, report.grads)
+        opt.step(params, grads)
     try:  # the last update can overflow the projections with finite weights
         score_matrix(batch.anchors, batch.texts, bundle)
     except ValueError as exc:

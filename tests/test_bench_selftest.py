@@ -48,16 +48,41 @@ print(json.dumps({"rc": rc, "calls": {k: v for k, v in tracer.per_layer().items(
 """
 
 
-def test_traced_fixture_pipeline_keeps_its_call_counts(tmp_path):
-    data = ROOT / "tests" / "data"
+# The same counts for the pinned d=16 `train-toy` run of tests/test_trainer.py:
+# one `contrastive_loss` span per training step, each with gradients.
+TRACED_TRAIN_CALLS = {
+    "cli.calls": 3, "contrastive.calls": 30, "contrastive.grad_calls": 30, "contrastive.loss_calls": 30,
+    "decouple.calls": 0, "grounding.calls": 0, "jsonl.calls": 0, "lorentz.calls": 162,
+    "lorentz.exp_map_calls": 0, "lorentz.geodesic_distance_calls": 0, "lorentz.lift_calls": 0,
+    "lorentz.log_map_calls": 0, "metrics.calls": 0, "mixture.calls": 0, "similarity.calls": 295,
+    "trainer.calls": 6,
+}
+
+
+def _traced(tmp_path, argv):
+    """Runs the CLI under the bench tracer; returns its output and the spans it wrote."""
     paths = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), "PYTHONDONTWRITEBYTECODE": "1"}
     spans = tmp_path / "spans.jsonl"
-    argv = ["pipeline", "--anchors", str(data / "anchors.jsonl"), "--texts", str(data / "texts.jsonl"),
-            "--weights", str(data / "weights.json"), "--gt", str(data / "gt.jsonl"), "--offline"]
     out = subprocess.run([sys.executable, "-c", TRACED_RUN, str(spans), *argv], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stdout + out.stderr
-    assert json.loads(out.stdout) == {"rc": 0, "calls": TRACED_CALLS}
-    spans = [json.loads(line) for line in spans.read_text().splitlines()]
+    return json.loads(out.stdout), [json.loads(line) for line in spans.read_text().splitlines()]
+
+
+def test_traced_fixture_pipeline_keeps_its_call_counts(tmp_path):
+    data = ROOT / "tests" / "data"
+    argv = ["pipeline", "--anchors", str(data / "anchors.jsonl"), "--texts", str(data / "texts.jsonl"),
+            "--weights", str(data / "weights.json"), "--gt", str(data / "gt.jsonl"), "--offline"]
+    result, spans = _traced(tmp_path, argv)
+    assert result == {"rc": 0, "calls": TRACED_CALLS}
     assert [s["sample_id"] for s in spans if s["name"] == "grounding.ground"] == [f"s{i}" for i in range(1, 9)]
+
+
+def test_traced_train_toy_keeps_its_call_counts(tmp_path):
+    argv = ["train-toy", "--dim", "16", "--steps", "30", "--batch-images", "4", "--negatives", "3",
+            "--samples", "32", "--seed", "3", "--out", str(tmp_path / "weights.json")]
+    result, spans = _traced(tmp_path, argv)
+    assert result == {"rc": 0, "calls": TRACED_TRAIN_CALLS}
+    loss_parents = {spans[s["parent"]]["name"] for s in spans if s["name"] == "contrastive.contrastive_loss"}
+    assert loss_parents == {"trainer.train"}

@@ -122,6 +122,19 @@ def test_train_toy_writes_artifacts(capsys, tmp_path):
     assert summary["final_loss"] > 0.0
 
 
+@pytest.mark.parametrize("flag", ["--tau", "--kappa"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_train_toy_rejects_non_finite_scalar_before_writing(capsys, tmp_path, flag, value):
+    code, stdout, err = run(
+        capsys, "train-toy", "--dim", "4", "--steps", "3", "--samples", "8", flag, value,
+        "--out", str(tmp_path / "weights.json"),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert f"error: {flag[2:]} must be finite and positive, got {value}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def ground_inputs(tmp_path):
     """A d=2 weight file and one image "img" with two anchors."""
     weights = tmp_path / "w.json"

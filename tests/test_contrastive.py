@@ -132,6 +132,45 @@ class TestLossIdentities:
         assert np.all(report.grads["w_et"] == 0.0)
 
 
+class TestGradientBuffers:
+    @pytest.mark.parametrize("intra", [False, True])
+    @pytest.mark.parametrize("dim", [4, 80])
+    @pytest.mark.parametrize("n_images", [1, 4])
+    def test_out_equals_fresh_and_is_overwritten(self, intra, dim, n_images):
+        rng = np.random.default_rng(dim + n_images)
+        bundle = ProjectionBundle.initialize(dim, seed=dim)
+        out = {name: np.full((dim, dim), np.nan) for name in contrastive._WEIGHTS}
+        reports = []
+        for _ in range(2):
+            batch = rand_batch(rng, dim, n_images, 3)
+            fresh = contrastive_loss(batch, bundle, intra)
+            report = contrastive_loss(batch, bundle, intra, out=out)
+            reports.append(report)
+            assert report.loss == fresh.loss
+            for name in contrastive._WEIGHTS:
+                assert report.grads[name] is out[name]
+                assert out[name].tobytes() == fresh.grads[name].tobytes()
+        # The first report's grads are the buffers, now holding the second call's gradients.
+        assert all(reports[0].grads[name] is reports[1].grads[name] for name in contrastive._WEIGHTS)
+
+    def test_out_with_non_finite_gradient_raises(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        batch = rand_batch(rng, 4, 2, 2)
+        bundle = ProjectionBundle.initialize(4, seed=3)
+        out = {name: np.zeros((4, 4)) for name in contrastive._WEIGHTS}
+        loss = contrastive._loss
+
+        def poisoned(*args, **kwargs):
+            value, v, t, g = loss(*args, **kwargs)
+            g[-1, 0] = np.nan  # a finite loss with a non-finite softmax entry
+            return value, v, t, g
+
+        monkeypatch.setattr(contrastive, "_loss", poisoned)
+        with pytest.raises(ValueError, match="non-finite"):
+            contrastive_loss(batch, bundle, out=out)
+        assert np.isnan(out["w_ev"]).any()
+
+
 class TestGradientCheck:
     @pytest.mark.parametrize("intra", [False, True])
     def test_matches_finite_differences(self, intra):

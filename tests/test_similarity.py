@@ -239,10 +239,12 @@ class TestBundleContract:
         with pytest.raises(ValueError):
             ProjectionBundle(eye, eye, eye, eye, alpha=1.5, allow_endpoint_alpha=True)
 
-    @pytest.mark.parametrize("bad", [{"tau": 0.0}, {"tau": -1.0}, {"kappa": 0.0}])
+    @pytest.mark.parametrize("bad", [{"tau": 0.0}, {"tau": -1.0}, {"kappa": 0.0}, {"tau": math.inf},
+                                     {"tau": math.nan}, {"kappa": math.inf}, {"kappa": math.nan}])
     def test_scalar_validation(self, bad):
         eye = np.eye(2)
-        with pytest.raises(ValueError):
+        [(name, value)] = bad.items()
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {value}"):
             ProjectionBundle(eye, eye, eye, eye, alpha=0.5, **bad)
 
     def test_non_square_rejected(self):
@@ -270,6 +272,18 @@ def test_load_rejects_expmap_strategy(tmp_path):
     assert np.array_equal(load_bundle(path).w_ev, b.w_ev)
     path.write_text(text.replace('"linear"', '"expmap"'))
     with pytest.raises(ValueError):
+        load_bundle(path)
+
+
+@pytest.mark.parametrize("name", ["tau", "kappa"])
+@pytest.mark.parametrize("literal", ["Infinity", "NaN"])
+def test_load_rejects_non_finite_scalar(tmp_path, name, literal):
+    path = tmp_path / "w.json"
+    save_bundle(ProjectionBundle.initialize(2, tau=0.5, kappa=0.5, seed=0), path)
+    text = path.read_text()
+    assert f'"{name}": 0.5' in text
+    path.write_text(text.replace(f'"{name}": 0.5', f'"{name}": {literal}'))
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
         load_bundle(path)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,26 +200,56 @@ class TestSelectionAccuracy:
 # anchor lists wrote them; the in-place Adam and the stacked batch layout must
 # reproduce them byte for byte. A BLAS build that rounds its products
 # differently can change them.
+_TRAIN_TOY_ARGS = ("--dim", "16", "--steps", "30", "--batch-images", "4", "--negatives", "3",
+                   "--samples", "32", "--seed", "3")
 _TRAIN_TOY_PIN = {
     "weights.json": "a3203a65a8c7175497dd3d61949ca164bb8566e0ad9290435f16122e5b03257b",
     "loss_trace.csv": "c8933f86ee9033265f5c38252e906f16ef65c5873377eb98c50c6eb7e25ff60c",
     "apex_report.json": "f462f62eccf13d13003af134e295f8d5b3eecac5b356967f6eceded7b87bb264",
 }
 
+# The same at d=80, as training with freshly allocated gradients wrote them:
+# Adam runs one full block of _ADAM_ROWS rows and a partial one, and every
+# product is a BLAS gemm.
+_TRAIN_TOY_D80_ARGS = ("--dim", "80", "--steps", "12", "--batch-images", "4", "--negatives", "3",
+                       "--samples", "32", "--seed", "5")
+_TRAIN_TOY_D80_PIN = {
+    "weights.json": "2e0da4196e0ddc3c0a5e18883f310853c85e044949de717d184037450b21bbcd",
+    "loss_trace.csv": "018fec1900cdafdada4645e802159d8d7b3c2b49c06a74048056e12f8cbe54af",
+    "apex_report.json": "fa1855e3ebc88899cefdc812ae97ed38bfe61b2ba75ffe5448b5859087c4f0c0",
+}
 
-def _train_toy(tmp_path, capsys):
-    code = cli.main([
-        "train-toy", "--dim", "16", "--steps", "30", "--batch-images", "4", "--negatives", "3",
-        "--samples", "32", "--seed", "3", "--out", str(tmp_path / "weights.json"),
-    ])
+
+def _train_toy(tmp_path, capsys, args=_TRAIN_TOY_ARGS):
+    code = cli.main(["train-toy", *args, "--out", str(tmp_path / "weights.json")])
     capsys.readouterr()
     assert code == 0
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _TRAIN_TOY_PIN}
 
 
 def test_train_toy_outputs_are_pinned(tmp_path, capsys):
-    _train_toy(tmp_path, capsys)
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _TRAIN_TOY_PIN}
-    assert got == _TRAIN_TOY_PIN
+    assert _train_toy(tmp_path, capsys) == _TRAIN_TOY_PIN
+
+
+def test_train_toy_d80_outputs_are_pinned(tmp_path, capsys):
+    assert _train_toy(tmp_path, capsys, _TRAIN_TOY_D80_ARGS) == _TRAIN_TOY_D80_PIN
+
+
+def test_training_peak_memory_stays_bounded():
+    # Parameters, Adam's two moments and one set of gradients are 16 [dim, dim]
+    # matrices; the loss's [anchors, dim] temporaries and Adam's scratch rows
+    # add under one more. Steps that allocate their own gradients keep the
+    # previous step's alive beside them, which reads about 20.8.
+    dim = 256
+    data = T.generate_dataset(T.default_hierarchy(feature_dim=dim), 32, negatives_per_image=3, batch_images=4)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        T.train(data, T.TrainConfig(steps=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / (dim * dim * 8) < 17.5
 
 
 def test_train_toy_draws_descriptors_once(tmp_path, capsys, monkeypatch):
