@@ -99,7 +99,7 @@ def main(out_dir: Path = DATA) -> int:
             # perfectly select pairwise-distinct anchors.
             for _ in range(200):
                 rec["features"] = [rng.standard_normal(DIM).round(6).tolist() for _ in range(s["k"])]
-                out = grounding.ground(
+                boxes = grounding.ground(
                     sample_id=s["sample_id"],
                     anchors=anchor_map[s["image_id"]],
                     phrases=list(result.phrases),
@@ -107,7 +107,7 @@ def main(out_dir: Path = DATA) -> int:
                     bundle=bundle,
                     top_fraction=TOP_FRAC,
                 )
-                boxes = [list(b) for b in out.boxes]
+                boxes = [list(b) for b in boxes]
                 if s["sample_id"] not in distinct_needed or len(set(map(tuple, boxes))) == len(boxes):
                     break
             else:

@@ -19,14 +19,13 @@ from .decouple import (
     render,
     rule_based_decompose,
 )
-from .grounding import AnchorRecord, AnchorSet, GroundingOutput, filter_anchors, ground
+from .grounding import AnchorRecord, AnchorSet, filter_anchors, ground
 from .lorentz import (
     CurvedPoint,
     TangentVector,
     apex,
     exp_map,
     geodesic_distance,
-    is_on_hyperboloid,
     lift,
     log_map,
     lorentz_inner,

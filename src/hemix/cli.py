@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,7 +23,9 @@ from . import contrastive, decouple, grounding, ingest, jsonl, lorentz, metrics,
 
 
 def _echo_config(args: argparse.Namespace) -> None:
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
+    """One JSON line of the options; a non-finite float is echoed as the string "inf", "-inf" or "nan"."""
+    cfg = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+           for k, v in vars(args).items() if k != "func"}
     print(json.dumps(cfg, sort_keys=True, default=str), file=sys.stderr)
 
 
@@ -201,6 +204,21 @@ def cmd_decouple(args) -> int:
 # ground / eval / pipeline
 # ---------------------------------------------------------------------------
 
+def _string(rec: dict, name: str) -> str:
+    """``rec[name]``, which must be a string."""
+    if not isinstance(rec[name], str):
+        raise ValueError(f"{name} must be a string, got {json.dumps(rec[name])}")
+    return rec[name]
+
+
+def _phrases(rec: dict) -> list:
+    """``rec["phrases"]``, which must be a list of strings."""
+    phrases = rec["phrases"]
+    if not (isinstance(phrases, list) and all(isinstance(p, str) for p in phrases)):
+        raise ValueError(f"phrases must be a list of strings, got {json.dumps(phrases)}")
+    return phrases
+
+
 def _ground_records(records: list, phrases_of, anchor_map: dict, bundle, args) -> tuple[list, list]:
     """Ground each record on ``phrases_of(record)``; returns (predictions, failures)."""
     predictions, failures = [], []
@@ -210,13 +228,15 @@ def _ground_records(records: list, phrases_of, anchor_map: dict, bundle, args) -
             continue
         sample_id = rec.get("sample_id", "<missing sample_id>")
         try:
+            if "sample_id" in rec:
+                jsonl._record_key(rec, "sample_id")  # an array or object cannot key the predictions
             phrases = list(phrases_of(rec))
             anchors = anchor_map.get(jsonl._record_key(rec, "image_id")) if phrases else None
             if phrases and anchors is None:
                 raise ValueError(f"unknown image_id {rec['image_id']!r}")
             if isinstance(anchors, str):
                 raise ValueError(anchors)
-            output = grounding.ground(
+            boxes = grounding.ground(
                 sample_id=sample_id,
                 anchors=anchors,
                 phrases=phrases,
@@ -225,18 +245,17 @@ def _ground_records(records: list, phrases_of, anchor_map: dict, bundle, args) -
                 top_fraction=args.top_frac,
                 distinct_anchors=args.distinct_anchors,
             )
-            predictions.append({"sample_id": sample_id, "boxes": [list(b) for b in output.boxes]})
+            predictions.append({"sample_id": sample_id, "boxes": [list(b) for b in boxes]})
         except (ValueError, KeyError, TypeError, decouple.DecoupleError) as exc:
             failures.append({"sample_id": sample_id, "error": jsonl._message(exc)})
     return predictions, failures
 
 
 def cmd_ground(args) -> int:
+    grounding._check_fraction(args.top_frac)  # a bad --top-frac stops the run before any work or output
     bundle = similarity.load_bundle(args.weights)
     anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac)
-    predictions, failures = _ground_records(
-        jsonl.read_jsonl(args.texts), lambda rec: rec["phrases"], anchor_map, bundle, args
-    )
+    predictions, failures = _ground_records(jsonl.read_jsonl(args.texts), _phrases, anchor_map, bundle, args)
     jsonl.write_jsonl(args.out, predictions)
     print(f"wrote {len(predictions)} predictions to {args.out}")
     for failure in failures:
@@ -290,18 +309,19 @@ def cmd_eval(args) -> int:
 
 def _decouple_record(rec: dict, offline: bool, vlm_cfg) -> decouple.DecoupleResult:
     if "phrases" in rec and "expression" not in rec:
-        return decouple.DecoupleResult(
-            count=len(rec["phrases"]), phrases=tuple(rec["phrases"]), raw=""
-        )
+        phrases = _phrases(rec)
+        return decouple.DecoupleResult(count=len(phrases), phrases=tuple(phrases), raw="")
     if offline:
         if "decouple_response" in rec:
-            return decouple.parse_response(rec["decouple_response"])
-        return decouple.rule_based_decompose(rec["expression"])
-    return decouple.decouple_via_service(rec["expression"], rec.get("image_b64"), vlm_cfg)
+            return decouple.parse_response(_string(rec, "decouple_response"))
+        return decouple.rule_based_decompose(_string(rec, "expression"))
+    return decouple.decouple_via_service(_string(rec, "expression"), rec.get("image_b64"), vlm_cfg)
 
 
 def cmd_pipeline(args) -> int:
-    metrics._check_threshold(args.iou)  # a bad --iou stops the run before any work or output
+    # A bad --iou or --top-frac stops the run before any work or output.
+    metrics._check_threshold(args.iou)
+    grounding._check_fraction(args.top_frac)
     bundle = similarity.load_bundle(args.weights)
     anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac)
     gt_records = jsonl.read_jsonl(args.gt, objects=True, key="sample_id")

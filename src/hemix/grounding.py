@@ -28,18 +28,16 @@ class AnchorRecord:
             raise ValueError("confidence must be finite")
 
 
-@dataclass(frozen=True)
-class GroundingOutput:
-    sample_id: str
-    boxes: tuple
+def _check_fraction(top_fraction: float) -> None:
+    if not 0.0 < top_fraction <= 1.0:
+        raise ValueError(f"top_fraction must lie in (0, 1], got {top_fraction}")
 
 
 def _keep_count(n: int, top_fraction: float) -> int:
     """ceil(top_fraction * n), at least one; raises for an empty set or a fraction outside (0, 1]."""
     if not n:
         raise ValueError("anchor list is empty")
-    if not 0.0 < top_fraction <= 1.0:
-        raise ValueError(f"top_fraction must lie in (0, 1], got {top_fraction}")
+    _check_fraction(top_fraction)
     return max(1, math.ceil(top_fraction * n))
 
 
@@ -74,14 +72,16 @@ def _as_rows(rows: list, n: int, width: int | None) -> np.ndarray | None:
 
 
 class AnchorSet:
-    """One image's anchors, checked as AnchorRecord checks one anchor, cut to one fraction.
+    """One image's anchors, checked and cut to one fraction when built.
 
-    Every anchor is checked, then only the kept ones (see _kept_indices) are
-    stored, in their original order: ``features`` [k, d] and ``boxes`` [k, 4],
-    both float64. ``len()`` is n, the count before the cut. ``pool`` serves
-    ``top_fraction`` alone and projects the kept features once per bundle.
-    An empty set or a fraction outside (0, 1] stores no rows and fails in
-    ``pool``.
+    Every anchor, kept or not, must have a finite number as its confidence,
+    four finite box coordinates with x1 < x2 and y1 < y2, and a feature
+    vector of the same shape as every other anchor's. An empty list or a
+    fraction outside (0, 1] fails too. Only the kept anchors (see
+    _kept_indices) are stored, in their original order: ``features`` [k, d]
+    and ``boxes`` [k, 4], both float64. ``len()`` is n, the count before the
+    cut. ``pool`` serves ``top_fraction`` alone and projects the kept
+    features once per bundle.
     """
 
     def __init__(self, features, confidence, boxes, top_fraction: float):
@@ -97,6 +97,8 @@ class AnchorSet:
         if box is None:
             bad = next((b for b in boxes if np.shape(b) != (4,)), None)
             raise ValueError(f"box must have four coordinates, got {bad}")
+        if not np.isfinite(box).all():
+            raise ValueError("box must have finite coordinates")
         inverted = ~((box[:, 0] < box[:, 2]) & (box[:, 1] < box[:, 3]))
         if inverted.any():
             bad = tuple(box[inverted.argmax()].tolist())
@@ -104,10 +106,7 @@ class AnchorSet:
         feats = _as_rows(features, n, None)
         if feats is None:
             raise ValueError("anchor features must be vectors that all have the same shape")
-        try:
-            kept = _kept_indices(conf, top_fraction)
-        except ValueError:
-            kept = np.arange(0)  # nothing can be grounded; pool says why
+        kept = _kept_indices(conf, top_fraction)
         self.features, self.boxes = feats[kept], box[kept]
         self.top_fraction, self._n = top_fraction, n
         self._pool = None
@@ -123,7 +122,6 @@ class AnchorSet:
 
     def pool(self, top_fraction: float, bundle: ProjectionBundle) -> Embedded:
         """The kept features projected by the bundle's visual matrices (reused per bundle object)."""
-        _keep_count(self._n, top_fraction)  # an empty set or a bad fraction raises
         if top_fraction != self.top_fraction:
             raise ValueError(f"anchors were cut to top_fraction {self.top_fraction}, got {top_fraction}")
         if self._pool is None or self._pool[0] is not bundle:
@@ -140,22 +138,23 @@ def ground(
     bundle: ProjectionBundle,
     top_fraction: float = 0.10,
     distinct_anchors: bool = False,
-) -> GroundingOutput:
-    """Select one box per decoupled phrase from the image's AnchorSet.
+) -> tuple:
+    """One (x1, y1, x2, y2) box per decoupled phrase, from the image's AnchorSet.
 
     A zero-phrase sample produces no boxes and reads no anchors (``None``
     will do). The kept anchors (projected once per bundle, see
     ``AnchorSet.pool``) are scored against all phrases at once; each phrase
     takes its argmax (lowest index on ties), so one anchor may serve several
     phrases unless ``distinct_anchors`` greedily excludes used anchors until
-    all are used.
+    all are used. ``sample_id`` is not read here: the benchmark's tracer
+    labels each ``ground`` span with it.
     """
     if len(phrases) != len(text_features):
         raise ValueError(
             f"expected {len(phrases)} text features to match the phrases, got {len(text_features)}"
         )
     if not phrases:
-        return GroundingOutput(sample_id=sample_id, boxes=())
+        return ()
     visual = anchors.pool(top_fraction, bundle)
     text = embed_rows(text_features, bundle.w_et, bundle.w_ht, bundle.kappa, "text features")
     scores = pair_scores(visual, text, bundle.alpha)
@@ -166,4 +165,4 @@ def ground(
         idx = int(rows[np.argmax(column[rows])])
         free[idx] = False
         boxes.append(tuple(anchors.boxes[idx].tolist()))
-    return GroundingOutput(sample_id=sample_id, boxes=tuple(boxes))
+    return tuple(boxes)

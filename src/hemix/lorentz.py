@@ -98,14 +98,6 @@ class TangentVector:
     def as_vector(self) -> np.ndarray:
         return np.concatenate(([self.time], self.spatial))
 
-    def lorentz_norm(self) -> float:
-        """sqrt(<v,v>_L); tangent vectors at hyperboloid points are spacelike."""
-        sq = lorentz_inner(self.as_vector(), self.as_vector())
-        tol = MEMBERSHIP_TOL * (1.0 + float(self.as_vector() @ self.as_vector()))
-        if sq < -tol:
-            raise ValueError(f"tangent vector has timelike norm: <v,v>_L = {sq:.3e}")
-        return math.sqrt(max(sq, 0.0))
-
 
 # ---------------------------------------------------------------------------
 # Row functions: x, y, p, q, v are [m, n+1] stacks of ambient vectors and
@@ -243,16 +235,6 @@ def lift(z: np.ndarray, kappa: float) -> CurvedPoint:
 def apex(dim: int, kappa: float) -> CurvedPoint:
     """The point with zero spatial part, time = 1/sqrt(kappa)."""
     return lift(np.zeros(dim), kappa)
-
-
-def is_on_hyperboloid(x: np.ndarray, kappa: float, tol: float = MEMBERSHIP_TOL) -> bool:
-    """True iff x_0 > 0 and |<x,x>_L + 1/kappa| <= tol."""
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    x = np.asarray(x, dtype=np.float64)
-    if x[0] <= 0:
-        return False
-    return abs(lorentz_inner(x, x) + 1.0 / kappa) <= tol
 
 
 def geodesic_distance(x: CurvedPoint, y: CurvedPoint) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,9 +31,7 @@ DEFAULT_KAPPA = 1.0
 class ProjectionBundle:
     """The four projection matrices plus the mixing, temperature, and curvature scalars.
 
-    alpha must lie strictly inside (0, 1) unless ``allow_endpoint_alpha`` is
-    set; the endpoints reduce the mix to a single branch and are meant for
-    diagnostics only.
+    alpha lies in [0, 1]; the endpoints reduce the mix to a single branch.
     """
 
     w_ev: np.ndarray
@@ -43,7 +41,6 @@ class ProjectionBundle:
     alpha: float
     tau: float = DEFAULT_TAU
     kappa: float = DEFAULT_KAPPA
-    allow_endpoint_alpha: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         for name in ("w_ev", "w_et", "w_hv", "w_ht"):
@@ -55,14 +52,8 @@ class ProjectionBundle:
                 raise ValueError("all projection matrices must share one dimension")
             if not np.all(np.isfinite(m)):
                 raise ValueError(f"{name} contains non-finite entries")
-        if self.allow_endpoint_alpha:
-            if not 0.0 <= self.alpha <= 1.0:
-                raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        elif not 0.0 < self.alpha < 1.0:
-            raise ValueError(
-                f"alpha must be strictly inside (0, 1), got {self.alpha}; "
-                "set allow_endpoint_alpha=True for single-branch diagnostics"
-            )
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         for name in ("tau", "kappa"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -85,13 +76,7 @@ class ProjectionBundle:
         rng = np.random.default_rng(seed)
         gain = 1.0 / math.sqrt(dim)
         mats = [rng.uniform(-gain, gain, size=(dim, dim)) for _ in range(4)]
-        return cls(
-            *mats,
-            alpha=alpha,
-            tau=tau,
-            kappa=kappa,
-            allow_endpoint_alpha=(alpha == 0.0 or alpha == 1.0),
-        )
+        return cls(*mats, alpha=alpha, tau=tau, kappa=kappa)
 
 
 class Embedded(NamedTuple):
@@ -247,11 +232,5 @@ def load_bundle(path: str | Path) -> ProjectionBundle:
         if flat.shape != (dim * dim,):
             raise ValueError(f"{name} has shape {flat.shape}, expected ({dim * dim},)")
         mats[name] = flat.reshape(dim, dim)
-    alpha = float(payload["alpha"])
-    return ProjectionBundle(
-        **mats,
-        alpha=alpha,
-        tau=float(payload["tau"]),
-        kappa=float(payload["kappa"]),
-        allow_endpoint_alpha=(alpha == 0.0 or alpha == 1.0),
-    )
+    return ProjectionBundle(**mats, alpha=float(payload["alpha"]), tau=float(payload["tau"]),
+                            kappa=float(payload["kappa"]))

@@ -111,10 +111,8 @@ def test_c4_hemix_endpoints_and_affinity():
         rng = np.random.default_rng(42)
         dim = 8
         mats = ProjectionBundle.initialize(dim, seed=7)
-        b0 = ProjectionBundle(mats.w_ev, mats.w_et, mats.w_hv, mats.w_ht, alpha=0.0, tau=0.07,
-                              allow_endpoint_alpha=True)
-        b1 = ProjectionBundle(mats.w_ev, mats.w_et, mats.w_hv, mats.w_ht, alpha=1.0, tau=0.07,
-                              allow_endpoint_alpha=True)
+        b0 = ProjectionBundle(mats.w_ev, mats.w_et, mats.w_hv, mats.w_ht, alpha=0.0, tau=0.07)
+        b1 = ProjectionBundle(mats.w_ev, mats.w_et, mats.w_hv, mats.w_ht, alpha=1.0, tau=0.07)
         bmid = ProjectionBundle(mats.w_ev, mats.w_et, mats.w_hv, mats.w_ht, alpha=0.37, tau=0.07)
         for _ in range(1000):
             fv, ft = rng.standard_normal(dim), rng.standard_normal(dim)

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import strict_json
 
 from hemix import cli, ingest, jsonl
 from hemix.similarity import ProjectionBundle, save_bundle
@@ -234,6 +235,8 @@ def test_pipeline_reproduces_golden(capsys, tmp_path):
     assert code == 0
     assert preds.read_bytes() == (DATA / "golden_predictions.jsonl").read_bytes()
     assert report.read_bytes() == (DATA / "golden_report.json").read_bytes()
+    assert len(strict_json.load_jsonl(preds)) == 9  # the header and eight predictions
+    strict_json.loads(report.read_text())
 
 
 def test_pipeline_rejects_a_bad_iou_before_any_work(capsys, tmp_path, monkeypatch):
@@ -384,6 +387,9 @@ def test_ground_isolates_bad_records(capsys, tmp_path):
         ["a", "JSON", "array"],
         {"sample_id": "count", "image_id": "img", "phrases": ["p", "q"], "features": [[1.0, 0.0]]},
         {"sample_id": "null", "image_id": "img", "phrases": ["p"], "features": None},
+        {"sample_id": "abc", "image_id": "img", "phrases": "abc", "features": [[1.0, 0.0]] * 3},
+        {"sample_id": "num", "image_id": "img", "phrases": [1], "features": [[1.0, 0.0]]},
+        {"sample_id": ["x"], "image_id": "img", "phrases": ["p"], "features": [[1.0, 0.0]]},
     ]
 
     def ground(name, records):
@@ -407,6 +413,11 @@ def test_ground_isolates_bad_records(capsys, tmp_path):
     assert errors[2] == "error: <missing sample_id>: record is not a JSON object"
     assert errors[3] == "error: count: expected 2 text features to match the phrases, got 1"
     assert errors[4].startswith("error: null: ")
+    assert errors[5:] == [
+        'error: abc: phrases must be a list of strings, got "abc"',
+        "error: num: phrases must be a list of strings, got [1]",
+        """error: ['x']: sample_id must be a string or a number, got ["x"]""",
+    ]
 
 
 def test_ground_names_missing_field(capsys, tmp_path):
@@ -490,17 +501,94 @@ def test_empty_image_fails_its_samples_only(capsys, tmp_path):
     jsonl.write_jsonl(anchors, anchor_recs)
     code, report = pipeline_report(capsys, tmp_path, anchors)
     assert code == 1
-    assert report["failures"] == [{"sample_id": "s1", "error": "anchor list is empty"}]
+    assert report["failures"] == [{"sample_id": "s1", "error": "anchors of image 'img1': anchor list is empty"}]
 
 
-@pytest.mark.parametrize("top", ["0", "1.5"])
-def test_out_of_range_top_frac_fails_each_grounded_sample(capsys, tmp_path, top):
-    code, report = pipeline_report(capsys, tmp_path, DATA / "anchors.jsonl", "--top-frac", top)
+@pytest.mark.parametrize("command", ["pipeline", "ground"])
+@pytest.mark.parametrize("top", ["0", "1.5", "nan"])
+def test_out_of_range_top_frac_is_a_run_error(capsys, tmp_path, monkeypatch, command, top):
+    def never(*args, **kwargs):
+        raise AssertionError("the run went on")
+
+    monkeypatch.setattr(cli.similarity, "load_bundle", never)
+    preds = tmp_path / "preds.jsonl"
+    argv = [command, "--anchors", str(DATA / "anchors.jsonl"), "--texts", str(DATA / "texts.jsonl"),
+            "--weights", str(DATA / "weights.json"), "--top-frac", top, "--out", str(preds)]
+    if command == "pipeline":
+        argv += ["--gt", str(DATA / "gt.jsonl"), "--offline"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: top_fraction must lie in (0, 1], got {float(top)}"
+    assert strict_json.loads(err.splitlines()[0])["top_frac"] == (top if top == "nan" else float(top))
+    assert not preds.exists()
+
+
+@pytest.mark.parametrize("argv, name, echoed", [
+    (["train-toy", "--tau", "inf"], "tau", "inf"),
+    (["train-toy", "--kappa=-inf"], "kappa", "-inf"),
+    (["eval", "--gt", str(DATA / "gt.jsonl"), "--pred", str(DATA / "golden_predictions.jsonl"),
+      "--iou", "nan"], "iou", "nan"),
+])
+def test_echo_line_is_strict_json(capsys, tmp_path, argv, name, echoed):
+    code, _, err = run(capsys, *argv, *(["--out", str(tmp_path / "w.json")] if argv[0] == "train-toy" else []))
+    assert code == 2  # the value is still refused, after the echo
+    assert strict_json.loads(err.splitlines()[0])[name] == echoed
+    assert list(tmp_path.iterdir()) == []
+
+
+def fixture_pipeline(capsys, tmp_path, text_recs=None, anchors_text=None):
+    """(exit code, predictions, report) of an offline pipeline run on the fixture, each read strictly.
+
+    ``text_recs`` replaces the texts and ``anchors_text`` the anchors file's text.
+    """
+    texts, anchors = DATA / "texts.jsonl", DATA / "anchors.jsonl"
+    if text_recs is not None:
+        texts = tmp_path / "texts.jsonl"
+        jsonl.write_jsonl(texts, text_recs)
+    if anchors_text is not None:
+        anchors = tmp_path / "anchors.jsonl"
+        anchors.write_text(anchors_text)
+    preds, report = tmp_path / "preds.jsonl", tmp_path / "report.json"
+    code, _, _ = run(capsys, "pipeline", "--anchors", str(anchors), "--texts", str(texts),
+                     "--weights", str(DATA / "weights.json"), "--gt", str(DATA / "gt.jsonl"), "--offline",
+                     "--out", str(preds), "--report", str(report))
+    return code, strict_json.load_jsonl(preds)[1:], strict_json.loads(report.read_text())
+
+
+def test_pipeline_fails_only_the_sample_of_a_mistyped_texts_field(capsys, tmp_path):
+    text_recs = jsonl.read_jsonl(DATA / "texts.jsonl")
+    text_recs[0]["expression"] = 5
+    text_recs[1] = {"sample_id": "s2", "image_id": "img2", "phrases": "ab", "features": text_recs[1]["features"]}
+    text_recs[2]["decouple_response"] = 0
+    text_recs[3]["sample_id"] = ["x"]
+    text_recs[4]["sample_id"] = {"a": 1}
+    code, preds, report = fixture_pipeline(capsys, tmp_path, text_recs)
     assert code == 1
-    # s3 decouples to no target, so it needs no anchors and still succeeds.
-    want = f"top_fraction must lie in (0, 1], got {float(top)}"
-    assert report["failures"] == [{"sample_id": f"s{i}", "error": want} for i in (1, 2, 4, 5, 6, 7, 8)]
-    assert report["n_samples"] == 1
+    assert report["failures"] == [
+        {"sample_id": "s1", "error": "expression must be a string, got 5"},
+        {"sample_id": "s2", "error": 'phrases must be a list of strings, got "ab"'},
+        {"sample_id": "s3", "error": "decouple_response must be a string, got 0"},
+        {"sample_id": ["x"], "error": 'sample_id must be a string or a number, got ["x"]'},
+        {"sample_id": {"a": 1}, "error": 'sample_id must be a string or a number, got {"a": 1}'},
+    ]
+    golden = jsonl.read_jsonl(DATA / "golden_predictions.jsonl")
+    assert preds == golden[5:]
+    assert report["n_samples"] == 3
+
+
+def test_non_finite_anchor_box_fails_its_image(capsys, tmp_path):
+    # The box s1 selects, with x2 = 1e400: JSON text for a float64 infinity.
+    anchor_recs = jsonl.read_jsonl(DATA / "anchors.jsonl")
+    (s1_box,) = jsonl.read_jsonl(DATA / "golden_predictions.jsonl")[0]["boxes"]
+    (picked,) = [a for a in anchor_recs[0]["anchors"] if a["box"] == s1_box]
+    picked["box"] = [0.0, 0.0, 12345.5, 1.0]
+    anchors_text = "\n".join(json.dumps(r) for r in anchor_recs).replace("12345.5", "1e400") + "\n"
+    code, preds, report = fixture_pipeline(capsys, tmp_path, anchors_text=anchors_text)
+    assert code == 1
+    assert report["failures"] == [
+        {"sample_id": "s1", "error": "anchors of image 'img1': box must have finite coordinates"}]
+    assert preds == jsonl.read_jsonl(DATA / "golden_predictions.jsonl")[1:]
 
 
 def test_import_does_not_load_the_http_stack():

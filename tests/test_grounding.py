@@ -70,7 +70,7 @@ def anchor_set(anchors, top_fraction=1.0):
 def pick(text, anchors):
     """Index of the anchor whose box ``ground`` returns for one phrase, all anchors kept."""
     out = ground("s", anchor_set(anchors), ["x"], [text], scoring_bundle(), top_fraction=1.0)
-    return [a.box for a in anchors].index(out.boxes[0])
+    return [a.box for a in anchors].index(out[0])
 
 
 def box(i):
@@ -91,8 +91,8 @@ class TestGround:
 
     def test_no_phrases_no_boxes(self):
         out = ground("s", anchor_set([anchor([1, 0], 0.9)], 0.10), [], [], scoring_bundle())
-        assert out.boxes == ()
-        assert ground("s", None, [], [], scoring_bundle()).boxes == ()
+        assert out == ()
+        assert ground("s", None, [], [], scoring_bundle()) == ()
 
     def test_single_phrase_matches_selection(self):
         anchors = [
@@ -101,7 +101,7 @@ class TestGround:
         ]
         out = ground("s", anchor_set(anchors), ["x"], [np.array([1.0, 0.0])], scoring_bundle(),
                      top_fraction=1.0)
-        assert out.boxes == ((20.0, 20.0, 30.0, 30.0),)
+        assert out == ((20.0, 20.0, 30.0, 30.0),)
 
     def test_orthogonal_phrases_pick_distinct_anchors(self):
         anchors = [
@@ -110,20 +110,20 @@ class TestGround:
         ]
         feats = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         out = ground("s", anchor_set(anchors), ["a", "b"], feats, scoring_bundle(), top_fraction=1.0)
-        assert out.boxes == ((0.0, 0.0, 10.0, 10.0), (20.0, 20.0, 30.0, 30.0))
+        assert out == ((0.0, 0.0, 10.0, 10.0), (20.0, 20.0, 30.0, 30.0))
 
     def test_anchor_reuse_allowed_by_default(self):
         anchors = [anchor([5, 5], 0.9, (0, 0, 10, 10)), anchor([-5, -5], 0.8, (20, 20, 30, 30))]
         feats = [np.ones(2), np.ones(2)]
         out = ground("s", anchor_set(anchors), ["a", "b"], feats, scoring_bundle(), top_fraction=1.0)
-        assert out.boxes[0] == out.boxes[1]
+        assert out[0] == out[1]
 
     def test_distinct_anchors_flag_forces_spread(self):
         anchors = [anchor([5, 5], 0.9, (0, 0, 10, 10)), anchor([4, 4], 0.8, (20, 20, 30, 30))]
         feats = [np.ones(2), np.ones(2)]
         out = ground("s", anchor_set(anchors), ["a", "b"], feats, scoring_bundle(), top_fraction=1.0,
                      distinct_anchors=True)
-        assert out.boxes[0] != out.boxes[1]
+        assert out[0] != out[1]
 
     def test_distinct_anchors_reuse_only_after_all_used(self):
         # Every phrase prefers anchor 0, then 1, then 2; five phrases over
@@ -134,7 +134,7 @@ class TestGround:
         out = ground("s", anchor_set(anchors), list("abcde"), feats, scoring_bundle(), top_fraction=1.0,
                      distinct_anchors=True)
         want = [boxes[0], boxes[1], boxes[2], boxes[0], boxes[0]]
-        assert out.boxes == tuple(tuple(float(c) for c in b) for b in want)
+        assert out == tuple(tuple(float(c) for c in b) for b in want)
 
     def test_feature_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -148,7 +148,7 @@ class TestGround:
         for k in range(4):
             feats = [rng.standard_normal(3) for _ in range(k)]
             out = ground("s", anchors, [f"p{i}" for i in range(k)], feats, bundle)
-            assert len(out.boxes) == k
+            assert len(out) == k
 
 
 class TestAnchorRecord:
@@ -189,13 +189,6 @@ class TestAnchorSet:
         assert s.features.shape == (3, 2) and s.boxes.shape == (3, 4)
         assert s.features.dtype == s.boxes.dtype == np.float64
 
-    def test_empty_set_fails_only_when_grounded(self):
-        empty = AnchorSet.from_json([], 0.10)
-        assert len(empty) == 0
-        assert ground("s", empty, [], [], scoring_bundle()).boxes == ()
-        with pytest.raises(ValueError, match="empty"):
-            ground("s", empty, ["p"], [np.ones(2)], scoring_bundle())
-
     def test_pool_keeps_what_filter_anchors_keeps(self):
         rng = np.random.default_rng(5)
         for n, top in ((1, 0.1), (12, 0.25), (40, 0.1), (40, 1.0)):
@@ -224,7 +217,7 @@ class TestAnchorSet:
             phrases = [f"p{i}" for i in range(len(f))]
             out = ground("s", shared, phrases, f, bundle, top_fraction=0.2)
             fresh = anchor_set(anchors, 0.2)
-            assert out.boxes == ground("s", fresh, phrases, f, bundle, top_fraction=0.2).boxes
+            assert out == ground("s", fresh, phrases, f, bundle, top_fraction=0.2)
         # The shared set projected once for both samples; each fresh set once more.
         assert calls.count("visual features") == 1 + 2
         calls.clear()
@@ -249,6 +242,8 @@ class TestCutAnchorSet:
     @pytest.mark.parametrize("field, value, match", [
         ("box", [0.0, 0.0, 1.0], "four coordinates"),
         ("box", [10.0, 0.0, 0.0, 10.0], "x1<x2"),
+        ("box", [0.0, 0.0, float("inf"), 1.0], "finite coordinates"),
+        ("box", [float("nan"), 0.0, 1.0, 1.0], "finite coordinates"),
         ("confidence", float("-inf"), "finite"),
         ("confidence", "0.0", "finite number"),
         ("feature", [1.0], "same shape"),
@@ -283,8 +278,8 @@ class TestCutAnchorSet:
             assert got.tobytes() == w.tobytes()
         text = rng.standard_normal((3, 3))
         prefiltered = AnchorSet(features, [a.confidence for a in kept], [a.box for a in kept], 1.0)
-        assert (ground("s", cut, list("abc"), text, bundle, top).boxes
-                == ground("s", prefiltered, list("abc"), text, bundle, 1.0).boxes)
+        assert (ground("s", cut, list("abc"), text, bundle, top)
+                == ground("s", prefiltered, list("abc"), text, bundle, 1.0))
 
     def test_another_fraction_raises(self):
         cut = AnchorSet.from_json(random_entries(np.random.default_rng(1), 10), 0.2)
@@ -294,14 +289,11 @@ class TestCutAnchorSet:
             ground("s", cut, ["p"], [np.ones(3)], scoring_bundle(3), top_fraction=0.1)
 
     @pytest.mark.parametrize("n, top", [(0, 0.1), (0, 0.0), (3, 0.0), (3, 1.5), (3, float("nan"))])
-    def test_empty_set_or_bad_fraction_fails_when_grounded(self, n, top):
+    def test_empty_set_or_bad_fraction_fails_when_built(self, n, top):
         entries = random_entries(np.random.default_rng(2), n)
-        cut = AnchorSet.from_json(entries, top)
-        assert len(cut) == n and len(cut.features) == 0
-        assert ground("s", cut, [], [], scoring_bundle(3), top_fraction=top).boxes == ()
         with pytest.raises(ValueError) as uncut:
             filter_anchors(records(entries), top)
         with pytest.raises(ValueError) as got:
-            ground("s", cut, ["p"], [np.ones(3)], scoring_bundle(3), top)
+            AnchorSet.from_json(entries, top)
         assert str(got.value) == str(uncut.value)
         assert str(got.value).startswith("anchor list is empty" if n == 0 else "top_fraction must lie")

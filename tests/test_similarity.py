@@ -68,8 +68,9 @@ class TestEmbedRows:
             kappa = rng.uniform(0.25, 4.0)
             out = embed_rows(rng.standard_normal((1, 4)), w, w, kappa, "f")
             z = out.z[0]
-            x = np.concatenate((out.x0, z))
-            assert L.is_on_hyperboloid(x, kappa, 1e-8 * max(1.0, float(z @ z)))
+            x = np.concatenate((out.x0, z))[None]
+            assert x[0, 0] > 0
+            assert abs(L.inner_rows(x, x)[0] + 1.0 / kappa) <= 1e-8 * max(1.0, float(z @ z))
 
     @pytest.mark.parametrize("dim", [4, 512])
     def test_two_dimensional_input_is_plain_matmul_bitwise(self, dim):
@@ -178,8 +179,8 @@ class TestScoreMatrix:
         rng = np.random.default_rng(21)
         mats = ProjectionBundle.initialize(6, kappa=0.8, seed=21)
         w = (mats.w_ev, mats.w_et, mats.w_hv, mats.w_ht)
-        b0 = ProjectionBundle(*w, alpha=0.0, kappa=0.8, allow_endpoint_alpha=True)
-        b1 = ProjectionBundle(*w, alpha=1.0, kappa=0.8, allow_endpoint_alpha=True)
+        b0 = ProjectionBundle(*w, alpha=0.0, kappa=0.8)
+        b1 = ProjectionBundle(*w, alpha=1.0, kappa=0.8)
         a, t = rng.standard_normal((5, 6)), rng.standard_normal((3, 6))
         assert np.array_equal(score_matrix(a, t, b0), (a @ mats.w_ev) @ (t @ mats.w_et).T)
         zv, zt = a @ mats.w_hv, t @ mats.w_ht
@@ -228,16 +229,11 @@ class TestScoreMatrix:
 
 
 class TestBundleContract:
-    def test_alpha_endpoints_need_flag(self):
-        eye = np.eye(2)
-        with pytest.raises(ValueError):
-            ProjectionBundle(eye, eye, eye, eye, alpha=0.0)
-        ProjectionBundle(eye, eye, eye, eye, alpha=0.0, allow_endpoint_alpha=True)
-
     def test_alpha_outside_unit_interval_rejected(self):
         eye = np.eye(2)
-        with pytest.raises(ValueError):
-            ProjectionBundle(eye, eye, eye, eye, alpha=1.5, allow_endpoint_alpha=True)
+        for alpha in (-0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match=rf"alpha must be in \[0, 1\], got {alpha}"):
+                ProjectionBundle(eye, eye, eye, eye, alpha=alpha)
 
     @pytest.mark.parametrize("bad", [{"tau": 0.0}, {"tau": -1.0}, {"kappa": 0.0}, {"tau": math.inf},
                                      {"tau": math.nan}, {"kappa": math.inf}, {"kappa": math.nan}])
