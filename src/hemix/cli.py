@@ -15,11 +15,12 @@ import csv
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import contrastive, decouple, grounding, ingest, jsonl, lorentz, metrics, mixture, similarity, trainer
+from . import contrastive, decouple, grounding, ingest, jsonl, lorentz, metrics, mixture, records, similarity, trainer
 
 
 def _echo_config(args: argparse.Namespace) -> None:
@@ -204,50 +205,32 @@ def cmd_decouple(args) -> int:
 # ground / eval / pipeline
 # ---------------------------------------------------------------------------
 
-def _string(rec: dict, name: str) -> str:
-    """``rec[name]``, which must be a string."""
-    if not isinstance(rec[name], str):
-        raise ValueError(f"{name} must be a string, got {json.dumps(rec[name])}")
-    return rec[name]
-
-
-def _phrases(rec: dict) -> list:
-    """``rec["phrases"]``, which must be a list of strings."""
-    phrases = rec["phrases"]
-    if not (isinstance(phrases, list) and all(isinstance(p, str) for p in phrases)):
-        raise ValueError(f"phrases must be a list of strings, got {json.dumps(phrases)}")
-    return phrases
-
-
-def _ground_records(records: list, phrases_of, anchor_map: dict, bundle, args) -> tuple[list, list]:
-    """Ground each record on ``phrases_of(record)``; returns (predictions, failures)."""
-    predictions, failures = [], []
-    for rec in records:
-        if not isinstance(rec, dict):
-            failures.append({"sample_id": "<missing sample_id>", "error": "record is not a JSON object"})
-            continue
-        sample_id = rec.get("sample_id", "<missing sample_id>")
+def _ground_records(texts: list, phrases_of, anchor_map: dict, bundle, args) -> tuple[list, list]:
+    """Ground each texts record on ``phrases_of(record)``; returns (predictions, failures)."""
+    predictions, failures, seen = [], [], set()
+    for rec in texts:
+        label = rec.get("sample_id", "<missing sample_id>") if isinstance(rec, dict) else "<missing sample_id>"
         try:
-            if "sample_id" in rec:
-                jsonl._record_key(rec, "sample_id")  # an array or object cannot key the predictions
+            sample_id, image_id, features = records.texts_record(rec, seen)
             phrases = list(phrases_of(rec))
-            anchors = anchor_map.get(jsonl._record_key(rec, "image_id")) if phrases else None
+            anchors = anchor_map.get(image_id) if phrases else None
             if phrases and anchors is None:
-                raise ValueError(f"unknown image_id {rec['image_id']!r}")
+                raise ValueError(f"unknown image_id {image_id!r}")
             if isinstance(anchors, str):
                 raise ValueError(anchors)
             boxes = grounding.ground(
                 sample_id=sample_id,
                 anchors=anchors,
                 phrases=phrases,
-                text_features=rec.get("features", []),
+                text_features=features,
                 bundle=bundle,
                 top_fraction=args.top_frac,
                 distinct_anchors=args.distinct_anchors,
             )
             predictions.append({"sample_id": sample_id, "boxes": [list(b) for b in boxes]})
-        except (ValueError, KeyError, TypeError, decouple.DecoupleError) as exc:
-            failures.append({"sample_id": sample_id, "error": jsonl._message(exc)})
+        except (ValueError, KeyError, decouple.DecoupleError) as exc:  # a NaN in the sample_id is named "NaN"
+            failures.append({"sample_id": json.loads(json.dumps(label), parse_constant=str),
+                             "error": jsonl._message(exc)})
     return predictions, failures
 
 
@@ -255,7 +238,8 @@ def cmd_ground(args) -> int:
     grounding._check_fraction(args.top_frac)  # a bad --top-frac stops the run before any work or output
     bundle = similarity.load_bundle(args.weights)
     anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac)
-    predictions, failures = _ground_records(jsonl.read_jsonl(args.texts), _phrases, anchor_map, bundle, args)
+    predictions, failures = _ground_records(jsonl.read_jsonl(args.texts), lambda rec: rec["phrases"], anchor_map,
+                                            bundle, args)
     jsonl.write_jsonl(args.out, predictions)
     print(f"wrote {len(predictions)} predictions to {args.out}")
     for failure in failures:
@@ -263,15 +247,13 @@ def cmd_ground(args) -> int:
     return 1 if failures else 0
 
 
-def _eval_samples(gt_records: list, pred_map: dict) -> list:
-    return [
-        metrics.EvalSample(
-            sample_id=rec["sample_id"],
-            gt_boxes=tuple(tuple(b) for b in rec["boxes"]),
-            pred_boxes=tuple(tuple(b) for b in pred_map.get(rec["sample_id"], [])),
-        )
-        for rec in gt_records
-    ]
+def _boxes_file(path) -> dict:
+    """sample_id -> boxes of a ground-truth or prediction file (see records.boxes_record)."""
+    return dict(jsonl.read_jsonl(path, check=partial(records.boxes_record, seen=set())))
+
+
+def _eval_samples(gt: dict, pred_map: dict) -> list:
+    return [metrics.EvalSample(key, boxes, pred_map.get(key, ())) for key, boxes in gt.items()]
 
 
 def _grec_report(samples: list, iou_thresh: float, per_sample: bool) -> dict:
@@ -294,10 +276,7 @@ def _grec_report(samples: list, iou_thresh: float, per_sample: bool) -> dict:
 
 
 def cmd_eval(args) -> int:
-    gt_records = jsonl.read_jsonl(args.gt, objects=True, key="sample_id")
-    pred_map = {rec["sample_id"]: rec["boxes"]
-                for rec in jsonl.read_jsonl(args.pred, objects=True, key="sample_id")}
-    samples = _eval_samples(gt_records, pred_map)
+    samples = _eval_samples(_boxes_file(args.gt), _boxes_file(args.pred))
     if args.metric == "wrec":
         report = {"n_samples": len(samples), "iou_threshold": args.iou,
                   "iou_at_thresh": metrics.iou_at_05(samples, args.iou)}
@@ -309,13 +288,12 @@ def cmd_eval(args) -> int:
 
 def _decouple_record(rec: dict, offline: bool, vlm_cfg) -> decouple.DecoupleResult:
     if "phrases" in rec and "expression" not in rec:
-        phrases = _phrases(rec)
-        return decouple.DecoupleResult(count=len(phrases), phrases=tuple(phrases), raw="")
+        return records.given_phrases(rec)
     if offline:
         if "decouple_response" in rec:
-            return decouple.parse_response(_string(rec, "decouple_response"))
-        return decouple.rule_based_decompose(_string(rec, "expression"))
-    return decouple.decouple_via_service(_string(rec, "expression"), rec.get("image_b64"), vlm_cfg)
+            return decouple.parse_response(rec["decouple_response"])
+        return decouple.rule_based_decompose(rec["expression"])
+    return decouple.decouple_via_service(rec["expression"], rec.get("image_b64"), vlm_cfg)
 
 
 def cmd_pipeline(args) -> int:
@@ -324,7 +302,7 @@ def cmd_pipeline(args) -> int:
     grounding._check_fraction(args.top_frac)
     bundle = similarity.load_bundle(args.weights)
     anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac)
-    gt_records = jsonl.read_jsonl(args.gt, objects=True, key="sample_id")
+    gt = _boxes_file(args.gt)
 
     vlm_cfg = None
     if not args.offline:
@@ -338,9 +316,8 @@ def cmd_pipeline(args) -> int:
     if args.out:
         jsonl.write_jsonl(args.out, predictions)
 
-    pred_map = {p["sample_id"]: p["boxes"] for p in predictions}
-    eval_gt = [rec for rec in gt_records if rec["sample_id"] in pred_map]
-    samples = _eval_samples(eval_gt, pred_map)
+    pred_map = {p["sample_id"]: tuple(map(tuple, p["boxes"])) for p in predictions}
+    samples = _eval_samples({key: boxes for key, boxes in gt.items() if key in pred_map}, pred_map)
     report = _grec_report(samples, args.iou, per_sample=True) if samples else {
         "n_samples": 0, "iou_threshold": args.iou, "precision_at_f1": None, "n_acc": None,
     }

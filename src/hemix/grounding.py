@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .records import anchor_entries
 from .similarity import Embedded, ProjectionBundle, embed_rows, pair_scores
 
 
@@ -58,64 +59,29 @@ def filter_anchors(anchors: list, top_fraction: float) -> list:
     return [anchors[i] for i in _kept_indices(confidence, top_fraction)]
 
 
-def _as_rows(rows: list, n: int, width: int | None) -> np.ndarray | None:
-    """``rows`` as one [n, width] float64 array (any common width for None), else None."""
-    try:
-        arr = np.array(rows, dtype=np.float64)
-    except ValueError:
-        if len({np.shape(r) for r in rows}) < 2:
-            raise  # an entry that is not a number
-        return None
-    if n == 0:
-        return arr.reshape(0, width or 0)
-    return arr if arr.ndim == 2 and len(arr) == n and width in (None, arr.shape[1]) else None
-
-
 class AnchorSet:
-    """One image's anchors, checked and cut to one fraction when built.
+    """One image's anchors, cut to one fraction when built.
 
-    Every anchor, kept or not, must have a finite number as its confidence,
-    four finite box coordinates with x1 < x2 and y1 < y2, and a feature
-    vector of the same shape as every other anchor's. An empty list or a
-    fraction outside (0, 1] fails too. Only the kept anchors (see
+    ``from_json`` builds it from an image's anchor entries, each checked by
+    records.anchor_entries whether the cut keeps it or not. An empty list or
+    a fraction outside (0, 1] fails too. Only the kept anchors (see
     _kept_indices) are stored, in their original order: ``features`` [k, d]
     and ``boxes`` [k, 4], both float64. ``len()`` is n, the count before the
     cut. ``pool`` serves ``top_fraction`` alone and projects the kept
     features once per bundle.
     """
 
-    def __init__(self, features, confidence, boxes, top_fraction: float):
-        conf = np.array(confidence)
-        # A dtype check, not a cast: float64 conversion would accept "0.5".
-        if conf.ndim != 1 or conf.dtype.kind not in "biuf":
-            raise ValueError("confidence must be a finite number")
-        conf = conf.astype(np.float64)
-        if not np.isfinite(conf).all():
-            raise ValueError("confidence must be finite")
-        n = len(conf)
-        box = _as_rows(boxes, n, 4)
-        if box is None:
-            bad = next((b for b in boxes if np.shape(b) != (4,)), None)
-            raise ValueError(f"box must have four coordinates, got {bad}")
-        if not np.isfinite(box).all():
-            raise ValueError("box must have finite coordinates")
-        inverted = ~((box[:, 0] < box[:, 2]) & (box[:, 1] < box[:, 3]))
-        if inverted.any():
-            bad = tuple(box[inverted.argmax()].tolist())
-            raise ValueError(f"box must satisfy x1<x2 and y1<y2, got {bad}")
-        feats = _as_rows(features, n, None)
-        if feats is None:
-            raise ValueError("anchor features must be vectors that all have the same shape")
-        kept = _kept_indices(conf, top_fraction)
-        self.features, self.boxes = feats[kept], box[kept]
-        self.top_fraction, self._n = top_fraction, n
+    def __init__(self, features: np.ndarray, confidence: np.ndarray, boxes: np.ndarray, top_fraction: float):
+        """From float64 arrays: ``features`` [n, d], ``confidence`` [n] and ``boxes`` [n, 4]."""
+        kept = _kept_indices(confidence, top_fraction)
+        self.features, self.boxes = features[kept], boxes[kept]
+        self.top_fraction, self._n = top_fraction, len(confidence)
         self._pool = None
 
     @classmethod
     def from_json(cls, entries: list, top_fraction: float) -> "AnchorSet":
         """From anchor entries {"feature": [...], "confidence": c, "box": [x1, y1, x2, y2]}."""
-        return cls([a["feature"] for a in entries], [a["confidence"] for a in entries],
-                   [a["box"] for a in entries], top_fraction)
+        return cls(*anchor_entries(entries), top_fraction)
 
     def __len__(self) -> int:
         return self._n
@@ -134,7 +100,7 @@ def ground(
     sample_id: str,
     anchors: AnchorSet | None,
     phrases: list,
-    text_features: list,
+    text_features: np.ndarray,
     bundle: ProjectionBundle,
     top_fraction: float = 0.10,
     distinct_anchors: bool = False,

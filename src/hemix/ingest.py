@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import os
 import pickle
+from functools import partial
 
-from . import grounding, jsonl
+from . import grounding, jsonl, records
 
 # The anchors file is decoded in spans of at least this many bytes. Splitting
 # a 1 MiB file in two saved nothing on two CPUs: the fork and the pickled
@@ -36,17 +37,17 @@ def _byte_ranges(path, n: int) -> list:
     return list(zip(cuts, cuts[1:] + [None]))
 
 
-def _anchor_range(path, top_fraction: float, start: int, end: int | None) -> dict:
-    """image_id -> its AnchorSet or the error message of a malformed entry, for the lines starting in [start, end)."""
-    anchor_map = {}
-    for rec in jsonl.iter_jsonl(path, objects=True, start=start, end=end, key="image_id"):
+def _anchor_range(path, top_fraction: float, start: int, end: int | None) -> list:
+    """(image_id, its AnchorSet or the error message of a malformed entry) for each line starting in [start, end)."""
+    images = []
+    for rec in jsonl.iter_jsonl(path, start=start, end=end, check=records.image_record):
         image_id = rec["image_id"]
         try:
-            anchor_map[image_id] = grounding.AnchorSet.from_json(rec["anchors"], top_fraction)
-        except (ValueError, KeyError, TypeError) as exc:
-            anchor_map[image_id] = f"anchors of image {image_id!r}: {jsonl._message(exc)}"
+            images.append((image_id, grounding.AnchorSet.from_json(rec["anchors"], top_fraction)))
+        except (ValueError, KeyError) as exc:
+            images.append((image_id, f"anchors of image {image_id!r}: {jsonl._message(exc)}"))
         del rec
-    return anchor_map
+    return images
 
 
 def _span_queue(count: int) -> int:
@@ -63,7 +64,7 @@ def _span_queue(count: int) -> int:
 
 
 def _decode_queued(path, top_fraction: float, spans: list, queue: int) -> dict:
-    """span index -> its _anchor_range map, or the exception it raised, for each span taken from ``queue``.
+    """span index -> its _anchor_range list, or the exception it raised, for each span taken from ``queue``.
 
     Every process reads the one queue, so spans are taken in file order. A
     failing span empties the queue: no later span is needed, every process
@@ -118,9 +119,11 @@ def load_anchor_map(path, top_fraction: float) -> dict:
     a shared queue until none is left. The parts are merged in file order, so
     the map, its key order and any error are those of one whole-file read.
     When several spans fail, the first in file order is raised; a child that
-    exits without a reply fails the run. Every process streams its spans: each
-    record is dropped before the next line is decoded, and each image keeps
-    only the rows that grounding at ``top_fraction`` reads.
+    exits without a reply fails the run. A file without such a failure fails
+    on its first repeated image_id, naming the later line. Every process
+    streams its spans: each record is dropped before the next line is
+    decoded, and each image keeps only the rows that grounding at
+    ``top_fraction`` reads.
     """
     cpus = _cpu_count()
     spans = _byte_ranges(path, 1 if cpus == 1 else min(cpus * _SPANS_PER_CPU, 256))  # one byte names a span
@@ -136,11 +139,13 @@ def load_anchor_map(path, top_fraction: float) -> dict:
             except (EOFError, pickle.UnpicklingError):
                 raise ChildProcessError(f"{path}: a process decoding part of this file exited "
                                         "without a result") from None
-        anchor_map = {}
-        for i in sorted(parts):
-            if isinstance(parts[i], Exception):
-                raise parts[i]
-            anchor_map.update(parts[i])
+        parts = [parts[i] for i in sorted(parts)]
+        if failed := next((part for part in parts if isinstance(part, Exception)), None):
+            raise failed
+        anchor_map = dict(image for part in parts for image in part)
+        if len(anchor_map) < sum(map(len, parts)):  # an image_id repeats: a whole-file read names its line
+            for _ in jsonl.iter_jsonl(path, check=partial(records.image_record, seen=set())):
+                pass
     except BaseException:
         import signal  # only here: the module costs memory on every run
 

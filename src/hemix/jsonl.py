@@ -30,14 +30,6 @@ def _message(exc: Exception) -> str:
     return str(exc)
 
 
-def _record_key(record: dict, key: str):
-    """``record[key]``: KeyError if it is missing, SchemaError if it is a JSON array or object (no dict key)."""
-    value = record[key]
-    if isinstance(value, (list, dict)):
-        raise SchemaError(f"{key} must be a string or a number, got {json.dumps(value)}")
-    return value
-
-
 # Bytes read at a time while looking for newlines. Reads of 64 KiB raised
 # the ground-d512 pipeline's peak RSS by 0.3 MB; 4 KiB reads did not.
 _SCAN_BYTES = 1 << 12
@@ -64,7 +56,7 @@ def _line_start(path: Path, pos: int, end: int | None) -> int | None:
     return None
 
 
-def iter_jsonl(path, *, objects: bool = False, start: int = 0, end: int | None = None, key: str | None = None):
+def iter_jsonl(path, *, start: int = 0, end: int | None = None, check=None):
     r"""Yield the records of ``path`` one line at a time, skipping blank lines.
 
     A record is one UTF-8 line ending in ``\n`` (the last line may lack it);
@@ -78,11 +70,11 @@ def iter_jsonl(path, *, objects: bool = False, start: int = 0, end: int | None =
     a range that hits an error counts the lines before it then.
 
     A line that is not UTF-8 or not JSON raises SchemaError naming its line.
-    With ``objects`` so does a record that is not a JSON object, and with
-    ``key`` an object without a ``key`` field or whose ``key`` is a JSON array
-    or object and so cannot key a dict. The raw line is dropped before its
-    record is yielded and the record before the next line is read, so a caller
-    that also drops each record holds one parsed line at a time.
+    With ``check``, each record is yielded as ``check(record)``, and a
+    KeyError or ValueError it raises becomes a SchemaError naming the line
+    (see hemix.records). The raw line is dropped before its record is yielded
+    and the record before the next line is read, so a caller that also drops
+    each record holds one parsed line at a time.
     """
     path = Path(path)
     start = _line_start(path, start, end)
@@ -115,23 +107,21 @@ def iter_jsonl(path, *, objects: bool = False, start: int = 0, end: int | None =
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # also an int too long or arrays nested too deep
                 raise SchemaError(f"{where(i)}: invalid JSON: {exc}") from exc
             del line
             if start == 0 and i == 1 and isinstance(obj, dict) and set(obj.keys()) == {"v"}:
                 if obj["v"] != SCHEMA_VERSION:
                     raise SchemaError(f"{path}: unsupported schema version {obj['v']}")
                 continue
-            if objects and not isinstance(obj, dict):
-                raise SchemaError(f"{where(i)}: record is not a JSON object")
-            if key is not None and isinstance(obj, dict):
+            if check is not None:
                 try:
-                    _record_key(obj, key)
-                except (KeyError, SchemaError) as exc:
+                    obj = check(obj)
+                except (KeyError, ValueError) as exc:
                     raise SchemaError(f"{where(i)}: {_message(exc)}") from None
             yield obj
             del obj
 
 
-def read_jsonl(path, *, objects: bool = False, key: str | None = None) -> list:
-    return list(iter_jsonl(path, objects=objects, key=key))
+def read_jsonl(path, *, check=None) -> list:
+    return list(iter_jsonl(path, check=check))

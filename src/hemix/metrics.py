@@ -25,16 +25,11 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class EvalSample:
+    """One sample's (x1, y1, x2, y2) boxes, as records.boxes_record reads them."""
+
     sample_id: str
     gt_boxes: tuple
     pred_boxes: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "gt_boxes", tuple(tuple(float(c) for c in b) for b in self.gt_boxes))
-        object.__setattr__(self, "pred_boxes", tuple(tuple(float(c) for c in b) for b in self.pred_boxes))
-        for b in self.gt_boxes + self.pred_boxes:
-            if len(b) != 4:
-                raise ValueError(f"box must have four coordinates, got {b}")
 
 
 @dataclass(frozen=True)

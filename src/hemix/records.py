@@ -1,0 +1,109 @@
+"""The input contract: one check for each kind of JSONL record (see the README's "File formats").
+
+A check raises KeyError for a missing field and ValueError for any other
+fault; its caller decides whether that ends the run or fails one sample.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+import numpy as np
+
+from .decouple import DecoupleResult
+
+
+def _is_number(x) -> bool:
+    """A number is a finite JSON int or float, and neither a bool nor a numeric string."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+def _id(rec, key: str, seen: set | None = None):
+    """``rec[key]``, a string or a number; with ``seen``, one not in it, which it is added to."""
+    if not isinstance(rec, dict):
+        raise ValueError("record is not a JSON object")
+    value = rec[key]
+    if not (isinstance(value, str) or _is_number(value)):
+        raise ValueError(f"{key} must be a string or a number, got {json.dumps(value)}")
+    if seen is not None:
+        if value in seen:
+            raise ValueError(f"repeated {key} {value!r}")
+        seen.add(value)
+    return value
+
+
+def _rows(rows, width: int | None, not_numbers: str, bad_shape: str | None = None) -> np.ndarray | None:
+    """``rows`` as one [n, width] float64 array of numbers (any width for None); another shape fails or is None."""
+    try:
+        arr = np.array(rows) if rows else np.empty((0, width or 0))
+    except ValueError:  # rows of different lengths
+        arr = None
+    if not isinstance(rows, list) or arr is None or arr.ndim != 2 or width not in (None, arr.shape[1]):
+        if bad_shape:
+            raise ValueError(bad_shape)
+        return None
+    if arr.dtype.kind == "O" and all(_is_number(x) for row in rows for x in row):  # an int beyond int64
+        arr = np.array(rows, dtype=np.float64)
+    # NumPy reads a true or false among numbers as 1 or 0: only a row holding a 0 or 1 can hide a bool.
+    if (arr.dtype.kind not in "iuf" or not np.isfinite(arr).all()
+            or any(bool in map(type, rows[i]) for i in np.flatnonzero((arr == 0).any(1) | (arr == 1).any(1)))):
+        raise ValueError(not_numbers)
+    return arr.astype(np.float64, copy=False)
+
+
+def _boxes(boxes) -> np.ndarray:
+    """A list of boxes, each four numbers with x1 < x2 and y1 < y2, as one [n, 4] array."""
+    box = _rows(boxes, 4, "box must have finite coordinates")
+    if box is None:
+        bad = (next((b for b in boxes if not (isinstance(b, list) and len(b) == 4)), boxes)
+               if isinstance(boxes, list) else boxes)
+        raise ValueError(f"box must have four coordinates, got {json.dumps(bad)}")
+    inverted = ~((box[:, 0] < box[:, 2]) & (box[:, 1] < box[:, 3]))
+    if inverted.any():
+        raise ValueError(f"box must satisfy x1<x2 and y1<y2, got {tuple(box[inverted.argmax()].tolist())}")
+    return box
+
+
+def image_record(rec, seen: set | None = None):
+    """A record of the anchors file, whose ``image_id`` is not in ``seen`` if that is given."""
+    _id(rec, "image_id", seen)
+    return rec
+
+
+def anchor_entries(entries) -> tuple:
+    """(features [n, d], confidence [n], boxes [n, 4]) of anchors {"feature", "confidence", "box"}."""
+    if not (isinstance(entries, list) and all(isinstance(a, dict) for a in entries)):
+        raise ValueError("anchors must be a list of objects")
+    not_number = "confidence must be a finite number"
+    confidence = _rows([[a["confidence"] for a in entries]], None, not_number, not_number)
+    boxes = _boxes([a["box"] for a in entries])
+    features = _rows([a["feature"] for a in entries], None, "anchor features must be finite numbers",
+                     "anchor features must be vectors that all have the same shape")
+    return features, confidence[0], boxes
+
+
+def given_phrases(rec: dict) -> DecoupleResult:
+    """A texts record's ``phrases``, held to DecoupleResult's rule."""
+    phrases = rec["phrases"]
+    if not (isinstance(phrases, list) and all(isinstance(p, str) for p in phrases)):
+        raise ValueError(f"phrases must be a list of strings, got {json.dumps(phrases)}")
+    return DecoupleResult(count=len(phrases), phrases=tuple(phrases))
+
+
+def texts_record(rec, seen: set) -> tuple:
+    """(sample_id, image_id, features [n, d]) of a texts record, after a check of every field it has."""
+    sample_id, image_id = _id(rec, "sample_id", seen), _id(rec, "image_id")
+    for name in ("expression", "decouple_response"):
+        if not isinstance(rec.get(name, ""), str):
+            raise ValueError(f"{name} must be a string, got {json.dumps(rec[name])}")
+    if "phrases" in rec:
+        given_phrases(rec)
+    return sample_id, image_id, _rows(rec.get("features", []), None, "text features must be finite numbers",
+                                      "text features must be a list of rows of one length")
+
+
+def boxes_record(rec, seen: set) -> tuple:
+    """(sample_id, boxes as (x1, y1, x2, y2) float tuples) of a ground-truth or prediction record."""
+    sample_id = _id(rec, "sample_id", seen)
+    return sample_id, tuple(map(tuple, _boxes(rec["boxes"]).tolist()))

@@ -137,17 +137,9 @@ def score_matrix(a: np.ndarray, t: np.ndarray, bundle: ProjectionBundle) -> np.n
     return _scores(a, t, bundle, bundle.alpha)
 
 
-def _check_dim(f: np.ndarray, dim: int, what: str) -> np.ndarray:
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (dim,):
-        raise ValueError(f"{what} must be a length-{dim} vector, got shape {f.shape}")
-    return f
-
-
 def _pair(f_v: np.ndarray, f_t: np.ndarray, bundle: ProjectionBundle, alpha: float) -> float:
-    f_v = _check_dim(f_v, bundle.dim, "visual feature")
-    f_t = _check_dim(f_t, bundle.dim, "text feature")
-    return float(_scores(f_v[None, :], f_t[None, :], bundle, alpha)[0, 0])
+    """The score of two feature vectors; embed_rows rejects any other shape as a [1, ...] row."""
+    return float(_scores(np.asarray(f_v)[None], np.asarray(f_t)[None], bundle, alpha)[0, 0])
 
 
 def sim_euclidean(f_v: np.ndarray, f_t: np.ndarray, bundle: ProjectionBundle) -> float:

@@ -318,7 +318,8 @@ def test_pipeline_isolates_bad_feature_samples(capsys, tmp_path):
     assert list(errors) == ["short_text", "short_anchor", "nan_text", "huge_text", "<missing sample_id>"]
     assert "text features must be an [n, 4] array" in errors["short_text"]
     assert "same shape" in errors["short_anchor"]
-    assert "non-finite" in errors["nan_text"] and "non-finite" in errors["huge_text"]
+    assert errors["nan_text"] == "text features must be finite numbers"
+    assert "non-finite" in errors["huge_text"]
     assert errors["<missing sample_id>"] == "record is not a JSON object"
     assert payload.pop("n_failures") == 5
     golden = json.loads((DATA / "golden_report.json").read_text())
@@ -712,8 +713,14 @@ def test_iter_jsonl_matches_read_jsonl(tmp_path):
     path = tmp_path / "x.jsonl"
     path.write_text('{"v": 1}\n\n{"a": 1}\n   \n[1, 2]\n{"v": 1}\n')
     assert list(jsonl.iter_jsonl(path)) == jsonl.read_jsonl(path) == [{"a": 1}, [1, 2], {"v": 1}]
+
+    def objects(rec):
+        if not isinstance(rec, dict):
+            raise ValueError("record is not a JSON object")
+        return rec
+
     with pytest.raises(jsonl.SchemaError, match=r"x\.jsonl:5: record is not a JSON object"):
-        jsonl.read_jsonl(path, objects=True)
+        jsonl.read_jsonl(path, check=objects)
 
 
 @pytest.mark.parametrize("text, match", [

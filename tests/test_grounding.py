@@ -277,7 +277,7 @@ class TestCutAnchorSet:
         for got, w in zip(cut.pool(top, bundle), want):
             assert got.tobytes() == w.tobytes()
         text = rng.standard_normal((3, 3))
-        prefiltered = AnchorSet(features, [a.confidence for a in kept], [a.box for a in kept], 1.0)
+        prefiltered = AnchorSet(features, np.array([a.confidence for a in kept]), np.array([a.box for a in kept]), 1.0)
         assert (ground("s", cut, list("abc"), text, bundle, top)
                 == ground("s", prefiltered, list("abc"), text, bundle, 1.0))
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hemix import cli, ingest, jsonl
+from hemix import cli, ingest, jsonl, records
 
 DATA = Path(__file__).parent / "data"
 
@@ -149,23 +149,6 @@ def test_parallel_map_equals_one_range_read(monkeypatch, tmp_path, forks, cpus, 
     assert got["no_anchors"] == "anchors of image 'no_anchors': record has no 'anchors' field"
 
 
-@pytest.mark.parametrize("children", [False, True])
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_duplicate_image_ids_across_ranges_keep_the_last(monkeypatch, tmp_path, forks, cpus, children):
-    records = [image("a", 2), image("b", 3), image("c", 4), image("a", 5), image("d", 6), image("b", 7),
-               image("e", 8), image("a", 9)]
-    path = write_lines(tmp_path / "anchors.jsonl", lines_of(records))
-    want = one_range_read(monkeypatch, path, 1.0)
-    set_cpus(monkeypatch, cpus)
-    if children:
-        leave_spans_to_children(monkeypatch)
-    assert len(ingest._byte_ranges(path, cpus)) == cpus
-    got = ingest.load_anchor_map(path, 1.0)
-    assert_same_map(got, want)
-    assert list(got) == ["a", "b", "c", "d", "e"]
-    assert {k: len(v) for k, v in got.items()} == {"a": 9, "b": 7, "c": 4, "d": 6, "e": 8}
-
-
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("shape", ["headerless", "crlf", "blank_lines", "empty", "header_only",
                                    "one_record", "whitespace_only"])
@@ -217,7 +200,7 @@ def no_image_id(line):
 
 
 # What a whole-file read of each shape returns: (records, error text) with no
-# checks and with objects=True, key="image_id". A lone "\r" does not end a line.
+# check and with the anchors file's. A lone "\r" does not end a line.
 WHOLE = {
     "lf": (([{"a": 1}, [2], {"a": "\u00e9"}], None), ([], no_image_id(2))),
     "crlf": (([{"a": 1}, [2], {"a": 3}], None), ([], no_image_id(2))),
@@ -252,7 +235,7 @@ def test_ranges_cut_at_any_offsets_read_each_line_once(monkeypatch, tmp_path, sh
     monkeypatch.chdir(tmp_path)
     path = Path("x.jsonl")
     path.write_bytes(SHAPES[shape])
-    kw = {"objects": True, "key": "image_id"} if keyed else {}
+    kw = {"check": records.image_record} if keyed else {}
     want = read_cut(path, [], **kw)  # one whole-file read
     assert want == WHOLE[shape][keyed]
     size = path.stat().st_size
@@ -386,6 +369,38 @@ def test_two_bad_ranges_report_the_earlier(monkeypatch, capsys, tmp_path, forks,
         leave_spans_to_children(monkeypatch)
     assert run_pipeline(capsys, path) == (2, f"error: {path}:{first + 1}: record is not a JSON object")
     assert len(forks) == cpus - 1
+
+
+def repeat_image(path, first, later):
+    """Gives line ``later`` of ``path`` the image_id of line ``first``; returns that id."""
+    lines = path.read_text().splitlines()
+    image_id = json.loads(lines[first])["image_id"]
+    lines[later] = json.dumps(dict(json.loads(lines[later]), image_id=image_id), sort_keys=True)
+    write_lines(path, lines)
+    return image_id
+
+
+@pytest.mark.parametrize("cpus, children", [(1, False), (2, False), (2, True), (3, False), (3, True)])
+@pytest.mark.parametrize("first, later", [(2, 3), (2, 11), (6, 7), (9, 4)])
+def test_repeated_image_id_names_the_later_line_at_any_cpu_count(monkeypatch, capsys, tmp_path, forks, cpus,
+                                                                children, first, later):
+    path, _ = bad_file(tmp_path, {})
+    image_id = repeat_image(path, first, later)
+    repeat_image(path, 10, 12)  # a second repeat, after the first
+    set_cpus(monkeypatch, cpus)
+    if children:
+        leave_spans_to_children(monkeypatch)
+    line = max(first, later) + 1
+    assert run_pipeline(capsys, path) == (2, f"error: {path}:{line}: repeated image_id {image_id!r}")
+    assert len(forks) == cpus - 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_line_error_comes_before_an_earlier_repeated_image_id(monkeypatch, capsys, tmp_path, forks, cpus):
+    path, _ = bad_file(tmp_path, {11: "[1, 2]"})
+    repeat_image(path, 2, 3)
+    set_cpus(monkeypatch, cpus)
+    assert run_pipeline(capsys, path) == (2, f"error: {path}:12: record is not a JSON object")
 
 
 def test_worker_that_dies_without_a_result_fails_the_run(monkeypatch, capsys, tmp_path, forks):
