@@ -120,7 +120,8 @@ def load_anchor_map(path, top_fraction: float) -> dict:
     the map, its key order and any error are those of one whole-file read.
     When several spans fail, the first in file order is raised; a child that
     exits without a reply fails the run. A file without such a failure fails
-    on its first repeated image_id, naming the later line. Every process
+    on its first repeated image_id, naming the later line; only the first span
+    that repeats an earlier id is read again to find it. Every process
     streams its spans: each record is dropped before the next line is
     decoded, and each image keeps only the rows that grounding at
     ``top_fraction`` reads.
@@ -143,9 +144,15 @@ def load_anchor_map(path, top_fraction: float) -> dict:
         if failed := next((part for part in parts if isinstance(part, Exception)), None):
             raise failed
         anchor_map = dict(image for part in parts for image in part)
-        if len(anchor_map) < sum(map(len, parts)):  # an image_id repeats: a whole-file read names its line
-            for _ in jsonl.iter_jsonl(path, check=partial(records.image_record, seen=set())):
-                pass
+        if len(anchor_map) < sum(map(len, parts)):  # an image_id repeats: re-reading its span names the line
+            seen = set()
+            for (start, end), part in zip(spans, parts):
+                ids = {image_id for image_id, _ in part}
+                if len(ids) < len(part) or not seen.isdisjoint(ids):
+                    for _ in jsonl.iter_jsonl(path, start=start, end=end,
+                                              check=partial(records.image_record, seen=seen)):
+                        pass
+                seen |= ids
     except BaseException:
         import signal  # only here: the module costs memory on every run
 

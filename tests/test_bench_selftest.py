@@ -44,7 +44,9 @@ import hemix.cli
 with contextlib.redirect_stdout(io.StringIO()):
     rc = hemix.cli.main(sys.argv[2:])
 tracer.write_spans(sys.argv[1])
-print(json.dumps({"rc": rc, "calls": {k: v for k, v in tracer.per_layer().items() if k.endswith("calls")}}))
+layers = tracer.per_layer()
+print(json.dumps({"rc": rc, "calls": {k: v for k, v in layers.items() if k.endswith("calls")},
+                  "draws": layers["mixture.draws"]}))
 """
 
 
@@ -56,6 +58,18 @@ TRACED_TRAIN_CALLS = {
     "lorentz.exp_map_calls": 0, "lorentz.geodesic_distance_calls": 0, "lorentz.lift_calls": 0,
     "lorentz.log_map_calls": 0, "metrics.calls": 0, "mixture.calls": 0, "similarity.calls": 295,
     "trainer.calls": 6,
+}
+
+
+# The same counts for the benchmark's `analyze-alpha` run (see
+# tests/test_cli.py's pins): the closed form's calls and one Monte-Carlo
+# oracle call whose draw count the tracer reads from its arguments.
+TRACED_ALPHA_CALLS = {
+    "cli.calls": 3, "contrastive.calls": 0, "contrastive.grad_calls": 0, "contrastive.loss_calls": 0,
+    "decouple.calls": 0, "grounding.calls": 0, "jsonl.calls": 0, "lorentz.calls": 0,
+    "lorentz.exp_map_calls": 0, "lorentz.geodesic_distance_calls": 0, "lorentz.lift_calls": 0,
+    "lorentz.log_map_calls": 0, "metrics.calls": 0, "mixture.calls": 17, "similarity.calls": 0,
+    "trainer.calls": 0,
 }
 
 
@@ -75,7 +89,7 @@ def test_traced_fixture_pipeline_keeps_its_call_counts(tmp_path):
     argv = ["pipeline", "--anchors", str(data / "anchors.jsonl"), "--texts", str(data / "texts.jsonl"),
             "--weights", str(data / "weights.json"), "--gt", str(data / "gt.jsonl"), "--offline"]
     result, spans = _traced(tmp_path, argv)
-    assert result == {"rc": 0, "calls": TRACED_CALLS}
+    assert result == {"rc": 0, "calls": TRACED_CALLS, "draws": 0}
     assert [s["sample_id"] for s in spans if s["name"] == "grounding.ground"] == [f"s{i}" for i in range(1, 9)]
 
 
@@ -83,6 +97,15 @@ def test_traced_train_toy_keeps_its_call_counts(tmp_path):
     argv = ["train-toy", "--dim", "16", "--steps", "30", "--batch-images", "4", "--negatives", "3",
             "--samples", "32", "--seed", "3", "--out", str(tmp_path / "weights.json")]
     result, spans = _traced(tmp_path, argv)
-    assert result == {"rc": 0, "calls": TRACED_TRAIN_CALLS}
+    assert result == {"rc": 0, "calls": TRACED_TRAIN_CALLS, "draws": 0}
     loss_parents = {spans[s["parent"]]["name"] for s in spans if s["name"] == "contrastive.contrastive_loss"}
     assert loss_parents == {"trainer.train"}
+
+
+def test_traced_analyze_alpha_keeps_its_call_counts(tmp_path):
+    argv = ["analyze-alpha", "--b-e", "0.5", "--b-h", "-0.5", "--sigma-e", "1", "--sigma-h", "2",
+            "--rho", "0.3", "--mc-n", "1000000", "--seed", "1"]
+    result, spans = _traced(tmp_path, argv)
+    assert result == {"rc": 0, "calls": TRACED_ALPHA_CALLS, "draws": 1_000_000}
+    oracle = [s for s in spans if s["name"] == "mixture.monte_carlo_mse"]
+    assert [spans[s["parent"]]["name"] for s in oracle] == ["cli.cmd_analyze_alpha"]

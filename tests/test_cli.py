@@ -83,6 +83,18 @@ def test_suite_outputs_are_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == _SUITE_PINS[argv]
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--sigma-e", "nan", "sigma_e must be finite and nonnegative, got nan"),
+    ("--b-h", "inf", "b_h must be finite, got inf"),
+])
+def test_analyze_alpha_rejects_a_non_finite_model(capsys, flag, value, message):
+    argv = {"--b-e": "0.5", "--b-h": "-0.5", "--sigma-e": "1", "--sigma-h": "2", "--rho": "0.3", flag: value}
+    code, out, err = run(capsys, "analyze-alpha", *(x for item in argv.items() for x in item), "--mc-n", "10000")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: {message}"
+
+
 def test_analyze_alpha_degenerate(capsys):
     code, out, _ = run(
         capsys, "analyze-alpha", "--b-e", "0.3", "--b-h", "0.3",

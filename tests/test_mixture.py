@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hemix.mixture import (
+    _BLOCK,
     MixtureErrorModel,
     monte_carlo_mse,
     mse_of_mix,
@@ -147,8 +149,9 @@ class TestMonteCarlo:
         (MixtureErrorModel(0.5, -0.5, 0.0, 0.0, 1.0), -0.2),
         (MixtureErrorModel(1.1, 0.2, 0.8, 0.0, -0.6), 1.5),
     ])
-    def test_in_place_oracle_equals_the_allocating_expression(self, m, alpha):
-        n, seed = 20_000, 7
+    @pytest.mark.parametrize("n", [10_000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17])
+    def test_in_place_oracle_equals_the_allocating_expression(self, m, alpha, n):
+        seed = 7
         rng = np.random.default_rng(seed)
         g1 = rng.standard_normal(n)
         g2 = rng.standard_normal(n)
@@ -159,12 +162,32 @@ class TestMonteCarlo:
         want_stderr = 0.0 if m.sigma_e == m.sigma_h == 0.0 else float(np.std(sq, ddof=1) / math.sqrt(n))
         assert monte_carlo_mse(alpha, m, n=n, seed=seed) == (float(np.mean(sq)), want_stderr)
 
+    def test_oracle_holds_one_float_per_draw(self):
+        n = 10**6
+        monte_carlo_mse(0.1875, ASYMMETRIC, n=10_000)  # first-call allocations are not the oracle's
+        tracemalloc.start()
+        try:
+            monte_carlo_mse(0.1875, ASYMMETRIC, n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * n
 
-@pytest.mark.parametrize("bad", [
-    {"sigma_e": -0.1}, {"sigma_h": -0.1}, {"rho": 1.5}, {"rho": -1.5},
-])
-def test_model_validation(bad):
+
+@pytest.mark.parametrize("bad, message", [
+    ({"sigma_e": -0.1}, "sigma_e must be finite and nonnegative, got -0.1"),
+    ({"sigma_h": -0.1}, "sigma_h must be finite and nonnegative, got -0.1"),
+    ({"rho": 1.5}, "correlation must lie in [-1, 1], got 1.5"),
+    ({"rho": -1.5}, "correlation must lie in [-1, 1], got -1.5"),
+    ({"sigma_e": math.nan}, "sigma_e must be finite and nonnegative, got nan"),
+    ({"sigma_h": math.inf}, "sigma_h must be finite and nonnegative, got inf"),
+    ({"b_e": math.nan}, "b_e must be finite, got nan"),
+    ({"b_h": -math.inf}, "b_h must be finite, got -inf"),
+    ({"rho": math.nan}, "correlation must lie in [-1, 1], got nan"),
+], ids=[f"bad{i}" for i in range(9)])
+def test_model_validation(bad, message):
     kwargs = {"b_e": 0.0, "b_h": 0.0, "sigma_e": 1.0, "sigma_h": 1.0, "rho": 0.0}
     kwargs.update(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         MixtureErrorModel(**kwargs)
+    assert str(exc.value) == message

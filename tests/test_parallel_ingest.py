@@ -395,6 +395,26 @@ def test_repeated_image_id_names_the_later_line_at_any_cpu_count(monkeypatch, ca
     assert len(forks) == cpus - 1
 
 
+@pytest.mark.parametrize("first, later", [(2, 11), (9, 10), (10, 4)])
+def test_repeated_image_id_rereads_only_the_span_of_the_repeat(monkeypatch, capsys, tmp_path, forks, first,
+                                                                later):
+    path, starts = bad_file(tmp_path, {})
+    image_id = repeat_image(path, first, later)
+    set_cpus(monkeypatch, 2)
+    leave_spans_to_children(monkeypatch)  # so every iter_jsonl call of this process is the re-read
+    reads, real = [], jsonl.iter_jsonl
+
+    def spy(*args, **kwargs):
+        reads.append((kwargs.get("start", 0), kwargs.get("end")))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jsonl, "iter_jsonl", spy)
+    line = max(first, later)
+    assert run_pipeline(capsys, path)[1] == f"error: {path}:{line + 1}: repeated image_id {image_id!r}"
+    assert reads == [spans_of(path, 2)[span_of(path, starts[line], 2)]]
+    assert reads[0][0] > 0
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_line_error_comes_before_an_earlier_repeated_image_id(monkeypatch, capsys, tmp_path, forks, cpus):
     path, _ = bad_file(tmp_path, {11: "[1, 2]"})
