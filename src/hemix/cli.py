@@ -132,7 +132,18 @@ def cmd_analyze_alpha(args) -> int:
 # train-toy
 # ---------------------------------------------------------------------------
 
+def _check_output_dirs(*paths: Path) -> None:
+    """Fail before any work when the directory of an output file is missing."""
+    for path in paths:
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"cannot write {path}: no directory {path.parent}")
+
+
 def cmd_train_toy(args) -> int:
+    out = Path(args.out)
+    trace_path = Path(args.trace_out) if args.trace_out else out.parent / "loss_trace.csv"
+    apex_path = Path(args.apex_out) if args.apex_out else out.parent / "apex_report.json"
+    _check_output_dirs(out, trace_path, apex_path)
     hierarchy = trainer.default_hierarchy(
         n_parents=args.parents,
         children_per_parent=args.children_per_parent,
@@ -150,15 +161,12 @@ def cmd_train_toy(args) -> int:
     )
     bundle, trace = trainer.train(data, cfg)
 
-    out = Path(args.out)
     similarity.save_bundle(bundle, out)
-    trace_path = Path(args.trace_out) if args.trace_out else out.parent / "loss_trace.csv"
     with trace_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "loss"])
         writer.writerows((i, f"{loss:.10g}") for i, loss in enumerate(trace))
     report = trainer.apex_report(bundle, hierarchy)
-    apex_path = Path(args.apex_out) if args.apex_out else out.parent / "apex_report.json"
     apex_path.write_text(_dump(report) + "\n")
 
     eval_data = trainer.generate_dataset(

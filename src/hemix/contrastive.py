@@ -83,6 +83,11 @@ class GroundingBatch:
         return self.texts.shape[1]
 
 
+def _check_gradient(name: str, g: np.ndarray) -> None:
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"gradient {name} contains non-finite entries")
+
+
 @dataclass
 class LossReport:
     loss: float
@@ -92,8 +97,7 @@ class LossReport:
         if not math.isfinite(self.loss) or self.loss < 0.0:
             raise ValueError(f"loss must be finite and nonnegative, got {self.loss}")
         for name, g in self.grads.items():
-            if not np.all(np.isfinite(g)):
-                raise ValueError(f"gradient {name} contains non-finite entries")
+            _check_gradient(name, g)
 
 
 def _in_set(batch: GroundingBatch, intra_negatives: bool) -> np.ndarray:
@@ -133,6 +137,7 @@ def contrastive_loss(
     intra_negatives: bool = False,
     *,
     out: dict | None = None,
+    apply=None,
 ) -> LossReport:
     """Mean over images of -log softmax(positive | term set), with analytic grads.
 
@@ -140,25 +145,35 @@ def contrastive_loss(
     that receives that gradient. The report's ``grads`` are then those arrays
     themselves, so the next call with the same ``out`` overwrites them.
     Without ``out`` every call returns fresh arrays.
+
+    ``apply``, if given, is called as ``apply(name, grad)`` with each finished
+    gradient in ``w_ev, w_et, w_hv, w_ht`` order, before the next one is
+    computed, and the report's ``grads`` is empty. ``out`` may then map all
+    four names to one array. The loss is checked before any gradient is made,
+    and each gradient before it is applied, so a non-finite gradient raises
+    after the gradients before it were applied.
     """
     loss, v, t, g = _loss(batch, _in_set(batch, intra_negatives), bundle)
+    report = LossReport(loss=float(loss), grads={})
     alpha, n_img = bundle.alpha, len(batch.pos)
     g[batch.pos, np.arange(n_img)] -= 1.0
     g /= bundle.tau * n_img  # [anchors, images], zero outside the term sets
     anchors, texts = batch.anchors, batch.texts
+    products = (
+        ("w_ev", 1.0 - alpha, lambda o: np.matmul(anchors.T, g @ t.e, out=o)),
+        ("w_et", 1.0 - alpha, lambda o: np.matmul(texts.T, g.T @ v.e, out=o)),
+        ("w_hv", alpha, lambda o: np.matmul(anchors.T, g @ t.z - ((g @ t.x0) / v.x0)[:, None] * v.z, out=o)),
+        ("w_ht", alpha, lambda o: np.matmul(texts.T, g.T @ v.z - ((g.T @ v.x0) / t.x0)[:, None] * t.z, out=o)),
+    )
     out = out or {}
-    grads = {
-        "w_ev": np.matmul(anchors.T, g @ t.e, out=out.get("w_ev")),
-        "w_et": np.matmul(texts.T, g.T @ v.e, out=out.get("w_et")),
-        "w_hv": np.matmul(anchors.T, g @ t.z - ((g @ t.x0) / v.x0)[:, None] * v.z, out=out.get("w_hv")),
-        "w_ht": np.matmul(texts.T, g.T @ v.z - ((g.T @ v.x0) / t.x0)[:, None] * t.z, out=out.get("w_ht")),
-    }
-    # Scaled in place: a scaled copy would be one more [dim, dim] temporary each.
-    for name in ("w_ev", "w_et"):
-        grads[name] *= 1.0 - alpha
-    for name in ("w_hv", "w_ht"):
-        grads[name] *= alpha
-    return LossReport(loss=float(loss), grads=grads)
+    # Without apply, each gradient is kept in the report.
+    apply = apply or report.grads.__setitem__
+    for name, scale, product in products:
+        grad = product(out.get(name))
+        grad *= scale  # in place: a scaled copy would be one more [dim, dim] temporary
+        _check_gradient(name, grad)
+        apply(name, grad)
+    return report
 
 
 def hierarchical_loss(

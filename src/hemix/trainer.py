@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from types import MappingProxyType
 
 import numpy as np
@@ -49,6 +49,8 @@ class SyntheticHierarchy:
                 raise ValueError(f"unknown parent {parent!r}")
             if len(kids) < 2:
                 raise ValueError(f"parent {parent!r} needs at least two children")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be finite and nonnegative, got {self.noise_scale}")
 
     def all_children(self) -> list:
         return [c for p in self.parents for c in self.children[p]]
@@ -170,52 +172,59 @@ _ADAM_ROWS = 64
 class _Adam:
     """Plain Adam with bias correction, updating moments and parameters in place.
 
-    Each step runs the textbook update's operations in the textbook order, one
-    block of rows at a time through two preallocated scratch blocks, so the
-    parameters match the allocating form bit for bit.
+    Each matrix keeps its own step count, so matrices updated once per step
+    one after another match one update of them all. Each update runs the
+    textbook update's operations in the textbook order, one block of rows at
+    a time through two preallocated scratch blocks, so the parameters match
+    the allocating form bit for bit.
     """
 
     def __init__(self, lr: float):
         self.lr = lr
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
-        self.t = 0
+        self.t: dict = {}
         self.m: dict = {}
         self.v: dict = {}
         self._scratch = np.empty((2, 0, 0))
 
     def step(self, params: dict, grads: dict) -> None:
-        self.t += 1
-        b1, b2, eps, lr = self.beta1, self.beta2, self.eps, self.lr
-        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for name, g in grads.items():
-            if name not in self.m:
-                self.m[name] = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
-            m, v, p = self.m[name], self.v[name], params[name]
-            cols = g.shape[1]
-            if self._scratch.shape[2] != cols:
-                self._scratch = np.empty((2, _ADAM_ROWS, cols))
-            for start in range(0, g.shape[0], _ADAM_ROWS):
-                rows = slice(start, start + _ADAM_ROWS)
-                gb, mb, vb, pb = g[rows], m[rows], v[rows], p[rows]
-                a, b = self._scratch[0, : len(gb)], self._scratch[1, : len(gb)]
-                # m = b1 m + (1 - b1) g
-                np.multiply(mb, b1, out=mb)
-                np.multiply(gb, 1 - b1, out=a)
-                np.add(mb, a, out=mb)
-                # v = b2 v + (1 - b2) g g
-                np.multiply(vb, b2, out=vb)
-                np.multiply(gb, 1 - b2, out=a)
-                np.multiply(a, gb, out=a)
-                np.add(vb, a, out=vb)
-                # p -= lr (m / c1) / (sqrt(v / c2) + eps)
-                np.divide(vb, c2, out=a)
-                np.sqrt(a, out=a)
-                np.add(a, eps, out=a)
-                np.divide(mb, c1, out=b)
-                np.divide(b, a, out=b)
-                np.multiply(b, lr, out=b)
-                np.subtract(pb, b, out=pb)
+            self.update(params, name, g)
+
+    def update(self, params: dict, name: str, g: np.ndarray) -> None:
+        """One Adam step of ``params[name]`` with gradient ``g``."""
+        if name not in self.m:
+            self.t[name] = 0
+            self.m[name] = np.zeros_like(g)
+            self.v[name] = np.zeros_like(g)
+        self.t[name] += 1
+        t, b1, b2, eps, lr = self.t[name], self.beta1, self.beta2, self.eps, self.lr
+        c1, c2 = 1 - b1**t, 1 - b2**t
+        m, v, p = self.m[name], self.v[name], params[name]
+        cols = g.shape[1]
+        if self._scratch.shape[2] != cols:
+            self._scratch = np.empty((2, _ADAM_ROWS, cols))
+        for start in range(0, g.shape[0], _ADAM_ROWS):
+            rows = slice(start, start + _ADAM_ROWS)
+            gb, mb, vb, pb = g[rows], m[rows], v[rows], p[rows]
+            a, b = self._scratch[0, : len(gb)], self._scratch[1, : len(gb)]
+            # m = b1 m + (1 - b1) g
+            np.multiply(mb, b1, out=mb)
+            np.multiply(gb, 1 - b1, out=a)
+            np.add(mb, a, out=mb)
+            # v = b2 v + (1 - b2) g g
+            np.multiply(vb, b2, out=vb)
+            np.multiply(gb, 1 - b2, out=a)
+            np.multiply(a, gb, out=a)
+            np.add(vb, a, out=vb)
+            # p -= lr (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(vb, c2, out=a)
+            np.sqrt(a, out=a)
+            np.add(a, eps, out=a)
+            np.divide(mb, c1, out=b)
+            np.divide(b, a, out=b)
+            np.multiply(b, lr, out=b)
+            np.subtract(pb, b, out=pb)
 
 
 def train(data: list, cfg: TrainConfig) -> tuple[ProjectionBundle, list]:
@@ -229,9 +238,11 @@ def train(data: list, cfg: TrainConfig) -> tuple[ProjectionBundle, list]:
         dim, alpha=cfg.alpha, tau=cfg.tau, kappa=cfg.kappa, seed=cfg.seed
     )
     params = {"w_ev": bundle.w_ev, "w_et": bundle.w_et, "w_hv": bundle.w_hv, "w_ht": bundle.w_ht}
-    # Every step's gradients are written into these, so no step allocates a [dim, dim] array.
-    grads = {name: np.empty_like(w) for name, w in params.items()}
     opt = _Adam(cfg.lr)
+    # Each gradient is written into this one buffer and applied before the
+    # next is made, so no step allocates a [dim, dim] array.
+    out = dict.fromkeys(params, np.empty_like(bundle.w_ev))
+    apply = partial(opt.update, params)
     rng = np.random.default_rng(cfg.seed)
 
     trace = []
@@ -244,11 +255,10 @@ def train(data: list, cfg: TrainConfig) -> tuple[ProjectionBundle, list]:
         batch = data[int(order[cursor])]
         cursor += 1
         try:
-            report = contrastive_loss(batch, bundle, cfg.intra_negatives, out=grads)
+            report = contrastive_loss(batch, bundle, cfg.intra_negatives, out=out, apply=apply)
         except ValueError as exc:
             raise TrainingDiverged(f"loss became non-finite at step {step}") from exc
         trace.append(report.loss)
-        opt.step(params, grads)
     try:  # the last update can overflow the projections with finite weights
         score_matrix(batch.anchors, batch.texts, bundle)
     except ValueError as exc:

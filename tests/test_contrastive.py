@@ -171,6 +171,60 @@ class TestGradientBuffers:
         assert np.isnan(out["w_ev"]).any()
 
 
+class TestApply:
+    @pytest.mark.parametrize("intra", [False, True])
+    def test_apply_sees_the_out_gradients_in_order(self, intra):
+        dim = 80
+        rng = np.random.default_rng(11)
+        batch = rand_batch(rng, dim, 4, 3)
+        bundle = ProjectionBundle.initialize(dim, seed=11)
+        plain = contrastive_loss(batch, bundle, intra, out={name: np.empty((dim, dim)) for name in contrastive._WEIGHTS})
+        buffer = np.full((dim, dim), np.nan)
+        seen = []
+
+        def apply(name, grad):
+            assert grad is buffer
+            seen.append((name, grad.tobytes()))
+
+        report = contrastive_loss(batch, bundle, intra, out=dict.fromkeys(contrastive._WEIGHTS, buffer), apply=apply)
+        assert report.loss == plain.loss and report.grads == {}
+        assert seen == [(name, plain.grads[name].tobytes()) for name in contrastive._WEIGHTS]
+
+    def test_nan_loss_raises_before_any_apply(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        batch = rand_batch(rng, 4, 2, 2)
+        bundle = ProjectionBundle.initialize(4, seed=5)
+        loss = contrastive._loss
+
+        def poisoned(*args, **kwargs):
+            _, v, t, g = loss(*args, **kwargs)
+            return np.float64(np.nan), v, t, g
+
+        monkeypatch.setattr(contrastive, "_loss", poisoned)
+        seen = []
+        with pytest.raises(ValueError, match="loss must be finite and nonnegative, got nan"):
+            contrastive_loss(batch, bundle, apply=lambda name, grad: seen.append(name))
+        assert seen == []
+
+    def test_non_finite_gradient_raises_before_apply_sees_it(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        batch = rand_batch(rng, 4, 2, 2)
+        bundle = ProjectionBundle.initialize(4, seed=6)
+        loss = contrastive._loss
+
+        def poisoned(*args, **kwargs):
+            value, v, t, g = loss(*args, **kwargs)
+            v.x0[0] = np.nan  # read by the hyperbolic gradients only
+            return value, v, t, g
+
+        monkeypatch.setattr(contrastive, "_loss", poisoned)
+        seen = []
+        with pytest.raises(ValueError, match="^gradient w_hv contains non-finite entries$"):
+            contrastive_loss(batch, bundle, out=dict.fromkeys(contrastive._WEIGHTS, np.empty((4, 4))),
+                             apply=lambda name, grad: seen.append(name))
+        assert seen == ["w_ev", "w_et"]
+
+
 class TestGradientCheck:
     @pytest.mark.parametrize("intra", [False, True])
     def test_matches_finite_differences(self, intra):
