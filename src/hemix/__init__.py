@@ -3,7 +3,6 @@
 from .contrastive import (
     GroundingBatch,
     ImageRecord,
-    LossReport,
     contrastive_loss,
     gradient_check,
     hierarchical_loss,

@@ -34,6 +34,13 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def _check_output_dirs(*paths: Path) -> None:
+    """Fail before any work when the directory of an output file is missing."""
+    for path in paths:
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"cannot write {path}: no directory {path.parent}")
+
+
 # ---------------------------------------------------------------------------
 # geom-check / grad-check
 # ---------------------------------------------------------------------------
@@ -131,13 +138,6 @@ def cmd_analyze_alpha(args) -> int:
 # ---------------------------------------------------------------------------
 # train-toy
 # ---------------------------------------------------------------------------
-
-def _check_output_dirs(*paths: Path) -> None:
-    """Fail before any work when the directory of an output file is missing."""
-    for path in paths:
-        if not path.parent.is_dir():
-            raise FileNotFoundError(f"cannot write {path}: no directory {path.parent}")
-
 
 def cmd_train_toy(args) -> int:
     out = Path(args.out)
@@ -243,7 +243,9 @@ def _ground_records(texts: list, phrases_of, anchor_map: dict, bundle, args) -> 
 
 
 def cmd_ground(args) -> int:
-    grounding._check_fraction(args.top_frac)  # a bad --top-frac stops the run before any work or output
+    # A bad --top-frac or a missing output directory stops the run before any work or output.
+    grounding._check_fraction(args.top_frac)
+    _check_output_dirs(Path(args.out))
     bundle = similarity.load_bundle(args.weights)
     anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac)
     predictions, failures = _ground_records(jsonl.read_jsonl(args.texts), lambda rec: rec["phrases"], anchor_map,
@@ -305,9 +307,10 @@ def _decouple_record(rec: dict, offline: bool, vlm_cfg) -> decouple.DecoupleResu
 
 
 def cmd_pipeline(args) -> int:
-    # A bad --iou or --top-frac stops the run before any work or output.
+    # A bad --iou or --top-frac, or a missing output directory, stops the run before any work or output.
     metrics._check_threshold(args.iou)
     grounding._check_fraction(args.top_frac)
+    _check_output_dirs(*(Path(path) for path in (args.out, args.report) if path))
     bundle = similarity.load_bundle(args.weights)
     anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac)
     gt = _boxes_file(args.gt)

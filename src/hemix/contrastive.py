@@ -83,23 +83,6 @@ class GroundingBatch:
         return self.texts.shape[1]
 
 
-def _check_gradient(name: str, g: np.ndarray) -> None:
-    if not np.all(np.isfinite(g)):
-        raise ValueError(f"gradient {name} contains non-finite entries")
-
-
-@dataclass
-class LossReport:
-    loss: float
-    grads: dict
-
-    def __post_init__(self):
-        if not math.isfinite(self.loss) or self.loss < 0.0:
-            raise ValueError(f"loss must be finite and nonnegative, got {self.loss}")
-        for name, g in self.grads.items():
-            _check_gradient(name, g)
-
-
 def _in_set(batch: GroundingBatch, intra_negatives: bool) -> np.ndarray:
     """[anchors, images] mask: anchor k is in image i's term set."""
     if intra_negatives:
@@ -136,44 +119,40 @@ def contrastive_loss(
     bundle: ProjectionBundle,
     intra_negatives: bool = False,
     *,
-    out: dict | None = None,
-    apply=None,
-) -> LossReport:
-    """Mean over images of -log softmax(positive | term set), with analytic grads.
+    apply,
+    out: np.ndarray | None = None,
+) -> float:
+    """Mean over images of -log softmax(positive | term set); returns the loss.
 
-    ``out``, if given, maps each weight name to a [dim, dim] float64 array
-    that receives that gradient. The report's ``grads`` are then those arrays
-    themselves, so the next call with the same ``out`` overwrites them.
-    Without ``out`` every call returns fresh arrays.
-
-    ``apply``, if given, is called as ``apply(name, grad)`` with each finished
-    gradient in ``w_ev, w_et, w_hv, w_ht`` order, before the next one is
-    computed, and the report's ``grads`` is empty. ``out`` may then map all
-    four names to one array. The loss is checked before any gradient is made,
-    and each gradient before it is applied, so a non-finite gradient raises
-    after the gradients before it were applied.
+    Each analytic gradient is handed to ``apply(name, grad)`` as soon as it is
+    made, in ``w_ev, w_et, w_hv, w_ht`` order, before the next one is
+    computed. ``out``, if given, is one [dim, dim] float64 array that receives
+    every gradient in turn, so ``apply`` must be done with it when it returns;
+    without ``out`` each gradient is a fresh array. The loss is checked before
+    any gradient is made, and each gradient before it is applied, so a
+    non-finite gradient raises after the gradients before it were applied.
     """
     loss, v, t, g = _loss(batch, _in_set(batch, intra_negatives), bundle)
-    report = LossReport(loss=float(loss), grads={})
+    loss = float(loss)
+    if not math.isfinite(loss) or loss < 0.0:
+        raise ValueError(f"loss must be finite and nonnegative, got {loss}")
     alpha, n_img = bundle.alpha, len(batch.pos)
     g[batch.pos, np.arange(n_img)] -= 1.0
     g /= bundle.tau * n_img  # [anchors, images], zero outside the term sets
     anchors, texts = batch.anchors, batch.texts
     products = (
-        ("w_ev", 1.0 - alpha, lambda o: np.matmul(anchors.T, g @ t.e, out=o)),
-        ("w_et", 1.0 - alpha, lambda o: np.matmul(texts.T, g.T @ v.e, out=o)),
-        ("w_hv", alpha, lambda o: np.matmul(anchors.T, g @ t.z - ((g @ t.x0) / v.x0)[:, None] * v.z, out=o)),
-        ("w_ht", alpha, lambda o: np.matmul(texts.T, g.T @ v.z - ((g.T @ v.x0) / t.x0)[:, None] * t.z, out=o)),
+        ("w_ev", 1.0 - alpha, lambda: np.matmul(anchors.T, g @ t.e, out=out)),
+        ("w_et", 1.0 - alpha, lambda: np.matmul(texts.T, g.T @ v.e, out=out)),
+        ("w_hv", alpha, lambda: np.matmul(anchors.T, g @ t.z - ((g @ t.x0) / v.x0)[:, None] * v.z, out=out)),
+        ("w_ht", alpha, lambda: np.matmul(texts.T, g.T @ v.z - ((g.T @ v.x0) / t.x0)[:, None] * t.z, out=out)),
     )
-    out = out or {}
-    # Without apply, each gradient is kept in the report.
-    apply = apply or report.grads.__setitem__
     for name, scale, product in products:
-        grad = product(out.get(name))
+        grad = product()
         grad *= scale  # in place: a scaled copy would be one more [dim, dim] temporary
-        _check_gradient(name, grad)
+        if not np.all(np.isfinite(grad)):
+            raise ValueError(f"gradient {name} contains non-finite entries")
         apply(name, grad)
-    return report
+    return loss
 
 
 def hierarchical_loss(
@@ -213,7 +192,8 @@ def gradient_check(
     """
     if not 1e-6 <= epsilon <= 1e-4:
         raise ValueError(f"epsilon must lie in [1e-6, 1e-4], got {epsilon}")
-    analytic = contrastive_loss(batch, bundle, intra_negatives).grads
+    analytic = {}
+    contrastive_loss(batch, bundle, intra_negatives, apply=analytic.__setitem__)
     in_set = _in_set(batch, intra_negatives)
     size = bundle.dim * bundle.dim
     per_slice = max(1, _STACK_BYTES // (8 * size))

@@ -164,8 +164,7 @@ def hemix(f_v: np.ndarray, f_t: np.ndarray, bundle: ProjectionBundle) -> float:
 # Weight file format: one sorted-key JSON object. The header (alpha, dim,
 # embed_strategy, encoding, kappa, layout, tau) is text; each of the four
 # matrices is one base64 string of its dim*dim little-endian float64 values in
-# row-major order, so values round-trip bit for bit. A file without
-# "encoding" is the legacy form with decimal lists and is still read.
+# row-major order, so values round-trip bit for bit.
 # ---------------------------------------------------------------------------
 
 _MATRICES = ("w_ev", "w_et", "w_hv", "w_ht")
@@ -211,18 +210,9 @@ def load_bundle(path: str | Path) -> ProjectionBundle:
         raise ValueError(f"unsupported weight layout {payload.get('layout')!r}")
     if payload.get("embed_strategy", "linear") != "linear":
         raise ValueError(f"unsupported embed strategy {payload['embed_strategy']!r}")
-    encoding = payload.get("encoding")
-    if encoding not in (None, WEIGHT_ENCODING):
-        raise ValueError(f"unsupported weight encoding {encoding!r}")
+    if payload.get("encoding") != WEIGHT_ENCODING:
+        raise ValueError(f"unsupported weight encoding {payload.get('encoding')!r}")
     dim = int(payload["dim"])
-    mats = {}
-    for name in _MATRICES:
-        if encoding is None:
-            flat = np.asarray(payload[name], dtype=np.float64)
-        else:
-            flat = _decode_matrix(name, payload[name], dim)
-        if flat.shape != (dim * dim,):
-            raise ValueError(f"{name} has shape {flat.shape}, expected ({dim * dim},)")
-        mats[name] = flat.reshape(dim, dim)
+    mats = {name: _decode_matrix(name, payload[name], dim).reshape(dim, dim) for name in _MATRICES}
     return ProjectionBundle(**mats, alpha=float(payload["alpha"]), tau=float(payload["tau"]),
                             kappa=float(payload["kappa"]))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -25,7 +25,10 @@ from .similarity import ProjectionBundle, score_matrix
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss, or what the final parameters project, leaves the finite range."""
+    """Raised when a projection, the loss or a gradient leaves the finite range.
+
+    The message reads ``training diverged at step N: <cause>``.
+    """
 
 
 # Children sit at a fixed angular spread around their parent descriptor; unit
@@ -170,7 +173,7 @@ _ADAM_ROWS = 64
 
 
 class _Adam:
-    """Plain Adam with bias correction, updating moments and parameters in place.
+    """Plain Adam with bias correction, updating moments and ``params`` in place.
 
     Each matrix keeps its own step count, so matrices updated once per step
     one after another match one update of them all. Each update runs the
@@ -179,19 +182,15 @@ class _Adam:
     the allocating form bit for bit.
     """
 
-    def __init__(self, lr: float):
-        self.lr = lr
+    def __init__(self, params: dict, lr: float):
+        self.params, self.lr = params, lr
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.t: dict = {}
         self.m: dict = {}
         self.v: dict = {}
         self._scratch = np.empty((2, 0, 0))
 
-    def step(self, params: dict, grads: dict) -> None:
-        for name, g in grads.items():
-            self.update(params, name, g)
-
-    def update(self, params: dict, name: str, g: np.ndarray) -> None:
+    def update(self, name: str, g: np.ndarray) -> None:
         """One Adam step of ``params[name]`` with gradient ``g``."""
         if name not in self.m:
             self.t[name] = 0
@@ -200,7 +199,7 @@ class _Adam:
         self.t[name] += 1
         t, b1, b2, eps, lr = self.t[name], self.beta1, self.beta2, self.eps, self.lr
         c1, c2 = 1 - b1**t, 1 - b2**t
-        m, v, p = self.m[name], self.v[name], params[name]
+        m, v, p = self.m[name], self.v[name], self.params[name]
         cols = g.shape[1]
         if self._scratch.shape[2] != cols:
             self._scratch = np.empty((2, _ADAM_ROWS, cols))
@@ -238,31 +237,23 @@ def train(data: list, cfg: TrainConfig) -> tuple[ProjectionBundle, list]:
         dim, alpha=cfg.alpha, tau=cfg.tau, kappa=cfg.kappa, seed=cfg.seed
     )
     params = {"w_ev": bundle.w_ev, "w_et": bundle.w_et, "w_hv": bundle.w_hv, "w_ht": bundle.w_ht}
-    opt = _Adam(cfg.lr)
+    opt = _Adam(params, cfg.lr)
     # Each gradient is written into this one buffer and applied before the
     # next is made, so no step allocates a [dim, dim] array.
-    out = dict.fromkeys(params, np.empty_like(bundle.w_ev))
-    apply = partial(opt.update, params)
+    out = np.empty_like(bundle.w_ev)
     rng = np.random.default_rng(cfg.seed)
 
     trace = []
-    order = rng.permutation(len(data))
-    cursor = 0
-    for step in range(cfg.steps):
-        if cursor == len(order):
-            order = rng.permutation(len(data))
-            cursor = 0
-        batch = data[int(order[cursor])]
-        cursor += 1
-        try:
-            report = contrastive_loss(batch, bundle, cfg.intra_negatives, out=out, apply=apply)
-        except ValueError as exc:
-            raise TrainingDiverged(f"loss became non-finite at step {step}") from exc
-        trace.append(report.loss)
-    try:  # the last update can overflow the projections with finite weights
+    try:
+        for step in range(cfg.steps):
+            if step % len(data) == 0:  # a fresh order for each pass over the data
+                order = rng.permutation(len(data))
+            batch = data[int(order[step % len(data)])]
+            trace.append(contrastive_loss(batch, bundle, cfg.intra_negatives, apply=opt.update, out=out))
+        # The last update can overflow the projections with finite weights.
         score_matrix(batch.anchors, batch.texts, bundle)
     except ValueError as exc:
-        raise TrainingDiverged(f"training diverged at step {cfg.steps - 1}: {exc}") from exc
+        raise TrainingDiverged(f"training diverged at step {step}: {exc}") from exc
     return bundle, trace
 
 

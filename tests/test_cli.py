@@ -268,6 +268,28 @@ def test_pipeline_rejects_a_bad_iou_before_any_work(capsys, tmp_path, monkeypatc
     assert not preds.exists()
 
 
+@pytest.mark.parametrize("command, flag", [("ground", "--out"), ("pipeline", "--out"), ("pipeline", "--report")])
+def test_output_directories_are_checked_before_any_work(capsys, tmp_path, monkeypatch, command, flag):
+    def never(*args, **kwargs):
+        raise AssertionError("the run went on")
+
+    monkeypatch.setattr(cli.similarity, "load_bundle", never)
+    argv = ["--anchors", str(DATA / "anchors.jsonl"), "--texts", str(DATA / "texts.jsonl"),
+              "--weights", str(DATA / "weights.json")]
+    outputs = {"--out": tmp_path / "preds.jsonl"}
+    if command == "pipeline":
+        argv += ["--gt", str(DATA / "gt.jsonl"), "--offline"]
+        outputs["--report"] = tmp_path / "report.json"
+    missing = outputs[flag] = tmp_path / "missing" / outputs[flag].name
+    for name, path in outputs.items():
+        argv += [name, str(path)]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: cannot write {missing}: no directory {missing.parent}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pipeline_records_per_sample_failures(capsys, tmp_path):
     texts = tmp_path / "texts.jsonl"
     # Two phrases after decoupling but only one feature: a per-sample failure.

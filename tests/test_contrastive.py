@@ -7,7 +7,6 @@ from hemix import contrastive
 from hemix.contrastive import (
     GroundingBatch,
     ImageRecord,
-    LossReport,
     contrastive_loss,
     gradient_check,
     hierarchical_loss,
@@ -25,27 +24,39 @@ def rand_batch(rng, dim, n_images=None, n_anchors=None):
     return GroundingBatch(images)
 
 
+def ignore(name, grad):
+    """An ``apply`` for callers that need only the loss."""
+
+
+def loss_and_grads(batch, bundle, intra_negatives=False):
+    """The loss and a fresh copy of each gradient, collected through ``apply``."""
+    grads = {}
+    loss = contrastive_loss(batch, bundle, intra_negatives, apply=grads.__setitem__)
+    return loss, grads
+
+
 class TestLossValues:
     def test_single_image_single_anchor_is_zero(self):
         rng = np.random.default_rng(0)
         bundle = ProjectionBundle.initialize(4, seed=0)
         batch = GroundingBatch([ImageRecord([rng.standard_normal(4)], rng.standard_normal(4))])
-        report = contrastive_loss(batch, bundle)
-        assert report.loss == 0.0
-        assert all(np.abs(g).max() <= 1e-12 for g in report.grads.values())
+        loss, grads = loss_and_grads(batch, bundle)
+        assert loss == 0.0
+        assert list(grads) == list(contrastive._WEIGHTS)
+        assert all(np.abs(g).max() <= 1e-12 for g in grads.values())
 
     def test_two_images_equal_scores_log2(self):
         # Identical features everywhere force every pairwise score to match.
         f = np.full(4, 0.3)
         bundle = ProjectionBundle.initialize(4, seed=1)
         batch = GroundingBatch([ImageRecord([f], f), ImageRecord([f.copy()], f.copy())])
-        assert contrastive_loss(batch, bundle).loss == pytest.approx(math.log(2), rel=1e-12)
+        assert contrastive_loss(batch, bundle, apply=ignore) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_three_equal_anchors_intra_log3(self):
         f = np.full(4, -0.7)
         bundle = ProjectionBundle.initialize(4, seed=2)
         batch = GroundingBatch([ImageRecord([f, f.copy(), f.copy()], f.copy())])
-        assert contrastive_loss(batch, bundle, intra_negatives=True).loss == pytest.approx(
+        assert contrastive_loss(batch, bundle, intra_negatives=True, apply=ignore) == pytest.approx(
             math.log(3), rel=1e-12
         )
 
@@ -57,8 +68,8 @@ class TestLossValues:
         batch = GroundingBatch(
             [ImageRecord([rng.standard_normal(4) for _ in range(4)], rng.standard_normal(4))]
         )
-        assert contrastive_loss(batch, bundle, intra_negatives=False).loss == 0.0
-        assert contrastive_loss(batch, bundle, intra_negatives=True).loss > 0.0
+        assert contrastive_loss(batch, bundle, intra_negatives=False, apply=ignore) == 0.0
+        assert contrastive_loss(batch, bundle, intra_negatives=True, apply=ignore) > 0.0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(4)
@@ -66,7 +77,7 @@ class TestLossValues:
             bundle = ProjectionBundle.initialize(4, seed=seed)
             batch = rand_batch(rng, 4)
             for intra in (False, True):
-                assert contrastive_loss(batch, bundle, intra).loss >= 0.0
+                assert contrastive_loss(batch, bundle, intra, apply=ignore) >= 0.0
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -104,7 +115,7 @@ class TestLossIdentities:
         b_tau2 = ProjectionBundle(mats.w_ev, mats.w_et, mats.w_hv, mats.w_ht, alpha=0.4, tau=2.0)
         b_ref = ProjectionBundle(mats.w_ev, mats.w_et, mats.w_hv, mats.w_ht, alpha=0.4, tau=1.0)
         batch = rand_batch(rng, 4, n_images=3, n_anchors=2)
-        got = contrastive_loss(batch, b_tau2, intra_negatives=True).loss
+        got = contrastive_loss(batch, b_tau2, intra_negatives=True, apply=ignore)
 
         # Independent reference: per-image softmax NLL over halved scores.
         total = 0.0
@@ -119,17 +130,17 @@ class TestLossIdentities:
     def test_alpha_zero_kills_hyperbolic_grads(self):
         rng = np.random.default_rng(7)
         bundle = ProjectionBundle.initialize(4, alpha=0.0, seed=7)
-        report = contrastive_loss(rand_batch(rng, 4, n_images=3), bundle, intra_negatives=True)
-        assert np.all(report.grads["w_hv"] == 0.0)
-        assert np.all(report.grads["w_ht"] == 0.0)
-        assert np.abs(report.grads["w_ev"]).max() > 0.0
+        _, grads = loss_and_grads(rand_batch(rng, 4, n_images=3), bundle, intra_negatives=True)
+        assert np.all(grads["w_hv"] == 0.0)
+        assert np.all(grads["w_ht"] == 0.0)
+        assert np.abs(grads["w_ev"]).max() > 0.0
 
     def test_alpha_one_kills_euclidean_grads(self):
         rng = np.random.default_rng(8)
         bundle = ProjectionBundle.initialize(4, alpha=1.0, seed=8)
-        report = contrastive_loss(rand_batch(rng, 4, n_images=3), bundle, intra_negatives=True)
-        assert np.all(report.grads["w_ev"] == 0.0)
-        assert np.all(report.grads["w_et"] == 0.0)
+        _, grads = loss_and_grads(rand_batch(rng, 4, n_images=3), bundle, intra_negatives=True)
+        assert np.all(grads["w_ev"] == 0.0)
+        assert np.all(grads["w_et"] == 0.0)
 
 
 class TestGradientBuffers:
@@ -139,25 +150,26 @@ class TestGradientBuffers:
     def test_out_equals_fresh_and_is_overwritten(self, intra, dim, n_images):
         rng = np.random.default_rng(dim + n_images)
         bundle = ProjectionBundle.initialize(dim, seed=dim)
-        out = {name: np.full((dim, dim), np.nan) for name in contrastive._WEIGHTS}
-        reports = []
+        out = np.full((dim, dim), np.nan)
         for _ in range(2):
             batch = rand_batch(rng, dim, n_images, 3)
-            fresh = contrastive_loss(batch, bundle, intra)
-            report = contrastive_loss(batch, bundle, intra, out=out)
-            reports.append(report)
-            assert report.loss == fresh.loss
-            for name in contrastive._WEIGHTS:
-                assert report.grads[name] is out[name]
-                assert out[name].tobytes() == fresh.grads[name].tobytes()
-        # The first report's grads are the buffers, now holding the second call's gradients.
-        assert all(reports[0].grads[name] is reports[1].grads[name] for name in contrastive._WEIGHTS)
+            fresh_loss, fresh = loss_and_grads(batch, bundle, intra)
+            seen = {}
+
+            def apply(name, grad):
+                assert grad is out
+                seen[name] = grad.tobytes()
+
+            assert contrastive_loss(batch, bundle, intra, apply=apply, out=out) == fresh_loss
+            assert seen == {name: fresh[name].tobytes() for name in contrastive._WEIGHTS}
+            # Each gradient overwrote the one before it, so the buffer holds the last.
+            assert out.tobytes() == fresh["w_ht"].tobytes()
 
     def test_out_with_non_finite_gradient_raises(self, monkeypatch):
         rng = np.random.default_rng(3)
         batch = rand_batch(rng, 4, 2, 2)
         bundle = ProjectionBundle.initialize(4, seed=3)
-        out = {name: np.zeros((4, 4)) for name in contrastive._WEIGHTS}
+        out = np.zeros((4, 4))
         loss = contrastive._loss
 
         def poisoned(*args, **kwargs):
@@ -167,8 +179,8 @@ class TestGradientBuffers:
 
         monkeypatch.setattr(contrastive, "_loss", poisoned)
         with pytest.raises(ValueError, match="non-finite"):
-            contrastive_loss(batch, bundle, out=out)
-        assert np.isnan(out["w_ev"]).any()
+            contrastive_loss(batch, bundle, apply=ignore, out=out)
+        assert np.isnan(out).any()
 
 
 class TestApply:
@@ -178,7 +190,7 @@ class TestApply:
         rng = np.random.default_rng(11)
         batch = rand_batch(rng, dim, 4, 3)
         bundle = ProjectionBundle.initialize(dim, seed=11)
-        plain = contrastive_loss(batch, bundle, intra, out={name: np.empty((dim, dim)) for name in contrastive._WEIGHTS})
+        plain_loss, plain = loss_and_grads(batch, bundle, intra)
         buffer = np.full((dim, dim), np.nan)
         seen = []
 
@@ -186,9 +198,8 @@ class TestApply:
             assert grad is buffer
             seen.append((name, grad.tobytes()))
 
-        report = contrastive_loss(batch, bundle, intra, out=dict.fromkeys(contrastive._WEIGHTS, buffer), apply=apply)
-        assert report.loss == plain.loss and report.grads == {}
-        assert seen == [(name, plain.grads[name].tobytes()) for name in contrastive._WEIGHTS]
+        assert contrastive_loss(batch, bundle, intra, apply=apply, out=buffer) == plain_loss
+        assert seen == [(name, plain[name].tobytes()) for name in contrastive._WEIGHTS]
 
     def test_nan_loss_raises_before_any_apply(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -220,8 +231,7 @@ class TestApply:
         monkeypatch.setattr(contrastive, "_loss", poisoned)
         seen = []
         with pytest.raises(ValueError, match="^gradient w_hv contains non-finite entries$"):
-            contrastive_loss(batch, bundle, out=dict.fromkeys(contrastive._WEIGHTS, np.empty((4, 4))),
-                             apply=lambda name, grad: seen.append(name))
+            contrastive_loss(batch, bundle, apply=lambda name, grad: seen.append(name), out=np.empty((4, 4)))
         assert seen == ["w_ev", "w_et"]
 
 
@@ -241,16 +251,16 @@ class TestGradientCheck:
         rng = np.random.default_rng(14)
         bundle = ProjectionBundle.initialize(dim, alpha=0.6, tau=0.4, kappa=1.3, seed=14)
         batch = rand_batch(rng, dim, n_images=2, n_anchors=2)
-        analytic = contrastive_loss(batch, bundle, True).grads
+        _, analytic = loss_and_grads(batch, bundle, True)
         worst = 0.0
         for name in ("w_ev", "w_et", "w_hv", "w_ht"):
             mat = getattr(bundle, name)
             for idx in np.ndindex(mat.shape):
                 orig = mat[idx]
                 mat[idx] = orig + eps
-                up = contrastive_loss(batch, bundle, True).loss
+                up = contrastive_loss(batch, bundle, True, apply=ignore)
                 mat[idx] = orig - eps
-                down = contrastive_loss(batch, bundle, True).loss
+                down = contrastive_loss(batch, bundle, True, apply=ignore)
                 mat[idx] = orig
                 numeric = (up - down) / (2.0 * eps)
                 a = float(analytic[name][idx])
@@ -288,10 +298,18 @@ class TestHierarchicalLoss:
         )
 
 
-def test_loss_report_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        LossReport(loss=float("inf"), grads={})
-    with pytest.raises(ValueError):
-        LossReport(loss=-0.1, grads={})
-    with pytest.raises(ValueError):
-        LossReport(loss=0.5, grads={"w_ev": np.array([np.nan])})
+@pytest.mark.parametrize("poison, message", [
+    (lambda value, v, t, g: (np.float64(np.inf), v, t, g), "^loss must be finite and nonnegative, got inf$"),
+    (lambda value, v, t, g: (np.float64(-0.1), v, t, g), "^loss must be finite and nonnegative, got -0.1$"),
+    (lambda value, v, t, g: (value, v, t, np.full_like(g, np.nan)), "^gradient w_ev contains non-finite entries$"),
+], ids=["infinite-loss", "negative-loss", "nan-gradient"])
+def test_contrastive_loss_rejects_nonfinite(monkeypatch, poison, message):
+    rng = np.random.default_rng(15)
+    batch = rand_batch(rng, 4, 2, 2)
+    bundle = ProjectionBundle.initialize(4, seed=15)
+    loss = contrastive._loss
+    monkeypatch.setattr(contrastive, "_loss", lambda *args, **kwargs: poison(*loss(*args, **kwargs)))
+    seen = []
+    with pytest.raises(ValueError, match=message):
+        contrastive_loss(batch, bundle, apply=lambda name, grad: seen.append(name))
+    assert seen == []

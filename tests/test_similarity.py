@@ -336,23 +336,6 @@ class TestWeightFormat:
             payload[name] = base64.b64encode(getattr(b, name).astype("<f8").tobytes()).decode()
         assert path.read_bytes() == (json.dumps(payload, sort_keys=True) + "\n").encode()
 
-    def test_legacy_decimal_lists_load(self, tmp_path):
-        w = np.array([[0.1, -0.0], [1e-300, 17.000000000000004]])
-        legacy = {"alpha": 0.25, "dim": 2, "kappa": 1.5, "layout": "row-major", "tau": 0.07,
-                  "w_ev": w.ravel().tolist(), "w_et": (2 * w).ravel().tolist(),
-                  "w_hv": (-w).ravel().tolist(), "w_ht": [1.0, 2.0, 3.0, 4.0]}
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(legacy))
-        b = load_bundle(path)
-        assert b.w_ev.tobytes() == w.tobytes()
-        assert b.w_et.tobytes() == (2 * w).tobytes() and b.w_hv.tobytes() == (-w).tobytes()
-        assert np.array_equal(b.w_ht, [[1.0, 2.0], [3.0, 4.0]])
-        assert (b.alpha, b.tau, b.kappa) == (0.25, 0.07, 1.5)
-        for bad in (5.0, [1.0, 2.0, 3.0], [[1.0, 2.0], [3.0, 4.0]]):
-            path.write_text(json.dumps({**legacy, "w_ht": bad}))
-            with pytest.raises(ValueError, match="w_ht"):
-                load_bundle(path)
-
     def test_garbled_base64_rejected(self, tmp_path):
         path, payload = self.saved(tmp_path)
         payload["w_et"] = "!" + payload["w_et"][1:]
@@ -372,6 +355,11 @@ class TestWeightFormat:
         payload["encoding"] = "base64-f4le"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="base64-f4le"):
+            load_bundle(path)
+        # A file without the key is not read as some other form.
+        del payload["encoding"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="^unsupported weight encoding None$"):
             load_bundle(path)
 
     def test_loaded_bundle_supports_gradient_check(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from hemix import cli
 from hemix import trainer as T
-from hemix.contrastive import GroundingBatch, ImageRecord
+from hemix.contrastive import _WEIGHTS, GroundingBatch, ImageRecord, contrastive_loss
 from hemix.similarity import ProjectionBundle, score_matrix
 
 
@@ -130,16 +130,17 @@ class TestAdam:
     @pytest.mark.parametrize("lr", [0.025, 0.0])
     def test_matches_textbook_bit_for_bit(self, dim, lr):
         rng = np.random.default_rng(dim)
-        init = {name: rng.uniform(-1, 1, (dim, dim)) for name in ("w_ev", "w_et", "w_hv", "w_ht")}
+        init = {name: rng.uniform(-1, 1, (dim, dim)) for name in _WEIGHTS}
         got = {name: w.copy() for name, w in init.items()}
         want = {name: w.copy() for name, w in init.items()}
-        opt, ref = T._Adam(lr), _TextbookAdam(lr)
+        opt, ref = T._Adam(got, lr), _TextbookAdam(lr)
         for _ in range(40):
             scale = 10.0 ** rng.uniform(-6, 2)
             grads = {name: scale * rng.standard_normal((dim, dim)) for name in ("w_ev", "w_et")}
             # All-zero gradients, as for the hyperbolic weights at alpha = 0.
             grads.update(w_hv=np.zeros((dim, dim)), w_ht=np.zeros((dim, dim)))
-            opt.step(got, grads)
+            for name in _WEIGHTS:
+                opt.update(name, grads[name])
             ref.step(want, grads)
         for name in init:
             assert np.array_equal(got[name], want[name]), name
@@ -233,6 +234,40 @@ def test_train_toy_outputs_are_pinned(tmp_path, capsys):
 
 def test_train_toy_d80_outputs_are_pinned(tmp_path, capsys):
     assert _train_toy(tmp_path, capsys, _TRAIN_TOY_D80_ARGS) == _TRAIN_TOY_D80_PIN
+
+
+def _reference_train(data, cfg):
+    """trainer.train with fresh gradients collected through ``apply`` and the textbook Adam."""
+    bundle = ProjectionBundle.initialize(data[0].dim, alpha=cfg.alpha, tau=cfg.tau, kappa=cfg.kappa, seed=cfg.seed)
+    params = {name: getattr(bundle, name) for name in _WEIGHTS}
+    opt = _TextbookAdam(cfg.lr)
+    rng = np.random.default_rng(cfg.seed)
+    trace = []
+    for step in range(cfg.steps):
+        if step % len(data) == 0:
+            order = rng.permutation(len(data))
+        grads = {}
+        batch = data[int(order[step % len(data)])]
+        trace.append(contrastive_loss(batch, bundle, cfg.intra_negatives, apply=grads.__setitem__))
+        opt.step(params, grads)
+    return bundle, trace
+
+
+# The pins above hold only on the BLAS kernels that recorded them; this check
+# runs both trainers in one process on the same BLAS, so it is exact anywhere.
+@pytest.mark.parametrize("args", [_TRAIN_TOY_ARGS, _TRAIN_TOY_D80_ARGS, (*_TRAIN_TOY_ARGS, "--intra-negatives")],
+                         ids=["d16", "d80", "d16-intra"])
+def test_train_matches_the_reference_trainer_bit_for_bit(args):
+    opts = cli.build_parser().parse_args(["train-toy", *args, "--out", "unused"])
+    h = T.default_hierarchy(opts.parents, opts.children_per_parent, opts.dim, opts.noise, opts.seed)
+    data = T.generate_dataset(h, opts.samples, negatives_per_image=opts.negatives, batch_images=opts.batch_images)
+    cfg = T.TrainConfig(steps=opts.steps, lr=opts.lr, alpha=opts.alpha, tau=opts.tau, kappa=opts.kappa,
+                        seed=opts.seed, intra_negatives=opts.intra_negatives)
+    bundle, trace = T.train(data, cfg)
+    want, want_trace = _reference_train(data, cfg)
+    assert trace == want_trace
+    for name in _WEIGHTS:
+        assert getattr(bundle, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_training_peak_memory_stays_bounded():
@@ -340,7 +375,7 @@ def test_train_toy_reports_divergence_as_one_error_line(tmp_path, capsys):
                      "--out", str(tmp_path / "w.json")])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
-    assert err[-1] == "error: loss became non-finite at step 1"
+    assert err[-1] == "error: training diverged at step 1: anchor features projected to non-finite coordinates"
     assert len(err) == 2  # the config echo and the error, no traceback
     assert list(tmp_path.iterdir()) == []
 
