@@ -78,6 +78,8 @@ def _random_batch(rng: np.random.Generator, dim: int) -> contrastive.GroundingBa
 
 def cmd_grad_check(args) -> int:
     _check_count("--batches", args.batches)
+    if not 0.0 < args.tolerance < math.inf:
+        raise ValueError(f"--tolerance must be finite and positive, got {args.tolerance}")
     rng = np.random.default_rng(args.seed)
     dims = [4, 8, 16]
     worst = 0.0
@@ -307,17 +309,15 @@ def _decouple_record(rec: dict, offline: bool, vlm_cfg) -> decouple.DecoupleResu
 
 
 def cmd_pipeline(args) -> int:
-    # A bad --iou or --top-frac, or a missing output directory, stops the run before any work or output.
+    # A bad setting or a missing output directory stops the run before any work or output.
     metrics._check_threshold(args.iou)
     grounding._check_fraction(args.top_frac)
     _check_output_dirs(*(Path(path) for path in (args.out, args.report) if path))
+    vlm_cfg = None if args.offline else decouple.VlmConfig.from_env(timeout_s=args.vlm_timeout_s,
+                                                                     retries=args.retries)
     bundle = similarity.load_bundle(args.weights)
     anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac)
     gt = _boxes_file(args.gt)
-
-    vlm_cfg = None
-    if not args.offline:
-        vlm_cfg = decouple.VlmConfig.from_env(timeout_s=args.vlm_timeout_s, retries=args.retries)
 
     predictions, failures = _ground_records(
         jsonl.read_jsonl(args.texts), lambda rec: _decouple_record(rec, args.offline, vlm_cfg).phrases,

@@ -16,6 +16,7 @@ whitespace. Anything else is a ParseError carrying the offending line number.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -214,6 +215,12 @@ class VlmConfig:
     api_key: str | None = None
     timeout_s: float = 30.0
     retries: int = 2
+
+    def __post_init__(self):
+        if not 0.0 < self.timeout_s < math.inf:
+            raise ValueError(f"timeout_s must be finite and positive, got {self.timeout_s}")
+        if self.retries < 0:
+            raise ValueError(f"retries must be at least 0, got {self.retries}")
 
     @classmethod
     def from_env(cls, timeout_s: float = 30.0, retries: int = 2) -> "VlmConfig":

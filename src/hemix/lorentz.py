@@ -29,8 +29,7 @@ is safe to call concurrently.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -291,17 +290,14 @@ def log_map(p: CurvedPoint, q: CurvedPoint) -> TangentVector:
 # ---------------------------------------------------------------------------
 # Property suite (shared by the geom-check CLI and the acceptance tests)
 #
-# Each case makes one rng.integers call for its dimension and one rng.random
-# block for its uniforms, which _uniform maps as rng.uniform would: the same
-# stream and values as a per-case loop of rng.uniform calls. Each check then
-# maps and checks all cases of one dimension with one call per row function.
+# _cases draws each case as one rng.integers call for its dimension, one
+# rng.random block for its uniforms, which _uniform maps as rng.uniform would
+# (the same stream and values as a per-case loop of rng.uniform calls), and for
+# exp-log one rng.standard_normal block; nothing is redrawn. Each check maps and
+# checks all cases of one dimension with one call per row function.
 # ---------------------------------------------------------------------------
 
-# A drawn tangent direction whose projection is shorter than this is
-# replaced by a fresh draw.
-_SHORT_TANGENT = 1e-12
-
-# Cases draw their dimension from 1 to this; the draw arrays are this wide.
+# Cases draw their dimension from 1 to this.
 _MAX_DIM = 5
 
 
@@ -310,7 +306,6 @@ class PropertyResult:
     name: str
     passed: bool
     detail: str = ""
-    failures: list = field(default_factory=list)
 
 
 def _uniform(r: np.ndarray, low: float, high: float) -> np.ndarray:
@@ -323,12 +318,23 @@ def _points(z: np.ndarray, length: np.ndarray, kappa) -> np.ndarray:
     return lift_rows(_unit(z, np.linalg.norm(z, axis=1)) * length[:, None], kappa)
 
 
-def _groups(dims: np.ndarray):
-    """(dim, indices of the cases of that dimension) for each dimension drawn."""
-    for dim in range(1, _MAX_DIM + 1):
-        idx = np.flatnonzero(dims == dim)
-        if len(idx):
-            yield dim, idx
+def _cases(seed: int, cases: int, width, normals: int = 0):
+    """The draws of ``cases`` cases: per case a dimension, rng.random(width(dim)) and, if
+    ``normals``, rng.standard_normal(dim + normals).
+
+    Returns dims [n] and, for each dimension drawn, (dim, its case indices,
+    the uniforms [m, width(dim)], the normals [m, dim + normals]).
+    """
+    rng = np.random.default_rng(seed)
+    dims, uniforms, gauss = [], [[] for _ in range(_MAX_DIM + 1)], [[] for _ in range(_MAX_DIM + 1)]
+    for _ in range(max(cases, 0)):
+        dims.append(dim := int(rng.integers(1, _MAX_DIM + 1)))
+        uniforms[dim].append(rng.random(width(dim)))
+        if normals:
+            gauss[dim].append(rng.standard_normal(dim + normals))
+    dims = np.array(dims, dtype=int)
+    return dims, [(dim, np.flatnonzero(dims == dim), np.array(uniforms[dim]), np.array(gauss[dim]))
+                  for dim in range(1, _MAX_DIM + 1) if uniforms[dim]]
 
 
 def _failure(name: str, bad: np.ndarray, dims: np.ndarray, kappa: np.ndarray, what) -> PropertyResult:
@@ -339,20 +345,13 @@ def _failure(name: str, bad: np.ndarray, dims: np.ndarray, kappa: np.ndarray, wh
 
 def check_hyperboloid_closure(seed: int = 42, cases: int = 1000) -> PropertyResult:
     """lift(z, kappa) lands on the hyperboloid for ||z|| <= 10, kappa in [0.25, 4]."""
-    rng = np.random.default_rng(seed)
-    dims, tails, blocks = [], [], [[] for _ in range(_MAX_DIM + 1)]
-    for _ in range(max(cases, 0)):
-        dims.append(dim := int(rng.integers(1, _MAX_DIM + 1)))
-        blocks[dim].append(r := rng.random(dim))
-        # Length and kappa; the length is drawn only for a nonzero direction -1 + 2r.
-        tails.append(rng.random(2) if r.tolist() != [0.5] * dim else np.array([0.0, rng.random()]))
-    dims, tails = np.array(dims, dtype=int), np.array(tails).reshape(-1, 2)
-    length, kappa = _uniform(tails[:, 0], 0.0, 10.0), _uniform(tails[:, 1], 0.25, 4.0)
-    resid, tol = np.zeros(len(dims)), np.ones(len(dims))
-    for dim, idx in _groups(dims):
-        x = _points(_uniform(np.array(blocks[dim]), -1.0, 1.0), length[idx], kappa[idx])
+    dims, groups = _cases(seed, cases, lambda dim: dim + 2)  # direction, length, kappa
+    kappa, resid, tol = np.zeros(len(dims)), np.zeros(len(dims)), np.ones(len(dims))
+    for dim, idx, u, _ in groups:
+        k = kappa[idx] = _uniform(u[:, dim + 1], 0.25, 4.0)
+        x = _points(_uniform(u[:, :dim], -1.0, 1.0), _uniform(u[:, dim], 0.0, 10.0), k)
         tol[idx] = 1e-8 * np.maximum(1.0, np.einsum("ij,ij->i", x[:, 1:], x[:, 1:]))
-        resid[idx] = np.where(x[:, 0] > 0, np.abs(inner_rows(x, x) + 1.0 / kappa[idx]), np.inf)
+        resid[idx] = np.where(x[:, 0] > 0, np.abs(inner_rows(x, x) + 1.0 / k), np.inf)
     bad = ~(resid <= tol)
     if bad.any():
         return _failure("hyperboloid-closure", bad, dims, kappa, lambda i: f"residual {resid[i]:.3e}")
@@ -362,35 +361,17 @@ def check_hyperboloid_closure(seed: int = 42, cases: int = 1000) -> PropertyResu
 
 def check_exp_log_inverse(seed: int = 43, cases: int = 1000) -> PropertyResult:
     """||log(p, exp(p, v)) - v|| <= 1e-6 * (1 + ||v||) for ||v|| <= 5."""
-    n = max(cases, 0)
-    kappa, norm = np.zeros(n), np.zeros(n)
-    redraws = Counter()  # case index -> tangent directions it drew again
-    while True:
-        rng = np.random.default_rng(seed)
-        dims, blocks, directions = [], [[] for _ in range(_MAX_DIM + 1)], [[] for _ in range(_MAX_DIM + 1)]
-        for i in range(n):
-            dims.append(dim := int(rng.integers(1, _MAX_DIM + 1)))
-            blocks[dim].append(rng.random(dim + 3))  # kappa, point direction, point length, norm
-            for _ in range(1 + redraws[i]):
-                direction = rng.standard_normal(dim + 1)
-            directions[dim].append(direction)
-        dims, short, rel = np.array(dims, dtype=int), np.zeros(n, dtype=bool), np.zeros(n)
-        for dim, idx in _groups(dims):
-            u = np.array(blocks[dim])
-            k = kappa[idx] = _uniform(u[:, 0], 0.25, 4.0)
-            norm[idx] = _uniform(u[:, dim + 2], 0.0, 5.0)
-            p = _points(_uniform(u[:, 1:dim + 1], -1.0, 1.0), _uniform(u[:, dim + 1], 0.0, 3.0), k)
-            v = tangent_project_rows(p, np.array(directions[dim]), k)
-            nv = _tangent_norm(v)
-            short[idx] = nv < _SHORT_TANGENT
-            v = v * (norm[idx] / nv)[:, None]
-            back = log_map_rows(p, exp_map_rows(p, v, k), k)
-            rel[idx] = np.linalg.norm(back - v, axis=1) / (1.0 + norm[idx])
-        if not short.any():
-            break
-        # A short projection is redrawn at once, which shifts every later
-        # draw: replay the stream with the first one redrawn.
-        redraws[int(np.argmax(short))] += 1
+    # Uniforms: kappa, point direction, point length, norm; normals: the tangent direction.
+    dims, groups = _cases(seed, cases, lambda dim: dim + 3, normals=1)
+    kappa, norm, rel = np.zeros(len(dims)), np.zeros(len(dims)), np.zeros(len(dims))
+    for dim, idx, u, direction in groups:
+        k = kappa[idx] = _uniform(u[:, 0], 0.25, 4.0)
+        norm[idx] = _uniform(u[:, dim + 2], 0.0, 5.0)
+        p = _points(_uniform(u[:, 1:dim + 1], -1.0, 1.0), _uniform(u[:, dim + 1], 0.0, 3.0), k)
+        v = tangent_project_rows(p, direction, k)
+        v = v * (norm[idx] / _tangent_norm(v))[:, None]
+        back = log_map_rows(p, exp_map_rows(p, v, k), k)
+        rel[idx] = np.linalg.norm(back - v, axis=1) / (1.0 + norm[idx])
     bad = ~(rel <= 1e-6)
     if bad.any():
         return _failure("exp-log-inverse", bad, dims, kappa, lambda i: f"error {rel[i]:.3e} at ||v||={norm[i]:.3f}")
@@ -401,31 +382,23 @@ _AXIOMS = ("symmetry violated", "d(p,p) != 0", "triangle inequality violated")
 
 
 def _point_triples(seed: int, cases: int):
-    """Per case a dimension and a kappa, then the draws of three points: dims [n],
-    kappa [n], directions [3, n, _MAX_DIM] and lengths [3, n]."""
-    rng = np.random.default_rng(seed)
-    n = max(cases, 0)
-    dims, blocks = [], [[] for _ in range(_MAX_DIM + 1)]
-    for _ in range(n):
-        dims.append(dim := int(rng.integers(1, _MAX_DIM + 1)))
-        blocks[dim].append(rng.random(3 * dim + 4))  # kappa, then direction and length of each point
-    dims, kappa, z, length = np.array(dims, dtype=int), np.zeros(n), np.zeros((3, n, _MAX_DIM)), np.zeros((3, n))
-    for dim, idx in _groups(dims):
-        u = np.array(blocks[dim])
-        kappa[idx] = _uniform(u[:, 0], 0.25, 4.0)
-        points = u[:, 1:].reshape(len(idx), 3, dim + 1).transpose(1, 0, 2)
-        z[:, idx, :dim] = _uniform(points[..., :dim], -1.0, 1.0)
-        length[:, idx] = _uniform(points[..., dim], 0.0, 3.0)
-    return dims, kappa, z, length
+    """Per case a dimension, a kappa and three points: dims [n], kappa [n] and, for each
+    dimension drawn, (its case indices, kappa, the three [m, dim+1] point stacks)."""
+    dims, groups = _cases(seed, cases, lambda dim: 3 * dim + 4)  # kappa, then direction and length of each point
+    kappa, triples = np.zeros(len(dims)), []
+    for dim, idx, u, _ in groups:
+        k = kappa[idx] = _uniform(u[:, 0], 0.25, 4.0)
+        points = u[:, 1:].reshape(len(idx), 3, dim + 1)
+        triples.append((idx, k, [_points(_uniform(points[:, j, :dim], -1.0, 1.0),
+                                         _uniform(points[:, j, dim], 0.0, 3.0), k) for j in range(3)]))
+    return dims, kappa, triples
 
 
 def check_distance_axioms(seed: int = 44, cases: int = 1000) -> PropertyResult:
     """Symmetry (exact), d(p,p)=0, triangle inequality within 1e-8."""
-    dims, kappa, z, length = _point_triples(seed, cases)
+    dims, kappa, triples = _point_triples(seed, cases)
     failed = np.zeros(len(dims), dtype=int)  # 1 + index into _AXIOMS of the first one violated
-    for dim, idx in _groups(dims):
-        k = kappa[idx]
-        a, b, c = (_points(z[j, idx, :dim], length[j, idx], k) for j in range(3))
+    for idx, k, (a, b, c) in triples:
         ab = distance_rows(a, b, k)
         violated = np.stack([
             ab != distance_rows(b, a, k),
@@ -440,12 +413,10 @@ def check_distance_axioms(seed: int = 44, cases: int = 1000) -> PropertyResult:
 
 def check_inner_monotonicity(seed: int = 45, cases: int = 1000) -> PropertyResult:
     """Larger Lorentzian inner product implies smaller geodesic distance."""
-    dims, kappa, z, length = _point_triples(seed, cases)
+    dims, kappa, triples = _point_triples(seed, cases)
     i1, i2 = np.zeros(len(dims)), np.zeros(len(dims))
     bad = np.zeros(len(dims), dtype=bool)
-    for dim, idx in _groups(dims):
-        k = kappa[idx]
-        x, y1, y2 = (_points(z[j, idx, :dim], length[j, idx], k) for j in range(3))
+    for idx, k, (x, y1, y2) in triples:
         i1[idx], i2[idx] = inner_rows(x, y1), inner_rows(x, y2)
         bad[idx] = (i1[idx] > i2[idx]) & ~(distance_rows(x, y1, k) < distance_rows(x, y2, k))
     if bad.any():

@@ -1,7 +1,8 @@
-"""The input contract: one check for each kind of JSONL record (see the README's "File formats").
+"""The input contract: one check per JSONL record kind and one for the weight header (README: "File formats").
 
-A check raises KeyError for a missing field and ValueError for any other
-fault; its caller decides whether that ends the run or fails one sample.
+A record check raises KeyError for a missing field and ValueError for any other
+fault; its caller decides whether that ends the run or fails one sample. The
+weight header check raises ValueError("<field>: ...") for every fault.
 """
 
 from __future__ import annotations
@@ -107,3 +108,30 @@ def boxes_record(rec, seen: set) -> tuple:
     """(sample_id, boxes as (x1, y1, x2, y2) float tuples) of a ground-truth or prediction record."""
     sample_id = _id(rec, "sample_id", seen)
     return sample_id, tuple(map(tuple, _boxes(rec["boxes"]).tolist()))
+
+
+# The weight file's format fields and the one value each may have. "linear" is the only
+# embedding: the key keeps the header stable, and a file may leave it out.
+_WEIGHT_FORMAT = {"layout": "row-major", "encoding": "base64-f8le", "embed_strategy": "linear"}
+_WEIGHT_SCALARS = {
+    "dim": ("a positive integer", lambda x: type(x) is int and x > 0),
+    "alpha": ("a number in [0, 1]", lambda x: _is_number(x) and 0 <= x <= 1),
+    "tau": ("finite and positive", lambda x: _is_number(x) and x > 0),
+    "kappa": ("finite and positive", lambda x: _is_number(x) and x > 0),
+}
+
+
+def _weight_header(payload, matrices) -> dict:
+    """The dim, alpha, tau and kappa of a weight file, after a check of its header and that it has ``matrices``."""
+    if not isinstance(payload, dict):
+        raise ValueError("a weight file must be a JSON object")
+    for key in (*_WEIGHT_FORMAT, *_WEIGHT_SCALARS, *matrices):
+        if key not in payload and key != "embed_strategy":
+            raise ValueError(f"{key}: missing")
+    for key, want in _WEIGHT_FORMAT.items():
+        if payload.get(key, want) != want:
+            raise ValueError(f"{key}: must be {json.dumps(want)}, got {json.dumps(payload[key])}")
+    for key, (rule, ok) in _WEIGHT_SCALARS.items():
+        if not ok(payload[key]):
+            raise ValueError(f"{key}: must be {rule}, got {json.dumps(payload[key])}")
+    return {key: payload[key] if key == "dim" else float(payload[key]) for key in _WEIGHT_SCALARS}

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import records
 from .lorentz import lift_time
 
 DEFAULT_DIM = 512
@@ -168,20 +169,11 @@ def hemix(f_v: np.ndarray, f_t: np.ndarray, bundle: ProjectionBundle) -> float:
 # ---------------------------------------------------------------------------
 
 _MATRICES = ("w_ev", "w_et", "w_hv", "w_ht")
-WEIGHT_ENCODING = "base64-f8le"
 
 
 def save_bundle(bundle: ProjectionBundle, path: str | Path) -> None:
-    payload = {
-        "dim": bundle.dim,
-        "kappa": bundle.kappa,
-        "alpha": bundle.alpha,
-        "tau": bundle.tau,
-        "layout": "row-major",
-        # "linear" is the only embedding; the key keeps the header stable.
-        "embed_strategy": "linear",
-        "encoding": WEIGHT_ENCODING,
-    }
+    payload = {"dim": bundle.dim, "kappa": bundle.kappa, "alpha": bundle.alpha, "tau": bundle.tau,
+               **records._WEIGHT_FORMAT}
     # The matrix keys sort after every header key, and base64 needs no JSON
     # escaping, so the strings are written after the header as they are:
     # the bytes of json.dumps(payload with matrices, sort_keys=True) + "\n".
@@ -198,21 +190,19 @@ def _decode_matrix(name: str, value, dim: int) -> np.ndarray:
     try:
         raw = base64.b64decode(value, validate=True)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} is not a valid base64 payload: {exc}") from None
+        raise ValueError(f"{name}: not a valid base64 payload: {exc}") from None
     if len(raw) != 8 * dim * dim:
-        raise ValueError(f"{name} payload has {len(raw)} bytes, expected {8 * dim * dim}")
+        raise ValueError(f"{name}: payload has {len(raw)} bytes, expected {8 * dim * dim}")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 def load_bundle(path: str | Path) -> ProjectionBundle:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("layout") != "row-major":
-        raise ValueError(f"unsupported weight layout {payload.get('layout')!r}")
-    if payload.get("embed_strategy", "linear") != "linear":
-        raise ValueError(f"unsupported embed strategy {payload['embed_strategy']!r}")
-    if payload.get("encoding") != WEIGHT_ENCODING:
-        raise ValueError(f"unsupported weight encoding {payload.get('encoding')!r}")
-    dim = int(payload["dim"])
-    mats = {name: _decode_matrix(name, payload[name], dim).reshape(dim, dim) for name in _MATRICES}
-    return ProjectionBundle(**mats, alpha=float(payload["alpha"]), tau=float(payload["tau"]),
-                            kappa=float(payload["kappa"]))
+    """The bundle of a weight file; any fault of its contents raises ValueError("<path>: ...")."""
+    try:
+        payload = json.loads(Path(path).read_text())
+        header = records._weight_header(payload, _MATRICES)
+        dim = header.pop("dim")
+        mats = {name: _decode_matrix(name, payload[name], dim).reshape(dim, dim) for name in _MATRICES}
+        return ProjectionBundle(**mats, **header)
+    except (ValueError, RecursionError) as exc:  # also JSON nested too deep
+        raise ValueError(f"{path}: {exc}") from None

@@ -48,6 +48,17 @@ def test_verification_run_that_checks_nothing_is_an_error(capsys, monkeypatch, c
     assert err.splitlines()[-1] == f"error: {flag} must be at least 1, got {value}"
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_grad_check_tolerance_must_be_finite_and_positive(capsys, monkeypatch, value):
+    def never(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli.contrastive, "gradient_check", never)
+    code, out, err = run(capsys, "grad-check", "--tolerance", value)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"error: --tolerance must be finite and positive, got {float(value)}"
+
+
 def test_analyze_alpha(capsys):
     code, out, _ = run(
         capsys, "analyze-alpha", "--b-e", "0.5", "--b-h", "-0.5",
@@ -119,6 +130,30 @@ def test_decouple_online_without_endpoint(capsys, monkeypatch):
     code, _, err = run(capsys, "decouple", "--expr", "x")
     assert code == 2
     assert "VLM_ENDPOINT" in err
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    ("--retries", "-1", "retries must be at least 0, got -1"),
+    ("--vlm-timeout-s", "nan", "timeout_s must be finite and positive, got nan"),
+    ("--vlm-timeout-s", "inf", "timeout_s must be finite and positive, got inf"),
+    ("--vlm-timeout-s", "0", "timeout_s must be finite and positive, got 0.0"),
+])
+@pytest.mark.parametrize("command", ["decouple", "pipeline"])
+def test_service_settings_are_checked_before_any_work(capsys, monkeypatch, tmp_path, command, flag, value, error):
+    def never(*args, **kwargs):
+        raise AssertionError("the run went on")
+
+    monkeypatch.setenv("VLM_ENDPOINT", "http://127.0.0.1:1")
+    monkeypatch.setattr(cli.decouple, "decouple_via_service", never)
+    monkeypatch.setattr(cli.similarity, "load_bundle", never)
+    argv = ["--expr", "x"] if command == "decouple" else [
+        "--anchors", str(DATA / "anchors.jsonl"), "--texts", str(DATA / "texts.jsonl"),
+        "--weights", str(DATA / "weights.json"), "--gt", str(DATA / "gt.jsonl"),
+        "--out", str(tmp_path / "preds.jsonl"), "--report", str(tmp_path / "report.json")]
+    code, out, err = run(capsys, command, *argv, flag, value)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"error: {error}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_toy_writes_artifacts(capsys, tmp_path):

@@ -1,12 +1,13 @@
 """The input contract (hemix.records): its rules, the faults it now catches, and a seeded mutation fuzzer.
 
 The fuzzer applies one mutation to one record of one of the fixture's four
-JSONL files (anchors, texts, ground truth, predictions) and runs the offline
-``pipeline`` (``eval`` for a predictions file) in process. A mutation
-replaces a field's value with a value of each JSON type, a numeric string,
-``1e400`` or a ``NaN`` literal, drops a field, or repeats a record later in
-the file. Every run must end with exit 0, 1 or 2 and no escaping exception;
-each ``error:`` line names ``<path>:<line>`` and each failure a sample;
+JSONL files (anchors, texts, ground truth, predictions) or to its weight
+file, and runs the offline ``pipeline`` (``eval`` for a predictions file) in
+process. A mutation replaces a field's value with a value of each JSON type,
+a numeric string, ``1e400`` or a ``NaN`` literal, drops a field, or repeats a
+record later in the file. Every run must end with exit 0, 1 or 2 and no
+escaping exception; each ``error:`` line names ``<path>:<line>`` (``<path>``
+for the weight file) and each failure a sample; exit 2 leaves no output file;
 outputs read as strict JSON; on exit 0 or 1 every sample the mutation did not
 touch keeps its golden prediction bytes; and an anchors mutation gives the
 same result at one CPU and at three, with the file cut into one-byte spans.
@@ -35,6 +36,8 @@ import strict_json
 from hemix import cli, ingest, jsonl, records
 
 DATA = Path(__file__).parent / "data"
+FILES = {"anchors": "anchors.jsonl", "texts": "texts.jsonl", "gt": "gt.jsonl", "pred": "golden_predictions.jsonl",
+         "weights": "weights.json"}
 
 
 def run(*argv) -> tuple:
@@ -46,29 +49,31 @@ def run(*argv) -> tuple:
 
 
 def fixture_lines(name: str) -> list:
-    """The record lines of a fixture file, without its header."""
-    return (DATA / name).read_text().splitlines()[1:]
+    """The record lines of a fixture file: a JSONL file's without its header, the weight file's one line."""
+    lines = (DATA / name).read_text().splitlines()
+    return lines[1:] if name.endswith(".jsonl") else lines
 
 
 def write(path: Path, lines: list) -> Path:
-    path.write_text("".join(line + "\n" for line in ['{"v": 1}', *lines]))
+    """``lines`` as a file, after the schema header if it is a JSONL file."""
+    path.write_text("".join(line + "\n" for line in ['{"v": 1}'] * (path.suffix == ".jsonl") + lines))
     return path
 
 
-def pipeline(tmp: Path, anchors=None, texts=None, gt=None) -> tuple:
+def pipeline(tmp: Path, anchors=None, texts=None, gt=None, weights=None) -> tuple:
     """(exit code, stderr, predictions text or None, report text or None) of the offline pipeline.
 
-    Each of ``anchors``, ``texts`` and ``gt`` is a list of record lines that
-    replaces that fixture file.
+    Each of ``anchors``, ``texts``, ``gt`` and ``weights`` is a list of record
+    lines that replaces that fixture file.
     """
     paths = {}
-    for kind, lines in (("anchors", anchors), ("texts", texts), ("gt", gt)):
-        paths[kind] = DATA / f"{kind}.jsonl" if lines is None else write(tmp / f"{kind}.jsonl", lines)
+    for kind, lines in (("anchors", anchors), ("texts", texts), ("gt", gt), ("weights", weights)):
+        paths[kind] = DATA / FILES[kind] if lines is None else write(tmp / FILES[kind], lines)
     preds, report = tmp / "preds.jsonl", tmp / "report.json"
     for out in (preds, report):
         out.unlink(missing_ok=True)
     code, _, err = run("pipeline", "--anchors", paths["anchors"], "--texts", paths["texts"],
-                       "--weights", DATA / "weights.json", "--gt", paths["gt"], "--offline",
+                       "--weights", paths["weights"], "--gt", paths["gt"], "--offline",
                        "--out", preds, "--report", report)
     return code, err, *(out.read_text() if out.exists() else None for out in (preds, report))
 
@@ -102,6 +107,10 @@ def test_a_number_is_a_finite_json_int_or_float(value):
             records.anchor_entries(bad)
     with pytest.raises(ValueError, match="text features must be finite numbers|one length"):
         records.texts_record({"sample_id": "s", "image_id": "i", "features": [[0.5, value]]}, set())
+    header = json.loads(fixture_lines("weights.json")[0])
+    for field in ("alpha", "tau", "kappa"):
+        with pytest.raises(ValueError, match=f"^{field}: must be "):
+            records._weight_header(dict(header, **{field: value}), ())
 
 
 @pytest.mark.parametrize("value", [0, 1, -7, 2.5, 2 ** 70, 1e308])
@@ -345,11 +354,48 @@ def test_an_empty_boxes_list_still_evaluates(tmp_path):
     assert report["per_sample"][2] == {"f1": 1.0, "fn": 0, "fp": 0, "sample_id": "s3", "tp": 0}
 
 
+_DROP = object()
+
+
+@pytest.mark.parametrize("fields, error", [
+    ({"alpha": None}, "alpha: must be a number in [0, 1], got null"),
+    ({"alpha": "0.5"}, 'alpha: must be a number in [0, 1], got "0.5"'),
+    ({"alpha": True}, "alpha: must be a number in [0, 1], got true"),
+    ({"alpha": 1.5}, "alpha: must be a number in [0, 1], got 1.5"),
+    ({"kappa": [1]}, "kappa: must be finite and positive, got [1]"),
+    ({"tau": 0}, "tau: must be finite and positive, got 0"),
+    ({"dim": 2.9}, "dim: must be a positive integer, got 2.9"),
+    ({"dim": True}, "dim: must be a positive integer, got true"),
+    ({"dim": 0}, "dim: must be a positive integer, got 0"),
+    ({"dim": 3}, "w_ev: payload has 128 bytes, expected 72"),
+    ({"layout": "column-major"}, 'layout: must be "row-major", got "column-major"'),
+    ({"embed_strategy": "expmap"}, 'embed_strategy: must be "linear", got "expmap"'),
+    ({"encoding": _DROP}, "encoding: missing"),
+    ({"alpha": _DROP}, "alpha: missing"),
+    ({"w_ht": _DROP}, "w_ht: missing"),
+    ({"w_et": "!"}, "w_et: not a valid base64 payload"),
+    ("[1, 2]", "a weight file must be a JSON object"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded", id="nested_too_deep"),
+])
+def test_a_bad_weight_file_stops_the_run_before_any_output(tmp_path, fields, error):
+    text = fields  # the file's text, or the fields to change in the fixture's weight file
+    if isinstance(fields, dict):
+        header = json.loads(fixture_lines("weights.json")[0])
+        for key, value in fields.items():
+            if value is _DROP:
+                del header[key]
+            else:
+                header[key] = value
+        text = json.dumps(header)
+    code, err, preds, report = pipeline(tmp_path, weights=[text])
+    assert (code, preds, report) == (2, None, None)
+    assert err.splitlines()[-1].startswith(f"error: {tmp_path / 'weights.json'}: {error}")
+
+
 # ---------------------------------------------------------------------------
 # Seeded mutation fuzzer
 # ---------------------------------------------------------------------------
 
-FILES = {"anchors": "anchors.jsonl", "texts": "texts.jsonl", "gt": "gt.jsonl", "pred": "golden_predictions.jsonl"}
 _RAW = "\u0000raw\u0000"  # stands in for JSON text that json.dumps does not write
 REPLACEMENTS = [None, True, False, 0, 1, -2, 0.5, "", "x", "1", "0.5", [], [0.5], {}, {"a": 1},
                 ("1e400",), ("NaN",)]
@@ -407,6 +453,8 @@ def touched_samples(case: dict) -> set:
         return set()
     if case["kind"] == "texts":
         return {original["sample_id"]}
+    if case["kind"] == "weights":  # every sample is scored with the weights
+        return {json.loads(t)["sample_id"] for t in fixture_lines("texts.jsonl")}
     return {json.loads(t)["sample_id"] for t in fixture_lines("texts.jsonl")
             if json.loads(t)["image_id"] == original["image_id"]}
 
@@ -433,7 +481,9 @@ def check_case(case: dict, tmp: Path) -> None:
     else:
         code, err, preds, report = pipeline(tmp, **{case["kind"]: case["lines"]})
     assert code in (0, 1, 2), label
-    located = re.compile("error: (" + "|".join(re.escape(str(p)) for p in paths.values()) + r"):\d+: ")
+    assert code != 2 or (preds, report) == (None, None), label
+    located = re.compile("error: (" + "|".join(re.escape(str(p)) + (r":\d+" if p.suffix == ".jsonl" else "")
+                                               for p in paths.values()) + "): ")
     for line in err.splitlines():
         assert not line.startswith("error:") or located.match(line), (label, line)
     assert "Traceback" not in err, label

@@ -305,36 +305,11 @@ class TestPropertySuiteCases:
         assert not result.passed
         assert result.detail == f"case {i} (dim {dim}, kappa={kappa:.3f}): d(p,p) != 0"
 
-    def test_short_tangent_redrawn_at_the_same_point_in_the_stream(self, monkeypatch):
-        # With a large cut-off many projected directions are "short": each must
-        # be redrawn right away, as a per-case loop would.
-        cut = 0.6
-        monkeypatch.setattr(L, "_SHORT_TANGENT", cut)
-        checked = []
-        real = L.exp_map_rows
-        monkeypatch.setattr(L, "exp_map_rows", lambda p, v, k: checked.append(v) or real(p, v, k))
-        assert L.check_exp_log_inverse(seed=5, cases=60).passed
 
-        rng = np.random.default_rng(5)
-        want, redrawn = {}, 0
-        for _ in range(60):
-            dim, kappa = int(rng.integers(1, 6)), rng.uniform(0.25, 4.0)
-            p = random_point(rng, dim, kappa)
-            norm = rng.uniform(0.0, 5.0)
-            v = L.tangent_project(p, rng.standard_normal(dim + 1))
-            while lorentz_norm(v) < cut:
-                redrawn += 1
-                v = L.tangent_project(p, rng.standard_normal(dim + 1))
-            want.setdefault(dim, []).append(v.as_vector() * (norm / lorentz_norm(v)))
-        assert redrawn > 0
-        final_pass = checked[-len(want):]
-        for dim, got in zip(sorted(want), final_pass):
-            np.testing.assert_allclose(got, np.stack(want[dim]), rtol=1e-12, atol=1e-12)
-
-
-# The property suite draws each case as one rng.integers call and one
-# rng.random block. These per-case loops make the rng.uniform calls the
-# suite's cases are defined by; the drawn arrays must match them exactly.
+# The property suite draws each case as one rng.integers call, one
+# rng.random block and, for exp-log, one rng.standard_normal block. These
+# per-case loops make the rng.uniform calls the suite's cases are defined by;
+# the drawn arrays must match them exactly.
 
 STREAM_SEEDS = [0, 1, 42, 43, 44, 45, 2024]
 
@@ -345,8 +320,7 @@ def closure_cases(rng, cases):
     for _ in range(cases):
         dim = int(rng.integers(1, 6))
         z = rng.uniform(-1.0, 1.0, size=dim)
-        length = rng.uniform(0.0, 10.0) if z.any() else 0.0
-        out.append((dim, z, length, rng.uniform(0.25, 4.0)))
+        out.append((dim, z, rng.uniform(0.0, 10.0), rng.uniform(0.25, 4.0)))
     return out
 
 
@@ -371,24 +345,6 @@ def assert_same(got, want):
     np.testing.assert_array_equal(got, want, strict=True)
 
 
-class Rigged:
-    """The Generator ``rng``, except that its ``at``-th call of ``method`` returns ``value`` in place of its draws."""
-
-    def __init__(self, rng, method, at, value):
-        self.rng, self.method, self.at, self.value, self.calls = rng, method, at, value, 0
-
-    def __getattr__(self, name):
-        real = getattr(self.rng, name)
-        if name != self.method:
-            return real
-
-        def call(*args, **kwargs):
-            out = real(*args, **kwargs)
-            self.calls += 1
-            return np.full_like(out, self.value) if self.calls == self.at else out
-        return call
-
-
 def record_calls(monkeypatch, name):
     """The arguments of every call of the property suite's ``name``, recorded as it runs."""
     calls, real = [], getattr(L, name)
@@ -398,36 +354,34 @@ def record_calls(monkeypatch, name):
 
 class TestPropertySuiteStream:
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
-    def test_point_triples(self, seed):
-        dims, kappa, z, length = L._point_triples(seed, 300)
+    def test_point_triples(self, monkeypatch, seed):
+        made = record_calls(monkeypatch, "_points")
+        dims, kappa, triples = L._point_triples(seed, 300)
+        points = list(made)
         rng = np.random.default_rng(seed)
+        cases = []
         for i in range(300):
             dim = int(rng.integers(1, 6))
             assert dims[i] == dim
             assert kappa[i] == rng.uniform(0.25, 4.0)
+            cases.append((dim, *(draw for _ in range(3)
+                                 for draw in (rng.uniform(-1.0, 1.0, size=dim), rng.uniform(0.0, 3.0)))))
+        want = by_dimension(cases)
+        assert len(points) == 3 * len(triples) == 3 * len(want)
+        for t, ((idx, k, lifted), fields) in enumerate(zip(triples, want)):
+            assert_same(idx, np.flatnonzero(dims == fields[0].shape[1]))
+            assert_same(k, kappa[idx])
             for j in range(3):
-                assert_same(z[j, i], np.concatenate((rng.uniform(-1.0, 1.0, size=dim), np.zeros(5 - dim))))
-                assert length[j, i] == rng.uniform(0.0, 3.0)
+                z, length = fields[2 * j], fields[2 * j + 1]
+                assert_same(points[3 * t + j][0], z)
+                assert_same(points[3 * t + j][1], length)
+                assert_same(lifted[j], L._points(z, length, k))
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_hyperboloid_closure(self, monkeypatch, seed):
         points = record_calls(monkeypatch, "_points")
         assert L.check_hyperboloid_closure(seed, 300).passed
         want = by_dimension(closure_cases(np.random.default_rng(seed), 300))
-        assert len(points) == len(want)
-        for got, fields in zip(points, want):
-            for g, w in zip(got, fields):
-                assert_same(g, w)
-
-    def test_hyperboloid_closure_zero_direction_draws_no_length(self, monkeypatch):
-        # Case 0's direction is all zero: it draws its kappa and no length.
-        real = np.random.default_rng
-        cases = closure_cases(Rigged(real(3), "uniform", 1, 0.0), 40)
-        assert not cases[0][1].any() and cases[0][2] == 0.0
-        want = by_dimension(cases)
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: Rigged(real(seed), "random", 1, 0.5))
-        points = record_calls(monkeypatch, "_points")
-        assert L.check_hyperboloid_closure(3, 40).passed
         assert len(points) == len(want)
         for got, fields in zip(points, want):
             for g, w in zip(got, fields):
@@ -440,7 +394,7 @@ class TestPropertySuiteStream:
         moved = record_calls(monkeypatch, "exp_map_rows")
         assert L.check_exp_log_inverse(seed, 300).passed
         want = by_dimension(exp_log_cases(np.random.default_rng(seed), 300))
-        assert len(points) == len(projected) == len(moved) == len(want)  # one pass: no direction redrawn
+        assert len(points) == len(projected) == len(moved) == len(want)
         for (z, length, kappa), (_, direction, _), (_, v, _), w in zip(points, projected, moved, want):
             for g, f in zip((z, length, kappa, direction), (w[0], w[1], w[2], w[4])):
                 assert_same(g, f)
