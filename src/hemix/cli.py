@@ -146,6 +146,10 @@ def cmd_train_toy(args) -> int:
     trace_path = Path(args.trace_out) if args.trace_out else out.parent / "loss_trace.csv"
     apex_path = Path(args.apex_out) if args.apex_out else out.parent / "apex_report.json"
     _check_output_dirs(out, trace_path, apex_path)
+    cfg = trainer.TrainConfig(
+        steps=args.steps, lr=args.lr, alpha=args.alpha, tau=args.tau,
+        kappa=args.kappa, seed=args.seed, intra_negatives=args.intra_negatives,
+    )
     hierarchy = trainer.default_hierarchy(
         n_parents=args.parents,
         children_per_parent=args.children_per_parent,
@@ -156,10 +160,6 @@ def cmd_train_toy(args) -> int:
     data = trainer.generate_dataset(
         hierarchy, args.samples,
         negatives_per_image=args.negatives, batch_images=args.batch_images,
-    )
-    cfg = trainer.TrainConfig(
-        steps=args.steps, lr=args.lr, alpha=args.alpha, tau=args.tau,
-        kappa=args.kappa, seed=args.seed, intra_negatives=args.intra_negatives,
     )
     bundle, trace = trainer.train(data, cfg)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lorentz import geodesic_distance, lift
-from .similarity import ProjectionBundle, embed_rows, pair_scores
+from .similarity import ProjectionBundle, _both, _half, _threaded, embed_rows, pair_scores
 
 _WEIGHTS = ("w_ev", "w_et", "w_hv", "w_ht")
 
@@ -140,14 +140,22 @@ def contrastive_loss(
     g[batch.pos, np.arange(n_img)] -= 1.0
     g /= bundle.tau * n_img  # [anchors, images], zero outside the term sets
     anchors, texts = batch.anchors, batch.texts
+    # Each gradient is features.T @ factor; a large one is made in two row
+    # halves at once, each one matmul, which gives the same bits.
     products = (
-        ("w_ev", 1.0 - alpha, lambda: np.matmul(anchors.T, g @ t.e, out=out)),
-        ("w_et", 1.0 - alpha, lambda: np.matmul(texts.T, g.T @ v.e, out=out)),
-        ("w_hv", alpha, lambda: np.matmul(anchors.T, g @ t.z - ((g @ t.x0) / v.x0)[:, None] * v.z, out=out)),
-        ("w_ht", alpha, lambda: np.matmul(texts.T, g.T @ v.z - ((g.T @ v.x0) / t.x0)[:, None] * t.z, out=out)),
+        ("w_ev", 1.0 - alpha, anchors, lambda: g @ t.e),
+        ("w_et", 1.0 - alpha, texts, lambda: g.T @ v.e),
+        ("w_hv", alpha, anchors, lambda: g @ t.z - ((g @ t.x0) / v.x0)[:, None] * v.z),
+        ("w_ht", alpha, texts, lambda: g.T @ v.z - ((g.T @ v.x0) / t.x0)[:, None] * t.z),
     )
-    for name, scale, product in products:
-        grad = product()
+    dim = batch.dim
+    for name, scale, feats, factor in products:
+        if _threaded(muladds=feats.size * dim):
+            grad, f, half = np.empty((dim, dim)) if out is None else out, factor(), _half(dim)
+            _both(lambda: np.matmul(feats.T[:half], f, out=grad[:half]),
+                  lambda: np.matmul(feats.T[half:], f, out=grad[half:]))
+        else:
+            grad = np.matmul(feats.T, factor(), out=out)
         grad *= scale  # in place: a scaled copy would be one more [dim, dim] temporary
         if not np.all(np.isfinite(grad)):
             raise ValueError(f"gradient {name} contains non-finite entries")

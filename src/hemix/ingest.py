@@ -7,6 +7,7 @@ import pickle
 from functools import partial
 
 from . import grounding, jsonl, records
+from .similarity import _cpu_count
 
 # The anchors file is decoded in spans of at least this many bytes. Splitting
 # a 1 MiB file in two saved nothing on two CPUs: the fork and the pickled
@@ -16,13 +17,6 @@ _MIN_RANGE_BYTES = 1 << 20
 # that runs slow for a while decodes fewer spans instead of holding up the
 # load, as the slower of two fixed halves does.
 _SPANS_PER_CPU = 8
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on; 1 where it cannot fork or ask."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 def _byte_ranges(path, n: int) -> list:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -26,6 +28,99 @@ from .lorentz import lift_time
 DEFAULT_DIM = 512
 DEFAULT_TAU = 0.07
 DEFAULT_KAPPA = 1.0
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where it cannot fork or ask."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+# Large array work runs on two threads where the process may use more than
+# one CPU: this one and one worker thread. Handing half of it over costs about
+# 20 us, so smaller work runs on this thread alone. Measured at one BLAS
+# thread on two CPUs, the split gains from Adam over [256, 256] (310 -> 240
+# us; [192, 192] broke even) and from 2^21 multiply-adds of a matrix product
+# ([8, 512] @ [512, 512]: 310 -> 195 us); at 2^20 some shapes broke even or
+# lost ([128, 72] @ [72, 128]: 33 -> 36 us).
+_SPLIT_ELEMENTS = 1 << 16  # of an elementwise update
+_SPLIT_MULADDS = 1 << 21  # of a matrix product
+
+
+def _threaded(*, elements: int = 0, muladds: int = 0) -> bool:
+    """Whether work of this size runs on two threads."""
+    return (elements >= _SPLIT_ELEMENTS or muladds >= _SPLIT_MULADDS) and _cpu_count() > 1
+
+
+def _half(rows: int) -> int:
+    """Where work over ``rows`` rows splits: the multiple of 64 at or above rows / 2.
+
+    Each half is then whole 64-row blocks.
+    """
+    return 64 * -(-rows // 128)
+
+
+class _Worker:
+    """A daemon thread that runs the second callable of each _both call."""
+
+    def __init__(self):
+        self.busy, self.go, self.done = threading.Lock(), threading.Lock(), threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        threading.Thread(target=self._serve, name="hemix-worker", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self.go.acquire()
+            try:
+                with np.errstate(**self.err):
+                    self.out = self.job(), None
+            except BaseException as exc:  # handed to the caller, which raises it
+                self.out = None, exc
+            self.done.release()
+
+
+_workers = []  # the worker, once started; a forked child starts its own
+
+
+def _both(first, second) -> tuple:
+    """(first(), second()), with first run on this thread and second on the worker thread.
+
+    The worker runs under this thread's floating-point error state and only
+    NumPy work or private methods, no public function. It returns, or raises
+    the exception of either (first's if both raise), only once both are done,
+    so no array is still in use on the worker when the caller goes on. A call
+    that finds the worker busy with another thread's call runs both here.
+    """
+    if not _workers:
+        _workers.append(_Worker())
+        os.register_at_fork(after_in_child=_workers.clear)
+    worker = _workers[0]
+    if not worker.busy.acquire(blocking=False):
+        return first(), second()
+    try:
+        worker.job, worker.err = second, np.geterr()
+        worker.go.release()
+        try:
+            mine = first()
+        finally:
+            worker.done.acquire()
+            (theirs, error), worker.job, worker.out = worker.out, None, None  # holds no array past the call
+        if error is not None:
+            raise error
+        return mine, theirs
+    finally:
+        worker.busy.release()
+
+
+def _check_scalars(alpha: float, tau: float, kappa: float) -> None:
+    """Raise ValueError unless alpha lies in [0, 1] and tau and kappa are finite and positive."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    for name, value in (("tau", tau), ("kappa", kappa)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass
@@ -53,12 +148,7 @@ class ProjectionBundle:
                 raise ValueError("all projection matrices must share one dimension")
             if not np.all(np.isfinite(m)):
                 raise ValueError(f"{name} contains non-finite entries")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        for name in ("tau", "kappa"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        _check_scalars(self.alpha, self.tau, self.kappa)
 
     @property
     def dim(self) -> int:
@@ -100,7 +190,10 @@ def embed_rows(f: np.ndarray, w_e: np.ndarray, w_h: np.ndarray, kappa: float, wh
     # alone, not also by a floating-point warning. A finite z can still
     # overflow its lift time, which would score -inf.
     with np.errstate(invalid="ignore", over="ignore"):
-        e, z = f @ w_e, f @ w_h
+        if _threaded(muladds=f.shape[0] * w_e.shape[-2] * w_e.shape[-1]):
+            e, z = _both(lambda: f @ w_e, lambda: f @ w_h)
+        else:
+            e, z = f @ w_e, f @ w_h
         x0 = lift_time(z, kappa)
     if not (np.isfinite(e).all() and np.isfinite(z).all() and np.isfinite(x0).all()):
         raise ValueError(f"{what} projected to non-finite coordinates")

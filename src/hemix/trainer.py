@@ -21,7 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .contrastive import GroundingBatch, ImageRecord, contrastive_loss
-from .similarity import ProjectionBundle, score_matrix
+from .similarity import ProjectionBundle, _both, _check_scalars, _half, _threaded, score_matrix
 
 
 class TrainingDiverged(RuntimeError):
@@ -47,6 +47,10 @@ class SyntheticHierarchy:
     def __post_init__(self):
         if not self.parents:
             raise ValueError("parents must not be empty")
+        if self.feature_dim < 1:
+            raise ValueError(f"feature_dim must be at least 1, got {self.feature_dim}")
+        if len(self.parents) > self.feature_dim:
+            raise ValueError("feature_dim must be at least the number of parents")
         for parent, kids in self.children.items():
             if parent not in self.parents:
                 raise ValueError(f"unknown parent {parent!r}")
@@ -66,8 +70,6 @@ class SyntheticHierarchy:
         """Read-only unit descriptor per concept id, drawn from ``seed``."""
         rng = np.random.default_rng(self.seed)
         d = self.feature_dim
-        if len(self.parents) > d:
-            raise ValueError("feature_dim must be at least the number of parents")
         basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
         descriptors = {}
         for i, p in enumerate(self.parents):
@@ -165,6 +167,7 @@ class TrainConfig:
         # lr = 0 is allowed as the documented no-op run.
         if not 0 <= self.lr < math.inf:
             raise ValueError(f"lr must be finite and nonnegative, got {self.lr}")
+        _check_scalars(self.alpha, self.tau, self.kappa)
 
 
 # _Adam updates each matrix this many rows at a time, so the rows of the
@@ -179,7 +182,8 @@ class _Adam:
     one after another match one update of them all. Each update runs the
     textbook update's operations in the textbook order, one block of rows at
     a time through two preallocated scratch blocks, so the parameters match
-    the allocating form bit for bit.
+    the allocating form bit for bit. A large matrix is updated by two
+    threads, each over its own rows with its own pair of scratch blocks.
     """
 
     def __init__(self, params: dict, lr: float):
@@ -188,7 +192,7 @@ class _Adam:
         self.t: dict = {}
         self.m: dict = {}
         self.v: dict = {}
-        self._scratch = np.empty((2, 0, 0))
+        self._scratch = np.empty((1, 2, 0, 0))  # [threads, 2, _ADAM_ROWS, cols]
 
     def update(self, name: str, g: np.ndarray) -> None:
         """One Adam step of ``params[name]`` with gradient ``g``."""
@@ -197,16 +201,26 @@ class _Adam:
             self.m[name] = np.zeros_like(g)
             self.v[name] = np.zeros_like(g)
         self.t[name] += 1
+        rows, cols = g.shape
+        threaded = _threaded(elements=g.size)
+        if self._scratch.shape[0] < 1 + threaded or self._scratch.shape[3] != cols:
+            self._scratch = np.empty((1 + threaded, 2, _ADAM_ROWS, cols))
+        if threaded:
+            half = _half(rows)
+            _both(lambda: self._rows(name, g, 0, half, self._scratch[0]),
+                  lambda: self._rows(name, g, half, rows, self._scratch[1]))
+        else:
+            self._rows(name, g, 0, rows, self._scratch[0])
+
+    def _rows(self, name: str, g: np.ndarray, start: int, stop: int, scratch: np.ndarray) -> None:
+        """The update of rows [start, stop) of ``params[name]``, _ADAM_ROWS at a time through ``scratch``."""
         t, b1, b2, eps, lr = self.t[name], self.beta1, self.beta2, self.eps, self.lr
         c1, c2 = 1 - b1**t, 1 - b2**t
         m, v, p = self.m[name], self.v[name], self.params[name]
-        cols = g.shape[1]
-        if self._scratch.shape[2] != cols:
-            self._scratch = np.empty((2, _ADAM_ROWS, cols))
-        for start in range(0, g.shape[0], _ADAM_ROWS):
-            rows = slice(start, start + _ADAM_ROWS)
+        for block in range(start, stop, _ADAM_ROWS):
+            rows = slice(block, min(block + _ADAM_ROWS, stop))
             gb, mb, vb, pb = g[rows], m[rows], v[rows], p[rows]
-            a, b = self._scratch[0, : len(gb)], self._scratch[1, : len(gb)]
+            a, b = scratch[0, : len(gb)], scratch[1, : len(gb)]
             # m = b1 m + (1 - b1) g
             np.multiply(mb, b1, out=mb)
             np.multiply(gb, 1 - b1, out=a)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import strict_json
 
-from hemix import cli, ingest, jsonl
+from hemix import cli, ingest, jsonl, trainer
 from hemix.similarity import ProjectionBundle, save_bundle
 
 DATA = Path(__file__).parent / "data"
@@ -180,6 +180,26 @@ def test_train_toy_rejects_non_finite_scalar_before_writing(capsys, tmp_path, fl
     assert code == 2
     assert stdout == ""
     assert f"error: {flag[2:]} must be finite and positive, got {value}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    ("--steps", "0", "steps must be at least 1"),
+    ("--lr", "-1", "lr must be finite and nonnegative, got -1.0"),
+    ("--alpha", "2", "alpha must be in [0, 1], got 2.0"),
+    ("--tau", "0", "tau must be finite and positive, got 0.0"),
+    ("--kappa", "-1", "kappa must be finite and positive, got -1.0"),
+    ("--dim", "0", "feature_dim must be at least 1, got 0"),
+    ("--dim", "2", "feature_dim must be at least the number of parents"),
+])
+def test_train_toy_rejects_its_configuration_before_drawing_data(capsys, tmp_path, monkeypatch, flag, value, error):
+    def drawn(*args, **kwargs):
+        raise AssertionError("the dataset was drawn")
+
+    monkeypatch.setattr(trainer, "generate_dataset", drawn)
+    code, stdout, err = run(capsys, "train-toy", flag, value, "--out", str(tmp_path / "weights.json"))
+    assert (code, stdout) == (2, "")
+    assert err.splitlines()[-1] == f"error: {error}"
     assert list(tmp_path.iterdir()) == []
 
 

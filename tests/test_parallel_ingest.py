@@ -16,12 +16,14 @@ no pipe may be left behind.
 import io
 import json
 import os
+import signal
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hemix import cli, ingest, jsonl, records
+from hemix import cli, ingest, jsonl, records, similarity, trainer
 
 DATA = Path(__file__).parent / "data"
 
@@ -575,3 +577,31 @@ def test_a_failed_span_empties_the_queue(monkeypatch, tmp_path):
         os.close(queue)
     assert sorted(parts) == list(range(failed + 1)) and failed + 1 < len(spans)
     assert isinstance(parts[failed], jsonl.SchemaError)
+
+
+def test_forks_beside_an_idle_worker_thread(monkeypatch, tmp_path, forks, two_threads):
+    # As when cli.main runs train-toy and then pipeline in one process: the
+    # worker thread that training started is idle while ingest forks.
+    path = write_lines(tmp_path / "anchors.jsonl", lines_of(mixed_records()))
+    want = one_range_read(monkeypatch, path, 0.5)
+    two_threads()
+    trainer.train(trainer.generate_dataset(trainer.default_hierarchy(), 8), trainer.TrainConfig(steps=2))
+    assert any(t.name == "hemix-worker" for t in threading.enumerate())
+    set_cpus(monkeypatch, 2)
+    assert_same_map(ingest.load_anchor_map(path, 0.5), want)
+    assert len(forks) == 1
+
+
+def test_a_forked_child_makes_its_own_worker_thread():
+    similarity._both(lambda: None, lambda: None)  # the worker of this process exists
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(10)  # a child that waits on its parent's worker would hang
+            if not similarity._workers and similarity._both(lambda: 1, lambda: 2) == (1, 2):
+                code = 0
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0

@@ -2,6 +2,9 @@ import base64
 import json
 import math
 import re
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -11,6 +14,7 @@ from hemix import lorentz as L
 from hemix.contrastive import GroundingBatch, ImageRecord, gradient_check
 from hemix.similarity import (
     ProjectionBundle,
+    _both,
     embed_rows,
     hemix,
     load_bundle,
@@ -196,8 +200,12 @@ class TestScoreMatrix:
         with pytest.raises(ValueError):
             score_matrix(np.zeros((1, 4)), np.zeros(shape), b)
 
-    def test_rejects_non_finite_projection(self):
-        # The typed error is the only report: no floating-point warning first.
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rejects_non_finite_projection(self, threads, two_threads):
+        # The typed error is the only report: no floating-point warning first,
+        # also from a product made on the worker thread.
+        if threads == 2:
+            two_threads()
         b = ProjectionBundle.initialize(4, seed=23)
         big = ProjectionBundle(*(np.ones((4, 4)),) * 4, alpha=0.5)
         with warnings.catch_warnings():
@@ -371,3 +379,56 @@ class TestWeightFormat:
             [ImageRecord([rng.standard_normal(4) for _ in range(3)], rng.standard_normal(4)) for _ in range(3)]
         )
         assert gradient_check(batch, load_bundle(path), epsilon=1e-5) < 1e-4
+
+
+class TestTwoThreads:
+    """similarity._both runs its second callable on the worker thread."""
+
+    def test_returns_both_results_with_the_second_made_on_the_worker(self):
+        with np.errstate(invalid="ignore", over="raise"):
+            mine, theirs = _both(lambda: (threading.get_ident(), np.geterr()),
+                                 lambda: (threading.get_ident(), np.geterr()))
+        assert mine[0] == threading.get_ident() != theirs[0]
+        assert mine[1] == theirs[1]
+        assert (theirs[1]["invalid"], theirs[1]["over"]) == ("ignore", "raise")
+
+    @pytest.mark.parametrize("raiser", ["first", "second", "both"])
+    def test_raises_only_once_the_other_half_is_done(self, raiser):
+        # The half that raises does so at once; the other takes 50 ms, and
+        # must have finished when the exception reaches the caller.
+        finished = []
+
+        def slow(side):
+            time.sleep(0.05)
+            finished.append(side)
+
+        def fails(side):
+            raise ArithmeticError(side)
+
+        first = fails if raiser in ("first", "both") else slow
+        second = fails if raiser in ("second", "both") else slow
+        with pytest.raises(ArithmeticError, match="^second$" if raiser == "second" else "^first$"):
+            _both(lambda: first("first"), lambda: second("second"))
+        assert finished == ([] if raiser == "both" else ["second" if raiser == "first" else "first"])
+        assert _both(lambda: 1, lambda: 2) == (1, 2)  # the worker serves the next call
+
+    def test_callers_on_several_threads_each_get_their_own_results(self):
+        # A call that finds the worker busy runs both halves on its own thread.
+        wrong, switch = [], sys.getswitchinterval()
+
+        def caller(k):
+            for i in range(300):
+                if _both(lambda: (k, i), lambda: (k, -i)) != ((k, i), (k, -i)):
+                    wrong.append((k, i))
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []

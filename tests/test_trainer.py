@@ -255,26 +255,36 @@ def _reference_train(data, cfg):
 
 # The pins above hold only on the BLAS kernels that recorded them; this check
 # runs both trainers in one process on the same BLAS, so it is exact anywhere.
+# With two threads forced, Adam, the gradient products and the embeddings
+# split at every size: at d=80 Adam's two 64-row blocks and each gradient's
+# rows split 64 + 16, at d=16 the worker takes the empty second half.
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("args", [_TRAIN_TOY_ARGS, _TRAIN_TOY_D80_ARGS, (*_TRAIN_TOY_ARGS, "--intra-negatives")],
                          ids=["d16", "d80", "d16-intra"])
-def test_train_matches_the_reference_trainer_bit_for_bit(args):
+def test_train_matches_the_reference_trainer_bit_for_bit(args, threads, two_threads):
     opts = cli.build_parser().parse_args(["train-toy", *args, "--out", "unused"])
     h = T.default_hierarchy(opts.parents, opts.children_per_parent, opts.dim, opts.noise, opts.seed)
     data = T.generate_dataset(h, opts.samples, negatives_per_image=opts.negatives, batch_images=opts.batch_images)
     cfg = T.TrainConfig(steps=opts.steps, lr=opts.lr, alpha=opts.alpha, tau=opts.tau, kappa=opts.kappa,
                         seed=opts.seed, intra_negatives=opts.intra_negatives)
-    bundle, trace = T.train(data, cfg)
     want, want_trace = _reference_train(data, cfg)
+    if threads == 2:
+        two_threads()
+    bundle, trace = T.train(data, cfg)
     assert trace == want_trace
     for name in _WEIGHTS:
         assert getattr(bundle, name).tobytes() == getattr(want, name).tobytes(), name
 
 
-def test_training_peak_memory_stays_bounded():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_training_peak_memory_stays_bounded(threads, two_threads):
     # The parameters, Adam's two moments of each and one gradient buffer are 13
     # [dim, dim] matrices; the loss's [anchors, dim] temporaries and Adam's
-    # scratch rows add under one more. A buffer per matrix reads about 16.9,
-    # and steps that allocate their own gradients read about 20.8.
+    # scratch rows add under one more, and with two threads Adam's second pair
+    # of scratch blocks adds 0.5. A buffer per matrix reads about 16.9, and
+    # steps that allocate their own gradients read about 20.8.
+    if threads == 2:
+        two_threads()
     dim = 256
     data = T.generate_dataset(T.default_hierarchy(feature_dim=dim), 32, negatives_per_image=3, batch_images=4)
     tracemalloc.start()
