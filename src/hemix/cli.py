@@ -349,6 +349,15 @@ def cmd_pipeline(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42, help="seed for anything randomized")
+    scoring = argparse.ArgumentParser(add_help=False)  # ground and pipeline
+    scoring.add_argument("--anchors", required=True)
+    scoring.add_argument("--texts", required=True)
+    scoring.add_argument("--weights", required=True)
+    scoring.add_argument("--top-frac", type=float, default=0.10)
+    scoring.add_argument("--distinct-anchors", action="store_true")
+    service = argparse.ArgumentParser(add_help=False)  # decouple and pipeline
+    service.add_argument("--vlm-timeout-s", type=float, default=30.0)
+    service.add_argument("--retries", type=int, default=2)
 
     parser = argparse.ArgumentParser(prog="hemix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -391,21 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--apex-out", help="apex report JSON (default: apex_report.json next to --out)")
     p.set_defaults(func=cmd_train_toy)
 
-    p = sub.add_parser("decouple", parents=[common], help="split an expression into target phrases")
+    p = sub.add_parser("decouple", parents=[common, service], help="split an expression into target phrases")
     p.add_argument("--expr", required=True)
     p.add_argument("--image", help="image file sent to the service as base64")
     p.add_argument("--offline", action="store_true", help="use the rule-based decomposer")
     p.add_argument("--no-examples", action="store_true", help="drop the in-context examples part")
-    p.add_argument("--vlm-timeout-s", type=float, default=30.0)
-    p.add_argument("--retries", type=int, default=2)
     p.set_defaults(func=cmd_decouple)
 
-    p = sub.add_parser("ground", parents=[common], help="select boxes for decoupled phrases")
-    p.add_argument("--anchors", required=True)
-    p.add_argument("--texts", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--top-frac", type=float, default=0.10)
-    p.add_argument("--distinct-anchors", action="store_true")
+    p = sub.add_parser("ground", parents=[common, scoring], help="select boxes for decoupled phrases")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ground)
 
@@ -417,17 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-sample", action="store_true")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("pipeline", parents=[common], help="decouple, ground, and evaluate")
-    p.add_argument("--anchors", required=True)
-    p.add_argument("--texts", required=True)
-    p.add_argument("--weights", required=True)
+    p = sub.add_parser("pipeline", parents=[common, scoring, service], help="decouple, ground, and evaluate")
     p.add_argument("--gt", required=True)
-    p.add_argument("--top-frac", type=float, default=0.10)
     p.add_argument("--iou", type=float, default=0.5)
     p.add_argument("--offline", action="store_true")
-    p.add_argument("--distinct-anchors", action="store_true")
-    p.add_argument("--vlm-timeout-s", type=float, default=30.0)
-    p.add_argument("--retries", type=int, default=2)
     p.add_argument("--out", help="predictions JSONL path")
     p.add_argument("--report", help="report JSON path (default: stdout)")
     p.set_defaults(func=cmd_pipeline)

@@ -29,9 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lorentz import geodesic_distance, lift
-from .similarity import ProjectionBundle, _both, _half, _threaded, embed_rows, pair_scores
-
-_WEIGHTS = ("w_ev", "w_et", "w_hv", "w_ht")
+from .similarity import _MATRICES, ProjectionBundle, _both, _half, embed_rows, pair_scores
 
 
 @dataclass
@@ -99,7 +97,7 @@ def _loss(batch: GroundingBatch, in_set: np.ndarray, bundle: ProjectionBundle, *
     [s, dim, dim] stack of weights, and the loss is then an [s] array. Also
     returns what the gradients reuse: both embeddings and the softmax.
     """
-    w = {name: stacked.get(name, getattr(bundle, name)) for name in _WEIGHTS}
+    w = {name: stacked.get(name, getattr(bundle, name)) for name in _MATRICES}
     v = embed_rows(batch.anchors, w["w_ev"], w["w_hv"], bundle.kappa, "anchor features")
     t = embed_rows(batch.texts, w["w_et"], w["w_ht"], bundle.kappa, "text features")
     scores = pair_scores(v, t, bundle.alpha) / bundle.tau
@@ -140,24 +138,26 @@ def contrastive_loss(
     g[batch.pos, np.arange(n_img)] -= 1.0
     g /= bundle.tau * n_img  # [anchors, images], zero outside the term sets
     anchors, texts = batch.anchors, batch.texts
-    # Each gradient is features.T @ factor; a large one is made in two row
-    # halves at once, each one matmul, which gives the same bits.
+    # Each gradient is scale * features.T @ factor, made in two row halves,
+    # on two threads where it is large. Every size splits at the same row,
+    # so the bits do not depend on the CPU count.
     products = (
         ("w_ev", 1.0 - alpha, anchors, lambda: g @ t.e),
         ("w_et", 1.0 - alpha, texts, lambda: g.T @ v.e),
         ("w_hv", alpha, anchors, lambda: g @ t.z - ((g @ t.x0) / v.x0)[:, None] * v.z),
         ("w_ht", alpha, texts, lambda: g.T @ v.z - ((g.T @ v.x0) / t.x0)[:, None] * t.z),
     )
-    dim = batch.dim
+    dim, half = batch.dim, _half(batch.dim)
     for name, scale, feats, factor in products:
-        if _threaded(muladds=feats.size * dim):
-            grad, f, half = np.empty((dim, dim)) if out is None else out, factor(), _half(dim)
-            _both(lambda: np.matmul(feats.T[:half], f, out=grad[:half]),
-                  lambda: np.matmul(feats.T[half:], f, out=grad[half:]))
-        else:
-            grad = np.matmul(feats.T, factor(), out=out)
-        grad *= scale  # in place: a scaled copy would be one more [dim, dim] temporary
-        if not np.all(np.isfinite(grad)):
+        grad, f = np.empty((dim, dim)) if out is None else out, factor()
+
+        def rows(start: int, stop: int) -> bool:
+            """Makes rows [start, stop) of grad with one matmul; whether they are finite."""
+            part = np.matmul(feats.T[start:stop], f, out=grad[start:stop])
+            part *= scale  # in place: a scaled copy would be one more temporary
+            return bool(np.isfinite(part).all())
+
+        if not all(_both(lambda: rows(0, half), lambda: rows(half, dim), muladds=feats.size * dim)):
             raise ValueError(f"gradient {name} contains non-finite entries")
         apply(name, grad)
     return loss
@@ -206,7 +206,7 @@ def gradient_check(
     size = bundle.dim * bundle.dim
     per_slice = max(1, _STACK_BYTES // (8 * size))
     worst = 0.0
-    for name in _WEIGHTS:
+    for name in _MATRICES:
         flat = getattr(bundle, name).reshape(size)
         # Perturbation j moves entry j // 2 by +epsilon (j even) or -epsilon (j odd).
         losses = np.empty(2 * size)

@@ -29,6 +29,9 @@ DEFAULT_DIM = 512
 DEFAULT_TAU = 0.07
 DEFAULT_KAPPA = 1.0
 
+# The projection matrices' names, in the order of ProjectionBundle's fields.
+_MATRICES = ("w_ev", "w_et", "w_hv", "w_ht")
+
 
 def _cpu_count() -> int:
     """CPUs this process may run on; 1 where it cannot fork or ask."""
@@ -46,11 +49,6 @@ def _cpu_count() -> int:
 # lost ([128, 72] @ [72, 128]: 33 -> 36 us).
 _SPLIT_ELEMENTS = 1 << 16  # of an elementwise update
 _SPLIT_MULADDS = 1 << 21  # of a matrix product
-
-
-def _threaded(*, elements: int = 0, muladds: int = 0) -> bool:
-    """Whether work of this size runs on two threads."""
-    return (elements >= _SPLIT_ELEMENTS or muladds >= _SPLIT_MULADDS) and _cpu_count() > 1
 
 
 def _half(rows: int) -> int:
@@ -84,15 +82,21 @@ class _Worker:
 _workers = []  # the worker, once started; a forked child starts its own
 
 
-def _both(first, second) -> tuple:
-    """(first(), second()), with first run on this thread and second on the worker thread.
+def _both(first, second, *, elements: int = 0, muladds: int = 0) -> tuple:
+    """(first(), second()), with second run on the worker thread where the work is large.
 
-    The worker runs under this thread's floating-point error state and only
-    NumPy work or private methods, no public function. It returns, or raises
-    the exception of either (first's if both raise), only once both are done,
-    so no array is still in use on the worker when the caller goes on. A call
-    that finds the worker busy with another thread's call runs both here.
+    The work is large when the process may use more than one CPU and it has
+    at least _SPLIT_ELEMENTS elements or _SPLIT_MULADDS multiply-adds. Smaller
+    work runs first() then second() on this thread, and an exception of first
+    skips second. The worker runs under this thread's floating-point error
+    state and only NumPy work or private methods, no public function. It
+    returns, or raises the exception of either (first's if both raise), only
+    once both are done, so no array is still in use on the worker when the
+    caller goes on. A call that finds the worker busy with another thread's
+    call runs both here.
     """
+    if (elements < _SPLIT_ELEMENTS and muladds < _SPLIT_MULADDS) or _cpu_count() < 2:
+        return first(), second()
     if not _workers:
         _workers.append(_Worker())
         os.register_at_fork(after_in_child=_workers.clear)
@@ -139,7 +143,7 @@ class ProjectionBundle:
     kappa: float = DEFAULT_KAPPA
 
     def __post_init__(self):
-        for name in ("w_ev", "w_et", "w_hv", "w_ht"):
+        for name in _MATRICES:
             m = np.asarray(getattr(self, name), dtype=np.float64)
             setattr(self, name, m)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -190,10 +194,7 @@ def embed_rows(f: np.ndarray, w_e: np.ndarray, w_h: np.ndarray, kappa: float, wh
     # alone, not also by a floating-point warning. A finite z can still
     # overflow its lift time, which would score -inf.
     with np.errstate(invalid="ignore", over="ignore"):
-        if _threaded(muladds=f.shape[0] * w_e.shape[-2] * w_e.shape[-1]):
-            e, z = _both(lambda: f @ w_e, lambda: f @ w_h)
-        else:
-            e, z = f @ w_e, f @ w_h
+        e, z = _both(lambda: f @ w_e, lambda: f @ w_h, muladds=f.shape[0] * w_e.shape[-2] * w_e.shape[-1])
         x0 = lift_time(z, kappa)
     if not (np.isfinite(e).all() and np.isfinite(z).all() and np.isfinite(x0).all()):
         raise ValueError(f"{what} projected to non-finite coordinates")
@@ -260,8 +261,6 @@ def hemix(f_v: np.ndarray, f_t: np.ndarray, bundle: ProjectionBundle) -> float:
 # matrices is one base64 string of its dim*dim little-endian float64 values in
 # row-major order, so values round-trip bit for bit.
 # ---------------------------------------------------------------------------
-
-_MATRICES = ("w_ev", "w_et", "w_hv", "w_ht")
 
 
 def save_bundle(bundle: ProjectionBundle, path: str | Path) -> None:

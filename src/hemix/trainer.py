@@ -21,7 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .contrastive import GroundingBatch, ImageRecord, contrastive_loss
-from .similarity import ProjectionBundle, _both, _check_scalars, _half, _threaded, score_matrix
+from .similarity import _MATRICES, ProjectionBundle, _both, _check_scalars, _half, score_matrix
 
 
 class TrainingDiverged(RuntimeError):
@@ -115,6 +115,8 @@ def generate_dataset(
         raise ValueError("negatives_per_image must be nonnegative")
     if batch_images < 1:
         raise ValueError("batch_images must be at least 1")
+    if negatives_per_image > 0 and len(h.parents) < 2:  # a general phrase's pool would be empty
+        raise ValueError(f"negatives_per_image must be 0 with one parent, got {negatives_per_image}")
     desc = h.descriptors
     children = h.all_children()
     parent_of = h.parent_of()
@@ -182,35 +184,26 @@ class _Adam:
     one after another match one update of them all. Each update runs the
     textbook update's operations in the textbook order, one block of rows at
     a time through two preallocated scratch blocks, so the parameters match
-    the allocating form bit for bit. A large matrix is updated by two
-    threads, each over its own rows with its own pair of scratch blocks.
+    the allocating form bit for bit. Each matrix is updated in two row
+    halves, each through its own pair of scratch blocks, on two threads where
+    it is large. The matrices share one shape.
     """
 
     def __init__(self, params: dict, lr: float):
         self.params, self.lr = params, lr
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
-        self.t: dict = {}
-        self.m: dict = {}
-        self.v: dict = {}
-        self._scratch = np.empty((1, 2, 0, 0))  # [threads, 2, _ADAM_ROWS, cols]
+        self.t = dict.fromkeys(params, 0)
+        self.m = {name: np.zeros_like(p) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p) for name, p in params.items()}
+        cols = next(iter(params.values())).shape[1]
+        self._scratch = np.empty((2, 2, _ADAM_ROWS, cols))  # [halves, 2, _ADAM_ROWS, cols]
 
     def update(self, name: str, g: np.ndarray) -> None:
         """One Adam step of ``params[name]`` with gradient ``g``."""
-        if name not in self.m:
-            self.t[name] = 0
-            self.m[name] = np.zeros_like(g)
-            self.v[name] = np.zeros_like(g)
         self.t[name] += 1
-        rows, cols = g.shape
-        threaded = _threaded(elements=g.size)
-        if self._scratch.shape[0] < 1 + threaded or self._scratch.shape[3] != cols:
-            self._scratch = np.empty((1 + threaded, 2, _ADAM_ROWS, cols))
-        if threaded:
-            half = _half(rows)
-            _both(lambda: self._rows(name, g, 0, half, self._scratch[0]),
-                  lambda: self._rows(name, g, half, rows, self._scratch[1]))
-        else:
-            self._rows(name, g, 0, rows, self._scratch[0])
+        rows, half = len(g), _half(len(g))
+        _both(lambda: self._rows(name, g, 0, half, self._scratch[0]),
+              lambda: self._rows(name, g, half, rows, self._scratch[1]), elements=g.size)
 
     def _rows(self, name: str, g: np.ndarray, start: int, stop: int, scratch: np.ndarray) -> None:
         """The update of rows [start, stop) of ``params[name]``, _ADAM_ROWS at a time through ``scratch``."""
@@ -250,8 +243,7 @@ def train(data: list, cfg: TrainConfig) -> tuple[ProjectionBundle, list]:
     bundle = ProjectionBundle.initialize(
         dim, alpha=cfg.alpha, tau=cfg.tau, kappa=cfg.kappa, seed=cfg.seed
     )
-    params = {"w_ev": bundle.w_ev, "w_et": bundle.w_et, "w_hv": bundle.w_hv, "w_ht": bundle.w_ht}
-    opt = _Adam(params, cfg.lr)
+    opt = _Adam({name: getattr(bundle, name) for name in _MATRICES}, cfg.lr)
     # Each gradient is written into this one buffer and applied before the
     # next is made, so no step allocates a [dim, dim] array.
     out = np.empty_like(bundle.w_ev)

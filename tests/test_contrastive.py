@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hemix import contrastive
+from hemix import contrastive, similarity
 from hemix.contrastive import (
     GroundingBatch,
     ImageRecord,
@@ -12,7 +12,7 @@ from hemix.contrastive import (
     hierarchical_loss,
 )
 from hemix.lorentz import geodesic_distance, lift
-from hemix.similarity import ProjectionBundle, hemix
+from hemix.similarity import _MATRICES, ProjectionBundle, hemix
 
 
 def rand_batch(rng, dim, n_images=None, n_anchors=None):
@@ -42,7 +42,7 @@ class TestLossValues:
         batch = GroundingBatch([ImageRecord([rng.standard_normal(4)], rng.standard_normal(4))])
         loss, grads = loss_and_grads(batch, bundle)
         assert loss == 0.0
-        assert list(grads) == list(contrastive._WEIGHTS)
+        assert list(grads) == list(_MATRICES)
         assert all(np.abs(g).max() <= 1e-12 for g in grads.values())
 
     def test_two_images_equal_scores_log2(self):
@@ -161,7 +161,7 @@ class TestGradientBuffers:
                 seen[name] = grad.tobytes()
 
             assert contrastive_loss(batch, bundle, intra, apply=apply, out=out) == fresh_loss
-            assert seen == {name: fresh[name].tobytes() for name in contrastive._WEIGHTS}
+            assert seen == {name: fresh[name].tobytes() for name in _MATRICES}
             # Each gradient overwrote the one before it, so the buffer holds the last.
             assert out.tobytes() == fresh["w_ht"].tobytes()
 
@@ -182,6 +182,20 @@ class TestGradientBuffers:
             contrastive_loss(batch, bundle, apply=ignore, out=out)
         assert np.isnan(out).any()
 
+    def test_gradients_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        # 240 anchors at d=100 give each anchor-side product 2.4e6 multiply-adds,
+        # which split on two CPUs; a BLAS can round a row-split product
+        # differently from a whole one at this dimension, so one CPU splits too.
+        rng = np.random.default_rng(12)
+        batch = rand_batch(rng, 100, 8, 30)
+        bundle = ProjectionBundle.initialize(100, seed=12)
+        seen = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(similarity, "_cpu_count", lambda: cpus)
+            seen[cpus] = {}
+            contrastive_loss(batch, bundle, apply=lambda name, grad: seen[cpus].__setitem__(name, grad.tobytes()))
+        assert seen[1] == seen[2]
+
 
 class TestApply:
     @pytest.mark.parametrize("intra", [False, True])
@@ -199,7 +213,7 @@ class TestApply:
             seen.append((name, grad.tobytes()))
 
         assert contrastive_loss(batch, bundle, intra, apply=apply, out=buffer) == plain_loss
-        assert seen == [(name, plain[name].tobytes()) for name in contrastive._WEIGHTS]
+        assert seen == [(name, plain[name].tobytes()) for name in _MATRICES]
 
     def test_nan_loss_raises_before_any_apply(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -217,22 +231,28 @@ class TestApply:
             contrastive_loss(batch, bundle, apply=lambda name, grad: seen.append(name))
         assert seen == []
 
-    def test_non_finite_gradient_raises_before_apply_sees_it(self, monkeypatch):
+    # A NaN in one anchor feature column reaches one row of the w_hv gradient
+    # only; at d=80 row 70 lies in the second row half, which the worker makes
+    # when forced.
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("dim, row", [(4, 0), (80, 10), (80, 70)])
+    def test_non_finite_gradient_raises_before_apply_sees_it(self, two_threads, dim, row, forced):
+        if forced:
+            two_threads()
         rng = np.random.default_rng(6)
-        batch = rand_batch(rng, 4, 2, 2)
-        bundle = ProjectionBundle.initialize(4, seed=6)
-        loss = contrastive._loss
+        batch = rand_batch(rng, dim, 2, 2)
+        bundle = ProjectionBundle.initialize(dim, seed=6)
+        out, seen = np.empty((dim, dim)), []
 
-        def poisoned(*args, **kwargs):
-            value, v, t, g = loss(*args, **kwargs)
-            v.x0[0] = np.nan  # read by the hyperbolic gradients only
-            return value, v, t, g
+        def apply(name, grad):
+            seen.append(name)
+            if name == "w_et":
+                batch.anchors[:, row] = np.nan  # read next by the w_hv product alone
 
-        monkeypatch.setattr(contrastive, "_loss", poisoned)
-        seen = []
         with pytest.raises(ValueError, match="^gradient w_hv contains non-finite entries$"):
-            contrastive_loss(batch, bundle, apply=lambda name, grad: seen.append(name), out=np.empty((4, 4)))
+            contrastive_loss(batch, bundle, apply=apply, out=out)
         assert seen == ["w_ev", "w_et"]
+        assert np.isnan(out[row]).all() and np.isfinite(np.delete(out, row, axis=0)).all()
 
 
 class TestGradientCheck:

@@ -592,8 +592,10 @@ def test_forks_beside_an_idle_worker_thread(monkeypatch, tmp_path, forks, two_th
     assert len(forks) == 1
 
 
-def test_a_forked_child_makes_its_own_worker_thread():
-    similarity._both(lambda: None, lambda: None)  # the worker of this process exists
+def test_a_forked_child_makes_its_own_worker_thread(two_threads):
+    two_threads()
+    similarity._both(lambda: None, lambda: None)
+    assert similarity._workers  # the worker of this process exists
     pid = os.fork()
     if pid == 0:
         code = 1

@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 from hemix import lorentz as L
+from hemix import similarity
 from hemix.contrastive import GroundingBatch, ImageRecord, gradient_check
 from hemix.similarity import (
+    _SPLIT_ELEMENTS,
+    _SPLIT_MULADDS,
     ProjectionBundle,
     _both,
     embed_rows,
@@ -382,20 +385,39 @@ class TestWeightFormat:
 
 
 class TestTwoThreads:
-    """similarity._both runs its second callable on the worker thread."""
+    """similarity._both runs its second callable on the worker thread where the work is large."""
 
-    def test_returns_both_results_with_the_second_made_on_the_worker(self):
+    # cpus "forced" calls the two_threads fixture, under which any work splits.
+    @pytest.mark.parametrize("cpus, size, on_worker", [
+        (2, {}, False),
+        (2, {"elements": _SPLIT_ELEMENTS - 1, "muladds": _SPLIT_MULADDS - 1}, False),
+        (2, {"elements": _SPLIT_ELEMENTS}, True),
+        (2, {"muladds": _SPLIT_MULADDS}, True),
+        (1, {"elements": _SPLIT_ELEMENTS, "muladds": _SPLIT_MULADDS}, False),
+        ("forced", {}, True),
+    ])
+    def test_returns_both_results_with_the_second_made_on_the_worker(self, monkeypatch, two_threads, cpus, size,
+                                                                     on_worker):
+        if cpus == "forced":
+            two_threads()
+        else:
+            monkeypatch.setattr(similarity, "_cpu_count", lambda: cpus)
         with np.errstate(invalid="ignore", over="raise"):
             mine, theirs = _both(lambda: (threading.get_ident(), np.geterr()),
-                                 lambda: (threading.get_ident(), np.geterr()))
-        assert mine[0] == threading.get_ident() != theirs[0]
+                                 lambda: (threading.get_ident(), np.geterr()), **size)
+        assert mine[0] == threading.get_ident()
+        assert (theirs[0] != mine[0]) == on_worker
         assert mine[1] == theirs[1]
         assert (theirs[1]["invalid"], theirs[1]["over"]) == ("ignore", "raise")
 
+    @pytest.mark.parametrize("forced", [True, False])
     @pytest.mark.parametrize("raiser", ["first", "second", "both"])
-    def test_raises_only_once_the_other_half_is_done(self, raiser):
+    def test_raises_only_once_the_other_half_is_done(self, two_threads, raiser, forced):
         # The half that raises does so at once; the other takes 50 ms, and
-        # must have finished when the exception reaches the caller.
+        # must have finished when the exception reaches the caller. Run here,
+        # below the size rule, an exception of first skips second.
+        if forced:
+            two_threads()
         finished = []
 
         def slow(side):
@@ -409,11 +431,15 @@ class TestTwoThreads:
         second = fails if raiser in ("second", "both") else slow
         with pytest.raises(ArithmeticError, match="^second$" if raiser == "second" else "^first$"):
             _both(lambda: first("first"), lambda: second("second"))
-        assert finished == ([] if raiser == "both" else ["second" if raiser == "first" else "first"])
+        if forced:
+            assert finished == ([] if raiser == "both" else ["second" if raiser == "first" else "first"])
+        else:
+            assert finished == (["first"] if raiser == "second" else [])
         assert _both(lambda: 1, lambda: 2) == (1, 2)  # the worker serves the next call
 
-    def test_callers_on_several_threads_each_get_their_own_results(self):
+    def test_callers_on_several_threads_each_get_their_own_results(self, two_threads):
         # A call that finds the worker busy runs both halves on its own thread.
+        two_threads()
         wrong, switch = [], sys.getswitchinterval()
 
         def caller(k):

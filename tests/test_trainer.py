@@ -6,8 +6,8 @@ import pytest
 
 from hemix import cli
 from hemix import trainer as T
-from hemix.contrastive import _WEIGHTS, GroundingBatch, ImageRecord, contrastive_loss
-from hemix.similarity import ProjectionBundle, score_matrix
+from hemix.contrastive import GroundingBatch, ImageRecord, contrastive_loss
+from hemix.similarity import _MATRICES, ProjectionBundle, score_matrix
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +39,11 @@ class TestDatasetGeneration:
             for img in batch.images:
                 assert len(img.anchors) == 3
 
-    def test_no_negatives(self, hierarchy):
-        data = T.generate_dataset(hierarchy, 4, negatives_per_image=0)
+    @pytest.mark.parametrize("n_parents", [1, 3])
+    def test_no_negatives(self, n_parents):
+        data = T.generate_dataset(T.default_hierarchy(n_parents), 4, negatives_per_image=0)
         assert all(len(img.anchors) == 1 for b in data for img in b.images)
+        assert len(T.train(data, T.TrainConfig(steps=2))[1]) == 2
 
     def test_sample_count_rejected(self, hierarchy):
         with pytest.raises(ValueError):
@@ -130,7 +132,7 @@ class TestAdam:
     @pytest.mark.parametrize("lr", [0.025, 0.0])
     def test_matches_textbook_bit_for_bit(self, dim, lr):
         rng = np.random.default_rng(dim)
-        init = {name: rng.uniform(-1, 1, (dim, dim)) for name in _WEIGHTS}
+        init = {name: rng.uniform(-1, 1, (dim, dim)) for name in _MATRICES}
         got = {name: w.copy() for name, w in init.items()}
         want = {name: w.copy() for name, w in init.items()}
         opt, ref = T._Adam(got, lr), _TextbookAdam(lr)
@@ -139,7 +141,7 @@ class TestAdam:
             grads = {name: scale * rng.standard_normal((dim, dim)) for name in ("w_ev", "w_et")}
             # All-zero gradients, as for the hyperbolic weights at alpha = 0.
             grads.update(w_hv=np.zeros((dim, dim)), w_ht=np.zeros((dim, dim)))
-            for name in _WEIGHTS:
+            for name in _MATRICES:
                 opt.update(name, grads[name])
             ref.step(want, grads)
         for name in init:
@@ -239,7 +241,7 @@ def test_train_toy_d80_outputs_are_pinned(tmp_path, capsys):
 def _reference_train(data, cfg):
     """trainer.train with fresh gradients collected through ``apply`` and the textbook Adam."""
     bundle = ProjectionBundle.initialize(data[0].dim, alpha=cfg.alpha, tau=cfg.tau, kappa=cfg.kappa, seed=cfg.seed)
-    params = {name: getattr(bundle, name) for name in _WEIGHTS}
+    params = {name: getattr(bundle, name) for name in _MATRICES}
     opt = _TextbookAdam(cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     trace = []
@@ -255,9 +257,9 @@ def _reference_train(data, cfg):
 
 # The pins above hold only on the BLAS kernels that recorded them; this check
 # runs both trainers in one process on the same BLAS, so it is exact anywhere.
-# With two threads forced, Adam, the gradient products and the embeddings
-# split at every size: at d=80 Adam's two 64-row blocks and each gradient's
-# rows split 64 + 16, at d=16 the worker takes the empty second half.
+# Adam and the gradient products always split their rows, at d=80 into
+# 64 + 16 and at d=16 into all rows and an empty second half; with two
+# threads forced, the worker makes each second half and one embedding.
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("args", [_TRAIN_TOY_ARGS, _TRAIN_TOY_D80_ARGS, (*_TRAIN_TOY_ARGS, "--intra-negatives")],
                          ids=["d16", "d80", "d16-intra"])
@@ -272,17 +274,17 @@ def test_train_matches_the_reference_trainer_bit_for_bit(args, threads, two_thre
         two_threads()
     bundle, trace = T.train(data, cfg)
     assert trace == want_trace
-    for name in _WEIGHTS:
+    for name in _MATRICES:
         assert getattr(bundle, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_training_peak_memory_stays_bounded(threads, two_threads):
     # The parameters, Adam's two moments of each and one gradient buffer are 13
-    # [dim, dim] matrices; the loss's [anchors, dim] temporaries and Adam's
-    # scratch rows add under one more, and with two threads Adam's second pair
-    # of scratch blocks adds 0.5. A buffer per matrix reads about 16.9, and
-    # steps that allocate their own gradients read about 20.8.
+    # [dim, dim] matrices; Adam's two pairs of scratch blocks, one per row
+    # half, add 1.0, and the loss's [anchors, dim] temporaries under 0.4. A
+    # buffer per matrix reads about 16.9, and steps that allocate their own
+    # gradients read about 20.8.
     if threads == 2:
         two_threads()
     dim = 256
@@ -347,6 +349,7 @@ def test_hierarchy_rejects_a_negative_or_non_finite_noise(noise):
     ("--batch-images", "0", "batch_images must be at least 1"),
     ("--batch-images", "-1", "batch_images must be at least 1"),
     ("--parents", "0", "parents must not be empty"),
+    ("--parents", "1", "negatives_per_image must be 0 with one parent, got 2"),
     ("--noise", "-1", "noise_scale must be finite and nonnegative, got -1.0"),
     ("--noise", "nan", "noise_scale must be finite and nonnegative, got nan"),
     ("--noise", "inf", "noise_scale must be finite and nonnegative, got inf"),
