@@ -248,10 +248,9 @@ def cmd_ground(args) -> int:
     # A bad --top-frac or a missing output directory stops the run before any work or output.
     grounding._check_fraction(args.top_frac)
     _check_output_dirs(Path(args.out))
-    bundle = similarity.load_bundle(args.weights)
-    anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac)
-    predictions, failures = _ground_records(jsonl.read_jsonl(args.texts), lambda rec: rec["phrases"], anchor_map,
-                                            bundle, args)
+    (bundle, texts), anchor_map = ingest.load_anchor_map(  # the other reads run while children decode anchors
+        args.anchors, args.top_frac, lambda: (similarity.load_bundle(args.weights), jsonl.read_jsonl(args.texts)))
+    predictions, failures = _ground_records(texts, lambda rec: rec["phrases"], anchor_map, bundle, args)
     jsonl.write_jsonl(args.out, predictions)
     print(f"wrote {len(predictions)} predictions to {args.out}")
     for failure in failures:
@@ -315,13 +314,12 @@ def cmd_pipeline(args) -> int:
     _check_output_dirs(*(Path(path) for path in (args.out, args.report) if path))
     vlm_cfg = None if args.offline else decouple.VlmConfig.from_env(timeout_s=args.vlm_timeout_s,
                                                                      retries=args.retries)
-    bundle = similarity.load_bundle(args.weights)
-    anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac)
-    gt = _boxes_file(args.gt)
+    (bundle, gt, texts), anchor_map = ingest.load_anchor_map(  # the other reads run while children decode anchors
+        args.anchors, args.top_frac,
+        lambda: (similarity.load_bundle(args.weights), _boxes_file(args.gt), jsonl.read_jsonl(args.texts)))
 
     predictions, failures = _ground_records(
-        jsonl.read_jsonl(args.texts), lambda rec: _decouple_record(rec, args.offline, vlm_cfg).phrases,
-        anchor_map, bundle, args,
+        texts, lambda rec: _decouple_record(rec, args.offline, vlm_cfg).phrases, anchor_map, bundle, args,
     )
 
     if args.out:

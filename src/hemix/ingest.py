@@ -103,21 +103,27 @@ def _fork_decoder(path, top_fraction: float, spans: list, queue: int) -> tuple:
     return pid, open(r, "rb")
 
 
-def load_anchor_map(path, top_fraction: float) -> dict:
-    """image_id -> its AnchorSet cut to ``top_fraction``, or the error message of a malformed entry.
+def load_anchor_map(path, top_fraction: float, meanwhile) -> tuple:
+    """(meanwhile(), image_id -> its AnchorSet cut to ``top_fraction`` or the error message of a malformed entry).
 
-    The file is cut into _SPANS_PER_CPU equal byte spans per available CPU
-    (see _byte_ranges), without a look at its content: a span holds the lines
-    that start in it (see jsonl.iter_jsonl). The spans are decoded by this
-    process and a forked child per further CPU, each taking the next span from
-    a shared queue until none is left. The parts are merged in file order, so
-    the map, its key order and any error are those of one whole-file read.
-    When several spans fail, the first in file order is raised; a child that
-    exits without a reply fails the run. A file without such a failure fails
-    on its first repeated image_id, naming the later line; only the first span
-    that repeats an earlier id is read again to find it. Every process
-    streams its spans: each record is dropped before the next line is
-    decoded, and each image keeps only the rows that grounding at
+    ``meanwhile`` is the caller's other reads, run in this process while the
+    anchors are decoded. The file is cut into _SPANS_PER_CPU equal byte spans
+    per available CPU (see _byte_ranges), without a look at its content: a
+    span holds the lines that start in it (see jsonl.iter_jsonl). A file of
+    more than one span is decoded by one forked child per CPU, at most one
+    per span, each taking the next span from a shared queue until none is
+    left; this process calls ``meanwhile`` once they are forked and then only
+    merges. A file of one span, or one CPU, is decoded here after
+    ``meanwhile``. The parts are merged in file order, so the map, its key
+    order and any error are those of one whole-file read. When several spans
+    fail, the first in file order is raised; a child that exits without a
+    reply fails the run. A file without such a failure fails on its first
+    repeated image_id, naming the later line; only the first span that
+    repeats an earlier id is read again to find it. An error of a missing
+    file comes before any of ``meanwhile``, and one of ``meanwhile`` before
+    any of the file's contents; either way no child is left running. Every
+    process streams its spans: each record is dropped before the next line
+    is decoded, and each image keeps only the rows that grounding at
     ``top_fraction`` reads.
     """
     cpus = _cpu_count()
@@ -125,9 +131,10 @@ def load_anchor_map(path, top_fraction: float) -> dict:
     queue = _span_queue(len(spans))
     workers = []
     try:
-        for _ in range(min(cpus, len(spans)) - 1):
+        for _ in range(min(cpus, len(spans)) if len(spans) > 1 else 0):
             workers.append(_fork_decoder(path, top_fraction, spans, queue))
-        parts = _decode_queued(path, top_fraction, spans, queue)
+        other = meanwhile()
+        parts = {} if workers else _decode_queued(path, top_fraction, spans, queue)
         for _, pipe in workers:
             try:
                 parts.update(pickle.load(pipe))
@@ -158,4 +165,4 @@ def load_anchor_map(path, top_fraction: float) -> dict:
         for pid, pipe in workers:
             pipe.close()
             os.waitpid(pid, 0)
-    return anchor_map
+    return other, anchor_map

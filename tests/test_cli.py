@@ -578,7 +578,7 @@ def test_load_anchor_map_keeps_the_kept_rows(tmp_path):
     anchors = tmp_path / "anchors.jsonl"
     jsonl.write_jsonl(anchors, [{"image_id": k, "anchors": [entry] * n} for k, n in counts.items()])
     for top in (0.05, 0.1, 0.5, 1.0):
-        anchor_map = ingest.load_anchor_map(anchors, top)
+        _, anchor_map = ingest.load_anchor_map(anchors, top, lambda: None)
         assert {k: len(s) for k, s in anchor_map.items()} == counts
         assert {k: s.features.shape for k, s in anchor_map.items()} == {
             k: (max(1, math.ceil(top * n)), 3) for k, n in counts.items()}

@@ -9,8 +9,10 @@ record later in the file. Every run must end with exit 0, 1 or 2 and no
 escaping exception; each ``error:`` line names ``<path>:<line>`` (``<path>``
 for the weight file) and each failure a sample; exit 2 leaves no output file;
 outputs read as strict JSON; on exit 0 or 1 every sample the mutation did not
-touch keeps its golden prediction bytes; and an anchors mutation gives the
-same result at one CPU and at three, with the file cut into one-byte spans.
+touch keeps its golden prediction bytes; and a ``pipeline`` case gives the
+same result at one CPU and at three, with the anchors file cut into one-byte
+spans, where the weight, ground-truth and texts files are read while forked
+children decode the anchors, and leaves no child process behind.
 
 Tier-1 runs the first ``TIER1_CASES`` cases of each seed. A longer soak over
 the same seeds runs from the command line:
@@ -24,6 +26,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import re
 import sys
 import tempfile
@@ -479,7 +482,12 @@ def check_case(case: dict, tmp: Path) -> None:
         code, out, err = run("eval", "--gt", paths["gt"], "--pred", paths["pred"], "--per-sample")
         preds, report = None, out or None
     else:
-        code, err, preds, report = pipeline(tmp, **{case["kind"]: case["lines"]})
+        with cpus(1):
+            code, err, preds, report = pipeline(tmp, **{case["kind"]: case["lines"]})
+        with cpus(3):
+            assert pipeline(tmp, **{case["kind"]: case["lines"]}) == (code, err, preds, report), label
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
     assert code in (0, 1, 2), label
     assert code != 2 or (preds, report) == (None, None), label
     located = re.compile("error: (" + "|".join(re.escape(str(p)) + (r":\d+" if p.suffix == ".jsonl" else "")
@@ -503,12 +511,6 @@ def check_case(case: dict, tmp: Path) -> None:
         ids = {json.loads(line)["sample_id"] for line in keep}
         got = [line for line in preds.splitlines()[1:] if json.loads(line)["sample_id"] in ids]
         assert got == keep, label
-    if case["kind"] == "anchors":
-        results = []
-        for n in (1, 3):
-            with cpus(n):
-                results.append(pipeline(tmp, anchors=case["lines"]))
-        assert results[0] == results[1] == (code, err, preds, report), label
 
 
 def cases(seed: int, count: int) -> list:

@@ -6,11 +6,11 @@ A record is one UTF-8 line ending in ``\n``: CRLF files read as LF files do,
 and a lone ``\r`` does not end a line. The reader is checked on its own at
 every cut of small files, and what a whole-file read of each returns is
 pinned. The ingest tests force the split by lowering
-``ingest._MIN_RANGE_BYTES`` to one byte and setting the CPU count. Which
-process decodes which span is settled at run time; with ``children`` set,
-the test process takes no span, so the forked children decode all of them
-and every error is raised in a child. After each test no child process and
-no pipe may be left behind.
+``ingest._MIN_RANGE_BYTES`` to one byte and setting the CPU count. A file of
+more than one span is decoded by one forked child per CPU, so every error of
+its contents is raised in a child; which child decodes which span is settled
+at run time. After each test no child process and no pipe may be left
+behind.
 """
 
 import io
@@ -71,14 +71,13 @@ def set_cpus(monkeypatch, n):
     monkeypatch.setattr(ingest, "_cpu_count", lambda: n)
 
 
-def leave_spans_to_children(monkeypatch):
-    """The calling process takes no span from the queue; its forked children take them all."""
-    parent, real = os.getpid(), ingest._decode_queued
-    monkeypatch.setattr(ingest, "_decode_queued", lambda *args: {} if os.getpid() == parent else real(*args))
-
-
 def spans_of(path, cpus):
     return ingest._byte_ranges(path, cpus * ingest._SPANS_PER_CPU)
+
+
+def load(path, top):
+    """The anchor map of ``path``, with no other reads run meanwhile."""
+    return ingest.load_anchor_map(path, top, lambda: None)[1]
 
 
 def entry(i, dim=4, confidence=None):
@@ -104,7 +103,7 @@ def lines_of(records, header=True):
 def one_range_read(monkeypatch, path, top):
     with monkeypatch.context() as m:
         m.setattr(ingest, "_cpu_count", lambda: 1)
-        return ingest.load_anchor_map(path, top)
+        return load(path, top)
 
 
 def assert_same_map(got, want):
@@ -134,18 +133,15 @@ def mixed_records():
     ]
 
 
-@pytest.mark.parametrize("children", [False, True])
-@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("cpus", [2, 3, 4])
 @pytest.mark.parametrize("top", [0.1, 0.5, 1.0])
-def test_parallel_map_equals_one_range_read(monkeypatch, tmp_path, forks, cpus, top, children):
+def test_parallel_map_equals_one_range_read(monkeypatch, tmp_path, forks, cpus, top):
     path = write_lines(tmp_path / "anchors.jsonl", lines_of(mixed_records()))
     want = one_range_read(monkeypatch, path, top)
     assert len(forks) == 0
     set_cpus(monkeypatch, cpus)
-    if children:
-        leave_spans_to_children(monkeypatch)
-    got = ingest.load_anchor_map(path, top)
-    assert len(forks) == cpus - 1
+    got = load(path, top)
+    assert len(forks) == cpus
     assert_same_map(got, want)
     assert isinstance(got["bad_box"], str) and "four coordinates" in got["bad_box"]
     assert got["no_anchors"] == "anchors of image 'no_anchors': record has no 'anchors' field"
@@ -177,7 +173,7 @@ def test_file_shapes_read_as_one_range(monkeypatch, tmp_path, forks, cpus, shape
     else:
         path.write_bytes(b"")
     set_cpus(monkeypatch, cpus)
-    got = ingest.load_anchor_map(path, 0.5)
+    got = load(path, 0.5)
     assert_same_map(got, one_range_read(monkeypatch, path, 0.5))
     want_keys = {"empty": [], "header_only": [], "whitespace_only": [], "one_record": ["i0"]}
     assert list(got) == want_keys.get(shape, [f"i{k}" for k in range(5)])
@@ -338,39 +334,34 @@ def span_of(path, offset, cpus):
     raise AssertionError(offset)
 
 
-@pytest.mark.parametrize("children", [False, True])
+@pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 @pytest.mark.parametrize("kind", sorted(BAD_LINES))
 @pytest.mark.parametrize("index", [2, 6, 11])
 def test_bad_line_in_any_range_is_the_one_range_error(monkeypatch, capsys, tmp_path, forks, newline, kind,
-                                                      index, children):
+                                                      index, cpus):
     text, what = BAD_LINES[kind]
     path, starts = bad_file(tmp_path, {index: text}, newline)
-    assert span_of(path, starts[index], 3) > 0
+    assert span_of(path, starts[index], cpus) > 0
     with monkeypatch.context() as m:
         m.setattr(ingest, "_cpu_count", lambda: 1)
         want = run_pipeline(capsys, path)
-    set_cpus(monkeypatch, 3)
-    if children:
-        leave_spans_to_children(monkeypatch)
+    set_cpus(monkeypatch, cpus)
     got = run_pipeline(capsys, path)
-    assert len(forks) == 2
+    assert len(forks) == cpus
     assert got == want
     code, message = got
     assert code == 2
     assert message.startswith(f"error: {path}:{index + 1}: {what}")
 
 
-@pytest.mark.parametrize("children", [False, True])
-@pytest.mark.parametrize("cpus, first", [(2, 2), (3, 2), (3, 6)])
-def test_two_bad_ranges_report_the_earlier(monkeypatch, capsys, tmp_path, forks, cpus, first, children):
+@pytest.mark.parametrize("cpus, first", [(2, 2), (2, 6), (3, 2), (3, 6)])
+def test_two_bad_ranges_report_the_earlier(monkeypatch, capsys, tmp_path, forks, cpus, first):
     path, starts = bad_file(tmp_path, {first: "[1, 2]", 11: '{"anchors": []}'})
     assert span_of(path, starts[first], cpus) < span_of(path, starts[11], cpus)
     set_cpus(monkeypatch, cpus)
-    if children:
-        leave_spans_to_children(monkeypatch)
     assert run_pipeline(capsys, path) == (2, f"error: {path}:{first + 1}: record is not a JSON object")
-    assert len(forks) == cpus - 1
+    assert len(forks) == cpus
 
 
 def repeat_image(path, first, later):
@@ -382,19 +373,17 @@ def repeat_image(path, first, later):
     return image_id
 
 
-@pytest.mark.parametrize("cpus, children", [(1, False), (2, False), (2, True), (3, False), (3, True)])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 @pytest.mark.parametrize("first, later", [(2, 3), (2, 11), (6, 7), (9, 4)])
 def test_repeated_image_id_names_the_later_line_at_any_cpu_count(monkeypatch, capsys, tmp_path, forks, cpus,
-                                                                children, first, later):
+                                                                first, later):
     path, _ = bad_file(tmp_path, {})
     image_id = repeat_image(path, first, later)
     repeat_image(path, 10, 12)  # a second repeat, after the first
     set_cpus(monkeypatch, cpus)
-    if children:
-        leave_spans_to_children(monkeypatch)
     line = max(first, later) + 1
     assert run_pipeline(capsys, path) == (2, f"error: {path}:{line}: repeated image_id {image_id!r}")
-    assert len(forks) == cpus - 1
+    assert len(forks) == (cpus if cpus > 1 else 0)
 
 
 @pytest.mark.parametrize("first, later", [(2, 11), (9, 10), (10, 4)])
@@ -402,13 +391,13 @@ def test_repeated_image_id_rereads_only_the_span_of_the_repeat(monkeypatch, caps
                                                                 later):
     path, starts = bad_file(tmp_path, {})
     image_id = repeat_image(path, first, later)
-    set_cpus(monkeypatch, 2)
-    leave_spans_to_children(monkeypatch)  # so every iter_jsonl call of this process is the re-read
+    set_cpus(monkeypatch, 2)  # forked children decode every span; this process reads the anchors only to re-read
     reads, real = [], jsonl.iter_jsonl
 
-    def spy(*args, **kwargs):
-        reads.append((kwargs.get("start", 0), kwargs.get("end")))
-        return real(*args, **kwargs)
+    def spy(file, **kwargs):
+        if Path(file) == path:
+            reads.append((kwargs.get("start", 0), kwargs.get("end")))
+        return real(file, **kwargs)
 
     monkeypatch.setattr(jsonl, "iter_jsonl", spy)
     line = max(first, later)
@@ -438,7 +427,7 @@ def test_worker_that_dies_without_a_result_fails_the_run(monkeypatch, capsys, tm
     monkeypatch.setattr(ingest, "_anchor_range", dying)
     set_cpus(monkeypatch, 3)
     code, message = run_pipeline(capsys, path)
-    assert len(forks) == 2
+    assert len(forks) == 3
     assert code == 2
     assert message == f"error: {path}: a process decoding part of this file exited without a result"
 
@@ -452,9 +441,93 @@ def test_pipeline_reproduces_golden_when_split(monkeypatch, tmp_path, capsys, fo
                      "--out", str(preds), "--report", str(report)])
     capsys.readouterr()
     assert code == 0
-    assert len(forks) == cpus - 1
+    assert len(forks) == cpus
     assert preds.read_bytes() == (DATA / "golden_predictions.jsonl").read_bytes()
     assert report.read_bytes() == (DATA / "golden_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("cpus, one_span", [(1, False), (3, True), (2, False), (3, False)])
+def test_meanwhile_runs_once_here_after_every_fork(monkeypatch, tmp_path, forks, cpus, one_span):
+    path = write_lines(tmp_path / "anchors.jsonl", lines_of(mixed_records()))
+    want = one_range_read(monkeypatch, path, 0.5)
+    if one_span:
+        monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", path.stat().st_size)
+    parent, real, events = os.getpid(), ingest._decode_queued, []
+
+    def decode(*args):
+        if os.getpid() == parent:
+            events.append("decode")
+        return real(*args)
+
+    def meanwhile():
+        events.append(("meanwhile", os.getpid(), len(forks)))
+        return "other reads"
+
+    monkeypatch.setattr(ingest, "_decode_queued", decode)
+    set_cpus(monkeypatch, cpus)
+    other, got = ingest.load_anchor_map(path, 0.5, meanwhile)
+    assert other == "other reads"
+    assert_same_map(got, want)
+    children = 0 if cpus == 1 or one_span else cpus
+    assert len(forks) == children
+    # This process decodes a span only when it forked no child, and then after meanwhile.
+    assert events == [("meanwhile", parent, children)] + ["decode"] * (children == 0)
+
+
+def bad_input(tmp_path, kind):
+    """(option, path) of a weight, ground-truth or texts file that fails the run."""
+    if kind == "weights":
+        header = json.loads((DATA / "weights.json").read_text())
+        return "--weights", write_lines(tmp_path / "weights.json", [json.dumps(dict(header, alpha="0.5"))])
+    lines = (DATA / f"{kind}.jsonl").read_text().splitlines()
+    lines[2] = '{"boxes": [[5, 5, 1, 1]], "sample_id": "s2"}' if kind == "gt" else '{"sample_id": "s2", '
+    return "--" + kind, write_lines(tmp_path / f"{kind}.jsonl", lines)
+
+
+@pytest.mark.parametrize("command, kind", [("pipeline", "weights"), ("pipeline", "gt"), ("pipeline", "texts"),
+                                           ("ground", "weights"), ("ground", "texts")])
+def test_a_bad_other_input_while_children_decode_ends_the_run_as_at_one_cpu(monkeypatch, capsys, tmp_path,
+                                                                            forks, command, kind):
+    argv = [command]
+    inputs = {"--anchors": DATA / "anchors.jsonl", "--texts": DATA / "texts.jsonl",
+              "--weights": DATA / "weights.json", "--gt": DATA / "gt.jsonl"}
+    option, bad = bad_input(tmp_path, kind)
+    inputs[option] = bad
+    outputs = {"--out": tmp_path / "preds.jsonl"}
+    if command == "pipeline":
+        argv.append("--offline")
+        outputs["--report"] = tmp_path / "report.json"
+    else:
+        del inputs["--gt"]
+    argv += [str(a) for item in (*inputs.items(), *outputs.items()) for a in item]
+    results = []
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        code = cli.main(argv)
+        results.append((code, capsys.readouterr().err.splitlines()[-1]))
+        assert not any(out.exists() for out in outputs.values())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 2
+    assert results[0] == results[1]
+    assert results[0][0] == 2 and results[0][1].startswith(f"error: {bad}")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_several_bad_inputs_report_in_read_order(monkeypatch, capsys, tmp_path, forks, cpus):
+    anchors, _ = bad_file(tmp_path, {2: "[1, 2]"})
+    bad = dict(bad_input(tmp_path, kind) for kind in ("weights", "gt", "texts"))
+    set_cpus(monkeypatch, cpus)
+    order = [("--anchors", tmp_path / "missing.jsonl"), *bad.items(), ("--anchors", anchors)]
+    for k, (option, path) in enumerate(order):
+        inputs = {"--anchors": anchors, "--texts": DATA / "texts.jsonl", "--weights": DATA / "weights.json",
+                  "--gt": DATA / "gt.jsonl"}
+        inputs.update(order[k:-1])  # this fault and every later one but the anchors' contents
+        inputs[option] = path
+        code = cli.main(["pipeline", "--offline", *(str(a) for item in inputs.items() for a in item)])
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert code == 2 and message.startswith(f"error: {path}" if k else "error: [Errno 2]"), (option, message)
+        assert str(path) in message
 
 
 def test_no_fork_for_one_cpu_a_small_file_or_no_fork(monkeypatch, tmp_path, forks):
@@ -462,15 +535,15 @@ def test_no_fork_for_one_cpu_a_small_file_or_no_fork(monkeypatch, tmp_path, fork
     want = one_range_read(monkeypatch, path, 0.5)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert ingest._cpu_count() == 1
-    assert_same_map(ingest.load_anchor_map(path, 0.5), want)
+    assert_same_map(load(path, 0.5), want)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", path.stat().st_size + 1)
     assert ingest._byte_ranges(path, ingest._cpu_count()) == [(0, None)]
-    assert_same_map(ingest.load_anchor_map(path, 0.5), want)
+    assert_same_map(load(path, 0.5), want)
     monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 1)
     assert ingest._cpu_count() == 1
-    assert_same_map(ingest.load_anchor_map(path, 0.5), want)
+    assert_same_map(load(path, 0.5), want)
     assert len(forks) == 0
 
 
@@ -480,36 +553,34 @@ def first_lines(path, starts, cpus):
     return [spans.index(k) for k in sorted(set(spans))]
 
 
-@pytest.mark.parametrize("children", [False, True])
+@pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("where", [1, 5])
 def test_header_after_the_first_line_is_a_record_in_every_range(monkeypatch, capsys, tmp_path, forks, where,
-                                                                children):
+                                                                cpus):
     path, starts = bad_file(tmp_path, {})
-    index = first_lines(path, starts, 3)[where]
+    index = first_lines(path, starts, cpus)[where]
     lines = path.read_text().splitlines()
     lines[index] = '{"v": 1}'.ljust(len(lines[index]))  # same length, so the same spans
     write_lines(path, lines)
-    assert first_lines(path, starts, 3)[where] == index
-    set_cpus(monkeypatch, 3)
-    if children:
-        leave_spans_to_children(monkeypatch)
+    assert first_lines(path, starts, cpus)[where] == index
+    set_cpus(monkeypatch, cpus)
     assert run_pipeline(capsys, path) == (2, f"error: {path}:{index + 1}: record has no 'image_id' field")
 
 
 def log_taken_spans(monkeypatch, log):
-    """Every process appends the start of each span it decodes to ``log``; returns a reader of those starts."""
+    """Every process appends (its pid, the start of each span it decodes) to ``log``; returns a reader of those."""
     real = ingest._anchor_range
 
     def logged(path, top_fraction, start, end):
         fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
         try:
-            os.write(fd, f"{start}\n".encode())
+            os.write(fd, f"{os.getpid()} {start}\n".encode())
         finally:
             os.close(fd)
         return real(path, top_fraction, start, end)
 
     monkeypatch.setattr(ingest, "_anchor_range", logged)
-    return lambda: [int(line) for line in log.read_text().splitlines()]
+    return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -517,11 +588,11 @@ def test_every_span_is_decoded_once(monkeypatch, tmp_path, forks, cpus):
     path = write_lines(tmp_path / "anchors.jsonl", lines_of(mixed_records()))
     taken_spans = log_taken_spans(monkeypatch, tmp_path / "taken.log")
     set_cpus(monkeypatch, cpus)
-    ingest.load_anchor_map(path, 0.5)
-    taken = taken_spans()
+    load(path, 0.5)
+    taken = [start for _, start in taken_spans()]
     assert sorted(taken) == [start for start, _ in spans_of(path, cpus)]
     assert len(taken) > cpus
-    assert len(forks) == cpus - 1
+    assert len(forks) == cpus
 
 
 @pytest.mark.parametrize("cpus, asked", [(1, 1), (2, 16), (3, 24), (40, 256)])
@@ -536,7 +607,7 @@ def test_spans_asked_per_cpu(monkeypatch, tmp_path, forks, cpus, asked):
 
     monkeypatch.setattr(ingest, "_byte_ranges", one_span)
     set_cpus(monkeypatch, cpus)
-    assert_same_map(ingest.load_anchor_map(path, 0.5), want)
+    assert_same_map(load(path, 0.5), want)
     assert asks == [asked]
     assert len(forks) == 0  # no more processes than spans
 
@@ -556,12 +627,14 @@ def test_a_process_takes_no_span_after_a_failed_one(monkeypatch, capsys, tmp_pat
     path, starts = bad_file(tmp_path, {2: "[1, 2]"})
     taken_spans = log_taken_spans(monkeypatch, tmp_path / "taken.log")
     set_cpus(monkeypatch, 2)
-    leave_spans_to_children(monkeypatch)  # one child takes the spans one after another
     assert run_pipeline(capsys, path) == (2, f"error: {path}:3: record is not a JSON object")
     spans = spans_of(path, 2)
     failed = spans[span_of(path, starts[2], 2)][0]
-    assert taken_spans() == [start for start, _ in spans if start <= failed]
-    assert len(spans) > len(taken_spans())
+    taken = taken_spans()
+    assert sorted(start for _, start in taken if start <= failed) == [s for s, _ in spans if s <= failed]
+    assert len({start for _, start in taken}) == len(taken)
+    (pid,) = {pid for pid, start in taken if start == failed}
+    assert [start for p, start in taken if p == pid][-1] == failed  # see test_a_failed_span_empties_the_queue
 
 
 def test_a_failed_span_empties_the_queue(monkeypatch, tmp_path):
@@ -588,8 +661,8 @@ def test_forks_beside_an_idle_worker_thread(monkeypatch, tmp_path, forks, two_th
     trainer.train(trainer.generate_dataset(trainer.default_hierarchy(), 8), trainer.TrainConfig(steps=2))
     assert any(t.name == "hemix-worker" for t in threading.enumerate())
     set_cpus(monkeypatch, 2)
-    assert_same_map(ingest.load_anchor_map(path, 0.5), want)
-    assert len(forks) == 1
+    assert_same_map(load(path, 0.5), want)
+    assert len(forks) == 2
 
 
 def test_a_forked_child_makes_its_own_worker_thread(two_threads):
