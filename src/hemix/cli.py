@@ -215,13 +215,15 @@ def cmd_decouple(args) -> int:
 # ground / eval / pipeline
 # ---------------------------------------------------------------------------
 
-def _ground_records(texts: list, phrases_of, anchor_map: dict, bundle, args) -> tuple[list, list]:
-    """Ground each texts record on ``phrases_of(record)``; returns (predictions, failures)."""
-    predictions, failures, seen = [], [], set()
-    for rec in texts:
+def _ground_records(texts: list, checks: list, phrases_of, anchor_map: dict, bundle, args) -> tuple[list, list]:
+    """(predictions, failures) of each texts record, with its grounding._text_rows check, on phrases_of(record)."""
+    predictions, failures = [], []
+    for rec, check in zip(texts, checks):
         label = rec.get("sample_id", "<missing sample_id>") if isinstance(rec, dict) else "<missing sample_id>"
         try:
-            sample_id, image_id, features = records.texts_record(rec, seen)
+            if isinstance(check, Exception):
+                raise check
+            sample_id, image_id, text = check
             phrases = list(phrases_of(rec))
             anchors = anchor_map.get(image_id) if phrases else None
             if phrases and anchors is None:
@@ -232,7 +234,7 @@ def _ground_records(texts: list, phrases_of, anchor_map: dict, bundle, args) -> 
                 sample_id=sample_id,
                 anchors=anchors,
                 phrases=phrases,
-                text_features=features,
+                text=text,
                 bundle=bundle,
                 top_fraction=args.top_frac,
                 distinct_anchors=args.distinct_anchors,
@@ -248,9 +250,13 @@ def cmd_ground(args) -> int:
     # A bad --top-frac or a missing output directory stops the run before any work or output.
     grounding._check_fraction(args.top_frac)
     _check_output_dirs(Path(args.out))
-    (bundle, texts), anchor_map = ingest.load_anchor_map(  # the other reads run while children decode anchors
-        args.anchors, args.top_frac, lambda: (similarity.load_bundle(args.weights), jsonl.read_jsonl(args.texts)))
-    predictions, failures = _ground_records(texts, lambda rec: rec["phrases"], anchor_map, bundle, args)
+
+    def reads():  # run while children decode the anchors
+        bundle, texts = similarity.load_bundle(args.weights), jsonl.read_jsonl(args.texts)
+        return bundle, texts, grounding._text_rows(texts, bundle)
+
+    (bundle, texts, checks), anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac, reads)
+    predictions, failures = _ground_records(texts, checks, lambda rec: rec["phrases"], anchor_map, bundle, args)
     jsonl.write_jsonl(args.out, predictions)
     print(f"wrote {len(predictions)} predictions to {args.out}")
     for failure in failures:
@@ -268,21 +274,19 @@ def _eval_samples(gt: dict, pred_map: dict) -> list:
 
 
 def _grec_report(samples: list, iou_thresh: float, per_sample: bool) -> dict:
+    matches = [metrics.match_sample(s, iou_thresh) for s in samples]
     report = {
         "n_samples": len(samples),
         "iou_threshold": iou_thresh,
-        "precision_at_f1": metrics.precision_at_f1(samples, iou_thresh),
+        "precision_at_f1": metrics.precision_at_f1(matches),
     }
     try:
         report["n_acc"] = metrics.n_acc(samples)
     except ValueError:
         report["n_acc"] = None
     if per_sample:
-        rows = []
-        for s in samples:
-            m = metrics.match_sample(s, iou_thresh)
-            rows.append({"sample_id": s.sample_id, "tp": m.tp, "fp": m.fp, "fn": m.fn, "f1": m.f1})
-        report["per_sample"] = rows
+        report["per_sample"] = [{"sample_id": s.sample_id, "tp": m.tp, "fp": m.fp, "fn": m.fn, "f1": m.f1}
+                                for s, m in zip(samples, matches)]
     return report
 
 
@@ -314,13 +318,16 @@ def cmd_pipeline(args) -> int:
     _check_output_dirs(*(Path(path) for path in (args.out, args.report) if path))
     vlm_cfg = None if args.offline else decouple.VlmConfig.from_env(timeout_s=args.vlm_timeout_s,
                                                                      retries=args.retries)
-    (bundle, gt, texts), anchor_map = ingest.load_anchor_map(  # the other reads run while children decode anchors
-        args.anchors, args.top_frac,
-        lambda: (similarity.load_bundle(args.weights), _boxes_file(args.gt), jsonl.read_jsonl(args.texts)))
 
+    def reads():  # run while children decode the anchors
+        bundle, gt, texts = similarity.load_bundle(args.weights), _boxes_file(args.gt), jsonl.read_jsonl(args.texts)
+        return bundle, gt, texts, grounding._text_rows(texts, bundle)
+
+    (bundle, gt, texts, checks), anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac, reads)
     predictions, failures = _ground_records(
-        texts, lambda rec: _decouple_record(rec, args.offline, vlm_cfg).phrases, anchor_map, bundle, args,
+        texts, checks, lambda rec: _decouple_record(rec, args.offline, vlm_cfg).phrases, anchor_map, bundle, args,
     )
+    del checks  # frees the projected text rows before the report is built
 
     if args.out:
         jsonl.write_jsonl(args.out, predictions)

@@ -94,12 +94,11 @@ def is_perfect(report: MatchReport) -> bool:
     return report.fp == 0 and report.fn == 0
 
 
-def precision_at_f1(samples: list, iou_thresh: float = 0.5) -> float:
-    """Fraction of samples matched perfectly (F1 = 1)."""
-    if not samples:
+def precision_at_f1(reports: list) -> float:
+    """Fraction of samples matched perfectly (F1 = 1), from their MatchReports."""
+    if not reports:
         raise ValueError("sample set is empty")
-    hits = sum(1 for s in samples if is_perfect(match_sample(s, iou_thresh)))
-    return hits / len(samples)
+    return sum(map(is_perfect, reports)) / len(reports)
 
 
 def n_acc(samples: list) -> float:

@@ -417,6 +417,104 @@ def test_pipeline_isolates_bad_feature_samples(capsys, tmp_path):
     assert preds.read_bytes() == (DATA / "golden_predictions.jsonl").read_bytes()
 
 
+def precedence_inputs(tmp_path):
+    """Anchors and texts files whose added texts records carry faults in pairs, beside the fixture's.
+
+    img_bad has an anchor whose feature is too short; every kept anchor of
+    img_huge projects to a lift time that overflows.
+    """
+    anchor_recs = jsonl.read_jsonl(DATA / "anchors.jsonl")
+    bad_image, huge_image = json.loads(json.dumps(anchor_recs[:2]))
+    bad_image["image_id"], huge_image["image_id"] = "img_bad", "img_huge"
+    bad_image["anchors"][-1]["feature"] = [0.1, 0.2, 0.3]
+    for entry in huge_image["anchors"]:
+        entry["feature"] = [1e160] * 4
+    anchors = tmp_path / "anchors.jsonl"
+    jsonl.write_jsonl(anchors, anchor_recs[:4] + [bad_image, huge_image] + anchor_recs[4:])
+    row, short, huge = [0.3, -0.2, 0.5, 0.1], [0.1, 0.2, 0.3], [1e160] * 4
+    texts = tmp_path / "texts.jsonl"
+    jsonl.write_jsonl(texts, jsonl.read_jsonl(DATA / "texts.jsonl")[:4] + [
+        {"sample_id": "unknown_and_count", "image_id": "img_nowhere", "phrases": ["a", "b"], "features": [row]},
+        {"sample_id": "width_and_bad_anchors", "image_id": "img_bad", "phrases": ["p"], "features": [short]},
+        {"sample_id": "huge_text_and_visual", "image_id": "img_huge", "phrases": ["p"], "features": [huge]},
+        {"sample_id": "s2", "image_id": "img1", "expression": "x", "decouple_response": "one\n1. x"},
+        {"sample_id": "width_and_count", "image_id": "img2", "phrases": ["a", "b"], "features": [short]},
+        {"sample_id": "count_and_visual", "image_id": "img_huge", "phrases": ["a", "b"], "features": [row]},
+        {"sample_id": "width_and_visual", "image_id": "img_huge", "phrases": ["p"], "features": [short]},
+        {"sample_id": "width_only", "image_id": "img1", "phrases": ["p"], "features": [short]},
+        {"sample_id": "huge_text", "image_id": "img3", "phrases": ["p", "q"], "features": [row, huge]},
+        {"sample_id": "parse_error", "image_id": "img1", "expression": "x", "decouple_response": "2\n1. x"},
+        {"sample_id": "none_here", "image_id": "img_nowhere", "phrases": []},
+        {"sample_id": "none_on_bad", "image_id": "img_bad", "phrases": [], "features": []},
+        {"sample_id": "none_but_a_row", "image_id": "img1", "phrases": [], "features": [huge]},
+        {"sample_id": "none_decoupled", "image_id": "img_huge", "expression": "x", "decouple_response": "0"},
+        {"sample_id": "two_alike", "image_id": "img4", "phrases": ["a", "b"], "features": [row, row]},
+        {"sample_id": "bad_anchors_only", "image_id": "img_bad", "phrases": ["a"], "features": [row]},
+    ] + jsonl.read_jsonl(DATA / "texts.jsonl")[4:])
+    return anchors, texts
+
+
+# What `pipeline` writes for precedence_inputs, recorded when each sample
+# still projected its own text rows. A sample whose faults are checked in
+# another order, or whose boxes move with the projection, changes it.
+_PRECEDENCE_BOXES = [
+    ("s1", [[198.66, 39.48, 287.82, 135.63]]),
+    ("s2", [[173.72, 89.91, 209.14, 173.33], [164.41, 216.49, 221.11, 304.64]]),
+    ("s3", []),
+    ("s4", [[120.91, 81.01, 176.96, 148.93], [234.99, 267.53, 334.43, 316.16], [253.99, 25.32, 303.18, 108.85]]),
+    ("none_here", []),
+    ("none_on_bad", []),
+    ("none_decoupled", []),
+    ("two_alike", [[234.99, 267.53, 334.43, 316.16], [234.99, 267.53, 334.43, 316.16]]),
+    ("s5", [[105.08, 20.82, 153.17, 94.44], [223.11, 257.05, 257.24, 328.52], [223.11, 257.05, 257.24, 328.52]]),
+    ("s6", [[296.84, 26.07, 362.6, 120.07]]),
+    ("s7", [[42.1, 173.97, 102.39, 224.15], [277.11, 160.87, 376.46, 241.33]]),
+    ("s8", [[80.58, 86.98, 180.07, 132.91]]),
+]
+# With --distinct-anchors the second of two phrases that prefer one anchor takes another.
+_PRECEDENCE_DISTINCT = {
+    "two_alike": [[234.99, 267.53, 334.43, 316.16], [253.99, 25.32, 303.18, 108.85]],
+    "s5": [[105.08, 20.82, 153.17, 94.44], [223.11, 257.05, 257.24, 328.52], [132.81, 59.87, 212.69, 125.05]],
+}
+_BAD_ANCHORS = "anchors of image 'img_bad': anchor features must be vectors that all have the same shape"
+_VISUAL = "visual features projected to non-finite coordinates"
+_PRECEDENCE_FAILURES = [
+    ("unknown_and_count", "unknown image_id 'img_nowhere'"),
+    ("width_and_bad_anchors", _BAD_ANCHORS),
+    ("huge_text_and_visual", _VISUAL),
+    ("s2", "repeated sample_id 's2'"),
+    ("width_and_count", "expected 2 text features to match the phrases, got 1"),
+    ("count_and_visual", "expected 2 text features to match the phrases, got 1"),
+    ("width_and_visual", _VISUAL),
+    ("width_only", "text features must be an [n, 4] array, got shape (1, 3)"),
+    ("huge_text", "text features projected to non-finite coordinates"),
+    ("parse_error", "line 2: count says 2 phrases but only 1 given"),
+    ("none_but_a_row", "expected 0 text features to match the phrases, got 1"),
+    ("bad_anchors_only", _BAD_ANCHORS),
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="a split anchors file is decoded by forked processes")
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("distinct", [False, True])
+def test_each_sample_reports_its_first_fault(capsys, tmp_path, monkeypatch, cpus, distinct):
+    # Per sample: its texts record, the decoupling, its image's anchors, the
+    # phrase count, the visual rows and then the text rows, whatever decodes
+    # the anchors file.
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(ingest, "_cpu_count", lambda: cpus)
+    anchors, texts = precedence_inputs(tmp_path)
+    preds, report = tmp_path / "preds.jsonl", tmp_path / "report.json"
+    code, _, _ = run(capsys, "pipeline", "--anchors", str(anchors), "--texts", str(texts),
+                     "--weights", str(DATA / "weights.json"), "--gt", str(DATA / "gt.jsonl"), "--offline",
+                     "--out", str(preds), "--report", str(report), *(["--distinct-anchors"] if distinct else []))
+    assert code == 1
+    want = [(sid, _PRECEDENCE_DISTINCT.get(sid, boxes) if distinct else boxes) for sid, boxes in _PRECEDENCE_BOXES]
+    assert [(p["sample_id"], p["boxes"]) for p in strict_json.load_jsonl(preds)[1:]] == want
+    failures = strict_json.loads(report.read_text())["failures"]
+    assert [(f["sample_id"], f["error"]) for f in failures] == _PRECEDENCE_FAILURES
+
+
 @pytest.mark.parametrize("referenced", [False, True])
 def test_pipeline_bad_anchor_entry_fails_only_its_samples(capsys, tmp_path, referenced):
     # A box with three coordinates, on an image listed first: the run goes on

@@ -110,11 +110,11 @@ class TestOracleAgreement:
 class TestAggregates:
     def test_all_perfect(self):
         samples = [sample([A], [A], sid=f"s{i}") for i in range(3)]
-        assert precision_at_f1(samples) == 1.0
+        assert precision_at_f1([match_sample(s) for s in samples]) == 1.0
 
     def test_quarter(self):
         samples = [sample([A], [A], "good")] + [sample([A], [], f"bad{i}") for i in range(3)]
-        assert precision_at_f1(samples) == 0.25
+        assert precision_at_f1([match_sample(s) for s in samples]) == 0.25
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):

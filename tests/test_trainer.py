@@ -1,5 +1,10 @@
+import ctypes
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,14 +206,27 @@ class TestSelectionAccuracy:
 # SHA-256 of the outputs of `train-toy --dim 16 --steps 30 --batch-images 4
 # --negatives 3 --samples 32 --seed 3`, as the allocating Adam over per-image
 # anchor lists wrote them; the in-place Adam and the stacked batch layout must
-# reproduce them byte for byte. A BLAS build that rounds its products
-# differently can change them.
+# reproduce them byte for byte. OpenBLAS rounds its products differently on
+# each core's kernels, so there is one set per core name (see _blas_core),
+# each recorded with OPENBLAS_CORETYPE set to that core on an AVX-512 host.
 _TRAIN_TOY_ARGS = ("--dim", "16", "--steps", "30", "--batch-images", "4", "--negatives", "3",
                    "--samples", "32", "--seed", "3")
-_TRAIN_TOY_PIN = {
-    "weights.json": "a3203a65a8c7175497dd3d61949ca164bb8566e0ad9290435f16122e5b03257b",
-    "loss_trace.csv": "c8933f86ee9033265f5c38252e906f16ef65c5873377eb98c50c6eb7e25ff60c",
-    "apex_report.json": "f462f62eccf13d13003af134e295f8d5b3eecac5b356967f6eceded7b87bb264",
+_TRAIN_TOY_PINS = {
+    "SkylakeX": {
+        "weights.json": "a3203a65a8c7175497dd3d61949ca164bb8566e0ad9290435f16122e5b03257b",
+        "loss_trace.csv": "c8933f86ee9033265f5c38252e906f16ef65c5873377eb98c50c6eb7e25ff60c",
+        "apex_report.json": "f462f62eccf13d13003af134e295f8d5b3eecac5b356967f6eceded7b87bb264",
+    },
+    "Haswell": {
+        "weights.json": "537a7ebb38ad6cbb0628ec684b35028da10032173cbc8e6a6d57254526509fab",
+        "loss_trace.csv": "c8933f86ee9033265f5c38252e906f16ef65c5873377eb98c50c6eb7e25ff60c",
+        "apex_report.json": "efa39291861fe2835ec12b1d22162be9c375b1cf76e6b9e12727a223139bfe82",
+    },
+    "Sandybridge": {
+        "weights.json": "202d2c0e0d57a2aa0fa52f9af41c52ea416c3918bb25e4d46a5679716681062c",
+        "loss_trace.csv": "c8933f86ee9033265f5c38252e906f16ef65c5873377eb98c50c6eb7e25ff60c",
+        "apex_report.json": "ee36409658f62f2c5a0461a066008e1d254c624c91214d58d7a50bfe9116d871",
+    },
 }
 
 # The same at d=80, as training with freshly allocated gradients wrote them:
@@ -216,26 +234,75 @@ _TRAIN_TOY_PIN = {
 # product is a BLAS gemm.
 _TRAIN_TOY_D80_ARGS = ("--dim", "80", "--steps", "12", "--batch-images", "4", "--negatives", "3",
                        "--samples", "32", "--seed", "5")
-_TRAIN_TOY_D80_PIN = {
-    "weights.json": "2e0da4196e0ddc3c0a5e18883f310853c85e044949de717d184037450b21bbcd",
-    "loss_trace.csv": "018fec1900cdafdada4645e802159d8d7b3c2b49c06a74048056e12f8cbe54af",
-    "apex_report.json": "fa1855e3ebc88899cefdc812ae97ed38bfe61b2ba75ffe5448b5859087c4f0c0",
+_TRAIN_TOY_D80_PINS = {
+    "SkylakeX": {
+        "weights.json": "2e0da4196e0ddc3c0a5e18883f310853c85e044949de717d184037450b21bbcd",
+        "loss_trace.csv": "018fec1900cdafdada4645e802159d8d7b3c2b49c06a74048056e12f8cbe54af",
+        "apex_report.json": "fa1855e3ebc88899cefdc812ae97ed38bfe61b2ba75ffe5448b5859087c4f0c0",
+    },
+    "Haswell": {
+        "weights.json": "dbfd39e6d9ff63efa650f890a511fd710fdc0ac3e5b0b27f5ec7c3dd3993f440",
+        "loss_trace.csv": "018fec1900cdafdada4645e802159d8d7b3c2b49c06a74048056e12f8cbe54af",
+        "apex_report.json": "eaeffd888eb775ff104c10932aa8f47b997505abd15530997a08e5070d6d3aa6",
+    },
+    "Sandybridge": {
+        "weights.json": "afd84d04af840f944d9d9cb4d6e44369d91d84851853424656f215cfa42c9ccb",
+        "loss_trace.csv": "018fec1900cdafdada4645e802159d8d7b3c2b49c06a74048056e12f8cbe54af",
+        "apex_report.json": "a9d48d714ea9ea7709eba12cbc7bd3b08e231f5b8f6fbacb8ad472077279b30a",
+    },
 }
+
+
+def _blas_core():
+    """The name of the OpenBLAS core whose kernels this process runs, or None for another BLAS.
+
+    Read through ctypes from the BLAS library mapped into this process, as
+    perfbench/child.py reads the BLAS thread count.
+    """
+    with open("/proc/self/maps") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "blas" in line.lower() and "/" in line})
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for sym in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
 
 
 def _train_toy(tmp_path, capsys, args=_TRAIN_TOY_ARGS):
     code = cli.main(["train-toy", *args, "--out", str(tmp_path / "weights.json")])
     capsys.readouterr()
     assert code == 0
-    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _TRAIN_TOY_PIN}
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("weights.json", "loss_trace.csv", "apex_report.json")}
+
+
+def _assert_pinned(got, pins):
+    core = _blas_core()
+    assert core in pins, f"no hashes stored for the OpenBLAS core {core!r}; this run wrote {got}"
+    assert got == pins[core], f"OpenBLAS core {core!r}"
 
 
 def test_train_toy_outputs_are_pinned(tmp_path, capsys):
-    assert _train_toy(tmp_path, capsys) == _TRAIN_TOY_PIN
+    _assert_pinned(_train_toy(tmp_path, capsys), _TRAIN_TOY_PINS)
 
 
 def test_train_toy_d80_outputs_are_pinned(tmp_path, capsys):
-    assert _train_toy(tmp_path, capsys, _TRAIN_TOY_D80_ARGS) == _TRAIN_TOY_D80_PIN
+    _assert_pinned(_train_toy(tmp_path, capsys, _TRAIN_TOY_D80_ARGS), _TRAIN_TOY_D80_PINS)
+
+
+def test_train_toy_pin_holds_on_haswell_kernels():
+    # OpenBLAS reads OPENBLAS_CORETYPE when it loads, so the d=16 pin reruns in
+    # a child process on the Haswell kernels; a host that runs the AVX-512
+    # kernels then checks both stored sets.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell"}
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          f"{Path(__file__).name}::test_train_toy_outputs_are_pinned"],
+                         cwd=root / "tests", env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 def _reference_train(data, cfg):
