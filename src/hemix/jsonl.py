@@ -7,7 +7,7 @@ without the header (hand-written inputs) but reject unknown versions.
 from __future__ import annotations
 
 import json
-import os
+import mmap
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -30,30 +30,64 @@ def _message(exc: Exception) -> str:
     return str(exc)
 
 
-# Bytes read at a time while looking for newlines. Reads of 64 KiB raised
-# the ground-d512 pipeline's peak RSS by 0.3 MB; 4 KiB reads did not.
-_SCAN_BYTES = 1 << 12
+# Decoded bytes a mapped read holds before it hands their pages back, so that
+# reading a large file in one process does not keep the file in memory.
+_RELEASE_BYTES = 1 << 20
 
 
-def _line_start(path: Path, pos: int, end: int | None) -> int | None:
-    """The first line start at or after byte ``pos`` of ``path``: 0 or just past a newline.
+class _Bytes:
+    """The bytes of a file, mapped read-only, or read at once if it cannot be mapped (an empty file, a pipe).
 
-    None if there is none before ``end`` (the end of the file for None); no
-    byte at or past ``end`` is read.
+    A mapped file that another process truncates while it is read ends this
+    process with SIGBUS.
     """
-    if pos == 0:
-        return 0 if end is None or end > 0 else None
-    with open(path, "rb", buffering=0) as fh:
-        pos -= 1
-        while end is None or pos < end - 1:
-            chunk = os.pread(fh.fileno(), _SCAN_BYTES if end is None else min(_SCAN_BYTES, end - 1 - pos), pos)
-            if not chunk:
-                return None
-            i = chunk.find(b"\n")
-            if i >= 0:
-                return pos + i + 1
-            pos += len(chunk)
-    return None
+
+    def __init__(self, path):
+        with open(path, "rb") as fh:
+            try:
+                self._data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except (OSError, ValueError):
+                self._data = fh.read()
+        self._view = memoryview(self._data)
+        self.size = len(self._data)
+        self._released = 0  # pages below this offset are handed back
+
+    def find(self, pos: int, end: int) -> int:
+        r"""The offset of the first ``\n`` in bytes [pos, end), or -1."""
+        return self._data.find(b"\n", pos, end)
+
+    def text(self, pos: int, end: int) -> str:
+        """Bytes [pos, end) decoded as UTF-8, in one copy."""
+        return str(self._view[pos:end], "utf-8")
+
+    def newlines(self, end: int) -> int:
+        r"""The number of ``\n`` in bytes [0, end), counted a window at a time."""
+        return sum(self._data[pos:min(pos + _RELEASE_BYTES, end)].count(b"\n")
+                   for pos in range(0, end, _RELEASE_BYTES))
+
+    def release(self, end: int) -> None:
+        """Hands the map's whole pages below ``end`` back once _RELEASE_BYTES have built up.
+
+        A page handed back is read from the file again if it is read again.
+        """
+        if isinstance(self._data, mmap.mmap) and end - self._released >= _RELEASE_BYTES:
+            cut = end - end % mmap.PAGESIZE
+            self._data.madvise(mmap.MADV_DONTNEED, self._released, cut - self._released)
+            self._released = cut
+
+    def close(self) -> None:
+        self._view.release()
+        if isinstance(self._data, mmap.mmap):
+            self._data.close()
+
+
+def _text(path) -> str:
+    """All of ``path`` decoded as UTF-8, in one copy of its bytes (see _Bytes)."""
+    data = _Bytes(path)
+    try:
+        return data.text(0, data.size)
+    finally:
+        data.close()
 
 
 def iter_jsonl(path, *, start: int = 0, end: int | None = None, check=None):
@@ -63,45 +97,49 @@ def iter_jsonl(path, *, start: int = 0, end: int | None = None, check=None):
     surrounding whitespace is stripped, so CRLF files read as LF files do, and
     a lone ``\r`` does not end a line. Only the lines that start in bytes
     [start, end) are read (to the end of the file for ``end`` None), for any
-    offsets: the last one may run past ``end``, and no byte past ``end`` is
-    read for a range that no line starts in. Consecutive ranges thus read each
-    line once. A header is recognised on the file's first line only, so only
-    in a range starting at 0. Messages number lines as a whole-file read does:
-    a range that hits an error counts the lines before it then.
+    offsets: the last one may run past ``end``, and no byte at or past ``end``
+    is read for a range that no line starts in. Consecutive ranges thus read
+    each line once. A header is recognised on the file's first line only, so
+    only in a range starting at 0. Messages number lines as a whole-file read
+    does: a range that hits an error counts the lines before it then.
 
     A line that is not UTF-8 or not JSON raises SchemaError naming its line.
     With ``check``, each record is yielded as ``check(record)``, and a
     KeyError or ValueError it raises becomes a SchemaError naming the line
-    (see hemix.records). The raw line is dropped before its record is yielded
-    and the record before the next line is read, so a caller that also drops
+    (see hemix.records). The file is mapped (see _Bytes) and each line is
+    decoded straight from the map; the decoded pages are handed back as the
+    read goes on. The line's text is dropped before its record is yielded and
+    the record before the next line is decoded, so a caller that also drops
     each record holds one parsed line at a time.
     """
     path = Path(path)
-    start = _line_start(path, start, end)
-    if start is None:
-        return
+    data = _Bytes(path)
+    try:
+        size = data.size
+        pos = 0
+        if start:  # the first line start is just past a newline in bytes [start - 1, end - 1)
+            pos = data.find(start - 1, size if end is None else end - 1) + 1
+            if not pos:
+                return
+        first, i = pos, 0
+        stop = size if end is None else min(end, size)
 
-    def where(i: int) -> str:
-        if start:
-            with open(path, "rb") as before:
-                for offset in range(0, start, _SCAN_BYTES):
-                    i += before.read(min(_SCAN_BYTES, start - offset)).count(b"\n")
-        return f"{path}:{i}"
+        def where(i: int) -> str:
+            return f"{path}:{data.newlines(first) + i}"
 
-    with open(path, "rb") as fh:
-        if start:  # a pipe cannot seek, but is read from its start
-            fh.seek(start)
-        pos, i = start, 0
-        while end is None or pos < end:
-            raw = fh.readline()
-            if not raw:
-                break
-            pos, i = pos + len(raw), i + 1
+        while pos < stop:
+            eol = data.find(pos, size)
+            eol = size if eol < 0 else eol
+            i += 1
             try:
-                line = raw.decode()
-            except UnicodeDecodeError as exc:
-                raise SchemaError(f"{where(i)}: invalid UTF-8: {exc}") from exc
-            del raw  # freed before strip() copies the line, so at most two copies of it are alive
+                line = data.text(pos, eol)
+            except UnicodeDecodeError:
+                try:  # named as the line with its \n fails: a sequence the line's end cuts is cut by the \n
+                    data.text(pos, eol + 1)
+                except UnicodeDecodeError as exc:
+                    raise SchemaError(f"{where(i)}: invalid UTF-8: {exc}") from exc
+            data.release(eol)
+            pos = eol + 1
             line = line.strip()
             if not line:
                 continue
@@ -110,7 +148,7 @@ def iter_jsonl(path, *, start: int = 0, end: int | None = None, check=None):
             except (ValueError, RecursionError) as exc:  # also an int too long or arrays nested too deep
                 raise SchemaError(f"{where(i)}: invalid JSON: {exc}") from exc
             del line
-            if start == 0 and i == 1 and isinstance(obj, dict) and set(obj.keys()) == {"v"}:
+            if first == 0 and i == 1 and isinstance(obj, dict) and set(obj.keys()) == {"v"}:
                 if obj["v"] != SCHEMA_VERSION:
                     raise SchemaError(f"{path}: unsupported schema version {obj['v']}")
                 continue
@@ -121,6 +159,8 @@ def iter_jsonl(path, *, start: int = 0, end: int | None = None, check=None):
                     raise SchemaError(f"{where(i)}: {_message(exc)}") from None
             yield obj
             del obj
+    finally:
+        data.close()
 
 
 def read_jsonl(path, *, check=None) -> list:

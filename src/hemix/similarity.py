@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import records
+from . import jsonl, records
 from .lorentz import lift_time
 
 DEFAULT_DIM = 512
@@ -305,7 +305,12 @@ def _decode_matrix(name: str, value, dim: int) -> np.ndarray:
 def load_bundle(path: str | Path) -> ProjectionBundle:
     """The bundle of a weight file; any fault of its contents raises ValueError("<path>: ...")."""
     try:
-        payload = json.loads(Path(path).read_text())
+        text = jsonl._text(path)
+        try:
+            payload = json.loads(text)
+        except ValueError:  # the fault's place as a text-mode read gives it, each \r\n and \r read as one \n
+            payload = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+        del text
         header = records._weight_header(payload, _MATRICES)
         dim = header.pop("dim")
         mats = {name: _decode_matrix(name, payload[name], dim).reshape(dim, dim) for name in _MATRICES}

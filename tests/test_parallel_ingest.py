@@ -13,8 +13,8 @@ at run time. After each test no child process and no pipe may be left
 behind.
 """
 
-import io
 import json
+import mmap
 import os
 import signal
 import threading
@@ -243,26 +243,59 @@ def test_ranges_cut_at_any_offsets_read_each_line_once(monkeypatch, tmp_path, sh
             assert read_cut(path, [a, b], **kw) == want, (a, b)
 
 
+@pytest.mark.parametrize("data, before, line, fault", [
+    (b'{"v": 1}\n["\xc3\n[2]\n', [], 2, "byte 0xc3 in position 2: invalid continuation byte"),
+    (b'{"v": 1}\r\n["\xe2\x82\r\n[2]\n', [], 2, "bytes in position 2-3: invalid continuation byte"),
+    (b'{"v": 1}\n[1]\n["\xc3', [[1]], 3, "byte 0xc3 in position 2: unexpected end of data"),
+])
+def test_sequence_cut_by_the_line_end_is_named_as_in_the_whole_line(monkeypatch, tmp_path, data, before, line, fault):
+    # A line is decoded without its \n, but a fault is named as in a decode of the line with it.
+    monkeypatch.chdir(tmp_path)
+    Path("x.jsonl").write_bytes(data)
+    want = f"x.jsonl:{line}: invalid UTF-8: 'utf-8' codec can't decode {fault}"
+    for cut in range(len(data) + 1):
+        assert read_cut("x.jsonl", [cut]) == (before, want), cut
+
+
+def record_map(monkeypatch):
+    """Records the bytes [offset, end) that each search and each decode of the reader covers.
+
+    A search covers its bytes up to the newline it finds, or all of them.
+    """
+    searched, decoded = [], []
+    find, text = jsonl._Bytes.find, jsonl._Bytes.text
+
+    def recorded_find(self, pos, end):
+        hit = find(self, pos, end)
+        searched.append((pos, min(end, self.size) if hit < 0 else hit + 1))
+        return hit
+
+    def recorded_text(self, pos, end):
+        decoded.append((pos, min(end, self.size)))
+        return text(self, pos, end)
+
+    monkeypatch.setattr(jsonl._Bytes, "find", recorded_find)
+    monkeypatch.setattr(jsonl._Bytes, "text", recorded_text)
+    return searched, decoded
+
+
 def test_range_inside_a_long_line_reads_no_byte_past_its_end(monkeypatch, tmp_path):
     path = write_lines(tmp_path / "x.jsonl", ['{"v": 1}', "[" + "1," * 5000 + "1]", "[2]"])
     second = len(b'{"v": 1}\n')
     third = second + 10004
-    reads, real = [], os.pread
-
-    def pread(fd, n, offset):
-        data = real(fd, n, offset)
-        reads.append((offset, len(data)))
-        return data
-
-    monkeypatch.setattr(os, "pread", pread)
+    searched, decoded = record_map(monkeypatch)
     for start, end in [(second + 1, second + 2), (second + 1000, second + 5000), (third - 1, third)]:
-        reads.clear()
+        searched.clear()
+        decoded.clear()
         assert list(jsonl.iter_jsonl(path, start=start, end=end)) == []
-        assert reads and all(start - 1 <= offset and offset + n <= end for offset, n in reads)
-        assert sum(n for _, n in reads) <= end - start + 1
-    reads.clear()  # a range holding a line start scans to it; its end is found while its lines are read
+        assert searched and not decoded
+        assert all(start - 1 <= offset and stop <= end for offset, stop in searched)
+        assert sum(stop - offset for offset, stop in searched) <= end - start + 1
+    searched.clear()  # a range holding a line start searches up to it; its end is found while its lines are read
+    decoded.clear()
     assert list(jsonl.iter_jsonl(path, start=second + 1, end=third + 1)) == [[2]]
-    assert sum(n for _, n in reads) == third - second
+    assert searched[0] == (second, third)
+    assert decoded == [(third, third + len("[2]"))]
 
 
 def test_split_reads_decode_each_byte_once(monkeypatch, tmp_path):
@@ -273,22 +306,95 @@ def test_split_reads_decode_each_byte_once(monkeypatch, tmp_path):
     for line in lines:
         starts.append(starts[-1] + len(line) + 1)
     want = list(jsonl.iter_jsonl(path))
-    read = []
-
-    class Counted(io.BufferedReader):
-        def readline(self, *args):
-            offset, line = self.tell(), super().readline(*args)
-            if line:
-                read.append((offset, len(line)))
-            return line
-
-    monkeypatch.setattr(jsonl, "open", lambda file, mode, buffering=-1: Counted(io.FileIO(file)), raising=False)
+    _, decoded = record_map(monkeypatch)
     cuts = sorted({1, size - 1, size, size + 1} | {s + d for s in starts[1:-1] for d in (-1, 0, 1, 700)})
     for a in cuts:
         for b in [c for c in cuts if c >= a]:
-            read.clear()
+            decoded.clear()
             assert read_cut(path, [a, b]) == (want, None), (a, b)
-            assert sorted(read) == [(s, e - s) for s, e in zip(starts, starts[1:])], (a, b)
+            assert sorted(decoded) == [(s, e - 1) for s, e in zip(starts, starts[1:])], (a, b)
+
+
+def recorded_maps(monkeypatch):
+    """Records every map the reader makes and the bytes (offset, length) of each MADV_DONTNEED on it."""
+    maps, released = [], []
+
+    class Recorded(mmap.mmap):
+        def __new__(cls, *args, **kwargs):
+            maps.append(super().__new__(cls, *args, **kwargs))
+            return maps[-1]
+
+        def madvise(self, option, start, length):
+            if option == mmap.MADV_DONTNEED:
+                released.append((start, length))
+            return super().madvise(option, start, length)
+
+    monkeypatch.setattr(mmap, "mmap", Recorded)
+    return maps, released
+
+
+def test_decoded_pages_are_released_as_the_read_goes_on(monkeypatch, tmp_path):
+    lines = [json.dumps({"k": k, "s": "x" * ((1 << 20) + 999 * k)}) for k in range(6)]
+    path = write_lines(tmp_path / "x.jsonl", lines)
+    maps, released = recorded_maps(monkeypatch)
+    start, page = 0, mmap.PAGESIZE
+    for k, rec in enumerate(jsonl.iter_jsonl(path)):
+        assert rec["k"] == k
+        done = 0
+        for offset, length in released:  # each release starts where the one before stopped
+            assert offset == done
+            done += length
+        assert done >= (start - jsonl._RELEASE_BYTES) // page * page, k
+        start += len(lines[k]) + 1
+    assert len(released) >= 5 and len(maps) == 1 and maps[0].closed
+
+
+def test_an_early_exit_leaves_no_open_map(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    path = write_lines(Path("x.jsonl"), ['{"v": 1}', '{"image_id": 1}', '{"a": 2}', '{"image_id": 3}'])
+    maps, _ = recorded_maps(monkeypatch)
+    closed = jsonl.iter_jsonl(path, check=records.image_record)
+    assert next(closed) == {"image_id": 1}
+    closed.close()
+    with pytest.raises(jsonl.SchemaError, match="^x.jsonl:3: record has no 'image_id' field$"):
+        for _ in jsonl.iter_jsonl(path, check=records.image_record):
+            pass
+    dropped = jsonl.iter_jsonl(path)
+    next(dropped)
+    del dropped
+    assert len(maps) == 3 and all(m.closed for m in maps)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_empty_anchors_file_holds_no_images(monkeypatch, tmp_path, forks, cpus):
+    path = tmp_path / "anchors.jsonl"
+    path.write_bytes(b"")
+    set_cpus(monkeypatch, cpus)
+    assert load(path, 0.5) == {}
+    assert len(forks) == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_pipeline_reads_anchors_and_texts_from_fifos(monkeypatch, tmp_path, capsys, forks, cpus):
+    writers = []
+    for name in ("anchors.jsonl", "texts.jsonl"):  # each is written once its reader opens it
+        os.mkfifo(tmp_path / name)
+        writers.append(threading.Thread(target=(tmp_path / name).write_bytes, args=((DATA / name).read_bytes(),),
+                                        daemon=True))
+        writers[-1].start()
+    set_cpus(monkeypatch, cpus)
+    preds, report = tmp_path / "preds.jsonl", tmp_path / "report.json"
+    code = cli.main(["pipeline", "--anchors", str(tmp_path / "anchors.jsonl"),
+                     "--texts", str(tmp_path / "texts.jsonl"), "--weights", str(DATA / "weights.json"),
+                     "--gt", str(DATA / "gt.jsonl"), "--offline", "--out", str(preds), "--report", str(report)])
+    capsys.readouterr()
+    for writer in writers:
+        writer.join(10)
+        assert not writer.is_alive()
+    assert code == 0
+    assert len(forks) == 0
+    assert preds.read_bytes() == (DATA / "golden_predictions.jsonl").read_bytes()
+    assert report.read_bytes() == (DATA / "golden_report.json").read_bytes()
 
 
 def run_pipeline(capsys, anchors):

@@ -305,6 +305,33 @@ def test_load_rejects_unknown_layout(tmp_path):
         load_bundle(path)
 
 
+# Edits of a saved weight file whose faults are named by a position or a byte.
+# A text-mode read counts a CRLF or a lone \r as one character.
+WEIGHT_EDITS = {
+    "crlf": lambda data: data.replace(b", ", b",\r\n "),
+    "crlf_syntax": lambda data: data.replace(b", ", b",\r\n ").replace(b'"tau": ', b'"tau" '),
+    "cr_syntax": lambda data: data.replace(b", ", b",\r ").replace(b'"kappa": ', b'"kappa" '),
+    "bad_utf8": lambda data: data.replace(b'"linear"', b'"lin\xffear"'),
+    "cut_utf8": lambda data: data + b"\xc3",
+    "empty": lambda data: b"",
+}
+
+
+@pytest.mark.parametrize("edit", sorted(WEIGHT_EDITS))
+def test_load_names_a_fault_as_a_text_mode_read_does(tmp_path, edit):
+    path = tmp_path / "w.json"
+    b = ProjectionBundle.initialize(2, seed=0)
+    save_bundle(b, path)
+    path.write_bytes(WEIGHT_EDITS[edit](path.read_bytes()))
+    if edit == "crlf":
+        assert load_bundle(path).w_ev.tobytes() == b.w_ev.tobytes()
+        return
+    with pytest.raises(ValueError) as want:
+        json.loads(path.read_text(encoding="utf-8"))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {want.value}')}$"):
+        load_bundle(path)
+
+
 class TestWeightFormat:
     EDGE = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
             0.1, 1 / 3, -2.718281828459045, 1.0000000000000002, 123456789.01234567)
