@@ -32,9 +32,16 @@ def _byte_ranges(path, n: int) -> list:
 
 
 def _anchor_range(path, top_fraction: float, start: int, end: int | None) -> list:
-    """(image_id, its AnchorSet or the error message of a malformed entry) for each line starting in [start, end)."""
+    """(image_id, its AnchorSet or the error message of a malformed entry) for each line starting in [start, end).
+
+    A file whose size reads 0, such as a pipe, is one span that cannot be
+    read again, so its first repeated image_id fails this read at its line.
+    """
+    check = records.image_record
+    if end is None and os.stat(path).st_size == 0:
+        check = partial(records.image_record, seen=set())
     images = []
-    for rec in jsonl.iter_jsonl(path, start=start, end=end, check=records.image_record):
+    for rec in jsonl.iter_jsonl(path, start=start, end=end, check=check):
         image_id = rec["image_id"]
         try:
             images.append((image_id, grounding.AnchorSet.from_json(rec["anchors"], top_fraction)))
@@ -119,12 +126,13 @@ def load_anchor_map(path, top_fraction: float, meanwhile) -> tuple:
     fail, the first in file order is raised; a child that exits without a
     reply fails the run. A file without such a failure fails on its first
     repeated image_id, naming the later line; only the first span that
-    repeats an earlier id is read again to find it. An error of a missing
-    file comes before any of ``meanwhile``, and one of ``meanwhile`` before
-    any of the file's contents; either way no child is left running. Every
-    process streams its spans: each record is dropped before the next line
-    is decoded, and each image keeps only the rows that grounding at
-    ``top_fraction`` reads.
+    repeats an earlier id is read again to find it. A pipe cannot be read
+    again: its repeat fails as any other fault of its line does (see
+    _anchor_range). An error of a missing file comes before any of
+    ``meanwhile``, and one of ``meanwhile`` before any of the file's
+    contents; either way no child is left running. Every process streams
+    its spans: each record is dropped before the next line is decoded, and
+    each image keeps only the rows that grounding at ``top_fraction`` reads.
     """
     cpus = _cpu_count()
     spans = _byte_ranges(path, 1 if cpus == 1 else min(cpus * _SPANS_PER_CPU, 256))  # one byte names a span

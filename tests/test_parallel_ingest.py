@@ -520,6 +520,46 @@ def test_line_error_comes_before_an_earlier_repeated_image_id(monkeypatch, capsy
     assert run_pipeline(capsys, path) == (2, f"error: {path}:12: record is not a JSON object")
 
 
+# Seconds after which a pipe test opens both ends of its FIFO, so that a read
+# that waits for a second writer fails the test instead of hanging it.
+PIPE_DEADLINE_S = 10
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_repeated_image_id_read_from_a_pipe_fails_as_by_path(monkeypatch, capsys, tmp_path, forks, cpus):
+    lines = (DATA / "anchors.jsonl").read_text().splitlines()
+    path = write_lines(tmp_path / "dup.jsonl", lines + [lines[1]])  # img1 again, on line 10
+    set_cpus(monkeypatch, cpus)
+    assert run_pipeline(capsys, path) == (2, f"error: {path}:10: repeated image_id 'img1'")
+    assert len(forks) == (cpus if cpus > 1 else 0)
+    fifo = tmp_path / "anchors.fifo"
+    os.mkfifo(fifo)
+    released = []
+
+    def release():
+        released.append(1)
+        for flags in (os.O_RDONLY, os.O_WRONLY):  # frees a writer, then a reader, stuck in open
+            try:
+                os.close(os.open(fifo, flags | os.O_NONBLOCK))
+            except OSError:
+                pass
+
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+    watchdog = threading.Timer(PIPE_DEADLINE_S, release)
+    writer.start()
+    watchdog.start()
+    try:
+        got = run_pipeline(capsys, fifo)
+    finally:
+        watchdog.cancel()
+        writer.join(PIPE_DEADLINE_S)
+    assert not released, "the pipe was read after its writer closed it"
+    assert not writer.is_alive()
+    assert got == (2, f"error: {fifo}:10: repeated image_id 'img1'")
+    assert len(forks) == (cpus if cpus > 1 else 0)  # a pipe is one span, read here
+
+
 def test_worker_that_dies_without_a_result_fails_the_run(monkeypatch, capsys, tmp_path, forks):
     path, _ = bad_file(tmp_path, {})
     parent = os.getpid()
