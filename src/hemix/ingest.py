@@ -34,14 +34,10 @@ def _byte_ranges(path, n: int) -> list:
 def _anchor_range(path, top_fraction: float, start: int, end: int | None) -> list:
     """(image_id, its AnchorSet or the error message of a malformed entry) for each line starting in [start, end).
 
-    A file whose size reads 0, such as a pipe, is one span that cannot be
-    read again, so its first repeated image_id fails this read at its line.
+    The span's first fault raises, a repeat of an image_id earlier in the span included.
     """
-    check = records.image_record
-    if end is None and os.stat(path).st_size == 0:
-        check = partial(records.image_record, seen=set())
     images = []
-    for rec in jsonl.iter_jsonl(path, start=start, end=end, check=check):
+    for rec in jsonl.iter_jsonl(path, start=start, end=end, check=partial(records.image_record, seen=set())):
         image_id = rec["image_id"]
         try:
             images.append((image_id, grounding.AnchorSet.from_json(rec["anchors"], top_fraction)))
@@ -122,17 +118,17 @@ def load_anchor_map(path, top_fraction: float, meanwhile) -> tuple:
     left; this process calls ``meanwhile`` once they are forked and then only
     merges. A file of one span, or one CPU, is decoded here after
     ``meanwhile``. The parts are merged in file order, so the map, its key
-    order and any error are those of one whole-file read. When several spans
-    fail, the first in file order is raised; a child that exits without a
-    reply fails the run. A file without such a failure fails on its first
-    repeated image_id, naming the later line; only the first span that
-    repeats an earlier id is read again to find it. A pipe cannot be read
-    again: its repeat fails as any other fault of its line does (see
-    _anchor_range). An error of a missing file comes before any of
-    ``meanwhile``, and one of ``meanwhile`` before any of the file's
-    contents; either way no child is left running. Every process streams
-    its spans: each record is dropped before the next line is decoded, and
-    each image keeps only the rows that grounding at ``top_fraction`` reads.
+    order and any error are those of one whole-file read: the file's first
+    fault, a repeated image_id at its later line. The merge stops at the
+    first span that failed or that repeats an id of an earlier span; that
+    span alone is read again, with the earlier spans' ids, to raise its first
+    fault, and only when an earlier span holds an image. A pipe is one span,
+    so it is never read twice. A child that exits without a reply fails the
+    run. An error of a missing file comes before any of ``meanwhile``, and
+    one of ``meanwhile`` before any of the file's contents; either way no
+    child is left running. Every process streams its spans: each record is
+    dropped before the next line is decoded, and each image keeps only the
+    rows that grounding at ``top_fraction`` reads.
     """
     cpus = _cpu_count()
     spans = _byte_ranges(path, 1 if cpus == 1 else min(cpus * _SPANS_PER_CPU, 256))  # one byte names a span
@@ -149,19 +145,16 @@ def load_anchor_map(path, top_fraction: float, meanwhile) -> tuple:
             except (EOFError, pickle.UnpicklingError):
                 raise ChildProcessError(f"{path}: a process decoding part of this file exited "
                                         "without a result") from None
-        parts = [parts[i] for i in sorted(parts)]
-        if failed := next((part for part in parts if isinstance(part, Exception)), None):
-            raise failed
-        anchor_map = dict(image for part in parts for image in part)
-        if len(anchor_map) < sum(map(len, parts)):  # an image_id repeats: re-reading its span names the line
-            seen = set()
-            for (start, end), part in zip(spans, parts):
-                ids = {image_id for image_id, _ in part}
-                if len(ids) < len(part) or not seen.isdisjoint(ids):
+        anchor_map = {}
+        for i in sorted(parts):  # spans 0 to the last taken: a span nobody took follows a failed one
+            if isinstance(parts[i], Exception) or not anchor_map.keys().isdisjoint(dict(parts[i])):
+                if anchor_map:  # read with the earlier spans' ids, the span raises its first fault
+                    start, end = spans[i]
                     for _ in jsonl.iter_jsonl(path, start=start, end=end,
-                                              check=partial(records.image_record, seen=seen)):
+                                              check=partial(records.image_record, seen=set(anchor_map))):
                         pass
-                seen |= ids
+                raise parts[i]
+            anchor_map.update(parts[i])
     except BaseException:
         import signal  # only here: the module costs memory on every run
 

@@ -12,7 +12,9 @@ outputs read as strict JSON; on exit 0 or 1 every sample the mutation did not
 touch keeps its golden prediction bytes; and a ``pipeline`` case gives the
 same result at one CPU and at three, with the anchors file cut into one-byte
 spans, where the weight, ground-truth and texts files are read while forked
-children decode the anchors, and leaves no child process behind.
+children decode the anchors, and leaves no child process behind. A mutated
+anchors file gives that result again, at one CPU and at three, when it is
+read from a pipe, which is one span read once.
 
 Tier-1 runs the first ``TIER1_CASES`` cases of each seed. A longer soak over
 the same seeds runs from the command line:
@@ -67,11 +69,12 @@ def pipeline(tmp: Path, anchors=None, texts=None, gt=None, weights=None) -> tupl
     """(exit code, stderr, predictions text or None, report text or None) of the offline pipeline.
 
     Each of ``anchors``, ``texts``, ``gt`` and ``weights`` is a list of record
-    lines that replaces that fixture file.
+    lines that replaces that fixture file, or the name of a file read in its place.
     """
     paths = {}
     for kind, lines in (("anchors", anchors), ("texts", texts), ("gt", gt), ("weights", weights)):
-        paths[kind] = DATA / FILES[kind] if lines is None else write(tmp / FILES[kind], lines)
+        paths[kind] = (DATA / FILES[kind] if lines is None else lines if isinstance(lines, str)
+                       else write(tmp / FILES[kind], lines))
     preds, report = tmp / "preds.jsonl", tmp / "report.json"
     for out in (preds, report):
         out.unlink(missing_ok=True)
@@ -463,6 +466,22 @@ def touched_samples(case: dict) -> set:
 
 
 @contextlib.contextmanager
+def piped(path: Path):
+    """The name of a pipe that holds the bytes of ``path``, written before it is read; the file must fit its buffer."""
+    r, w = os.pipe()
+    try:
+        try:
+            os.set_blocking(w, False)  # a file too large for the buffer fails here instead of blocking
+            data = path.read_bytes()
+            assert os.write(w, data) == len(data)
+        finally:
+            os.close(w)
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+
+
+@contextlib.contextmanager
 def cpus(n: int):
     """The anchors file cut into one-byte spans and decoded on ``n`` CPUs."""
     saved = ingest._MIN_RANGE_BYTES, ingest._cpu_count
@@ -486,6 +505,10 @@ def check_case(case: dict, tmp: Path) -> None:
             code, err, preds, report = pipeline(tmp, **{case["kind"]: case["lines"]})
         with cpus(3):
             assert pipeline(tmp, **{case["kind"]: case["lines"]}) == (code, err, preds, report), label
+        for n in (1, 3) if case["kind"] == "anchors" else ():  # the same file read from a pipe, in one read
+            with cpus(n), piped(paths["anchors"]) as pipe:
+                got = pipeline(tmp, anchors=pipe)
+            assert got == (code, err.replace(str(paths["anchors"]), pipe), preds, report), (label, n)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     assert code in (0, 1, 2), label

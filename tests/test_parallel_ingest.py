@@ -492,11 +492,23 @@ def test_repeated_image_id_names_the_later_line_at_any_cpu_count(monkeypatch, ca
     assert len(forks) == (cpus if cpus > 1 else 0)
 
 
-@pytest.mark.parametrize("first, later", [(2, 11), (9, 10), (10, 4)])
+SHORT = '{"anchors": [], "image_id": "x"}'  # a line short enough that the first span holds two
+
+
+@pytest.mark.parametrize("first, later, bad, reread", [
+    (2, 11, {}, True), (9, 10, {}, True), (10, 4, {}, True),  # a repeat in a later span
+    (1, 2, {1: SHORT, 2: SHORT}, False),  # a repeat inside the first span
+    (None, 1, {1: "[1, 2]"}, False),  # a failing first span
+    (None, 11, {11: "[1, 2]"}, True),  # a failing later span
+], ids=["repeat_2_11", "repeat_9_10", "repeat_10_4", "repeat_in_the_first_span", "bad_first_span",
+        "bad_later_span"])
 def test_repeated_image_id_rereads_only_the_span_of_the_repeat(monkeypatch, capsys, tmp_path, forks, first,
-                                                                later):
-    path, starts = bad_file(tmp_path, {})
-    image_id = repeat_image(path, first, later)
+                                                                later, bad, reread):
+    path, starts = bad_file(tmp_path, bad)
+    if first is None:
+        line, fault = later, "record is not a JSON object"
+    else:
+        line, fault = max(first, later), f"repeated image_id {repeat_image(path, first, later)!r}"
     set_cpus(monkeypatch, 2)  # forked children decode every span; this process reads the anchors only to re-read
     reads, real = [], jsonl.iter_jsonl
 
@@ -506,18 +518,40 @@ def test_repeated_image_id_rereads_only_the_span_of_the_repeat(monkeypatch, caps
         return real(file, **kwargs)
 
     monkeypatch.setattr(jsonl, "iter_jsonl", spy)
-    line = max(first, later)
-    assert run_pipeline(capsys, path)[1] == f"error: {path}:{line + 1}: repeated image_id {image_id!r}"
-    assert reads == [spans_of(path, 2)[span_of(path, starts[line], 2)]]
-    assert reads[0][0] > 0
+    assert run_pipeline(capsys, path)[1] == f"error: {path}:{line + 1}: {fault}"
+    span = span_of(path, starts[line], 2)
+    assert (span > 0) == reread
+    assert reads == [spans_of(path, 2)[span]] * reread
+
+
+def line_spans(path, cpus):
+    """Index of the span that reads each line of ``path``."""
+    data = path.read_bytes()
+    return [span_of(path, start, cpus) for start in [0] + [k + 1 for k in range(len(data) - 1) if data[k] == 10]]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_line_error_comes_before_an_earlier_repeated_image_id(monkeypatch, capsys, tmp_path, forks, cpus):
-    path, _ = bad_file(tmp_path, {11: "[1, 2]"})
-    repeat_image(path, 2, 3)
+@pytest.mark.parametrize("first, later, bad, where", [
+    (1, 2, 3, "first_span"), (1, 3, 2, "first_span"),
+    (7, 8, 11, "same_span"), (7, 9, 8, "same_span"),
+    (2, 8, 11, "earlier_span"), (2, 9, 7, "earlier_span"),
+])
+def test_the_first_fault_in_the_file_fails_the_run_a_repeat_included(monkeypatch, capsys, tmp_path, forks,
+                                                                      cpus, first, later, bad, where):
+    # Line ``later`` repeats the image_id of line ``first``; line ``bad`` is not an object.
+    monkeypatch.setattr(ingest, "_SPANS_PER_CPU", 1)  # spans of several lines
+    path, _ = bad_file(tmp_path, {bad: "[1, 2]"})
+    image_id = repeat_image(path, first, later)
+    spans = line_spans(path, cpus)
+    if cpus > 1:
+        assert {"first_span": spans[first] == spans[later] == 0, "same_span": spans[first] == spans[later] > 0,
+                "earlier_span": spans[first] < spans[later]}[where]
     set_cpus(monkeypatch, cpus)
-    assert run_pipeline(capsys, path) == (2, f"error: {path}:12: record is not a JSON object")
+    want = (2, f"error: {path}:{later + 1}: repeated image_id {image_id!r}" if later < bad
+            else f"error: {path}:{bad + 1}: record is not a JSON object")
+    assert run_pipeline(capsys, path) == want
+    assert run_pipeline_from_fifo(capsys, path) == want
+    assert len(forks) == (cpus if cpus > 1 else 0)  # a pipe is one span, read here
 
 
 # Seconds after which a pipe test opens both ends of its FIFO, so that a read
@@ -525,15 +559,9 @@ def test_line_error_comes_before_an_earlier_repeated_image_id(monkeypatch, capsy
 PIPE_DEADLINE_S = 10
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("cpus", [1, 3])
-def test_a_repeated_image_id_read_from_a_pipe_fails_as_by_path(monkeypatch, capsys, tmp_path, forks, cpus):
-    lines = (DATA / "anchors.jsonl").read_text().splitlines()
-    path = write_lines(tmp_path / "dup.jsonl", lines + [lines[1]])  # img1 again, on line 10
-    set_cpus(monkeypatch, cpus)
-    assert run_pipeline(capsys, path) == (2, f"error: {path}:10: repeated image_id 'img1'")
-    assert len(forks) == (cpus if cpus > 1 else 0)
-    fifo = tmp_path / "anchors.fifo"
+def run_pipeline_from_fifo(capsys, path):
+    """run_pipeline on a named pipe that the bytes of ``path`` are written into, the pipe's name read as ``path``."""
+    fifo = path.with_suffix(".fifo")
     os.mkfifo(fifo)
     released = []
 
@@ -550,13 +578,30 @@ def test_a_repeated_image_id_read_from_a_pipe_fails_as_by_path(monkeypatch, caps
     writer.start()
     watchdog.start()
     try:
-        got = run_pipeline(capsys, fifo)
+        code, message = run_pipeline(capsys, fifo)
     finally:
         watchdog.cancel()
         writer.join(PIPE_DEADLINE_S)
+        fifo.unlink()
     assert not released, "the pipe was read after its writer closed it"
     assert not writer.is_alive()
-    assert got == (2, f"error: {fifo}:10: repeated image_id 'img1'")
+    assert str(fifo) in message
+    return code, message.replace(str(fifo), str(path))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("dup, line", [
+    (lambda lines: lines + [lines[1]], 10),  # img1 again, on line 10
+    (lambda lines: [*lines[:3], lines[1], *lines[3:], "[1, 2]"], 4),  # on line 4, before a non-object line 11
+], ids=["last", "before_a_bad_line"])
+def test_a_repeated_image_id_read_from_a_pipe_fails_as_by_path(monkeypatch, capsys, tmp_path, forks, cpus, dup,
+                                                               line):
+    path = write_lines(tmp_path / "dup.jsonl", dup((DATA / "anchors.jsonl").read_text().splitlines()))
+    set_cpus(monkeypatch, cpus)
+    assert run_pipeline(capsys, path) == (2, f"error: {path}:{line}: repeated image_id 'img1'")
+    assert len(forks) == (cpus if cpus > 1 else 0)
+    assert run_pipeline_from_fifo(capsys, path) == (2, f"error: {path}:{line}: repeated image_id 'img1'")
     assert len(forks) == (cpus if cpus > 1 else 0)  # a pipe is one span, read here
 
 
