@@ -324,9 +324,13 @@ def cmd_pipeline(args) -> int:
         return bundle, gt, texts, grounding._text_rows(texts, bundle)
 
     (bundle, gt, texts, checks), anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac, reads)
-    predictions, failures = _ground_records(
-        texts, checks, lambda rec: _decouple_record(rec, args.offline, vlm_cfg).phrases, anchor_map, bundle, args,
-    )
+
+    def phrases_of(rec):  # a record with no ground truth fails before it is decoupled
+        if rec["sample_id"] not in gt:
+            raise ValueError(f"no ground truth for sample_id {rec['sample_id']!r}")
+        return _decouple_record(rec, args.offline, vlm_cfg).phrases
+
+    predictions, failures = _ground_records(texts, checks, phrases_of, anchor_map, bundle, args)
     del checks  # frees the projected text rows before the report is built
 
     if args.out:

@@ -35,58 +35,39 @@ def _id(rec, key: str, seen: set | None = None):
     return value
 
 
-def _hides_bool(rows, arr: np.ndarray) -> bool:
-    """Whether a true or false sits among the numbers of ``rows``, whose array ``arr`` reads it as 1 or 0.
-
-    Only a row holding a 0 or 1 can hide one, so only those rows are looked at.
-    """
-    return any(bool in map(type, rows[i]) for i in np.flatnonzero((arr == 0).any(1) | (arr == 1).any(1)))
-
-
-def _packed(rows, width: int | None) -> np.ndarray | None:
-    """``rows`` as _rows returns them, packed by ``struct``; None for what _rows' own checks must decide.
-
-    It takes a non-empty list of rows, the first a non-empty list, whose rows
-    all hold ``width`` (or the first row's length, for None) ints and floats
-    below the largest float in magnitude and no bool, and packs each row
-    straight into the array: the bits are those np.array gives, without its
-    per-value type and shape discovery.
-    """
-    if not (isinstance(rows, list) and rows and isinstance(rows[0], list) and rows[0]
-            and width in (None, len(rows[0]))):
-        return None
-    row = struct.Struct(f"{len(rows[0])}d")
-    arr = np.empty((len(rows), len(rows[0])))
-    with memoryview(arr).cast("B") as buf:
-        try:
-            for offset, values in zip(range(0, arr.nbytes, row.size), rows):
-                row.pack_into(buf, offset, *values)
-        except (struct.error, TypeError):  # not a number or beyond float, another length, or not a row
-            return None
-    # NaN, an infinity and an int just beyond the largest float, which struct rounds to it, fall through.
-    if not (arr.max() < sys.float_info.max and arr.min() > -sys.float_info.max) or _hides_bool(rows, arr):
-        return None
-    return arr
-
-
 def _rows(rows, width: int | None, not_numbers: str, bad_shape: str | None = None) -> np.ndarray | None:
-    """``rows`` as one [n, width] float64 array of numbers (any width for None); another shape fails or is None."""
-    arr = _packed(rows, width)
-    if arr is not None:
-        return arr
-    try:
-        arr = np.array(rows) if rows else np.empty((0, width or 0))
-    except ValueError:  # rows of different lengths
-        arr = None
-    if not isinstance(rows, list) or arr is None or arr.ndim != 2 or width not in (None, arr.shape[1]):
+    """``rows`` as one [n, width] float64 array of numbers (any width for None); another shape fails or is None.
+
+    The shape holds when ``rows`` is a list of lists of ``width`` values (or the
+    first row's length, for None), none of them a list; a value that is not a
+    number (see _is_number) fails with ``not_numbers``. Each row is packed
+    straight into the array by ``struct``, and the rows are looked at one by one
+    only when it refuses one or when there is nothing to pack.
+    """
+    cols = len(rows[0]) if isinstance(rows, list) and rows and isinstance(rows[0], list) else width or 0
+    arr = np.empty((len(rows) if isinstance(rows, list) else 0, cols))
+    if width in (None, cols) and arr.size:  # else a wrong width, or nothing to pack
+        row = struct.Struct(f"{cols}d")
+        try:
+            with memoryview(arr).cast("B") as buf:
+                for offset, values in zip(range(0, arr.nbytes, row.size), rows):
+                    row.pack_into(buf, offset, *values)
+        except (struct.error, TypeError):  # not a number or beyond float, another length, or not a row
+            pass
+        else:  # struct packs NaN, infinities, ints it rounds to the largest float, and bools as 1 or 0
+            if ((not (arr.max() < sys.float_info.max and arr.min() > -sys.float_info.max)
+                    and not all(_is_number(x) for r in rows for x in r))
+                    or any(bool in map(type, rows[i]) for i in np.flatnonzero((arr == 0).any(1) | (arr == 1).any(1)))):
+                raise ValueError(not_numbers)
+            return arr
+    if not (isinstance(rows, list) and width in (None, cols)
+            and all(isinstance(r, list) and len(r) == cols and not any(isinstance(x, list) for x in r) for r in rows)):
         if bad_shape:
             raise ValueError(bad_shape)
         return None
-    if arr.dtype.kind == "O" and all(_is_number(x) for row in rows for x in row):  # an int beyond int64
-        arr = np.array(rows, dtype=np.float64)
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all() or _hides_bool(rows, arr):
+    if arr.size:  # the shape holds, so struct refused a value
         raise ValueError(not_numbers)
-    return arr.astype(np.float64, copy=False)
+    return arr
 
 
 def _boxes(boxes) -> np.ndarray:

@@ -21,6 +21,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def gt_with(tmp_path, *sample_ids):
+    """The fixture's ground-truth file plus a record with no boxes for each of ``sample_ids``, at tmp_path/gt.jsonl."""
+    gt = tmp_path / "gt.jsonl"
+    jsonl.write_jsonl(gt, jsonl.read_jsonl(DATA / "gt.jsonl") + [{"sample_id": s, "boxes": []} for s in sample_ids])
+    return gt
+
+
 def test_geom_check(capsys):
     code, out, err = run(capsys, "geom-check", "--cases", "100")
     assert code == 0
@@ -358,14 +365,15 @@ def test_pipeline_records_per_sample_failures(capsys, tmp_path):
         "--anchors", str(DATA / "anchors.jsonl"),
         "--texts", str(texts),
         "--weights", str(DATA / "weights.json"),
-        "--gt", str(DATA / "gt.jsonl"),
+        "--gt", str(gt_with(tmp_path, "bad")),
         "--offline",
         "--report", str(report),
     )
     assert code == 1
     payload = json.loads(report.read_text())
     assert payload["n_failures"] == 1
-    assert payload["failures"][0]["sample_id"] == "bad"
+    assert payload["failures"][0] == {"sample_id": "bad",
+                                      "error": "expected 2 text features to match the phrases, got 1"}
 
 
 def test_pipeline_isolates_bad_feature_samples(capsys, tmp_path):
@@ -396,7 +404,7 @@ def test_pipeline_isolates_bad_feature_samples(capsys, tmp_path):
         "--anchors", str(anchors),
         "--texts", str(texts),
         "--weights", str(DATA / "weights.json"),
-        "--gt", str(DATA / "gt.jsonl"),
+        "--gt", str(gt_with(tmp_path, "short_text", "short_anchor", "nan_text", "huge_text")),
         "--offline",
         "--out", str(preds),
         "--report", str(report),
@@ -418,10 +426,11 @@ def test_pipeline_isolates_bad_feature_samples(capsys, tmp_path):
 
 
 def precedence_inputs(tmp_path):
-    """Anchors and texts files whose added texts records carry faults in pairs, beside the fixture's.
+    """Anchors, texts and ground-truth files whose added texts records carry faults in pairs, beside the fixture's.
 
     img_bad has an anchor whose feature is too short; every kept anchor of
-    img_huge projects to a lift time that overflows.
+    img_huge projects to a lift time that overflows. Every added sample has
+    ground truth, but for the two whose name says they have none.
     """
     anchor_recs = jsonl.read_jsonl(DATA / "anchors.jsonl")
     bad_image, huge_image = json.loads(json.dumps(anchor_recs[:2]))
@@ -432,8 +441,7 @@ def precedence_inputs(tmp_path):
     anchors = tmp_path / "anchors.jsonl"
     jsonl.write_jsonl(anchors, anchor_recs[:4] + [bad_image, huge_image] + anchor_recs[4:])
     row, short, huge = [0.3, -0.2, 0.5, 0.1], [0.1, 0.2, 0.3], [1e160] * 4
-    texts = tmp_path / "texts.jsonl"
-    jsonl.write_jsonl(texts, jsonl.read_jsonl(DATA / "texts.jsonl")[:4] + [
+    added = [
         {"sample_id": "unknown_and_count", "image_id": "img_nowhere", "phrases": ["a", "b"], "features": [row]},
         {"sample_id": "width_and_bad_anchors", "image_id": "img_bad", "phrases": ["p"], "features": [short]},
         {"sample_id": "huge_text_and_visual", "image_id": "img_huge", "phrases": ["p"], "features": [huge]},
@@ -450,8 +458,14 @@ def precedence_inputs(tmp_path):
         {"sample_id": "none_decoupled", "image_id": "img_huge", "expression": "x", "decouple_response": "0"},
         {"sample_id": "two_alike", "image_id": "img4", "phrases": ["a", "b"], "features": [row, row]},
         {"sample_id": "bad_anchors_only", "image_id": "img_bad", "phrases": ["a"], "features": [row]},
-    ] + jsonl.read_jsonl(DATA / "texts.jsonl")[4:])
-    return anchors, texts
+        {"sample_id": "phrases_and_no_truth", "image_id": "img1", "phrases": "p", "features": [row]},
+        {"sample_id": "no_truth_and_parse_error", "image_id": "img1", "expression": "x",
+         "decouple_response": "2\n1. x"},
+    ]
+    texts, fixture = tmp_path / "texts.jsonl", jsonl.read_jsonl(DATA / "texts.jsonl")
+    jsonl.write_jsonl(texts, fixture[:4] + added + fixture[4:])
+    truth = [r["sample_id"] for r in added if r["sample_id"] != "s2" and "no_truth" not in r["sample_id"]]
+    return anchors, texts, gt_with(tmp_path, *truth)
 
 
 # What `pipeline` writes for precedence_inputs, recorded when each sample
@@ -491,6 +505,8 @@ _PRECEDENCE_FAILURES = [
     ("parse_error", "line 2: count says 2 phrases but only 1 given"),
     ("none_but_a_row", "expected 0 text features to match the phrases, got 1"),
     ("bad_anchors_only", _BAD_ANCHORS),
+    ("phrases_and_no_truth", 'phrases must be a list of strings, got "p"'),
+    ("no_truth_and_parse_error", "no ground truth for sample_id 'no_truth_and_parse_error'"),
 ]
 
 
@@ -498,21 +514,49 @@ _PRECEDENCE_FAILURES = [
 @pytest.mark.parametrize("cpus", [1, 3])
 @pytest.mark.parametrize("distinct", [False, True])
 def test_each_sample_reports_its_first_fault(capsys, tmp_path, monkeypatch, cpus, distinct):
-    # Per sample: its texts record, the decoupling, its image's anchors, the
-    # phrase count, the visual rows and then the text rows, whatever decodes
-    # the anchors file.
+    # Per sample: its texts record, its ground truth, the decoupling, its
+    # image's anchors, the phrase count, the visual rows and then the text
+    # rows, whatever decodes the anchors file.
     monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 1)
     monkeypatch.setattr(ingest, "_cpu_count", lambda: cpus)
-    anchors, texts = precedence_inputs(tmp_path)
+    anchors, texts, gt = precedence_inputs(tmp_path)
     preds, report = tmp_path / "preds.jsonl", tmp_path / "report.json"
     code, _, _ = run(capsys, "pipeline", "--anchors", str(anchors), "--texts", str(texts),
-                     "--weights", str(DATA / "weights.json"), "--gt", str(DATA / "gt.jsonl"), "--offline",
+                     "--weights", str(DATA / "weights.json"), "--gt", str(gt), "--offline",
                      "--out", str(preds), "--report", str(report), *(["--distinct-anchors"] if distinct else []))
     assert code == 1
     want = [(sid, _PRECEDENCE_DISTINCT.get(sid, boxes) if distinct else boxes) for sid, boxes in _PRECEDENCE_BOXES]
     assert [(p["sample_id"], p["boxes"]) for p in strict_json.load_jsonl(preds)[1:]] == want
     failures = strict_json.loads(report.read_text())["failures"]
     assert [(f["sample_id"], f["error"]) for f in failures] == _PRECEDENCE_FAILURES
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="a split anchors file is decoded by forked processes")
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_sample_with_no_ground_truth_fails_before_it_is_decoupled(capsys, tmp_path, monkeypatch, cpus):
+    # The fixture without s3's ground truth: s3 fails on its own and is never
+    # decoupled, and the other seven samples are scored as in the golden run.
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(ingest, "_cpu_count", lambda: cpus)
+    decoupled, decouple_record = [], cli._decouple_record
+    monkeypatch.setattr(cli, "_decouple_record",
+                        lambda rec, *args: decoupled.append(rec["sample_id"]) or decouple_record(rec, *args))
+    gt = tmp_path / "gt.jsonl"
+    jsonl.write_jsonl(gt, [r for r in jsonl.read_jsonl(DATA / "gt.jsonl") if r["sample_id"] != "s3"])
+    preds, report = tmp_path / "preds.jsonl", tmp_path / "report.json"
+    code, _, _ = run(capsys, "pipeline", "--anchors", str(DATA / "anchors.jsonl"), "--texts", str(DATA / "texts.jsonl"),
+                     "--weights", str(DATA / "weights.json"), "--gt", str(gt), "--offline",
+                     "--out", str(preds), "--report", str(report))
+    assert code == 1
+    payload = strict_json.loads(report.read_text())
+    assert payload["failures"] == [{"sample_id": "s3", "error": "no ground truth for sample_id 's3'"}]
+    sample_ids = [r["sample_id"] for r in jsonl.read_jsonl(DATA / "texts.jsonl")]
+    assert payload["n_samples"] + payload["n_failures"] == len(sample_ids) == 8
+    assert decoupled == [sid for sid in sample_ids if sid != "s3"]
+    golden = (DATA / "golden_predictions.jsonl").read_text().splitlines()
+    assert preds.read_text().splitlines() == [line for line in golden if '"sample_id": "s3"' not in line]
+    golden_report = strict_json.loads((DATA / "golden_report.json").read_text())
+    assert payload["per_sample"] == [s for s in golden_report["per_sample"] if s["sample_id"] != "s3"]
 
 
 @pytest.mark.parametrize("referenced", [False, True])
@@ -538,7 +582,7 @@ def test_pipeline_bad_anchor_entry_fails_only_its_samples(capsys, tmp_path, refe
         "--anchors", str(anchors),
         "--texts", str(texts),
         "--weights", str(DATA / "weights.json"),
-        "--gt", str(DATA / "gt.jsonl"),
+        "--gt", str(gt_with(tmp_path, "uses_bad")),
         "--offline",
         "--out", str(preds),
         "--report", str(report),

@@ -455,9 +455,9 @@ def mutation(rng: np.random.Generator) -> dict:
 def touched_samples(case: dict) -> set:
     """The sample ids whose golden prediction the mutation may change."""
     original = json.loads(fixture_lines(FILES[case["kind"]])[case["index"]])
-    if case["repeat"] or case["kind"] in ("gt", "pred"):
+    if case["repeat"] or case["kind"] == "pred":
         return set()
-    if case["kind"] == "texts":
+    if case["kind"] in ("texts", "gt"):  # a texts record whose ground truth is gone fails
         return {original["sample_id"]}
     if case["kind"] == "weights":  # every sample is scored with the weights
         return {json.loads(t)["sample_id"] for t in fixture_lines("texts.jsonl")}

@@ -1,15 +1,23 @@
 """records._rows packs number rows with ``struct`` and gives what NumPy's nested-list coercion gave.
 
 ``reference_rows`` is the body ``_rows`` had before the packer, kept here as
-the reference: over a table of JSON values, the new ``_rows`` must return an
-array of the same bytes, dtype, shape and writeability, or raise the same
-exception type with the same message, on its own and through each of its
-three callers (``anchor_entries``, ``texts_record`` and ``boxes_record``).
+the reference: over a table of JSON values, and over seeded random row sets,
+``_rows`` must return an array of the same bytes, dtype, shape and
+writeability, or raise the same exception type with the same message, on its
+own and (for the table) through each of its three callers (``anchor_entries``,
+``texts_record`` and ``boxes_record``).
+
+Tier-1 draws ``TIER1_CASES`` random row sets. A longer soak over the same
+seed runs from the command line:
+
+    PYTHONPATH=src python tests/test_rows_parity.py --cases 100000
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import random
 import sys
 
 import numpy as np
@@ -39,7 +47,7 @@ def reference_rows(rows, width, not_numbers, bad_shape=None):
     return arr.astype(np.float64, copy=False)
 
 
-# Rows the packer takes: lists of equal length holding ints and floats below the largest float, and no bool.
+# Rows _rows takes: lists of equal length holding ints and floats no larger than the largest float, and no bool.
 PACKED = {
     "floats": [[0.5, -1.25, 3.0], [2.0, 1e-300, -7.5]],
     "one row": [[0.25, 0.5, 0.75, 1.5]],
@@ -52,9 +60,11 @@ PACKED = {
     "ints beyond uint64": [[2 ** 64 - 1, 2 ** 64 + 1, 0.5], [2 ** 70 + 3, -(2 ** 80), 1]],
     "int at the top of float": [[int(MAX) - 2 ** 971, 1.0]],
     "tiny and huge floats": [[5e-324, -5e-324, 1e308, -1e308]],
+    "float max": [[MAX, -MAX]],
 }
-# Everything else falls through to the reference body.
-FALLS_THROUGH = {
+# Everything else: rows that struct refuses or that give nothing to pack, which _rows looks at one by one,
+# and packed rows that the checks after the pack refuse.
+OTHER = {
     "true among floats": [[0.5, True], [1.5, 2.5]],
     "false among floats": [[0.5, 2.0], [False, 2.5]],
     "true beside a float 1": [[1.0, True]],
@@ -85,15 +95,20 @@ FALLS_THROUGH = {
     "int beyond float max": [[10 ** 309, 1.0]],
     "int just above float max": [[int(MAX) + 1, 1.0]],
     "negative int just above float max": [[-(int(MAX) + 1), 1.0]],
-    "float max": [[MAX, -MAX]],
     "NaN": json.loads("[[NaN, 1.0]]"),
     "Infinity": json.loads("[[1.0, 2.0], [Infinity, 1.0]]"),
     "-Infinity": json.loads("[[-Infinity]]"),
     "1e999": json.loads("[[1e999, 0.5]]"),
     "width four, three given": [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]],
     "width four, five given": [[0.0, 0.0, 1.0, 1.0, 2.0]],
+    "refused value before a wrong length": [["x", 1.0], [1.0]],
+    "list value": [[[], 1.0]],
+    "dict value": [[{"a": [1]}, 2.0]],
+    "number row after a list row": [[1.0, 2.0], 3.0],
+    "float max beside an int rounded to it": [[MAX, 1.0], [int(MAX) + 1, 0.0]],
+    "float max beside true": [[MAX, True]],
 }
-TABLE = {**PACKED, **FALLS_THROUGH}
+TABLE = {**PACKED, **OTHER}
 
 
 def outcome(call, *args):
@@ -126,17 +141,21 @@ def assert_parity(monkeypatch, call, *args):
 
 
 @pytest.mark.parametrize("name", sorted(PACKED))
-def test_packer_takes_plain_number_rows(name):
+def test_plain_number_rows_give_an_array_at_their_width(name):
     rows = PACKED[name]
-    assert records._packed(rows, None) is not None
-    assert records._packed(rows, len(rows[0]) + 1) is None
+    for width in (None, len(rows[0])):
+        assert isinstance(records._rows(rows, width, "not numbers"), np.ndarray)
+    assert records._rows(rows, len(rows[0]) + 1, "not numbers") is None
+    with pytest.raises(ValueError, match="^bad shape$"):
+        records._rows(rows, len(rows[0]) + 1, "not numbers", "bad shape")
 
 
-@pytest.mark.parametrize("name", sorted(FALLS_THROUGH))
-def test_everything_else_falls_through(name):
-    rows = FALLS_THROUGH[name]
-    widths = (4,) if name.startswith("width four") else (None, 4)  # rows of one length pack at width None
-    assert all(records._packed(rows, width) is None for width in widths)
+@pytest.mark.parametrize("name", sorted(OTHER))
+def test_every_other_row_set_is_refused_or_empty(name):
+    rows = OTHER[name]
+    for width in (4,) if name.startswith("width four") else (None, 4):  # rows of one length pack at width None
+        got = outcome(records._rows, rows, width, "not numbers", "bad shape")
+        assert got[0] == "raises" or got[1].size == 0, (width, got)
 
 
 @pytest.mark.parametrize("name", sorted(TABLE))
@@ -186,5 +205,64 @@ def test_boxes_record_matches_the_reference(monkeypatch, name):
 
 def test_an_ordered_box_list_packs_and_matches(monkeypatch):
     boxes = [[0, 0.5, 2, 3.5], [1.0, 1, 4.25, 2]]
-    assert records._packed(boxes, 4) is not None
+    assert isinstance(records._rows(boxes, 4, "not numbers"), np.ndarray)
     assert_parity(monkeypatch, lambda: records.boxes_record({"sample_id": "s1", "boxes": boxes}, set()))
+
+
+# Values of a random row set: ints and floats, and each kind of value the contract refuses or that sits at its edge.
+EDGE_VALUES = [0, 1, 0.0, 1.0, -0.0, True, False, "1.5", "0", None, float("nan"), float("inf"), float("-inf"),
+               MAX, -MAX, int(MAX) + 1, -(int(MAX) + 1), int(MAX) + 2 ** 970, 10 ** 309, 2 ** 53 + 1, 2 ** 63,
+               -(2 ** 63) - 1, 2 ** 64 + 1, {"a": [1]}, {}, [], [1.0], [[]], [1.0, 2.0]]
+SEED = 0
+TIER1_CASES = 2000
+
+
+def random_value(rng: random.Random, edge_rate: float):
+    """An edge value with probability ``edge_rate``, else an int or a float."""
+    if rng.random() < edge_rate:
+        return rng.choice(EDGE_VALUES)
+    return rng.randint(-9, 9) if rng.random() < 0.3 else rng.uniform(-1e3, 1e3)
+
+
+def random_row_set(rng: random.Random):
+    """A JSON-like row set: mostly one to four rows of one length, with ragged rows and non-list rows among them."""
+    if rng.random() < 0.05:
+        return random_value(rng, 0.8)
+    edge_rate, cols, rows = rng.choice((0.0, 0.03, 0.1, 0.3)), rng.choice((0, 1, 2, 3, 4, 4)), []
+    for _ in range(rng.choice((0, 1, 2, 3, 4, 4))):
+        if rng.random() < 0.05:
+            rows.append(random_value(rng, 0.8))
+        else:
+            length = cols if rng.random() < 0.9 else rng.randint(0, 5)
+            rows.append([random_value(rng, edge_rate) for _ in range(length)])
+    return rows
+
+
+def check_row_set(rows):
+    for width in (None, 0, 1, 2, 3, 4):
+        for bad_shape in (None, "bad shape"):
+            args = (rows, width, "not numbers", bad_shape)
+            got, want = outcome(records._rows, *args), outcome(reference_rows, *args)
+            assert same(got, want), (rows, width, bad_shape, got, want)
+
+
+def test_random_row_sets_match_the_reference():
+    rng = random.Random(SEED)
+    for _ in range(TIER1_CASES):
+        check_row_set(random_row_set(rng))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Soak _rows against the reference with seeded random row sets.")
+    parser.add_argument("--cases", type=int, default=TIER1_CASES, help="row sets to draw")
+    parser.add_argument("--seed", type=int, default=SEED)
+    args = parser.parse_args(argv)
+    rng = random.Random(args.seed)
+    for _ in range(args.cases):
+        check_row_set(random_row_set(rng))
+    print(f"seed {args.seed}: {args.cases} row sets ok")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
