@@ -99,12 +99,11 @@ def main(out_dir: Path = DATA) -> int:
             # perfectly select pairwise-distinct anchors.
             for _ in range(200):
                 rec["features"] = [rng.standard_normal(DIM).round(6).tolist() for _ in range(s["k"])]
-                text = similarity.embed_rows(rec["features"], bundle.w_et, bundle.w_ht, bundle.kappa, "text features")
                 boxes = grounding.ground(
                     sample_id=s["sample_id"],
                     anchors=anchor_map[s["image_id"]],
                     phrases=list(result.phrases),
-                    text=text,
+                    text_features=rec["features"],
                     bundle=bundle,
                     top_fraction=TOP_FRAC,
                 )

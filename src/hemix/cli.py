@@ -223,7 +223,7 @@ def _ground_records(texts: list, checks: list, phrases_of, anchor_map: dict, bun
         try:
             if isinstance(check, Exception):
                 raise check
-            sample_id, image_id, text = check
+            sample_id, image_id, features = check
             phrases = list(phrases_of(rec))
             anchors = anchor_map.get(image_id) if phrases else None
             if phrases and anchors is None:
@@ -234,7 +234,7 @@ def _ground_records(texts: list, checks: list, phrases_of, anchor_map: dict, bun
                 sample_id=sample_id,
                 anchors=anchors,
                 phrases=phrases,
-                text=text,
+                text_features=features,
                 bundle=bundle,
                 top_fraction=args.top_frac,
                 distinct_anchors=args.distinct_anchors,
@@ -253,7 +253,7 @@ def cmd_ground(args) -> int:
 
     def reads():  # run while children decode the anchors
         bundle, texts = similarity.load_bundle(args.weights), jsonl.read_jsonl(args.texts)
-        return bundle, texts, grounding._text_rows(texts, bundle)
+        return bundle, texts, grounding._text_rows(texts)
 
     (bundle, texts, checks), anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac, reads)
     predictions, failures = _ground_records(texts, checks, lambda rec: rec["phrases"], anchor_map, bundle, args)
@@ -267,6 +267,10 @@ def cmd_ground(args) -> int:
 def _boxes_file(path) -> dict:
     """sample_id -> boxes of a ground-truth or prediction file (see records.boxes_record)."""
     return dict(jsonl.read_jsonl(path, check=partial(records.boxes_record, seen=set())))
+
+
+def _no_ground_truth(sample_id) -> str:
+    return f"no ground truth for sample_id {sample_id!r}"
 
 
 def _eval_samples(gt: dict, pred_map: dict) -> list:
@@ -291,14 +295,18 @@ def _grec_report(samples: list, iou_thresh: float, per_sample: bool) -> dict:
 
 
 def cmd_eval(args) -> int:
-    samples = _eval_samples(_boxes_file(args.gt), _boxes_file(args.pred))
+    gt, pred_map = _boxes_file(args.gt), _boxes_file(args.pred)
+    samples = _eval_samples(gt, pred_map)
     if args.metric == "wrec":
         report = {"n_samples": len(samples), "iou_threshold": args.iou,
                   "iou_at_thresh": metrics.iou_at_05(samples, args.iou)}
     else:
         report = _grec_report(samples, args.iou, args.per_sample)
+    failures = [{"sample_id": key, "error": _no_ground_truth(key)} for key in pred_map if key not in gt]
+    report["n_failures"] = len(failures)
+    report["failures"] = failures
     print(_dump(report))
-    return 0
+    return 1 if failures else 0
 
 
 def _decouple_record(rec: dict, offline: bool, vlm_cfg) -> decouple.DecoupleResult:
@@ -321,17 +329,17 @@ def cmd_pipeline(args) -> int:
 
     def reads():  # run while children decode the anchors
         bundle, gt, texts = similarity.load_bundle(args.weights), _boxes_file(args.gt), jsonl.read_jsonl(args.texts)
-        return bundle, gt, texts, grounding._text_rows(texts, bundle)
+        return bundle, gt, texts, grounding._text_rows(texts)
 
     (bundle, gt, texts, checks), anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac, reads)
 
     def phrases_of(rec):  # a record with no ground truth fails before it is decoupled
         if rec["sample_id"] not in gt:
-            raise ValueError(f"no ground truth for sample_id {rec['sample_id']!r}")
+            raise ValueError(_no_ground_truth(rec["sample_id"]))
         return _decouple_record(rec, args.offline, vlm_cfg).phrases
 
     predictions, failures = _ground_records(texts, checks, phrases_of, anchor_map, bundle, args)
-    del checks  # frees the projected text rows before the report is built
+    del checks  # frees the text feature rows before the report is built
 
     if args.out:
         jsonl.write_jsonl(args.out, predictions)

@@ -170,6 +170,9 @@ _COUNT_WORDS = {
     "two": 2, "three": 3, "four": 4, "five": 5,
     "six": 6, "seven": 7, "eight": 8, "nine": 9, "ten": 10,
 }
+# The most targets a leading count may expand to: the expansion builds one
+# phrase string per target, so a record's count bounds its memory.
+_MAX_COUNT = 100
 _ORDINAL_WORDS = [
     "first", "second", "third", "fourth", "fifth",
     "sixth", "seventh", "eighth", "ninth", "tenth",
@@ -184,10 +187,11 @@ def rule_based_decompose(expression: str) -> DecoupleResult:
     """Offline fallback decomposer.
 
     Splits on the conjunction " and "; a leading count with a plural head
-    ("three glasses") expands to ordinal-indexed copies. Without vision it
-    cannot judge target existence, so for any nonempty expression it answers
-    at least 1. The one exception is an empty expression, which the protocol
-    itself defines as the no-target answer.
+    ("three glasses", or "3 glasses" in ASCII digits) expands to
+    ordinal-indexed copies, and a count above _MAX_COUNT raises ValueError.
+    Without vision it cannot judge target existence, so for any nonempty
+    expression it answers at least 1. The one exception is an empty
+    expression, which the protocol itself defines as the no-target answer.
     """
     text = " ".join(expression.split())
     raw = f"[rule-based] {text}"
@@ -200,10 +204,12 @@ def rule_based_decompose(expression: str) -> DecoupleResult:
     tokens = text.split()
     if len(tokens) >= 2:
         head = tokens[0].lower()
-        count = int(head) if head.isdigit() else _COUNT_WORDS.get(head)
+        count = int(head) if head.isascii() and head.isdigit() else _COUNT_WORDS.get(head)
         rest = " ".join(tokens[1:])
         plural_head = rest.lower().endswith("s") and not rest.lower().endswith("ss")
         if count and count > 1 and plural_head:
+            if count > _MAX_COUNT:
+                raise ValueError(f"count {count} is above the limit of {_MAX_COUNT} targets")
             phrases = tuple(f"{_ordinal_word(i)} {rest}" for i in range(1, count + 1))
             return DecoupleResult(count=count, phrases=phrases, raw=raw)
     return DecoupleResult(count=1, phrases=(text,), raw=raw)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import anchor_entries, texts_record
-from .similarity import Embedded, ProjectionBundle, _check_width, _finite, embed_rows, pair_scores
+from .similarity import Embedded, ProjectionBundle, embed_rows, pair_scores
 
 
 @dataclass(frozen=True)
@@ -96,16 +96,13 @@ class AnchorSet:
         return self._pool[1]
 
 
-def _text_rows(texts: list, bundle: ProjectionBundle) -> list:
-    """Each texts record's (sample_id, image_id, its rows for ``ground``), or the exception its check raised.
+def _text_rows(texts: list) -> list:
+    """Each texts record's (sample_id, image_id, features [n, d]), or the exception its check raised.
 
     Every record is checked by records.texts_record once, in order, and a
     record that passes drops its ``features`` list, whose rows the result now
-    holds. One embed_rows call projects the rows of every record whose
-    features are [n, dim], and each record takes its own slice, so a
-    non-finite row fails its own sample alone, in ``ground``. Features of
-    another width stay unprojected as e and z, for ``ground`` to name their
-    shape.
+    holds as an array. The rows are projected by ``ground``, one sample at a
+    time, so a sample's scores do not depend on the other records.
     """
     seen, checks = set(), []
     for rec in texts:
@@ -114,18 +111,6 @@ def _text_rows(texts: list, bundle: ProjectionBundle) -> list:
             rec.pop("features", None)
         except (ValueError, KeyError) as exc:
             checks.append(exc.with_traceback(None))
-    fits = [check[2] for check in checks if isinstance(check, tuple) and check[2].shape[1] == bundle.dim]
-    rows = embed_rows(np.concatenate([np.empty((0, bundle.dim)), *fits]), bundle.w_et, bundle.w_ht, bundle.kappa,
-                      "text features", finite=False)
-    start = 0
-    for i, check in enumerate(checks):
-        if isinstance(check, tuple):
-            sample_id, image_id, f = check
-            if f.shape[1] == bundle.dim:
-                checks[i] = sample_id, image_id, Embedded(*(a[start:start + len(f)] for a in rows))
-                start += len(f)
-            else:
-                checks[i] = sample_id, image_id, Embedded(f, f, np.zeros(len(f)))
     return checks
 
 
@@ -133,31 +118,29 @@ def ground(
     sample_id: str,
     anchors: AnchorSet | None,
     phrases: list,
-    text: Embedded,
+    text_features: np.ndarray,
     bundle: ProjectionBundle,
     top_fraction: float = 0.10,
     distinct_anchors: bool = False,
 ) -> tuple:
     """One (x1, y1, x2, y2) box per decoupled phrase, from the image's AnchorSet.
 
-    ``text`` holds one row per phrase, projected by the bundle's text
-    matrices (see _text_rows); it fails here, after the anchors, when a
-    coordinate is not finite or when it holds unprojected rows whose width is
-    not the bundle's. A zero-phrase sample produces no boxes and reads no
-    anchors (``None`` will do). The kept anchors (projected once per bundle,
-    see ``AnchorSet.pool``) are scored against all phrases at once; each
-    phrase takes its argmax (lowest index on ties), so one anchor may serve
-    several phrases unless ``distinct_anchors`` greedily excludes used
-    anchors until all are used. ``sample_id`` is not read here: the
-    benchmark's tracer labels each ``ground`` span with it.
+    ``text_features`` holds one [dim] row per phrase. A zero-phrase sample
+    produces no boxes and reads no anchors (``None`` will do). The kept
+    anchors (projected once per bundle, see ``AnchorSet.pool``) are scored
+    against the phrases' rows, projected by the bundle's text matrices after
+    the anchors' checks; each phrase takes its argmax (lowest index on ties),
+    so one anchor may serve several phrases unless ``distinct_anchors``
+    greedily excludes used anchors until all are used. ``sample_id`` is not
+    read here: the benchmark's tracer labels each ``ground`` span with it.
     """
-    if len(phrases) != len(text.e):
-        raise ValueError(f"expected {len(phrases)} text features to match the phrases, got {len(text.e)}")
+    if len(phrases) != len(text_features):
+        raise ValueError(f"expected {len(phrases)} text features to match the phrases, got {len(text_features)}")
     if not phrases:
         return ()
     visual = anchors.pool(top_fraction, bundle)
-    _check_width(text.e, bundle.dim, "text features")
-    scores = pair_scores(visual, _finite(text, "text features"), bundle.alpha)
+    text = embed_rows(text_features, bundle.w_et, bundle.w_ht, bundle.kappa, "text features")
+    scores = pair_scores(visual, text, bundle.alpha)
     boxes = []
     free = np.ones(len(anchors.boxes), dtype=bool)
     for column in scores.T:

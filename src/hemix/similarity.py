@@ -182,37 +182,25 @@ class Embedded(NamedTuple):
     x0: np.ndarray
 
 
-def _check_width(rows: np.ndarray, dim: int, what: str) -> None:
-    """Raise ValueError unless ``rows`` is an [n, dim] array."""
-    if rows.ndim != 2 or rows.shape[1] != dim:
-        raise ValueError(f"{what} must be an [n, {dim}] array, got shape {rows.shape}")
-
-
-def _finite(rows: Embedded, what: str) -> Embedded:
-    """``rows``, or ValueError when one of their coordinates is not finite."""
-    if not (np.isfinite(rows.e).all() and np.isfinite(rows.z).all() and np.isfinite(rows.x0).all()):
-        raise ValueError(f"{what} projected to non-finite coordinates")
-    return rows
-
-
-def embed_rows(f: np.ndarray, w_e: np.ndarray, w_h: np.ndarray, kappa: float, what: str, *,
-               finite: bool = True) -> Embedded:
+def embed_rows(f: np.ndarray, w_e: np.ndarray, w_h: np.ndarray, kappa: float, what: str) -> Embedded:
     """Project an [n, dim] stack of feature rows into both branches.
 
     The weights may be [s, dim, dim] stacks; the branches are then [s, n, dim].
     Raises ValueError, naming the rows ``what``, for rows of another shape and
-    for a non-finite coordinate; ``finite=False`` leaves the second check to
-    the caller, who may then make it for each block of rows (see _finite).
+    for a non-finite coordinate.
     """
     f = np.asarray(f, dtype=np.float64)
-    _check_width(f, w_e.shape[-2], what)
-    # A NaN, infinite or overflowing feature is reported by _finite alone,
-    # not also by a floating-point warning. A finite z can still overflow its
-    # lift time, which would score -inf.
+    if f.ndim != 2 or f.shape[1] != w_e.shape[-2]:
+        raise ValueError(f"{what} must be an [n, {w_e.shape[-2]}] array, got shape {f.shape}")
+    # A NaN, infinite or overflowing feature is reported by the check below
+    # alone, not also by a floating-point warning. A finite z can still
+    # overflow its lift time, which would score -inf.
     with np.errstate(invalid="ignore", over="ignore"):
         e, z = _both(lambda: f @ w_e, lambda: f @ w_h, muladds=f.shape[0] * w_e.shape[-2] * w_e.shape[-1])
-        rows = Embedded(e, z, lift_time(z, kappa))
-    return _finite(rows, what) if finite else rows
+        x0 = lift_time(z, kappa)
+    if not (np.isfinite(e).all() and np.isfinite(z).all() and np.isfinite(x0).all()):
+        raise ValueError(f"{what} projected to non-finite coordinates")
+    return Embedded(e, z, x0)
 
 
 def pair_scores(v: Embedded, t: Embedded, alpha: float) -> np.ndarray:

@@ -24,16 +24,17 @@ def test_bench_selftest_passes(tmp_path):
 # The bench tracer's per-module call counts for the fixture pipeline, taken
 # on the code it was written against. The tracer wraps the program from
 # outside, so a change that moves, renames or re-imports what it wraps loses
-# spans without an error; these counts show it. Since the texts are projected
-# in one embed_rows call and each sample is matched once, similarity makes 16
-# calls (7 visual projections, 1 text projection, 7 pair_scores and the weight
-# load), lorentz 8 (one lift_time per projection) and metrics 44 (8
-# match_sample, 26 iou, 8 is_perfect, precision_at_f1 and n_acc).
+# spans without an error; these counts show it. Each of the 7 samples with
+# phrases projects its own text rows in ground, and each sample is matched
+# once, so similarity makes 22 calls (7 visual projections, 7 text
+# projections, 7 pair_scores and the weight load), lorentz 14 (one lift_time
+# per projection) and metrics 44 (8 match_sample, 26 iou, 8 is_perfect,
+# precision_at_f1 and n_acc).
 TRACED_CALLS = {
     "cli.calls": 3, "contrastive.calls": 0, "contrastive.grad_calls": 0, "contrastive.loss_calls": 0,
-    "decouple.calls": 8, "grounding.calls": 8, "jsonl.calls": 5, "lorentz.calls": 8,
+    "decouple.calls": 8, "grounding.calls": 8, "jsonl.calls": 5, "lorentz.calls": 14,
     "lorentz.exp_map_calls": 0, "lorentz.geodesic_distance_calls": 0, "lorentz.lift_calls": 0,
-    "lorentz.log_map_calls": 0, "metrics.calls": 44, "mixture.calls": 0, "similarity.calls": 16,
+    "lorentz.log_map_calls": 0, "metrics.calls": 44, "mixture.calls": 0, "similarity.calls": 22,
     "trainer.calls": 0,
 }
 

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import strict_json
 
-from hemix import cli, ingest, jsonl, trainer
+from hemix import cli, grounding, ingest, jsonl, trainer
 from hemix.similarity import ProjectionBundle, save_bundle
 
 DATA = Path(__file__).parent / "data"
@@ -130,6 +131,15 @@ def test_decouple_offline(capsys):
     result = json.loads(out)
     assert result["count"] == 2
     assert result["phrases"] == ["a cat", "a dog"]
+
+
+def test_decouple_offline_reads_a_count_from_ascii_digits_only(capsys):
+    code, out, _ = run(capsys, "decouple", "--expr", "² cats", "--offline")
+    assert code == 0
+    assert json.loads(out)["phrases"] == ["² cats"]
+    code, out, err = run(capsys, "decouple", "--expr", "101 cats", "--offline")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: count 101 is above the limit of 100 targets"
 
 
 def test_decouple_online_without_endpoint(capsys, monkeypatch):
@@ -280,6 +290,32 @@ def test_eval_cli_wrec_metric(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("metric", ["grec", "wrec"])
+def test_eval_fails_a_prediction_with_no_ground_truth(capsys, tmp_path, metric):
+    # The golden predictions with one more for a sample_id that the ground
+    # truth lacks: it is a failure, and the other samples score as before.
+    # WREC scores the samples with one box in both files.
+    gt, preds = jsonl.read_jsonl(DATA / "gt.jsonl"), jsonl.read_jsonl(DATA / "golden_predictions.jsonl")
+    if metric == "wrec":
+        multi = {r["sample_id"] for r in gt + preds if len(r["boxes"]) != 1}
+        gt, preds = ([r for r in recs if r["sample_id"] not in multi] for recs in (gt, preds))
+    paths = {name: tmp_path / f"{name}.jsonl" for name in ("gt", "pred", "extra")}
+    jsonl.write_jsonl(paths["gt"], gt)
+    jsonl.write_jsonl(paths["pred"], preds)
+    jsonl.write_jsonl(paths["extra"], preds[:1] + [{"sample_id": "zz", "boxes": [[0, 0, 1, 1]]}] + preds[1:])
+    argv = ["eval", "--gt", str(paths["gt"]), "--metric", metric, "--per-sample", "--pred"]
+    code, out, _ = run(capsys, *argv, str(paths["pred"]))
+    assert code == 0
+    golden = json.loads(out)
+    assert (golden.pop("n_failures"), golden.pop("failures")) == (0, [])
+    code, out, _ = run(capsys, *argv, str(paths["extra"]))
+    assert code == 1
+    report = json.loads(out)
+    assert report.pop("failures") == [{"sample_id": "zz", "error": "no ground truth for sample_id 'zz'"}]
+    assert report.pop("n_failures") == 1
+    assert report == golden
+
+
+@pytest.mark.parametrize("metric", ["grec", "wrec"])
 @pytest.mark.parametrize("iou", ["1.5", "0", "-1", "nan"])
 def test_eval_rejects_an_iou_threshold_outside_unit_interval(capsys, tmp_path, metric, iou):
     gt = tmp_path / "gt.jsonl"
@@ -350,6 +386,86 @@ def test_output_directories_are_checked_before_any_work(capsys, tmp_path, monkey
     assert out == ""
     assert err.splitlines()[-1] == f"error: cannot write {missing}: no directory {missing.parent}"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["ground", "pipeline"])
+@pytest.mark.parametrize("text_recs, failures", [
+    ([], []),
+    ([{"sample_id": "s1", "image_id": "img1", "phrases": "p"}, ["not", "an", "object"]],
+     [{"sample_id": "s1", "error": 'phrases must be a list of strings, got "p"'},
+      {"sample_id": "<missing sample_id>", "error": "record is not a JSON object"}]),
+], ids=["no_records", "every_record_fails"])
+def test_a_texts_file_with_nothing_to_ground(capsys, tmp_path, command, text_recs, failures):
+    texts, preds, report = tmp_path / "texts.jsonl", tmp_path / "preds.jsonl", tmp_path / "report.json"
+    jsonl.write_jsonl(texts, text_recs)
+    argv = [command, "--anchors", str(DATA / "anchors.jsonl"), "--texts", str(texts),
+            "--weights", str(DATA / "weights.json"), "--out", str(preds)]
+    if command == "pipeline":
+        argv += ["--gt", str(DATA / "gt.jsonl"), "--offline", "--report", str(report)]
+    code, out, err = run(capsys, *argv)
+    assert code == (1 if failures else 0)
+    assert strict_json.load_jsonl(preds) == [{"v": 1}]
+    if command == "ground":
+        assert out == f"wrote 0 predictions to {preds}\n"
+        assert err.splitlines()[1:] == [f"error: {f['sample_id']}: {f['error']}" for f in failures]
+    else:
+        assert strict_json.loads(report.read_text()) == {
+            "n_samples": 0, "iou_threshold": 0.5, "precision_at_f1": None, "n_acc": None,
+            "n_failures": len(failures), "failures": failures}
+
+
+def test_a_count_above_the_limit_fails_its_sample_alone(capsys, tmp_path):
+    many = {"sample_id": "many", "image_id": "img1", "expression": "1000 cats"}
+    code, preds, report = fixture_pipeline(capsys, tmp_path, jsonl.read_jsonl(DATA / "texts.jsonl") + [many],
+                                           gt=gt_with(tmp_path, "many"))
+    assert code == 1
+    assert report.pop("failures") == [
+        {"sample_id": "many", "error": "count 1000 is above the limit of 100 targets"}]
+    assert report.pop("n_failures") == 1
+    golden = strict_json.loads((DATA / "golden_report.json").read_text())
+    del golden["failures"], golden["n_failures"]
+    assert report == golden
+    assert preds == strict_json.load_jsonl(DATA / "golden_predictions.jsonl")[1:]
+
+
+def invariance_inputs(tmp_path, dim):
+    """Weights, anchors, texts and ground truth at width ``dim``: two images, six samples of one to four phrases."""
+    rng = np.random.default_rng(dim)
+    save_bundle(ProjectionBundle.initialize(dim, seed=dim), tmp_path / "weights.json")
+    entries = [[{"feature": rng.standard_normal(dim).tolist(), "confidence": float(rng.uniform()),
+                 "box": [i, 0, i + 1, 1]} for i in range(20)] for _ in range(2)]
+    jsonl.write_jsonl(tmp_path / "anchors.jsonl", [{"image_id": f"img{k}", "anchors": e} for k, e in enumerate(entries)])
+    text_recs = [{"sample_id": f"s{k}", "image_id": f"img{k % 2}", "phrases": [f"p{i}" for i in range(n)],
+                  "features": rng.standard_normal((n, dim)).tolist()} for k, n in enumerate((1, 3, 2, 4, 1, 3))]
+    jsonl.write_jsonl(tmp_path / "gt.jsonl", [{"sample_id": rec["sample_id"], "boxes": []} for rec in text_recs])
+    return text_recs
+
+
+@pytest.mark.parametrize("dim", [4, 64, 100, 300, 512])
+def test_a_sample_grounds_alone_as_in_the_whole_run(capsys, tmp_path, monkeypatch, dim):
+    # Each texts record run on its own gives its sample the same scores, bit
+    # for bit, and the same boxes as the run over the whole file.
+    scores, pair_scores = [], grounding.pair_scores
+    monkeypatch.setattr(grounding, "pair_scores", lambda *args: scores.append(pair_scores(*args)) or scores[-1])
+    text_recs = invariance_inputs(tmp_path, dim)
+
+    def pipeline(recs):
+        jsonl.write_jsonl(tmp_path / "texts.jsonl", recs)
+        scores.clear()
+        inputs = [f"--{kind}={tmp_path / kind}.jsonl" for kind in ("anchors", "texts", "gt")]
+        code, _, _ = run(capsys, "pipeline", *inputs, f"--weights={tmp_path / 'weights.json'}", "--offline",
+                         "--top-frac", "0.5", "--out", str(tmp_path / "preds.jsonl"),
+                         "--report", str(tmp_path / "report.json"))
+        assert code == 0
+        return list(scores), strict_json.load_jsonl(tmp_path / "preds.jsonl")[1:]
+
+    whole_scores, whole_preds = pipeline(text_recs)
+    assert len(whole_scores) == len(whole_preds) == len(text_recs)
+    for rec, want_scores, want_pred in zip(text_recs, whole_scores, whole_preds):
+        (got_scores,), got_preds = pipeline([rec])
+        assert got_scores.shape == want_scores.shape == (10, len(rec["phrases"]))
+        assert got_scores.tobytes() == want_scores.tobytes(), rec["sample_id"]
+        assert got_preds == [want_pred]
 
 
 def test_pipeline_records_per_sample_failures(capsys, tmp_path):
@@ -468,9 +584,8 @@ def precedence_inputs(tmp_path):
     return anchors, texts, gt_with(tmp_path, *truth)
 
 
-# What `pipeline` writes for precedence_inputs, recorded when each sample
-# still projected its own text rows. A sample whose faults are checked in
-# another order, or whose boxes move with the projection, changes it.
+# What `pipeline` writes for precedence_inputs. A sample whose faults are
+# checked in another order, or whose boxes move with the projection, changes it.
 _PRECEDENCE_BOXES = [
     ("s1", [[198.66, 39.48, 287.82, 135.63]]),
     ("s2", [[173.72, 89.91, 209.14, 173.33], [164.41, 216.49, 221.11, 304.64]]),
@@ -769,10 +884,10 @@ def test_echo_line_is_strict_json(capsys, tmp_path, argv, name, echoed):
     assert list(tmp_path.iterdir()) == []
 
 
-def fixture_pipeline(capsys, tmp_path, text_recs=None, anchors_text=None):
+def fixture_pipeline(capsys, tmp_path, text_recs=None, anchors_text=None, gt=DATA / "gt.jsonl"):
     """(exit code, predictions, report) of an offline pipeline run on the fixture, each read strictly.
 
-    ``text_recs`` replaces the texts and ``anchors_text`` the anchors file's text.
+    ``text_recs`` replaces the texts, ``anchors_text`` the anchors file's text and ``gt`` the ground truth's path.
     """
     texts, anchors = DATA / "texts.jsonl", DATA / "anchors.jsonl"
     if text_recs is not None:
@@ -783,7 +898,7 @@ def fixture_pipeline(capsys, tmp_path, text_recs=None, anchors_text=None):
         anchors.write_text(anchors_text)
     preds, report = tmp_path / "preds.jsonl", tmp_path / "report.json"
     code, _, _ = run(capsys, "pipeline", "--anchors", str(anchors), "--texts", str(texts),
-                     "--weights", str(DATA / "weights.json"), "--gt", str(DATA / "gt.jsonl"), "--offline",
+                     "--weights", str(DATA / "weights.json"), "--gt", str(gt), "--offline",
                      "--out", str(preds), "--report", str(report))
     return code, strict_json.load_jsonl(preds)[1:], strict_json.loads(report.read_text())
 

@@ -114,6 +114,19 @@ class TestRuleBasedDecompose:
     def test_singular_head_not_expanded(self):
         assert D.rule_based_decompose("three glass").count == 1
 
+    @pytest.mark.parametrize("expr", ["\u00b2 cats", "\u0663 cats", "\uff13 cats"])
+    def test_only_ascii_digits_are_a_count(self, expr):
+        # A superscript two, an Arabic-Indic three and a fullwidth three.
+        r = D.rule_based_decompose(expr)
+        assert (r.count, r.phrases) == (1, (expr,))
+
+    def test_a_count_above_the_limit_fails(self):
+        assert D.rule_based_decompose(f"{D._MAX_COUNT} cats").count == D._MAX_COUNT
+        for count in (D._MAX_COUNT + 1, 1000):
+            with pytest.raises(ValueError, match=f"^count {count} is above the limit of {D._MAX_COUNT} targets$"):
+                D.rule_based_decompose(f"{count} cats")
+        assert D.rule_based_decompose("10000000000 cat").phrases == ("10000000000 cat",)
+
     def test_empty_expression_is_no_target(self):
         assert D.rule_based_decompose("  ").count == 0
 

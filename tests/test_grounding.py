@@ -59,13 +59,6 @@ class TestFilterAnchors:
             filter_anchors([anchor([0, 0], 0.5)], 0.0)
 
 
-def grounded(sample_id, anchors, phrases, feats, bundle, *args, **kwargs):
-    """``ground`` on feature rows ``feats``, projected as the CLI projects them."""
-    f = np.array(feats, dtype=np.float64).reshape(len(feats), bundle.dim)
-    text = embed_rows(f, bundle.w_et, bundle.w_ht, bundle.kappa, "text features", finite=False)
-    return ground(sample_id, anchors, phrases, text, bundle, *args, **kwargs)
-
-
 def anchor_set(anchors, top_fraction=1.0):
     """The AnchorSet of the AnchorRecords ``anchors``, cut to ``top_fraction``."""
     return AnchorSet.from_json(
@@ -76,7 +69,7 @@ def anchor_set(anchors, top_fraction=1.0):
 
 def pick(text, anchors):
     """Index of the anchor whose box ``ground`` returns for one phrase, all anchors kept."""
-    out = grounded("s", anchor_set(anchors), ["x"], [text], scoring_bundle(), top_fraction=1.0)
+    out = ground("s", anchor_set(anchors), ["x"], [text], scoring_bundle(), top_fraction=1.0)
     return [a.box for a in anchors].index(out[0])
 
 
@@ -97,17 +90,17 @@ class TestGround:
         assert pick(np.array([1.0, 0.0]), anchors) == 1
 
     def test_no_phrases_no_boxes(self):
-        out = grounded("s", anchor_set([anchor([1, 0], 0.9)], 0.10), [], [], scoring_bundle())
+        out = ground("s", anchor_set([anchor([1, 0], 0.9)], 0.10), [], [], scoring_bundle())
         assert out == ()
-        assert grounded("s", None, [], [], scoring_bundle()) == ()
+        assert ground("s", None, [], [], scoring_bundle()) == ()
 
     def test_single_phrase_matches_selection(self):
         anchors = [
             anchor([1, 0], 0.9, (0, 0, 10, 10)),
             anchor([2, 0], 0.8, (20, 20, 30, 30)),
         ]
-        out = grounded("s", anchor_set(anchors), ["x"], [np.array([1.0, 0.0])], scoring_bundle(),
-                     top_fraction=1.0)
+        out = ground("s", anchor_set(anchors), ["x"], [np.array([1.0, 0.0])], scoring_bundle(),
+                   top_fraction=1.0)
         assert out == ((20.0, 20.0, 30.0, 30.0),)
 
     def test_orthogonal_phrases_pick_distinct_anchors(self):
@@ -116,20 +109,20 @@ class TestGround:
             anchor([0, 5], 0.8, (20, 20, 30, 30)),
         ]
         feats = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        out = grounded("s", anchor_set(anchors), ["a", "b"], feats, scoring_bundle(), top_fraction=1.0)
+        out = ground("s", anchor_set(anchors), ["a", "b"], feats, scoring_bundle(), top_fraction=1.0)
         assert out == ((0.0, 0.0, 10.0, 10.0), (20.0, 20.0, 30.0, 30.0))
 
     def test_anchor_reuse_allowed_by_default(self):
         anchors = [anchor([5, 5], 0.9, (0, 0, 10, 10)), anchor([-5, -5], 0.8, (20, 20, 30, 30))]
         feats = [np.ones(2), np.ones(2)]
-        out = grounded("s", anchor_set(anchors), ["a", "b"], feats, scoring_bundle(), top_fraction=1.0)
+        out = ground("s", anchor_set(anchors), ["a", "b"], feats, scoring_bundle(), top_fraction=1.0)
         assert out[0] == out[1]
 
     def test_distinct_anchors_flag_forces_spread(self):
         anchors = [anchor([5, 5], 0.9, (0, 0, 10, 10)), anchor([4, 4], 0.8, (20, 20, 30, 30))]
         feats = [np.ones(2), np.ones(2)]
-        out = grounded("s", anchor_set(anchors), ["a", "b"], feats, scoring_bundle(), top_fraction=1.0,
-                     distinct_anchors=True)
+        out = ground("s", anchor_set(anchors), ["a", "b"], feats, scoring_bundle(), top_fraction=1.0,
+                   distinct_anchors=True)
         assert out[0] != out[1]
 
     def test_distinct_anchors_reuse_only_after_all_used(self):
@@ -138,14 +131,14 @@ class TestGround:
         boxes = [(0, 0, 1, 1), (2, 2, 3, 3), (4, 4, 5, 5)]
         anchors = [anchor([3 - i, 0], 0.9 - 0.1 * i, box) for i, box in enumerate(boxes)]
         feats = [np.array([1.0, 0.0])] * 5
-        out = grounded("s", anchor_set(anchors), list("abcde"), feats, scoring_bundle(), top_fraction=1.0,
-                     distinct_anchors=True)
+        out = ground("s", anchor_set(anchors), list("abcde"), feats, scoring_bundle(), top_fraction=1.0,
+                   distinct_anchors=True)
         want = [boxes[0], boxes[1], boxes[2], boxes[0], boxes[0]]
         assert out == tuple(tuple(float(c) for c in b) for b in want)
 
     def test_feature_count_mismatch(self):
         with pytest.raises(ValueError):
-            grounded("s", anchor_set([anchor([1, 0], 0.9)], 0.10), ["a", "b"], [np.ones(2)], scoring_bundle())
+            ground("s", anchor_set([anchor([1, 0], 0.9)], 0.10), ["a", "b"], [np.ones(2)], scoring_bundle())
 
     def test_box_count_equals_phrase_count(self):
         rng = np.random.default_rng(2)
@@ -154,7 +147,7 @@ class TestGround:
             [anchor(rng.standard_normal(3), float(rng.uniform()), (0, 0, 5, 5)) for _ in range(9)], 0.10)
         for k in range(4):
             feats = [rng.standard_normal(3) for _ in range(k)]
-            out = grounded("s", anchors, [f"p{i}" for i in range(k)], feats, bundle)
+            out = ground("s", anchors, [f"p{i}" for i in range(k)], feats, bundle)
             assert len(out) == k
 
 
@@ -222,29 +215,26 @@ class TestAnchorSet:
         feats = [[rng.standard_normal(3) for _ in range(k)] for k in (2, 3)]
         for f in feats:
             phrases = [f"p{i}" for i in range(len(f))]
-            out = grounded("s", shared, phrases, f, bundle, top_fraction=0.2)
+            out = ground("s", shared, phrases, f, bundle, top_fraction=0.2)
             fresh = anchor_set(anchors, 0.2)
-            assert out == grounded("s", fresh, phrases, f, bundle, top_fraction=0.2)
+            assert out == ground("s", fresh, phrases, f, bundle, top_fraction=0.2)
         # The shared set projected once for both samples; each fresh set once more.
         assert calls.count("visual features") == 1 + 2
         calls.clear()
-        grounded("s", shared, ["p"], feats[0][:1], bundle, top_fraction=0.2)
+        ground("s", shared, ["p"], feats[0][:1], bundle, top_fraction=0.2)
         assert calls.count("visual features") == 0
-        grounded("s", shared, ["p"], feats[0][:1], ProjectionBundle.initialize(3, seed=3), top_fraction=0.2)
+        ground("s", shared, ["p"], feats[0][:1], ProjectionBundle.initialize(3, seed=3), top_fraction=0.2)
         assert calls.count("visual features") == 1
 
 
-def test_text_rows_project_every_record_in_one_call(monkeypatch):
-    # Each record that passes its check takes its own slice of one projection,
-    # non-finite rows included; a record of another width keeps its features,
-    # and a failed check is the exception it raised.
-    calls = []
+def test_text_rows_check_each_record_and_ground_projects_its_rows(monkeypatch):
+    # A record that passes its check keeps its features as an array, and a
+    # failed check is the exception it raised. Nothing is projected until
+    # ground projects one sample's rows, after the anchors' checks.
+    def never(*args, **kwargs):
+        raise AssertionError("text rows projected before ground")
 
-    def counting(f, *args, **kwargs):
-        calls.append(len(f))
-        return embed_rows(f, *args, **kwargs)
-
-    monkeypatch.setattr(grounding, "embed_rows", counting)
+    monkeypatch.setattr(grounding, "embed_rows", never)
     rng = np.random.default_rng(4)
     bundle = ProjectionBundle.initialize(3, seed=4)
     two, one = (rng.standard_normal((k, 3)).round(6).tolist() for k in (2, 1))
@@ -253,22 +243,20 @@ def test_text_rows_project_every_record_in_one_call(monkeypatch):
              {"sample_id": "a", "image_id": "i", "features": one},
              {"sample_id": "c", "image_id": "i", "features": [[1.0, 2.0]]},
              {"sample_id": "d", "image_id": "i", "features": [[1e160] * 3] + one}]
-    a, b, repeated, short, huge = grounding._text_rows(texts, bundle)
-    assert calls == [4]
+    a, b, repeated, short, huge = grounding._text_rows(texts)
+    monkeypatch.undo()
     assert str(repeated) == "repeated sample_id 'a'"
     assert [check[:2] for check in (a, b, short, huge)] == [("a", "i"), ("b", "i"), ("c", "i"), ("d", "i")]
     assert "features" not in texts[0] and "features" in texts[2]
-    for check, f in ((a, two), (huge, [[1e160] * 3] + one)):
-        alone = embed_rows(f, bundle.w_et, bundle.w_ht, bundle.kappa, "t", finite=False)
-        for got, want in zip(check[2], alone):
-            np.testing.assert_allclose(got, want, rtol=1e-12)
-    assert not np.isfinite(huge[2].x0[0]) and np.isfinite(huge[2].x0[1])
-    assert (b[2].e.shape, short[2].e.shape) == ((0, 0), (1, 2))
+    assert a[2].tobytes() == np.array(two).tobytes()
+    assert (b[2].shape, short[2].shape) == ((0, 0), (1, 2))
     assert ground("s", None, [], b[2], bundle) == ()
     with pytest.raises(ValueError, match=r"must be an \[n, 3\] array, got shape \(1, 2\)"):
         ground("s", anchor_set([anchor([1, 0, 0], 0.9)]), ["p"], short[2], bundle, 1.0)
     with pytest.raises(ValueError, match="text features projected to non-finite"):
         ground("s", anchor_set([anchor([1, 0, 0], 0.9)]), ["p", "q"], huge[2], bundle, 1.0)
+    with pytest.raises(ValueError, match="anchors were cut to top_fraction 1.0"):
+        ground("s", anchor_set([anchor([1, 0, 0], 0.9)]), ["p"], short[2], bundle, 0.5)
 
 
 def random_entries(rng, n, dim=3):
@@ -322,15 +310,15 @@ class TestCutAnchorSet:
             assert got.tobytes() == w.tobytes()
         text = rng.standard_normal((3, 3))
         prefiltered = AnchorSet(features, np.array([a.confidence for a in kept]), np.array([a.box for a in kept]), 1.0)
-        assert (grounded("s", cut, list("abc"), text, bundle, top)
-                == grounded("s", prefiltered, list("abc"), text, bundle, 1.0))
+        assert (ground("s", cut, list("abc"), text, bundle, top)
+                == ground("s", prefiltered, list("abc"), text, bundle, 1.0))
 
     def test_another_fraction_raises(self):
         cut = AnchorSet.from_json(random_entries(np.random.default_rng(1), 10), 0.2)
         with pytest.raises(ValueError, match="cut to top_fraction 0.2"):
             cut.pool(0.5, scoring_bundle(3))
         with pytest.raises(ValueError, match="cut to top_fraction 0.2"):
-            grounded("s", cut, ["p"], [np.ones(3)], scoring_bundle(3), top_fraction=0.1)
+            ground("s", cut, ["p"], [np.ones(3)], scoring_bundle(3), top_fraction=0.1)
 
     @pytest.mark.parametrize("n, top", [(0, 0.1), (0, 0.0), (3, 0.0), (3, 1.5), (3, float("nan"))])
     def test_empty_set_or_bad_fraction_fails_when_built(self, n, top):

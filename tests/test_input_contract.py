@@ -519,10 +519,12 @@ def check_case(case: dict, tmp: Path) -> None:
         assert not line.startswith("error:") or located.match(line), (label, line)
     assert "Traceback" not in err, label
     if report is not None:
-        # A failure names its record's sample_id, a NaN or infinity in it by its JSON text.
-        texts = case["lines"] if case["kind"] == "texts" else fixture_lines("texts.jsonl")
+        # A failure names the sample_id of a record of the primary file (the texts, or the
+        # predictions for eval), a NaN or infinity in it by its JSON text.
+        primary = "pred" if case["kind"] == "pred" else "texts"
+        lines = case["lines"] if case["kind"] == primary else fixture_lines(FILES[primary])
         names = [json.loads(json.dumps(json.loads(t).get("sample_id", "<missing sample_id>")), parse_constant=str)
-                 for t in texts]
+                 for t in lines]
         for failure in strict_json.loads(report).get("failures", []):
             assert failure["sample_id"] in names, (label, failure)
     if preds is not None:
