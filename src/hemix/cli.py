@@ -215,15 +215,18 @@ def cmd_decouple(args) -> int:
 # ground / eval / pipeline
 # ---------------------------------------------------------------------------
 
-def _ground_records(texts: list, checks: list, phrases_of, anchor_map: dict, bundle, args) -> tuple[list, list]:
-    """(predictions, failures) of each texts record, with its grounding._text_rows check, on phrases_of(record)."""
-    predictions, failures = [], []
-    for rec, check in zip(texts, checks):
-        label = rec.get("sample_id", "<missing sample_id>") if isinstance(rec, dict) else "<missing sample_id>"
+def _failure(sample_id, error: str) -> dict:
+    """A ``failures`` entry of ground, eval and pipeline; a NaN or infinite sample_id is named by its JSON text."""
+    return {"sample_id": json.loads(json.dumps(sample_id), parse_constant=str), "error": error}
+
+
+def _ground_records(texts: list, phrases_of, anchor_map: dict, bundle, args) -> tuple[list, list]:
+    """(predictions, failures) of the texts records, each checked by records.texts_record, then grounded."""
+    predictions, failures, seen = [], [], set()
+    for rec in texts:
         try:
-            if isinstance(check, Exception):
-                raise check
-            sample_id, image_id, features = check
+            sample_id, image_id, features = records.texts_record(rec, seen)
+            rec.pop("features", None)  # its rows are in ``features`` now
             phrases = list(phrases_of(rec))
             anchors = anchor_map.get(image_id) if phrases else None
             if phrases and anchors is None:
@@ -239,10 +242,10 @@ def _ground_records(texts: list, checks: list, phrases_of, anchor_map: dict, bun
                 top_fraction=args.top_frac,
                 distinct_anchors=args.distinct_anchors,
             )
-            predictions.append({"sample_id": sample_id, "boxes": [list(b) for b in boxes]})
-        except (ValueError, KeyError, decouple.DecoupleError) as exc:  # a NaN in the sample_id is named "NaN"
-            failures.append({"sample_id": json.loads(json.dumps(label), parse_constant=str),
-                             "error": jsonl._message(exc)})
+            predictions.append({"sample_id": sample_id, "boxes": boxes})
+        except (ValueError, KeyError, decouple.DecoupleError) as exc:
+            label = rec.get("sample_id", "<missing sample_id>") if isinstance(rec, dict) else "<missing sample_id>"
+            failures.append(_failure(label, jsonl._message(exc)))
     return predictions, failures
 
 
@@ -252,11 +255,10 @@ def cmd_ground(args) -> int:
     _check_output_dirs(Path(args.out))
 
     def reads():  # run while children decode the anchors
-        bundle, texts = similarity.load_bundle(args.weights), jsonl.read_jsonl(args.texts)
-        return bundle, texts, grounding._text_rows(texts)
+        return similarity.load_bundle(args.weights), jsonl.read_jsonl(args.texts)
 
-    (bundle, texts, checks), anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac, reads)
-    predictions, failures = _ground_records(texts, checks, lambda rec: rec["phrases"], anchor_map, bundle, args)
+    (bundle, texts), anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac, reads)
+    predictions, failures = _ground_records(texts, lambda rec: rec["phrases"], anchor_map, bundle, args)
     jsonl.write_jsonl(args.out, predictions)
     print(f"wrote {len(predictions)} predictions to {args.out}")
     for failure in failures:
@@ -273,17 +275,15 @@ def _no_ground_truth(sample_id) -> str:
     return f"no ground truth for sample_id {sample_id!r}"
 
 
-def _eval_samples(gt: dict, pred_map: dict) -> list:
-    return [metrics.EvalSample(key, boxes, pred_map.get(key, ())) for key, boxes in gt.items()]
-
-
-def _grec_report(samples: list, iou_thresh: float, per_sample: bool) -> dict:
+def _report(samples: list, failures: list, iou_thresh: float, metric: str = "grec", per_sample: bool = False) -> dict:
+    """The report of eval and pipeline on ``samples``; with no samples every metric is null."""
+    report = {"n_samples": len(samples), "iou_threshold": iou_thresh, "n_failures": len(failures),
+              "failures": failures}
+    if metric == "wrec":
+        report["iou_at_thresh"] = metrics.iou_at_05(samples, iou_thresh) if samples else None
+        return report
     matches = [metrics.match_sample(s, iou_thresh) for s in samples]
-    report = {
-        "n_samples": len(samples),
-        "iou_threshold": iou_thresh,
-        "precision_at_f1": metrics.precision_at_f1(matches),
-    }
+    report["precision_at_f1"] = metrics.precision_at_f1(matches) if matches else None
     try:
         report["n_acc"] = metrics.n_acc(samples)
     except ValueError:
@@ -295,17 +295,13 @@ def _grec_report(samples: list, iou_thresh: float, per_sample: bool) -> dict:
 
 
 def cmd_eval(args) -> int:
-    gt, pred_map = _boxes_file(args.gt), _boxes_file(args.pred)
-    samples = _eval_samples(gt, pred_map)
-    if args.metric == "wrec":
-        report = {"n_samples": len(samples), "iou_threshold": args.iou,
-                  "iou_at_thresh": metrics.iou_at_05(samples, args.iou)}
-    else:
-        report = _grec_report(samples, args.iou, args.per_sample)
-    failures = [{"sample_id": key, "error": _no_ground_truth(key)} for key in pred_map if key not in gt]
-    report["n_failures"] = len(failures)
-    report["failures"] = failures
-    print(_dump(report))
+    # A sample is scored when both files hold it; every other sample_id fails.
+    metrics._check_threshold(args.iou)
+    gt, predicted = _boxes_file(args.gt), _boxes_file(args.pred)
+    samples = [metrics.EvalSample(key, boxes, predicted[key]) for key, boxes in gt.items() if key in predicted]
+    failures = ([_failure(key, f"no prediction for sample_id {key!r}") for key in gt if key not in predicted]
+                + [_failure(key, _no_ground_truth(key)) for key in predicted if key not in gt])
+    print(_dump(_report(samples, failures, args.iou, args.metric, args.per_sample)))
     return 1 if failures else 0
 
 
@@ -328,30 +324,20 @@ def cmd_pipeline(args) -> int:
                                                                      retries=args.retries)
 
     def reads():  # run while children decode the anchors
-        bundle, gt, texts = similarity.load_bundle(args.weights), _boxes_file(args.gt), jsonl.read_jsonl(args.texts)
-        return bundle, gt, texts, grounding._text_rows(texts)
+        return similarity.load_bundle(args.weights), _boxes_file(args.gt), jsonl.read_jsonl(args.texts)
 
-    (bundle, gt, texts, checks), anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac, reads)
+    (bundle, gt, texts), anchor_map = ingest.load_anchor_map(args.anchors, args.top_frac, reads)
 
     def phrases_of(rec):  # a record with no ground truth fails before it is decoupled
         if rec["sample_id"] not in gt:
             raise ValueError(_no_ground_truth(rec["sample_id"]))
         return _decouple_record(rec, args.offline, vlm_cfg).phrases
 
-    predictions, failures = _ground_records(texts, checks, phrases_of, anchor_map, bundle, args)
-    del checks  # frees the text feature rows before the report is built
-
+    predictions, failures = _ground_records(texts, phrases_of, anchor_map, bundle, args)
     if args.out:
         jsonl.write_jsonl(args.out, predictions)
-
-    pred_map = {p["sample_id"]: tuple(map(tuple, p["boxes"])) for p in predictions}
-    samples = _eval_samples({key: boxes for key, boxes in gt.items() if key in pred_map}, pred_map)
-    report = _grec_report(samples, args.iou, per_sample=True) if samples else {
-        "n_samples": 0, "iou_threshold": args.iou, "precision_at_f1": None, "n_acc": None,
-    }
-    report["n_failures"] = len(failures)
-    report["failures"] = failures
-    text = _dump(report) + "\n"
+    samples = [metrics.EvalSample(p["sample_id"], gt[p["sample_id"]], p["boxes"]) for p in predictions]
+    text = _dump(_report(samples, failures, args.iou, per_sample=True)) + "\n"
     if args.report:
         Path(args.report).write_text(text)
     else:
@@ -417,18 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--apex-out", help="apex report JSON (default: apex_report.json next to --out)")
     p.set_defaults(func=cmd_train_toy)
 
-    p = sub.add_parser("decouple", parents=[common, service], help="split an expression into target phrases")
+    p = sub.add_parser("decouple", parents=[service], help="split an expression into target phrases")
     p.add_argument("--expr", required=True)
     p.add_argument("--image", help="image file sent to the service as base64")
     p.add_argument("--offline", action="store_true", help="use the rule-based decomposer")
     p.add_argument("--no-examples", action="store_true", help="drop the in-context examples part")
     p.set_defaults(func=cmd_decouple)
 
-    p = sub.add_parser("ground", parents=[common, scoring], help="select boxes for decoupled phrases")
+    p = sub.add_parser("ground", parents=[scoring], help="select boxes for decoupled phrases")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ground)
 
-    p = sub.add_parser("eval", parents=[common], help="score predictions against ground truth")
+    p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--iou", type=float, default=0.5)
@@ -436,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-sample", action="store_true")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("pipeline", parents=[common, scoring, service], help="decouple, ground, and evaluate")
+    p = sub.add_parser("pipeline", parents=[scoring, service], help="decouple, ground, and evaluate")
     p.add_argument("--gt", required=True)
     p.add_argument("--iou", type=float, default=0.5)
     p.add_argument("--offline", action="store_true")

@@ -180,7 +180,11 @@ _ORDINAL_WORDS = [
 
 
 def _ordinal_word(i: int) -> str:
-    return _ORDINAL_WORDS[i - 1] if i <= len(_ORDINAL_WORDS) else f"{i}th"
+    """"first" to "tenth", then English suffixes: "11th", "21st", "22nd", "23rd", "111th"."""
+    if i <= len(_ORDINAL_WORDS):
+        return _ORDINAL_WORDS[i - 1]
+    suffix = "th" if i % 100 in (11, 12, 13) else {1: "st", 2: "nd", 3: "rd"}.get(i % 10, "th")
+    return f"{i}{suffix}"
 
 
 def rule_based_decompose(expression: str) -> DecoupleResult:
@@ -204,12 +208,16 @@ def rule_based_decompose(expression: str) -> DecoupleResult:
     tokens = text.split()
     if len(tokens) >= 2:
         head = tokens[0].lower()
-        count = int(head) if head.isascii() and head.isdigit() else _COUNT_WORDS.get(head)
+        if head.isascii() and head.isdigit():  # not int() past the limit's digits: it refuses over 4300
+            head = head.lstrip("0") or "0"
+            count = int(head) if len(head) <= len(str(_MAX_COUNT)) else _MAX_COUNT + 1
+        else:
+            count = _COUNT_WORDS.get(head)
         rest = " ".join(tokens[1:])
         plural_head = rest.lower().endswith("s") and not rest.lower().endswith("ss")
         if count and count > 1 and plural_head:
             if count > _MAX_COUNT:
-                raise ValueError(f"count {count} is above the limit of {_MAX_COUNT} targets")
+                raise ValueError(f"count {head} is above the limit of {_MAX_COUNT} targets")
             phrases = tuple(f"{_ordinal_word(i)} {rest}" for i in range(1, count + 1))
             return DecoupleResult(count=count, phrases=phrases, raw=raw)
     return DecoupleResult(count=1, phrases=(text,), raw=raw)

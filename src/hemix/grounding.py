@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import anchor_entries, texts_record
+from .records import anchor_entries
 from .similarity import Embedded, ProjectionBundle, embed_rows, pair_scores
 
 
@@ -94,24 +94,6 @@ class AnchorSet:
             self._pool = (bundle, embed_rows(self.features, bundle.w_ev, bundle.w_hv, bundle.kappa,
                                              "visual features"))
         return self._pool[1]
-
-
-def _text_rows(texts: list) -> list:
-    """Each texts record's (sample_id, image_id, features [n, d]), or the exception its check raised.
-
-    Every record is checked by records.texts_record once, in order, and a
-    record that passes drops its ``features`` list, whose rows the result now
-    holds as an array. The rows are projected by ``ground``, one sample at a
-    time, so a sample's scores do not depend on the other records.
-    """
-    seen, checks = set(), []
-    for rec in texts:
-        try:
-            checks.append(texts_record(rec, seen))
-            rec.pop("features", None)
-        except (ValueError, KeyError) as exc:
-            checks.append(exc.with_traceback(None))
-    return checks
 
 
 def ground(

@@ -316,6 +316,85 @@ def test_eval_fails_a_prediction_with_no_ground_truth(capsys, tmp_path, metric):
 
 
 @pytest.mark.parametrize("metric", ["grec", "wrec"])
+def test_eval_fails_ground_truth_with_no_prediction(capsys, tmp_path, metric):
+    # The golden predictions without s6, whose wrong box holds precision_at_f1
+    # and n_acc at 0.5: s6 fails and is not scored, so the rest of the report
+    # is that of both files without s6. WREC scores the samples with one box in
+    # both files, which s6 is not, so there the first of them goes missing.
+    gt, preds = jsonl.read_jsonl(DATA / "gt.jsonl"), jsonl.read_jsonl(DATA / "golden_predictions.jsonl")
+    if metric == "wrec":
+        multi = {r["sample_id"] for r in gt + preds if len(r["boxes"]) != 1}
+        gt, preds = ([r for r in recs if r["sample_id"] not in multi] for recs in (gt, preds))
+    missing = "s6" if metric == "grec" else preds[0]["sample_id"]
+    paths = {name: tmp_path / f"{name}.jsonl" for name in ("gt", "pred", "gt_without", "pred_without")}
+    for name, recs in (("gt", gt), ("pred", preds)):
+        jsonl.write_jsonl(paths[name], recs)
+        jsonl.write_jsonl(paths[f"{name}_without"], [r for r in recs if r["sample_id"] != missing])
+    argv = ["eval", "--metric", metric, "--per-sample"]
+    code, out, _ = run(capsys, *argv, "--gt", str(paths["gt_without"]), "--pred", str(paths["pred_without"]))
+    assert code == 0
+    without = json.loads(out)
+    code, out, _ = run(capsys, *argv, "--gt", str(paths["gt"]), "--pred", str(paths["pred_without"]))
+    assert code == 1
+    report = json.loads(out)
+    assert report.pop("failures") == [{"sample_id": missing, "error": f"no prediction for sample_id {missing!r}"}]
+    assert (report.pop("n_failures"), without.pop("failures"), without.pop("n_failures")) == (1, [], 0)
+    assert report == without
+    if metric == "grec":
+        assert (report["n_samples"], report["precision_at_f1"], report["n_acc"]) == (7, 4 / 7, 1.0)
+
+
+def test_eval_lists_missing_predictions_then_missing_ground_truth(capsys, tmp_path):
+    gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
+    box = [[0, 0, 10, 10]]
+    jsonl.write_jsonl(gt, [{"sample_id": sid, "boxes": box} for sid in ("c", "a", "b")])
+    jsonl.write_jsonl(pred, [{"sample_id": sid, "boxes": box} for sid in ("z", "b", 7)])
+    code, out, _ = run(capsys, "eval", "--gt", str(gt), "--pred", str(pred), "--per-sample")
+    assert code == 1
+    report = json.loads(out)
+    assert report["failures"] == [{"sample_id": "c", "error": "no prediction for sample_id 'c'"},
+                                  {"sample_id": "a", "error": "no prediction for sample_id 'a'"},
+                                  {"sample_id": "z", "error": "no ground truth for sample_id 'z'"},
+                                  {"sample_id": 7, "error": "no ground truth for sample_id 7"}]
+    assert (report["n_samples"], report["n_failures"], report["per_sample"][0]["sample_id"]) == (1, 4, "b")
+
+
+@pytest.mark.parametrize("metric", ["grec", "wrec"])
+@pytest.mark.parametrize("preds", [
+    [], [{"sample_id": "zz", "boxes": [[0, 0, 1, 1]]}, {"sample_id": "s1", "boxes": []}],
+], ids=["no_predictions", "two_predictions"])
+def test_eval_on_an_empty_ground_truth_file(capsys, tmp_path, metric, preds):
+    # Nothing is scored, so every metric is null, and each prediction fails.
+    gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
+    jsonl.write_jsonl(gt, [])
+    jsonl.write_jsonl(pred, preds)
+    code, out, _ = run(capsys, "eval", "--gt", str(gt), "--pred", str(pred), "--metric", metric, "--per-sample")
+    assert code == (1 if preds else 0)
+    failures = [{"sample_id": r["sample_id"], "error": f"no ground truth for sample_id {r['sample_id']!r}"}
+                for r in preds]
+    nulls = {"iou_at_thresh": None} if metric == "wrec" else {"precision_at_f1": None, "n_acc": None, "per_sample": []}
+    assert strict_json.loads(out) == {"n_samples": 0, "iou_threshold": 0.5, **nulls,
+                                      "n_failures": len(failures), "failures": failures}
+
+
+@pytest.mark.parametrize("argv", [
+    ["decouple", "--expr", "two cats", "--offline"],
+    ["ground", "--anchors", "a", "--texts", "t", "--weights", "w", "--out", "o"],
+    ["eval", "--gt", "g", "--pred", "p"],
+    ["pipeline", "--anchors", "a", "--texts", "t", "--weights", "w", "--gt", "g", "--offline"],
+], ids=lambda argv: argv[0])
+def test_seed_is_only_an_option_of_the_seeded_commands(capsys, argv):
+    # decouple, ground, eval and pipeline draw nothing at random, so they take no --seed.
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--seed", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("error: unrecognized arguments: --seed 1")
+    model = [x for flag in ("--b-e", "--b-h", "--sigma-e", "--sigma-h", "--rho") for x in (flag, "1")]
+    seeded = [["geom-check"], ["grad-check"], ["train-toy", "--out", "o"], ["analyze-alpha", *model]]
+    assert [cli.build_parser().parse_args([*command, "--seed", "7"]).seed for command in seeded] == [7] * 4
+
+
+@pytest.mark.parametrize("metric", ["grec", "wrec"])
 @pytest.mark.parametrize("iou", ["1.5", "0", "-1", "nan"])
 def test_eval_rejects_an_iou_threshold_outside_unit_interval(capsys, tmp_path, metric, iou):
     gt = tmp_path / "gt.jsonl"
@@ -410,7 +489,7 @@ def test_a_texts_file_with_nothing_to_ground(capsys, tmp_path, command, text_rec
         assert err.splitlines()[1:] == [f"error: {f['sample_id']}: {f['error']}" for f in failures]
     else:
         assert strict_json.loads(report.read_text()) == {
-            "n_samples": 0, "iou_threshold": 0.5, "precision_at_f1": None, "n_acc": None,
+            "n_samples": 0, "iou_threshold": 0.5, "precision_at_f1": None, "n_acc": None, "per_sample": [],
             "n_failures": len(failures), "failures": failures}
 
 

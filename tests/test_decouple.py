@@ -127,6 +127,23 @@ class TestRuleBasedDecompose:
                 D.rule_based_decompose(f"{count} cats")
         assert D.rule_based_decompose("10000000000 cat").phrases == ("10000000000 cat",)
 
+    def test_a_count_too_long_for_int_fails_at_the_limit(self):
+        # 5000 digits are past the interpreter's int() limit; leading zeros do not count.
+        with pytest.raises(ValueError, match=f"^count 1{{5000}} is above the limit of {D._MAX_COUNT} targets$"):
+            D.rule_based_decompose("1" * 5000 + " cats")
+        with pytest.raises(ValueError, match=f"^count 101 is above the limit of {D._MAX_COUNT} targets$"):
+            D.rule_based_decompose("0000101 cats")
+        assert D.rule_based_decompose("0" * 5000 + "3 cats").phrases == ("first cats", "second cats", "third cats")
+        assert D.rule_based_decompose("0003 cats").count == 3
+        assert D.rule_based_decompose("1" * 5000 + " cat").count == 1
+
+    def test_ordinals_past_ten_take_english_suffixes(self):
+        got = {i: D._ordinal_word(i) for i in (10, 11, 12, 13, 14, 21, 22, 23, 24, 100, 101, 102, 103, 111, 112, 113)}
+        assert got == {10: "tenth", 11: "11th", 12: "12th", 13: "13th", 14: "14th", 21: "21st", 22: "22nd",
+                       23: "23rd", 24: "24th", 100: "100th", 101: "101st", 102: "102nd", 103: "103rd",
+                       111: "111th", 112: "112th", 113: "113th"}
+        assert D.rule_based_decompose("23 cats").phrases[19:] == ("20th cats", "21st cats", "22nd cats", "23rd cats")
+
     def test_empty_expression_is_no_target(self):
         assert D.rule_based_decompose("  ").count == 0
 

@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from hemix import grounding
+from hemix import cli, grounding
 from hemix.grounding import AnchorRecord, AnchorSet, filter_anchors, ground
 from hemix.similarity import ProjectionBundle, embed_rows
 
@@ -227,36 +229,48 @@ class TestAnchorSet:
         assert calls.count("visual features") == 1
 
 
-def test_text_rows_check_each_record_and_ground_projects_its_rows(monkeypatch):
-    # A record that passes its check keeps its features as an array, and a
-    # failed check is the exception it raised. Nothing is projected until
-    # ground projects one sample's rows, after the anchors' checks.
-    def never(*args, **kwargs):
-        raise AssertionError("text rows projected before ground")
+def test_ground_records_check_each_record_and_ground_projects_its_rows(monkeypatch):
+    # Each texts record is checked, in order, and one that passes drops its
+    # features list before its phrases are taken: its rows are an array now.
+    # Text rows are projected by ground alone, one sample's rows at a time,
+    # after the anchors' checks.
+    projected, taken = [], []
 
-    monkeypatch.setattr(grounding, "embed_rows", never)
+    def counting(f, w_e, w_h, kappa, what):
+        projected.append(what)
+        return embed_rows(f, w_e, w_h, kappa, what)
+
+    def phrases_of(rec):
+        taken.append((rec["sample_id"], "features" in rec, projected.count("text features")))
+        return rec["phrases"]
+
+    monkeypatch.setattr(grounding, "embed_rows", counting)
     rng = np.random.default_rng(4)
     bundle = ProjectionBundle.initialize(3, seed=4)
     two, one = (rng.standard_normal((k, 3)).round(6).tolist() for k in (2, 1))
-    texts = [{"sample_id": "a", "image_id": "i", "features": two},
-             {"sample_id": "b", "image_id": "i"},
-             {"sample_id": "a", "image_id": "i", "features": one},
-             {"sample_id": "c", "image_id": "i", "features": [[1.0, 2.0]]},
-             {"sample_id": "d", "image_id": "i", "features": [[1e160] * 3] + one}]
-    a, b, repeated, short, huge = grounding._text_rows(texts)
-    monkeypatch.undo()
-    assert str(repeated) == "repeated sample_id 'a'"
-    assert [check[:2] for check in (a, b, short, huge)] == [("a", "i"), ("b", "i"), ("c", "i"), ("d", "i")]
-    assert "features" not in texts[0] and "features" in texts[2]
-    assert a[2].tobytes() == np.array(two).tobytes()
-    assert (b[2].shape, short[2].shape) == ((0, 0), (1, 2))
-    assert ground("s", None, [], b[2], bundle) == ()
-    with pytest.raises(ValueError, match=r"must be an \[n, 3\] array, got shape \(1, 2\)"):
-        ground("s", anchor_set([anchor([1, 0, 0], 0.9)]), ["p"], short[2], bundle, 1.0)
-    with pytest.raises(ValueError, match="text features projected to non-finite"):
-        ground("s", anchor_set([anchor([1, 0, 0], 0.9)]), ["p", "q"], huge[2], bundle, 1.0)
-    with pytest.raises(ValueError, match="anchors were cut to top_fraction 1.0"):
-        ground("s", anchor_set([anchor([1, 0, 0], 0.9)]), ["p"], short[2], bundle, 0.5)
+    anchor_map = {"i": anchor_set([anchor([1, 0, 0], 0.9)]), "half": anchor_set([anchor([1, 0, 0], 0.9)], 0.5),
+                  "bad": "anchors of image 'bad': anchors must be a list of objects"}
+    texts = [{"sample_id": "a", "image_id": "i", "phrases": ["p", "q"], "features": two},
+             {"sample_id": "b", "image_id": "i", "phrases": []},
+             {"sample_id": "a", "image_id": "i", "phrases": ["p"], "features": one},
+             {"sample_id": "c", "image_id": "i", "phrases": ["p"], "features": [[1.0, 2.0]]},
+             {"sample_id": "d", "image_id": "i", "phrases": ["p", "q"], "features": [[1e160] * 3] + one},
+             {"sample_id": "e", "image_id": "bad", "phrases": ["p"], "features": [[1.0, 2.0]]},
+             {"sample_id": "f", "image_id": "half", "phrases": ["p"], "features": [[1.0, 2.0]]}]
+    args = SimpleNamespace(top_frac=1.0, distinct_anchors=False)
+    predictions, failures = cli._ground_records(texts, phrases_of, anchor_map, bundle, args)
+    assert predictions == [{"sample_id": "a", "boxes": ((0.0, 0.0, 10.0, 10.0),) * 2}, {"sample_id": "b", "boxes": ()}]
+    assert failures == [
+        {"sample_id": "a", "error": "repeated sample_id 'a'"},
+        {"sample_id": "c", "error": "text features must be an [n, 3] array, got shape (1, 2)"},
+        {"sample_id": "d", "error": "text features projected to non-finite coordinates"},
+        {"sample_id": "e", "error": "anchors of image 'bad': anchors must be a list of objects"},
+        {"sample_id": "f", "error": "anchors were cut to top_fraction 0.5, got 1.0"},
+    ]
+    assert taken == [("a", False, 0), ("b", False, 1), ("c", False, 1), ("d", False, 2), ("e", False, 3),
+                     ("f", False, 3)]
+    assert projected.count("text features") == 3
+    assert ["features" in rec for rec in texts] == [False, False, True, False, False, False, False]
 
 
 def random_entries(rng, n, dim=3):

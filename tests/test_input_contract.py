@@ -7,9 +7,11 @@ process. A mutation replaces a field's value with a value of each JSON type,
 a numeric string, ``1e400`` or a ``NaN`` literal, drops a field, or repeats a
 record later in the file. Every run must end with exit 0, 1 or 2 and no
 escaping exception; each ``error:`` line names ``<path>:<line>`` (``<path>``
-for the weight file) and each failure a sample; exit 2 leaves no output file;
-outputs read as strict JSON; on exit 0 or 1 every sample the mutation did not
-touch keeps its golden prediction bytes; and a ``pipeline`` case gives the
+for the weight file) and each failure a sample; every texts record (for
+``eval``, every sample_id of either file) ends as one sample or one failure;
+exit 2 leaves no output file; outputs read as strict JSON; on exit 0 or 1
+every sample the mutation did not touch keeps its golden prediction bytes;
+and a ``pipeline`` case gives the
 same result at one CPU and at three, with the anchors file cut into one-byte
 spans, where the weight, ground-truth and texts files are read while forked
 children decode the anchors, and leaves no child process behind. A mutated
@@ -519,14 +521,18 @@ def check_case(case: dict, tmp: Path) -> None:
         assert not line.startswith("error:") or located.match(line), (label, line)
     assert "Traceback" not in err, label
     if report is not None:
-        # A failure names the sample_id of a record of the primary file (the texts, or the
-        # predictions for eval), a NaN or infinity in it by its JSON text.
-        primary = "pred" if case["kind"] == "pred" else "texts"
-        lines = case["lines"] if case["kind"] == primary else fixture_lines(FILES[primary])
+        # A failure names the sample_id of a record of the primary files (the texts, or the
+        # predictions and ground truth for eval), a NaN or infinity in it by its JSON text.
+        # Each of their records, or for eval each sample_id in either file, is one sample or one failure.
+        primary = ("pred", "gt") if case["kind"] == "pred" else ("texts",)
+        lines = [t for kind in primary for t in (case["lines"] if case["kind"] == kind else fixture_lines(FILES[kind]))]
         names = [json.loads(json.dumps(json.loads(t).get("sample_id", "<missing sample_id>")), parse_constant=str)
                  for t in lines]
-        for failure in strict_json.loads(report).get("failures", []):
+        payload = strict_json.loads(report)
+        for failure in payload["failures"]:
             assert failure["sample_id"] in names, (label, failure)
+        records_or_ids = set(names) if case["kind"] == "pred" else names
+        assert payload["n_samples"] + payload["n_failures"] == len(records_or_ids), label
     if preds is not None:
         assert code in (0, 1), label
         strict_json.load_jsonl(tmp / "preds.jsonl")
