@@ -276,21 +276,33 @@ def _no_ground_truth(sample_id) -> str:
 
 
 def _report(samples: list, failures: list, iou_thresh: float, metric: str = "grec", per_sample: bool = False) -> dict:
-    """The report of eval and pipeline on ``samples``; with no samples every metric is null."""
-    report = {"n_samples": len(samples), "iou_threshold": iou_thresh, "n_failures": len(failures),
-              "failures": failures}
+    """The report of eval and pipeline on ``samples``; with no sample scored every metric is null.
+
+    WREC scores the samples with one box in each file; each other sample
+    fails, after ``failures``.
+    """
     if metric == "wrec":
-        report["iou_at_thresh"] = metrics.iou_at_05(samples, iou_thresh) if samples else None
-        return report
-    matches = [metrics.match_sample(s, iou_thresh) for s in samples]
-    report["precision_at_f1"] = metrics.precision_at_f1(matches) if matches else None
-    try:
-        report["n_acc"] = metrics.n_acc(samples)
-    except ValueError:
-        report["n_acc"] = None
+        scored, failures = [], list(failures)
+        for s in samples:
+            try:
+                scored.append((s, metrics._single_box_iou(s)))
+            except ValueError as exc:
+                failures.append(_failure(s.sample_id, str(exc)))
+        samples = [s for s, _ in scored]
+        report = {"iou_at_thresh": sum(v >= iou_thresh for _, v in scored) / len(scored) if scored else None}
+        rows = [{"sample_id": s.sample_id, "iou": v} for s, v in scored]
+    else:
+        matches = [metrics.match_sample(s, iou_thresh) for s in samples]
+        report = {"precision_at_f1": metrics.precision_at_f1(matches) if matches else None}
+        try:
+            report["n_acc"] = metrics.n_acc(samples)
+        except ValueError:
+            report["n_acc"] = None
+        rows = [{"sample_id": s.sample_id, "tp": m.tp, "fp": m.fp, "fn": m.fn, "f1": m.f1}
+                for s, m in zip(samples, matches)]
+    report.update(n_samples=len(samples), iou_threshold=iou_thresh, n_failures=len(failures), failures=failures)
     if per_sample:
-        report["per_sample"] = [{"sample_id": s.sample_id, "tp": m.tp, "fp": m.fp, "fn": m.fn, "f1": m.f1}
-                                for s, m in zip(samples, matches)]
+        report["per_sample"] = rows
     return report
 
 
@@ -301,8 +313,9 @@ def cmd_eval(args) -> int:
     samples = [metrics.EvalSample(key, boxes, predicted[key]) for key, boxes in gt.items() if key in predicted]
     failures = ([_failure(key, f"no prediction for sample_id {key!r}") for key in gt if key not in predicted]
                 + [_failure(key, _no_ground_truth(key)) for key in predicted if key not in gt])
-    print(_dump(_report(samples, failures, args.iou, args.metric, args.per_sample)))
-    return 1 if failures else 0
+    report = _report(samples, failures, args.iou, args.metric, args.per_sample)
+    print(_dump(report))
+    return 1 if report["failures"] else 0
 
 
 def _decouple_record(rec: dict, offline: bool, vlm_cfg) -> decouple.DecoupleResult:

@@ -109,15 +109,20 @@ def n_acc(samples: list) -> float:
     return sum(1 for s in no_target if len(s.pred_boxes) == 0) / len(no_target)
 
 
+def _single_box_iou(s: EvalSample) -> float:
+    """The IoU of a sample's one predicted box with its one GT box; ValueError unless it has one of each."""
+    if len(s.gt_boxes) != 1 or len(s.pred_boxes) != 1:
+        raise ValueError(
+            f"sample {s.sample_id!r} has {len(s.gt_boxes)} GT / {len(s.pred_boxes)} "
+            "predicted boxes; this metric needs exactly one of each"
+        )
+    return iou(s.pred_boxes[0], s.gt_boxes[0])
+
+
 def iou_at_05(samples: list, iou_thresh: float = 0.5) -> float:
     """Single-box protocol: fraction of samples with IoU >= threshold."""
     _check_threshold(iou_thresh)
     if not samples:
         raise ValueError("sample set is empty")
-    for s in samples:
-        if len(s.gt_boxes) != 1 or len(s.pred_boxes) != 1:
-            raise ValueError(
-                f"sample {s.sample_id!r} has {len(s.gt_boxes)} GT / {len(s.pred_boxes)} "
-                "predicted boxes; this metric needs exactly one of each"
-            )
-    return sum(1 for s in samples if iou(s.pred_boxes[0], s.gt_boxes[0]) >= iou_thresh) / len(samples)
+    ious = [_single_box_iou(s) for s in samples]
+    return sum(v >= iou_thresh for v in ious) / len(ious)

@@ -290,18 +290,66 @@ def _decode_matrix(name: str, value, dim: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
-def load_bundle(path: str | Path) -> ProjectionBundle:
-    """The bundle of a weight file; any fault of its contents raises ValueError("<path>: ...")."""
+def _layout_fields(data: jsonl._Bytes) -> dict | None:
+    """ProjectionBundle's fields of bytes in save_bundle's layout, read by position; None for any other bytes.
+
+    The header is the text before the first matrix key, parsed as the JSON
+    object it opens and checked as a header. Each matrix then follows in
+    sorted order: its exact key bytes, a base64 run decoded straight from
+    ``data`` (whose pages below it are then handed back) and a quote. A ``}``
+    and JSON whitespace end the bytes. Bytes read so are one JSON object whose
+    fields a whole-file parse reads the same, as its later matrices override
+    any that the header holds. Any other bytes, and any fault, give None.
+    """
+    pos = data.find(0, data.size, b', "w_et": "')
+    if pos < 0:
+        return None
     try:
-        text = jsonl._text(path)
+        fields = records._weight_header(json.loads(data.text(0, pos) + "}"), ())
+        dim = fields.pop("dim")
+        for name in sorted(_MATRICES):
+            key = f', "{name}": "'.encode("ascii")
+            start = pos + len(key)
+            end = data.find(start, data.size, b'"')
+            if data.view[pos:start] != key or end < 0:
+                return None
+            # One copy of the run, checked as _decode_matrix checks it.
+            raw = base64.b64decode(data.view[start:end], validate=True)
+            fields[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dim, dim)
+            del raw  # not alive while the next run is copied
+            data.release(end)
+            pos = end + 1
+    except (ValueError, RecursionError):  # also not UTF-8, base64 or dim * dim floats, and JSON nested too deep
+        return None
+    return fields if bytes(data.view[pos:]).strip(b" \t\n\r") == b"}" else None
+
+
+def _parsed_fields(data: jsonl._Bytes) -> dict:
+    """ProjectionBundle's fields of a whole-file JSON parse of ``data``, which names any fault."""
+    text = data.text(0, data.size)
+    try:
+        payload = json.loads(text)
+    except ValueError:  # the fault's place as a text-mode read gives it, each \r\n and \r read as one \n
+        payload = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+    del text
+    header = records._weight_header(payload, _MATRICES)
+    dim = header.pop("dim")
+    return {name: _decode_matrix(name, payload[name], dim).reshape(dim, dim) for name in _MATRICES} | header
+
+
+def load_bundle(path: str | Path) -> ProjectionBundle:
+    """The bundle of a weight file; any fault of its contents raises ValueError("<path>: ...").
+
+    The file is mapped or read once (see jsonl._Bytes). Bytes in save_bundle's
+    layout are read by position, with no text of the whole file or of its
+    payloads; any other bytes are parsed whole as JSON.
+    """
+    try:
+        data = jsonl._Bytes(path)
         try:
-            payload = json.loads(text)
-        except ValueError:  # the fault's place as a text-mode read gives it, each \r\n and \r read as one \n
-            payload = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
-        del text
-        header = records._weight_header(payload, _MATRICES)
-        dim = header.pop("dim")
-        mats = {name: _decode_matrix(name, payload[name], dim).reshape(dim, dim) for name in _MATRICES}
-        return ProjectionBundle(**mats, **header)
+            fields = _layout_fields(data) or _parsed_fields(data)
+        finally:
+            data.close()
+        return ProjectionBundle(**fields)
     except (ValueError, RecursionError) as exc:  # also JSON nested too deep
         raise ValueError(f"{path}: {exc}") from None

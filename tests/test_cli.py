@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import strict_json
 
-from hemix import cli, grounding, ingest, jsonl, trainer
+from hemix import cli, grounding, ingest, jsonl, metrics, trainer
 from hemix.similarity import ProjectionBundle, save_bundle
 
 DATA = Path(__file__).parent / "data"
@@ -289,6 +289,38 @@ def test_eval_cli_wrec_metric(capsys, tmp_path):
     assert json.loads(out)["iou_at_thresh"] == 1.0
 
 
+def test_eval_wrec_fails_each_sample_without_one_box_in_each_file(capsys, tmp_path):
+    # The fixture's s2 has two boxes in each file. It fails, as does every
+    # sample without one box in each file, and the others are scored as they
+    # are on their own, one per_sample row each.
+    gt, preds = jsonl.read_jsonl(DATA / "gt.jsonl"), jsonl.read_jsonl(DATA / "golden_predictions.jsonl")
+    pred_boxes = {r["sample_id"]: r["boxes"] for r in preds}
+    single = [r["sample_id"] for r in gt if len(r["boxes"]) == len(pred_boxes[r["sample_id"]]) == 1]
+    paths = {name: tmp_path / f"{name}.jsonl" for name in ("gt", "pred")}
+    for name, recs in (("gt", gt), ("pred", preds)):
+        jsonl.write_jsonl(paths[name], [r for r in recs if r["sample_id"] in single])
+    argv = ["eval", "--metric", "wrec", "--per-sample"]
+    code, out, _ = run(capsys, *argv, "--gt", str(DATA / "gt.jsonl"),
+                       "--pred", str(DATA / "golden_predictions.jsonl"))
+    assert code == 1
+    report = json.loads(out)
+    failures = report.pop("failures")
+    assert failures[0] == {"sample_id": "s2",
+                           "error": "sample 's2' has 2 GT / 2 predicted boxes; this metric needs exactly one of each"}
+    assert [f["sample_id"] for f in failures] == [r["sample_id"] for r in gt if r["sample_id"] not in single]
+    assert report.pop("n_failures") == len(failures) == len(gt) - len(single)
+    code, out, _ = run(capsys, *argv, "--gt", str(paths["gt"]), "--pred", str(paths["pred"]))
+    assert code == 0
+    alone = json.loads(out)
+    assert (alone.pop("failures"), alone.pop("n_failures")) == ([], 0)
+    assert report == alone
+    gt_boxes = {r["sample_id"]: r["boxes"] for r in gt}
+    assert report["per_sample"] == [{"sample_id": sid, "iou": metrics.iou(pred_boxes[sid][0], gt_boxes[sid][0])}
+                                    for sid in single]
+    assert report["n_samples"] == len(single) == 2
+    assert report["iou_at_thresh"] == sum(r["iou"] >= 0.5 for r in report["per_sample"]) / len(single) == 0.5
+
+
 @pytest.mark.parametrize("metric", ["grec", "wrec"])
 def test_eval_fails_a_prediction_with_no_ground_truth(capsys, tmp_path, metric):
     # The golden predictions with one more for a sample_id that the ground
@@ -372,7 +404,8 @@ def test_eval_on_an_empty_ground_truth_file(capsys, tmp_path, metric, preds):
     assert code == (1 if preds else 0)
     failures = [{"sample_id": r["sample_id"], "error": f"no ground truth for sample_id {r['sample_id']!r}"}
                 for r in preds]
-    nulls = {"iou_at_thresh": None} if metric == "wrec" else {"precision_at_f1": None, "n_acc": None, "per_sample": []}
+    nulls = ({"iou_at_thresh": None, "per_sample": []} if metric == "wrec"
+             else {"precision_at_f1": None, "n_acc": None, "per_sample": []})
     assert strict_json.loads(out) == {"n_samples": 0, "iou_threshold": 0.5, **nulls,
                                       "n_failures": len(failures), "failures": failures}
 

@@ -16,7 +16,11 @@ same result at one CPU and at three, with the anchors file cut into one-byte
 spans, where the weight, ground-truth and texts files are read while forked
 children decode the anchors, and leaves no child process behind. A mutated
 anchors file gives that result again, at one CPU and at three, when it is
-read from a pipe, which is one span read once.
+read from a pipe, which is one span read once. A case on any file but the
+ground truth and predictions also runs ``ground``, on texts records that carry
+their offline phrases, at one CPU and at three: both give one result, exit 2
+writes no predictions, and otherwise the predictions written plus the
+``error:`` lines make the number of texts records.
 
 Tier-1 runs the first ``TIER1_CASES`` cases of each seed. A longer soak over
 the same seeds runs from the command line:
@@ -67,11 +71,13 @@ def write(path: Path, lines: list) -> Path:
     return path
 
 
-def pipeline(tmp: Path, anchors=None, texts=None, gt=None, weights=None) -> tuple:
+def pipeline(tmp: Path, anchors=None, texts=None, gt=None, weights=None, command="pipeline") -> tuple:
     """(exit code, stderr, predictions text or None, report text or None) of the offline pipeline.
 
     Each of ``anchors``, ``texts``, ``gt`` and ``weights`` is a list of record
-    lines that replaces that fixture file, or the name of a file read in its place.
+    lines that replaces that fixture file, or the name of a file read in its
+    place. With ``command`` "ground", ``ground`` runs on the anchors, texts
+    and weights instead, and writes no report.
     """
     paths = {}
     for kind, lines in (("anchors", anchors), ("texts", texts), ("gt", gt), ("weights", weights)):
@@ -80,9 +86,11 @@ def pipeline(tmp: Path, anchors=None, texts=None, gt=None, weights=None) -> tupl
     preds, report = tmp / "preds.jsonl", tmp / "report.json"
     for out in (preds, report):
         out.unlink(missing_ok=True)
-    code, _, err = run("pipeline", "--anchors", paths["anchors"], "--texts", paths["texts"],
-                       "--weights", paths["weights"], "--gt", paths["gt"], "--offline",
-                       "--out", preds, "--report", report)
+    argv = [command, "--anchors", paths["anchors"], "--texts", paths["texts"], "--weights", paths["weights"],
+            "--out", preds]
+    if command == "pipeline":
+        argv += ["--gt", paths["gt"], "--offline", "--report", report]
+    code, _, err = run(*argv)
     return code, err, *(out.read_text() if out.exists() else None for out in (preds, report))
 
 
@@ -494,6 +502,43 @@ def cpus(n: int):
         ingest._MIN_RANGE_BYTES, ingest._cpu_count = saved
 
 
+# The offline phrases of each fixture texts record, by sample_id: ground reads them as given phrases.
+PHRASES = {json.loads(line)["sample_id"]: list(cli._decouple_record(json.loads(line), True, None).phrases)
+           for line in fixture_lines("texts.jsonl")}
+
+
+def with_phrases(lines: list) -> list:
+    """Texts record lines for ground: each object with a fixture sample_id gets that sample's phrases.
+
+    The key is spliced in after the line's ``{``, so the rest of its bytes are
+    the ones pipeline is given; a ``phrases`` key of its own comes later and wins.
+    """
+    out = []
+    for line in lines:
+        rec = json.loads(line)
+        if isinstance(rec, dict) and isinstance(rec.get("sample_id"), str) and rec["sample_id"] in PHRASES:
+            brace = line.index("{") + 1
+            line = f'{line[:brace]}"phrases": {json.dumps(PHRASES[rec["sample_id"]])}, {line[brace:]}'
+        out.append(line)
+    return out
+
+
+def check_ground(case: dict, tmp: Path, label: str) -> None:
+    """Runs ground on a case's anchors, texts or weights, at one CPU and at three, and asserts its record sum."""
+    files = {case["kind"]: case["lines"]}
+    texts = with_phrases(files.pop("texts", fixture_lines("texts.jsonl")))
+    with cpus(1):
+        code, err, preds, _ = pipeline(tmp, texts=texts, command="ground", **files)
+    with cpus(3):
+        assert pipeline(tmp, texts=texts, command="ground", **files) == (code, err, preds, None), label
+    assert code in (0, 1, 2), label
+    if code == 2:
+        assert preds is None, label
+    else:  # each texts record is one prediction or one error line
+        written = len(preds.splitlines()) - 1
+        assert written + sum(line.startswith("error:") for line in err.splitlines()) == len(texts), label
+
+
 def check_case(case: dict, tmp: Path) -> None:
     """Runs one case and asserts the oracle (see the module docstring)."""
     label = f"{case['kind']} record {case['index']}: {case['what']}"
@@ -511,6 +556,8 @@ def check_case(case: dict, tmp: Path) -> None:
             with cpus(n), piped(paths["anchors"]) as pipe:
                 got = pipeline(tmp, anchors=pipe)
             assert got == (code, err.replace(str(paths["anchors"]), pipe), preds, report), (label, n)
+        if case["kind"] != "gt":
+            check_ground(case, tmp, label)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     assert code in (0, 1, 2), label
