@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -220,10 +221,23 @@ def _failure(sample_id, error: str) -> dict:
     return {"sample_id": json.loads(json.dumps(sample_id), parse_constant=str), "error": error}
 
 
+def _image_key(rec):
+    """A texts record's raw image_id where it is a string or a number (see records._id), else None."""
+    key = rec.get("image_id") if isinstance(rec, dict) else None
+    return key if isinstance(key, str) or records._is_number(key) else None
+
+
 def _ground_records(texts: list, phrases_of, anchor_map: dict, bundle, args) -> tuple[list, list]:
-    """(predictions, failures) of the texts records, each checked by records.texts_record, then grounded."""
+    """(predictions, failures) of the texts records, each checked by records.texts_record, then grounded.
+
+    An image's entry leaves ``anchor_map`` once the last record that could look
+    it up is done, whatever its outcome, so at most one image's projected pool
+    is alive at a time.
+    """
     predictions, failures, seen = [], [], set()
+    left = Counter(map(_image_key, texts))  # None, which names no image, counts the other records
     for rec in texts:
+        key = _image_key(rec)
         try:
             sample_id, image_id, features = records.texts_record(rec, seen)
             rec.pop("features", None)  # its rows are in ``features`` now
@@ -246,6 +260,9 @@ def _ground_records(texts: list, phrases_of, anchor_map: dict, bundle, args) -> 
         except (ValueError, KeyError, decouple.DecoupleError) as exc:
             label = rec.get("sample_id", "<missing sample_id>") if isinstance(rec, dict) else "<missing sample_id>"
             failures.append(_failure(label, jsonl._message(exc)))
+        left[key] -= 1
+        if not left[key]:
+            anchor_map.pop(key, None)
     return predictions, failures
 
 
