@@ -5,7 +5,6 @@ from .contrastive import (
     ImageRecord,
     contrastive_loss,
     gradient_check,
-    hierarchical_loss,
 )
 from .decouple import (
     DecoupleError,

@@ -11,11 +11,11 @@ samples), 2 configuration or IO error.
 from __future__ import annotations
 
 import argparse
+import base64
 import csv
 import json
 import math
 import sys
-from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -202,8 +202,6 @@ def cmd_decouple(args) -> int:
         cfg = decouple.VlmConfig.from_env(timeout_s=args.vlm_timeout_s, retries=args.retries)
         image_b64 = None
         if args.image:
-            import base64
-
             image_b64 = base64.b64encode(Path(args.image).read_bytes()).decode("ascii")
         result = decouple.decouple_via_service(
             args.expr, image_b64, cfg, include_examples=not args.no_examples
@@ -235,8 +233,8 @@ def _ground_records(texts: list, phrases_of, anchor_map: dict, bundle, args) -> 
     is alive at a time.
     """
     predictions, failures, seen = [], [], set()
-    left = Counter(map(_image_key, texts))  # None, which names no image, counts the other records
-    for rec in texts:
+    last = {_image_key(rec): i for i, rec in enumerate(texts)}  # None, which names no image, keys the other records
+    for i, rec in enumerate(texts):
         key = _image_key(rec)
         try:
             sample_id, image_id, features = records.texts_record(rec, seen)
@@ -260,8 +258,7 @@ def _ground_records(texts: list, phrases_of, anchor_map: dict, bundle, args) -> 
         except (ValueError, KeyError, decouple.DecoupleError) as exc:
             label = rec.get("sample_id", "<missing sample_id>") if isinstance(rec, dict) else "<missing sample_id>"
             failures.append(_failure(label, jsonl._message(exc)))
-        left[key] -= 1
-        if not left[key]:
+        if last[key] == i:
             anchor_map.pop(key, None)
     return predictions, failures
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lorentz import geodesic_distance, lift
 from .similarity import _MATRICES, ProjectionBundle, _both, _half, embed_rows, pair_scores
 
 
@@ -161,24 +160,6 @@ def contrastive_loss(
             raise ValueError(f"gradient {name} contains non-finite entries")
         apply(name, grad)
     return loss
-
-
-def hierarchical_loss(
-    f_cat: np.ndarray,
-    f_base_ref: np.ndarray,
-    f_ref: np.ndarray,
-    bundle: ProjectionBundle,
-) -> float:
-    """Explicit hierarchy constraint: geodesic distances of category and
-    decomposed phrase to the raw expression, all through the text projection."""
-    f_cat = np.asarray(f_cat, dtype=np.float64)
-    f_base_ref = np.asarray(f_base_ref, dtype=np.float64)
-    f_ref = np.asarray(f_ref, dtype=np.float64)
-    if not f_cat.shape == f_base_ref.shape == f_ref.shape:
-        raise ValueError("hierarchy features must share one dimension")
-    embed = lambda f: lift(f @ bundle.w_ht, bundle.kappa)
-    base = embed(f_base_ref)
-    return geodesic_distance(embed(f_cat), base) + geodesic_distance(embed(f_ref), base)
 
 
 # gradient_check evaluates its perturbed weights in slices of at most this

@@ -5,8 +5,9 @@ branch projects into spatial coordinates and lifts onto the hyperboloid, where
 similarity is the Lorentzian inner product. The mixed score is the convex
 combination (1 - alpha) * sim_e + alpha * sim_h.
 
-``score_matrix`` scores every anchor row against every text row at once and is
-the one implementation of the score; the per-pair functions are 1x1 views.
+``embed_rows`` and ``pair_scores`` are the one implementation of the score:
+``score_matrix`` and its 1x1 views (the per-pair functions) call them, and so
+do grounding (on pooled visual rows) and the contrastive loss (on weight stacks).
 """
 
 from __future__ import annotations
@@ -313,10 +314,8 @@ def _layout_fields(data: jsonl._Bytes) -> dict | None:
             end = data.find(start, data.size, b'"')
             if data.view[pos:start] != key or end < 0:
                 return None
-            # One copy of the run, checked as _decode_matrix checks it.
-            raw = base64.b64decode(data.view[start:end], validate=True)
-            fields[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dim, dim)
-            del raw  # not alive while the next run is copied
+            # One copy of the run, whose decoded bytes are freed before the next run is copied.
+            fields[name] = _decode_matrix(name, data.view[start:end], dim).reshape(dim, dim)
             data.release(end)
             pos = end + 1
     except (ValueError, RecursionError):  # also not UTF-8, base64 or dim * dim floats, and JSON nested too deep

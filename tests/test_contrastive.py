@@ -9,9 +9,7 @@ from hemix.contrastive import (
     ImageRecord,
     contrastive_loss,
     gradient_check,
-    hierarchical_loss,
 )
-from hemix.lorentz import geodesic_distance, lift
 from hemix.similarity import _MATRICES, ProjectionBundle, hemix
 
 
@@ -293,29 +291,6 @@ class TestGradientCheck:
         batch = rand_batch(np.random.default_rng(10), 4)
         with pytest.raises(ValueError):
             gradient_check(batch, bundle, epsilon=eps)
-
-
-class TestHierarchicalLoss:
-    def test_coincident_points_zero(self):
-        bundle = ProjectionBundle.initialize(4, seed=11)
-        f = np.random.default_rng(11).standard_normal(4)
-        assert hierarchical_loss(f, f.copy(), f.copy(), bundle) == 0.0
-
-    def test_recomposes_from_geodesics(self):
-        rng = np.random.default_rng(12)
-        bundle = ProjectionBundle.initialize(4, seed=12)
-        cat, base, ref = (rng.standard_normal(4) for _ in range(3))
-        embed = lambda f: lift(f @ bundle.w_ht, bundle.kappa)
-        expected = geodesic_distance(embed(cat), embed(base)) + geodesic_distance(embed(ref), embed(base))
-        assert hierarchical_loss(cat, base, ref, bundle) == pytest.approx(expected, rel=1e-14)
-
-    def test_symmetric_in_outer_arguments(self):
-        rng = np.random.default_rng(13)
-        bundle = ProjectionBundle.initialize(4, seed=13)
-        cat, base, ref = (rng.standard_normal(4) for _ in range(3))
-        assert hierarchical_loss(cat, base, ref, bundle) == pytest.approx(
-            hierarchical_loss(ref, base, cat, bundle), rel=1e-14
-        )
 
 
 @pytest.mark.parametrize("poison, message", [

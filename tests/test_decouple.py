@@ -1,3 +1,4 @@
+import base64
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -276,6 +277,18 @@ class TestServiceClient:
         payload = json.loads(report.read_text())
         assert [f["sample_id"] for f in payload["failures"]] == ["s1"]
         assert payload["n_samples"] == 1
+
+    def test_cli_sends_the_image_file_as_base64(self, stub_server, monkeypatch, tmp_path, capsys):
+        url, handler = stub_server
+        handler.responses = [THREE_GLASSES]
+        monkeypatch.setenv("VLM_ENDPOINT", url)
+        image = tmp_path / "image.png"
+        image.write_bytes(bytes(range(256)) + b"\x89PNG\r\n")
+        code = cli.main(["decouple", "--expr", "three glasses", "--image", str(image)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert handler.requests[0]["body"]["image_b64"] == base64.b64encode(image.read_bytes()).decode("ascii")
+        assert json.loads(out) == D.parse_response(THREE_GLASSES).to_dict()
 
     def test_env_config_requires_endpoint(self, monkeypatch):
         monkeypatch.delenv("VLM_ENDPOINT", raising=False)
