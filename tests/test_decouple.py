@@ -290,6 +290,19 @@ class TestServiceClient:
         assert handler.requests[0]["body"]["image_b64"] == base64.b64encode(image.read_bytes()).decode("ascii")
         assert json.loads(out) == D.parse_response(THREE_GLASSES).to_dict()
 
+    def test_cli_fails_a_missing_image_file_before_any_request(self, stub_server, monkeypatch, tmp_path, capsys):
+        url, handler = stub_server
+        handler.responses = [THREE_GLASSES]
+        monkeypatch.setenv("VLM_ENDPOINT", url)
+        missing = tmp_path / "missing.png"
+        code = cli.main(["decouple", "--expr", "three glasses", "--image", str(missing)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        error = captured.err.splitlines()[-1]
+        assert error.startswith("error: ") and str(missing) in error
+        assert handler.requests == []
+
     def test_env_config_requires_endpoint(self, monkeypatch):
         monkeypatch.delenv("VLM_ENDPOINT", raising=False)
         with pytest.raises(D.DecoupleError):

@@ -402,6 +402,21 @@ class TestWeightFormat:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: encoding: missing$"):
             load_bundle(path)
 
+    def test_each_payload_is_decoded_by_decode_matrix_before_its_pages_are_released(self, tmp_path, monkeypatch):
+        # The layout reader and the whole-file parse check a payload with one function.
+        calls = []
+        decode, release = similarity._decode_matrix, similarity.jsonl._Bytes.release
+        monkeypatch.setattr(similarity, "_decode_matrix",
+                            lambda name, value, dim: calls.append(("decode", name)) or decode(name, value, dim))
+        monkeypatch.setattr(similarity.jsonl._Bytes, "release",
+                            lambda self, end: calls.append(("release",)) or release(self, end))
+        monkeypatch.setattr(similarity, "_parsed_fields", lambda data: pytest.fail("whole-file parse of a saved file"))
+        path, _ = self.saved(tmp_path, dim=3, seed=2)
+        b = load_bundle(path)
+        names = sorted(("w_ev", "w_et", "w_hv", "w_ht"))
+        assert calls == [call for name in names for call in (("decode", name), ("release",))]
+        assert np.array_equal(b.w_hv, ProjectionBundle.initialize(3, seed=2).w_hv)
+
     def test_loaded_bundle_supports_gradient_check(self, tmp_path):
         path, _ = self.saved(tmp_path, dim=4, seed=9)
         rng = np.random.default_rng(9)
