@@ -38,8 +38,8 @@ _RELEASE_BYTES = 1 << 20
 class _Bytes:
     """The bytes of a file, mapped read-only, or read at once if it cannot be mapped (an empty file, a pipe).
 
-    ``view`` is a memoryview of all of them. A mapped file that another
-    process truncates while it is read ends this process with SIGBUS.
+    A mapped file that another process truncates while it is read ends this
+    process with SIGBUS.
     """
 
     def __init__(self, path):
@@ -48,17 +48,17 @@ class _Bytes:
                 self._data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
             except (OSError, ValueError):
                 self._data = fh.read()
-        self.view = memoryview(self._data)
+        self._view = memoryview(self._data)
         self.size = len(self._data)
         self._released = 0  # pages below this offset are handed back
 
-    def find(self, pos: int, end: int, sub: bytes = b"\n") -> int:
-        r"""The offset of the first ``sub``, by default a ``\n``, in bytes [pos, end), or -1."""
-        return self._data.find(sub, pos, end)
+    def find(self, pos: int, end: int) -> int:
+        r"""The offset of the first ``\n`` in bytes [pos, end), or -1."""
+        return self._data.find(b"\n", pos, end)
 
     def text(self, pos: int, end: int) -> str:
         """Bytes [pos, end) decoded as UTF-8, in one copy."""
-        return str(self.view[pos:end], "utf-8")
+        return str(self._view[pos:end], "utf-8")
 
     def newlines(self, end: int) -> int:
         r"""The number of ``\n`` in bytes [0, end), counted a window at a time."""
@@ -76,7 +76,7 @@ class _Bytes:
             self._released = cut
 
     def close(self) -> None:
-        self.view.release()
+        self._view.release()
         if isinstance(self._data, mmap.mmap):
             self._data.close()
 

@@ -129,7 +129,7 @@ def boxes_record(rec, seen: set) -> tuple:
 
 # The weight file's format fields and the one value each may have. "linear" is the only
 # embedding: the key keeps the header stable, and a file may leave it out.
-_WEIGHT_FORMAT = {"layout": "row-major", "encoding": "base64-f8le", "embed_strategy": "linear"}
+_WEIGHT_FORMAT = {"layout": "row-major", "encoding": "raw-f8le", "embed_strategy": "linear"}
 _WEIGHT_SCALARS = {
     "dim": ("a positive integer", lambda x: type(x) is int and x > 0),
     "alpha": ("a number in [0, 1]", lambda x: _is_number(x) and 0 <= x <= 1),
@@ -138,11 +138,11 @@ _WEIGHT_SCALARS = {
 }
 
 
-def _weight_header(payload, matrices) -> dict:
-    """The dim, alpha, tau and kappa of a weight file, after a check of its header and that it has ``matrices``."""
+def _weight_header(payload) -> dict:
+    """The dim, alpha, tau and kappa of a weight file, after a check of its header."""
     if not isinstance(payload, dict):
         raise ValueError("a weight file must be a JSON object")
-    for key in (*_WEIGHT_FORMAT, *_WEIGHT_SCALARS, *matrices):
+    for key in (*_WEIGHT_FORMAT, *_WEIGHT_SCALARS):
         if key not in payload and key != "embed_strategy":
             raise ValueError(f"{key}: missing")
     for key, want in _WEIGHT_FORMAT.items():

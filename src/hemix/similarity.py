@@ -12,10 +12,10 @@ do grounding (on pooled visual rows) and the contrastive loss (on weight stacks)
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
+import stat
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import jsonl, records
+from . import records
 from .lorentz import lift_time
 
 DEFAULT_DIM = 512
@@ -259,96 +259,51 @@ def hemix(f_v: np.ndarray, f_t: np.ndarray, bundle: ProjectionBundle) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Weight file format: one sorted-key JSON object. The header (alpha, dim,
-# embed_strategy, encoding, kappa, layout, tau) is text; each of the four
-# matrices is one base64 string of its dim*dim little-endian float64 values in
-# row-major order, so values round-trip bit for bit.
+# Weight file format: one sorted-key JSON header line (alpha, dim,
+# embed_strategy, encoding, kappa, layout, tau) and "\n", then the matrices
+# w_et, w_ev, w_ht and w_hv, each as its dim*dim little-endian float64 values in
+# row-major order, so values round-trip bit for bit. Nothing follows them.
 # ---------------------------------------------------------------------------
+
+_HEADER_BYTES = 4096  # the longest header line load_bundle reads, its \n included
 
 
 def save_bundle(bundle: ProjectionBundle, path: str | Path) -> None:
-    payload = {"dim": bundle.dim, "kappa": bundle.kappa, "alpha": bundle.alpha, "tau": bundle.tau,
-               **records._WEIGHT_FORMAT}
-    # The matrix keys sort after every header key, and base64 needs no JSON
-    # escaping, so the strings are written after the header as they are:
-    # the bytes of json.dumps(payload with matrices, sort_keys=True) + "\n".
+    header = {"dim": bundle.dim, "kappa": bundle.kappa, "alpha": bundle.alpha, "tau": bundle.tau,
+              **records._WEIGHT_FORMAT}
     with Path(path).open("wb") as fh:
-        fh.write(json.dumps(payload, sort_keys=True)[:-1].encode("ascii"))
+        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
         for name in sorted(_MATRICES):
-            raw = np.ascontiguousarray(getattr(bundle, name), dtype="<f8").tobytes()
-            fh.writelines((f', "{name}": "'.encode("ascii"), base64.b64encode(raw), b'"'))
-        fh.write(b"}\n")
-
-
-def _decode_matrix(name: str, value, dim: int) -> np.ndarray:
-    """One base64-f8le payload as an owned, writeable [dim * dim] float64 array."""
-    try:
-        raw = base64.b64decode(value, validate=True)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name}: not a valid base64 payload: {exc}") from None
-    if len(raw) != 8 * dim * dim:
-        raise ValueError(f"{name}: payload has {len(raw)} bytes, expected {8 * dim * dim}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-
-
-def _layout_fields(data: jsonl._Bytes) -> dict | None:
-    """ProjectionBundle's fields of bytes in save_bundle's layout, read by position; None for any other bytes.
-
-    The header is the text before the first matrix key, parsed as the JSON
-    object it opens and checked as a header. Each matrix then follows in
-    sorted order: its exact key bytes, a base64 run decoded straight from
-    ``data`` (whose pages below it are then handed back) and a quote. A ``}``
-    and JSON whitespace end the bytes. Bytes read so are one JSON object whose
-    fields a whole-file parse reads the same, as its later matrices override
-    any that the header holds. Any other bytes, and any fault, give None.
-    """
-    pos = data.find(0, data.size, b', "w_et": "')
-    if pos < 0:
-        return None
-    try:
-        fields = records._weight_header(json.loads(data.text(0, pos) + "}"), ())
-        dim = fields.pop("dim")
-        for name in sorted(_MATRICES):
-            key = f', "{name}": "'.encode("ascii")
-            start = pos + len(key)
-            end = data.find(start, data.size, b'"')
-            if data.view[pos:start] != key or end < 0:
-                return None
-            # One copy of the run, whose decoded bytes are freed before the next run is copied.
-            fields[name] = _decode_matrix(name, data.view[start:end], dim).reshape(dim, dim)
-            data.release(end)
-            pos = end + 1
-    except (ValueError, RecursionError):  # also not UTF-8, base64 or dim * dim floats, and JSON nested too deep
-        return None
-    return fields if bytes(data.view[pos:]).strip(b" \t\n\r") == b"}" else None
-
-
-def _parsed_fields(data: jsonl._Bytes) -> dict:
-    """ProjectionBundle's fields of a whole-file JSON parse of ``data``, which names any fault."""
-    text = data.text(0, data.size)
-    try:
-        payload = json.loads(text)
-    except ValueError:  # the fault's place as a text-mode read gives it, each \r\n and \r read as one \n
-        payload = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
-    del text
-    header = records._weight_header(payload, _MATRICES)
-    dim = header.pop("dim")
-    return {name: _decode_matrix(name, payload[name], dim).reshape(dim, dim) for name in _MATRICES} | header
+            fh.write(np.ascontiguousarray(getattr(bundle, name), dtype="<f8").data)
 
 
 def load_bundle(path: str | Path) -> ProjectionBundle:
     """The bundle of a weight file; any fault of its contents raises ValueError("<path>: ...").
 
-    The file is mapped or read once (see jsonl._Bytes). Bytes in save_bundle's
-    layout are read by position, with no text of the whole file or of its
-    payloads; any other bytes are parsed whole as JSON.
+    The header line is checked before anything is allocated for the matrices,
+    and a regular file's size before the matrices are read. They are read
+    into one [4, dim, dim] array, whose views the bundle holds.
     """
     try:
-        data = jsonl._Bytes(path)
-        try:
-            fields = _layout_fields(data) or _parsed_fields(data)
-        finally:
-            data.close()
-        return ProjectionBundle(**fields)
+        with open(path, "rb") as fh:
+            line = fh.readline(_HEADER_BYTES)
+            if not line.endswith(b"\n"):
+                raise ValueError(f"header: not one line of at most {_HEADER_BYTES} bytes ending in \\n")
+            fields = records._weight_header(json.loads(str(line, "utf-8")))
+            dim = fields.pop("dim")
+            want = 4 * 8 * dim * dim
+            st = os.fstat(fh.fileno())
+            if stat.S_ISREG(st.st_mode) and st.st_size - len(line) != want:
+                raise ValueError(f"payload has {st.st_size - len(line)} bytes, expected {want}")
+            try:
+                mats = np.empty((4, dim, dim), dtype="<f8")
+            except MemoryError:  # a dim far beyond what a pipe or device holds
+                raise ValueError(f"dim: {dim} needs more memory than this process may allocate") from None
+            got = fh.readinto(mats)
+            if got < want:
+                raise ValueError(f"payload has {got} bytes, expected {want}")
+            if fh.read(1):
+                raise ValueError(f"payload has more than the {want} bytes expected")
+        return ProjectionBundle(**dict(zip(sorted(_MATRICES), mats)), **fields)
     except (ValueError, RecursionError) as exc:  # also JSON nested too deep
         raise ValueError(f"{path}: {exc}") from None

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import math
@@ -1112,8 +1113,9 @@ def test_unkeyable_texts_image_id_fails_its_sample(capsys, tmp_path, image_id):
 
 
 def test_ground_rejects_expmap_weights(capsys, tmp_path):
+    header, newline, payload = (DATA / "weights.json").read_bytes().partition(b"\n")
     weights = tmp_path / "w.json"
-    weights.write_text((DATA / "weights.json").read_text().replace('"linear"', '"expmap"'))
+    weights.write_bytes(header.replace(b'"linear"', b'"expmap"') + newline + payload)
     code, _, err = run(
         capsys, "ground", "--anchors", str(DATA / "anchors.jsonl"), "--texts", str(DATA / "texts.jsonl"),
         "--weights", str(weights), "--out", str(tmp_path / "preds.jsonl"),
@@ -1123,16 +1125,41 @@ def test_ground_rejects_expmap_weights(capsys, tmp_path):
 
 
 def test_ground_rejects_truncated_weight_payload(capsys, tmp_path):
-    payload = json.loads((DATA / "weights.json").read_text())
-    payload["w_hv"] = payload["w_hv"][:-4]
+    # The cut falls in w_hv, the last matrix of the file.
+    data = (DATA / "weights.json").read_bytes()
     weights = tmp_path / "w.json"
-    weights.write_text(json.dumps(payload))
+    weights.write_bytes(data[:-4])
     code, _, err = run(
         capsys, "ground", "--anchors", str(DATA / "anchors.jsonl"), "--texts", str(DATA / "texts.jsonl"),
         "--weights", str(weights), "--out", str(tmp_path / "preds.jsonl"),
     )
     assert code == 2
-    assert "error:" in err and "w_hv" in err
+    assert err.splitlines()[-1] == f"error: {weights}: payload has 508 bytes, expected 512"
+
+
+@pytest.mark.parametrize("command", ["ground", "pipeline"])
+@pytest.mark.parametrize("dim, error", [
+    (4, 'encoding: must be "raw-f8le", got "base64-f8le"'),
+    (64, "header: not one line of at most 4096 bytes ending in \\n"),
+])
+def test_an_old_base64_json_weight_file_ends_the_run_with_one_error_line(capsys, tmp_path, command, dim, error):
+    # The form save_bundle wrote before the raw one: a single JSON object with base64 payloads, on one line.
+    bundle = ProjectionBundle.initialize(dim, seed=dim)
+    old = {"alpha": bundle.alpha, "dim": dim, "embed_strategy": "linear", "encoding": "base64-f8le",
+           "kappa": bundle.kappa, "layout": "row-major", "tau": bundle.tau}
+    old.update((name, base64.b64encode(getattr(bundle, name).tobytes()).decode())
+               for name in ("w_ev", "w_et", "w_hv", "w_ht"))
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps(old, sort_keys=True) + "\n")
+    argv = [command, "--anchors", str(DATA / "anchors.jsonl"), "--texts", str(DATA / "texts.jsonl"),
+            "--weights", str(weights), "--out", str(tmp_path / "preds.jsonl")]
+    if command == "pipeline":
+        argv += ["--gt", str(DATA / "gt.jsonl"), "--offline", "--report", str(tmp_path / "report.json")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {weights}: {error}"]
+    assert err.endswith(f"error: {weights}: {error}\n") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.json"]
 
 
 def test_missing_weights_is_config_error(capsys, tmp_path):

@@ -668,8 +668,10 @@ def test_meanwhile_runs_once_here_after_every_fork(monkeypatch, tmp_path, forks,
 def bad_input(tmp_path, kind):
     """(option, path) of a weight, ground-truth or texts file that fails the run."""
     if kind == "weights":
-        header = json.loads((DATA / "weights.json").read_text())
-        return "--weights", write_lines(tmp_path / "weights.json", [json.dumps(dict(header, alpha="0.5"))])
+        header, newline, payload = (DATA / "weights.json").read_bytes().partition(b"\n")
+        path = tmp_path / "weights.json"
+        path.write_bytes(json.dumps(dict(json.loads(header), alpha="0.5")).encode() + newline + payload)
+        return "--weights", path
     lines = (DATA / f"{kind}.jsonl").read_text().splitlines()
     lines[2] = '{"boxes": [[5, 5, 1, 1]], "sample_id": "s2"}' if kind == "gt" else '{"sample_id": "s2", '
     return "--" + kind, write_lines(tmp_path / f"{kind}.jsonl", lines)

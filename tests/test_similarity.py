@@ -1,11 +1,14 @@
-import base64
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,25 +263,35 @@ class TestBundleContract:
             ProjectionBundle(np.zeros((2, 3)), np.eye(2), np.eye(2), np.eye(2), alpha=0.5)
 
 
+MATRICES = ("w_ev", "w_et", "w_hv", "w_ht")
+
+
 def test_save_load_roundtrip(tmp_path):
     b = ProjectionBundle.initialize(6, alpha=0.3, tau=0.07, kappa=2.0, seed=11)
     path = tmp_path / "w.json"
     save_bundle(b, path)
     loaded = load_bundle(path)
-    for name in ("w_ev", "w_et", "w_hv", "w_ht"):
+    for name in MATRICES:
         assert np.array_equal(getattr(b, name), getattr(loaded, name))
     assert (loaded.alpha, loaded.tau, loaded.kappa) == (0.3, 0.07, 2.0)
+
+
+def edit_header(path, old: bytes, new: bytes) -> None:
+    """Replaces ``old`` with ``new`` in the header line of the weight file at ``path``."""
+    header, newline, payload = path.read_bytes().partition(b"\n")
+    assert old in header
+    path.write_bytes(header.replace(old, new) + newline + payload)
 
 
 def test_load_rejects_expmap_strategy(tmp_path):
     b = ProjectionBundle.initialize(2, seed=0)
     path = tmp_path / "w.json"
     save_bundle(b, path)
-    text = path.read_text()
-    assert '"embed_strategy": "linear"' in text
-    path.write_text(text.replace('"embed_strategy": "linear", ', ""))
+    data = path.read_bytes()
+    edit_header(path, b'"embed_strategy": "linear", ', b"")
     assert np.array_equal(load_bundle(path).w_ev, b.w_ev)
-    path.write_text(text.replace('"linear"', '"expmap"'))
+    path.write_bytes(data)
+    edit_header(path, b'"linear"', b'"expmap"')
     with pytest.raises(ValueError):
         load_bundle(path)
 
@@ -288,9 +301,7 @@ def test_load_rejects_expmap_strategy(tmp_path):
 def test_load_rejects_non_finite_scalar(tmp_path, name, literal):
     path = tmp_path / "w.json"
     save_bundle(ProjectionBundle.initialize(2, tau=0.5, kappa=0.5, seed=0), path)
-    text = path.read_text()
-    assert f'"{name}": 0.5' in text
-    path.write_text(text.replace(f'"{name}": 0.5', f'"{name}": {literal}'))
+    edit_header(path, f'"{name}": 0.5'.encode(), f'"{name}": {literal}'.encode())
     error = f"{path}: {name}: must be finite and positive, got {literal}"
     with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         load_bundle(path)
@@ -300,46 +311,158 @@ def test_load_rejects_unknown_layout(tmp_path):
     b = ProjectionBundle.initialize(2, seed=0)
     path = tmp_path / "w.json"
     save_bundle(b, path)
-    path.write_text(path.read_text().replace("row-major", "column-major"))
+    edit_header(path, b"row-major", b"column-major")
     with pytest.raises(ValueError):
         load_bundle(path)
 
 
-# Edits of a saved weight file whose faults are named by a position or a byte.
-# A text-mode read counts a CRLF or a lone \r as one character.
-WEIGHT_EDITS = {
-    "crlf": lambda data: data.replace(b", ", b",\r\n "),
-    "crlf_syntax": lambda data: data.replace(b", ", b",\r\n ").replace(b'"tau": ', b'"tau" '),
-    "cr_syntax": lambda data: data.replace(b", ", b",\r ").replace(b'"kappa": ', b'"kappa" '),
-    "bad_utf8": lambda data: data.replace(b'"linear"', b'"lin\xffear"'),
-    "cut_utf8": lambda data: data + b"\xc3",
-    "empty": lambda data: b"",
+def header_of_length(data: bytes, length: int) -> bytes:
+    """``data`` with spaces added inside its header object, so that the header line, its \n included, is ``length``."""
+    header, _, payload = data.partition(b"\n")
+    return header[:-1] + b" " * (length - len(header) - 1) + b"}\n" + payload
+
+
+def with_entry(data: bytes, index: int, value: float) -> bytes:
+    """``data`` with the float64 at ``index`` of its payload (matrices in sorted order) replaced by ``value``."""
+    start = data.index(b"\n") + 1
+    at = start + 8 * (index % ((len(data) - start) // 8))
+    return data[:at] + np.array(value, "<f8").tobytes() + data[at + 8:]
+
+
+# Faults of a saved d=3 file, whose payload is 4 * 9 float64 values (288 bytes), and the start of the message
+# that load_bundle gives for each after "<path>: ".
+WEIGHT_FAULTS = {
+    "truncated payload": (lambda data: data[:-8], "payload has 280 bytes, expected 288"),
+    "trailing byte": (lambda data: data + b"\0", "payload has 289 bytes, expected 288"),
+    "no payload": (lambda data: data[:data.index(b"\n") + 1], "payload has 0 bytes, expected 288"),
+    "header over the bound": (lambda data: header_of_length(data, 4097),
+                              "header: not one line of at most 4096 bytes ending in \\n"),
+    "header with no newline": (lambda data: data[:data.index(b"\n")],
+                               "header: not one line of at most 4096 bytes ending in \\n"),
+    "empty": (lambda data: b"", "header: not one line of at most 4096 bytes ending in \\n"),
+    "header not UTF-8": (lambda data: data.replace(b'"linear"', b'"lin\xffear"', 1),
+                         "'utf-8' codec can't decode byte 0xff"),
+    "header not JSON": (lambda data: data.replace(b'"tau": ', b'"tau" ', 1), "Expecting ':' delimiter: line 1"),
+    "header not an object": (lambda data: b"[1, 2]" + data[data.index(b"\n"):],
+                             "a weight file must be a JSON object"),
+    "header nested too deep": (lambda data: b"[" * 2000 + b"]" * 2000 + data[data.index(b"\n"):],
+                               "maximum recursion depth exceeded"),
+    "dim of another size": (lambda data: data.replace(b'"dim": 3', b'"dim": 2', 1),
+                            "payload has 288 bytes, expected 128"),
+    "unknown encoding": (lambda data: data.replace(b"raw-f8le", b"raw-f4le", 1),
+                         'encoding: must be "raw-f8le", got "raw-f4le"'),
+    "no encoding": (lambda data: data.replace(b'"encoding": "raw-f8le", ', b"", 1), "encoding: missing"),
+    "NaN entry": (lambda data: with_entry(data, 0, math.nan), "w_et contains non-finite entries"),
+    "infinite entry": (lambda data: with_entry(data, -1, -math.inf), "w_hv contains non-finite entries"),
 }
 
 
-@pytest.mark.parametrize("edit", sorted(WEIGHT_EDITS))
-def test_load_names_a_fault_as_a_text_mode_read_does(tmp_path, edit):
+def saved(tmp_path, dim: int, seed: int = 0) -> tuple:
+    """(path, bytes) of a seeded bundle saved at tmp_path/w.json."""
     path = tmp_path / "w.json"
-    b = ProjectionBundle.initialize(2, seed=0)
-    save_bundle(b, path)
-    path.write_bytes(WEIGHT_EDITS[edit](path.read_bytes()))
-    if edit == "crlf":
-        assert load_bundle(path).w_ev.tobytes() == b.w_ev.tobytes()
-        return
-    with pytest.raises(ValueError) as want:
-        json.loads(path.read_text(encoding="utf-8"))
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {want.value}')}$"):
+    save_bundle(ProjectionBundle.initialize(dim, seed=seed), path)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("fault", sorted(WEIGHT_FAULTS))
+def test_each_weight_file_fault_is_one_value_error_naming_the_file(tmp_path, fault):
+    edit, error = WEIGHT_FAULTS[fault]
+    path, data = saved(tmp_path, 3)
+    path.write_bytes(edit(data))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {error}')}"):
         load_bundle(path)
+
+
+def test_a_header_line_at_the_bound_is_read(tmp_path):
+    path, data = saved(tmp_path, 3, seed=6)
+    path.write_bytes(header_of_length(data, 4096))
+    assert load_bundle(path).w_ht.tobytes() == ProjectionBundle.initialize(3, seed=6).w_ht.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2048, 10 ** 6, 10 ** 30])
+def test_a_dim_far_beyond_the_file_fails_before_any_allocation(tmp_path, dim):
+    # A reader that allocated from the header's dim first would ask for 29 TiB at dim 10**6 and raise MemoryError.
+    path, data = saved(tmp_path, 3)
+    path.write_bytes(data.replace(b'"dim": 3', f'"dim": {dim}'.encode(), 1))
+    tracemalloc.start()
+    try:
+        error = f"{path}: payload has 288 bytes, expected {32 * dim * dim}"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            load_bundle(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda data: data, None),
+    (lambda data: data[:-8], "payload has 131064 bytes, expected 131072"),
+    (lambda data: data + b"\0", "payload has more than the 131072 bytes expected"),
+    # 3.2e17 bytes of matrices, beyond any address space, so the allocation fails on every host.
+    (lambda data: data.replace(b'"dim": 64', b'"dim": 100000000', 1),
+     "dim: 100000000 needs more memory than this process may allocate"),
+], ids=["whole", "truncated", "trailing byte", "dim beyond memory"])
+def test_a_fifo_is_read_once(tmp_path, monkeypatch, edit, error):
+    # At d=64 the 131,072-byte payload is larger than a pipe's buffer, so it arrives in several reads.
+    # A pipe's size is known only at its end, so a dim far beyond it is caught when the matrices are allocated.
+    path, data = saved(tmp_path, 64, seed=8)
+    data = edit(data)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    opened = []
+    monkeypatch.setattr(similarity, "open", lambda *args: opened.append(args) or open(*args), raising=False)
+
+    def write():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader closed the pipe at a fault in the header
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        if error is None:
+            assert load_bundle(fifo).w_hv.tobytes() == ProjectionBundle.initialize(64, seed=8).w_hv.tobytes()
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{fifo}: {error}')}$"):
+                load_bundle(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert opened == [(fifo, "rb")]
+
+
+VMHWM_CHILD = """
+import sys
+from hemix import similarity
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) * 1024
+
+before = peak()
+similarity.load_bundle(sys.argv[1])
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_a_d512_load_raises_the_peak_by_one_copy_of_the_matrices(tmp_path):
+    # The base64-JSON reader this format replaced raised VmHWM by 13.7 MB at d=512, against 8.4 MB of matrices.
+    path, _ = saved(tmp_path, 512, seed=1)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(Path(similarity.__file__).parents[1]),
+                                                                    os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", VMHWM_CHILD, str(path)], env=env, check=True, capture_output=True,
+                         text=True, timeout=60).stdout
+    matrices = 4 * 8 * 512 * 512
+    assert int(out) <= matrices + (1 << 20), (int(out), matrices)
 
 
 class TestWeightFormat:
     EDGE = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
             0.1, 1 / 3, -2.718281828459045, 1.0000000000000002, 123456789.01234567)
-
-    def saved(self, tmp_path, dim=3, seed=0):
-        path = tmp_path / "w.json"
-        save_bundle(ProjectionBundle.initialize(dim, seed=seed), path)
-        return path, json.loads(path.read_text())
 
     def test_bitwise_roundtrip_d512(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -350,7 +473,7 @@ class TestWeightFormat:
         path = tmp_path / "w.json"
         save_bundle(b, path)
         loaded = load_bundle(path)
-        for name in ("w_ev", "w_et", "w_hv", "w_ht"):
+        for name in MATRICES:
             got = getattr(loaded, name)
             assert got.tobytes() == getattr(b, name).tobytes()
             assert got.flags.writeable and got.flags.c_contiguous
@@ -359,66 +482,26 @@ class TestWeightFormat:
         save_bundle(loaded, again)
         assert again.read_bytes() == path.read_bytes()
 
-    def test_header_is_text_and_payload_is_base64(self, tmp_path):
-        _, payload = self.saved(tmp_path, dim=3)
-        assert payload["encoding"] == "base64-f8le"
-        assert sorted(payload) == ["alpha", "dim", "embed_strategy", "encoding", "kappa", "layout",
-                                   "tau", "w_et", "w_ev", "w_ht", "w_hv"]
-        assert len(base64.b64decode(payload["w_ev"], validate=True)) == 8 * 3 * 3
-
-    def test_bytes_are_sorted_json_dumps(self, tmp_path):
+    def test_bytes_are_a_sorted_json_header_line_then_the_sorted_matrices(self, tmp_path):
         b = ProjectionBundle.initialize(3, alpha=0.3, tau=0.05, kappa=2.0, seed=4)
         path = tmp_path / "w.json"
         save_bundle(b, path)
-        payload = {"alpha": 0.3, "dim": 3, "embed_strategy": "linear", "encoding": "base64-f8le",
-                   "kappa": 2.0, "layout": "row-major", "tau": 0.05}
-        for name in ("w_ev", "w_et", "w_hv", "w_ht"):
-            payload[name] = base64.b64encode(getattr(b, name).astype("<f8").tobytes()).decode()
-        assert path.read_bytes() == (json.dumps(payload, sort_keys=True) + "\n").encode()
+        header = {"alpha": 0.3, "dim": 3, "embed_strategy": "linear", "encoding": "raw-f8le",
+                  "kappa": 2.0, "layout": "row-major", "tau": 0.05}
+        payload = b"".join(getattr(b, name).astype("<f8").tobytes() for name in sorted(MATRICES))
+        assert path.read_bytes() == (json.dumps(header, sort_keys=True) + "\n").encode() + payload
+        assert len(payload) == 4 * 8 * 3 * 3
 
-    def test_garbled_base64_rejected(self, tmp_path):
-        path, payload = self.saved(tmp_path)
-        payload["w_et"] = "!" + payload["w_et"][1:]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="w_et"):
-            load_bundle(path)
-
-    def test_short_payload_rejected(self, tmp_path):
-        path, payload = self.saved(tmp_path)
-        payload["w_hv"] = base64.b64encode(base64.b64decode(payload["w_hv"])[:-8]).decode()
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="w_hv"):
-            load_bundle(path)
-
-    def test_unknown_encoding_rejected(self, tmp_path):
-        path, payload = self.saved(tmp_path)
-        payload["encoding"] = "base64-f4le"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="base64-f4le"):
-            load_bundle(path)
-        # A file without the key is not read as some other form.
-        del payload["encoding"]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: encoding: missing$"):
-            load_bundle(path)
-
-    def test_each_payload_is_decoded_by_decode_matrix_before_its_pages_are_released(self, tmp_path, monkeypatch):
-        # The layout reader and the whole-file parse check a payload with one function.
-        calls = []
-        decode, release = similarity._decode_matrix, similarity.jsonl._Bytes.release
-        monkeypatch.setattr(similarity, "_decode_matrix",
-                            lambda name, value, dim: calls.append(("decode", name)) or decode(name, value, dim))
-        monkeypatch.setattr(similarity.jsonl._Bytes, "release",
-                            lambda self, end: calls.append(("release",)) or release(self, end))
-        monkeypatch.setattr(similarity, "_parsed_fields", lambda data: pytest.fail("whole-file parse of a saved file"))
-        path, _ = self.saved(tmp_path, dim=3, seed=2)
-        b = load_bundle(path)
-        names = sorted(("w_ev", "w_et", "w_hv", "w_ht"))
-        assert calls == [call for name in names for call in (("decode", name), ("release",))]
-        assert np.array_equal(b.w_hv, ProjectionBundle.initialize(3, seed=2).w_hv)
+    @pytest.mark.parametrize("name", ["weights", "w.npz", "w.json.gz"])
+    def test_the_file_name_is_not_read(self, tmp_path, name):
+        b = ProjectionBundle.initialize(3, seed=2)
+        save_bundle(b, tmp_path / "w.json")
+        save_bundle(b, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (tmp_path / "w.json").read_bytes()
+        assert load_bundle(tmp_path / name).w_et.tobytes() == b.w_et.tobytes()
 
     def test_loaded_bundle_supports_gradient_check(self, tmp_path):
-        path, _ = self.saved(tmp_path, dim=4, seed=9)
+        path, _ = saved(tmp_path, 4, seed=9)
         rng = np.random.default_rng(9)
         batch = GroundingBatch(
             [ImageRecord([rng.standard_normal(4) for _ in range(3)], rng.standard_normal(4)) for _ in range(3)]

@@ -209,21 +209,23 @@ class TestSelectionAccuracy:
 # reproduce them byte for byte. OpenBLAS rounds its products differently on
 # each core's kernels, so there is one set per core name (see _blas_core),
 # each recorded with OPENBLAS_CORETYPE set to that core on an AVX-512 host.
+# The weights.json hashes are of the raw-f8le weight file, whose matrices and
+# scalars equal those of the base64-JSON file it replaced, bit for bit.
 _TRAIN_TOY_ARGS = ("--dim", "16", "--steps", "30", "--batch-images", "4", "--negatives", "3",
                    "--samples", "32", "--seed", "3")
 _TRAIN_TOY_PINS = {
     "SkylakeX": {
-        "weights.json": "a3203a65a8c7175497dd3d61949ca164bb8566e0ad9290435f16122e5b03257b",
+        "weights.json": "78ad33d690a4da681dbde3fade8111733d8783f844cea6d36439840a13b5ba9f",
         "loss_trace.csv": "c8933f86ee9033265f5c38252e906f16ef65c5873377eb98c50c6eb7e25ff60c",
         "apex_report.json": "f462f62eccf13d13003af134e295f8d5b3eecac5b356967f6eceded7b87bb264",
     },
     "Haswell": {
-        "weights.json": "537a7ebb38ad6cbb0628ec684b35028da10032173cbc8e6a6d57254526509fab",
+        "weights.json": "e268cf3cd25092edbad7e5bc2987e40c54e39a9f2b01e4dcdb8f085f6c8be8b5",
         "loss_trace.csv": "c8933f86ee9033265f5c38252e906f16ef65c5873377eb98c50c6eb7e25ff60c",
         "apex_report.json": "efa39291861fe2835ec12b1d22162be9c375b1cf76e6b9e12727a223139bfe82",
     },
     "Sandybridge": {
-        "weights.json": "202d2c0e0d57a2aa0fa52f9af41c52ea416c3918bb25e4d46a5679716681062c",
+        "weights.json": "6a1835ce9f16232205fc0899bbbd6d3f30b76cc8bdcf6710419c9696d1fc3b1c",
         "loss_trace.csv": "c8933f86ee9033265f5c38252e906f16ef65c5873377eb98c50c6eb7e25ff60c",
         "apex_report.json": "ee36409658f62f2c5a0461a066008e1d254c624c91214d58d7a50bfe9116d871",
     },
@@ -236,17 +238,17 @@ _TRAIN_TOY_D80_ARGS = ("--dim", "80", "--steps", "12", "--batch-images", "4", "-
                        "--samples", "32", "--seed", "5")
 _TRAIN_TOY_D80_PINS = {
     "SkylakeX": {
-        "weights.json": "2e0da4196e0ddc3c0a5e18883f310853c85e044949de717d184037450b21bbcd",
+        "weights.json": "a8ca777f17bc7bf2953673df0517ce2b865e5a39b2138d824213a712f51af81e",
         "loss_trace.csv": "018fec1900cdafdada4645e802159d8d7b3c2b49c06a74048056e12f8cbe54af",
         "apex_report.json": "fa1855e3ebc88899cefdc812ae97ed38bfe61b2ba75ffe5448b5859087c4f0c0",
     },
     "Haswell": {
-        "weights.json": "dbfd39e6d9ff63efa650f890a511fd710fdc0ac3e5b0b27f5ec7c3dd3993f440",
+        "weights.json": "39f15437e52791ad6fcb5222216e653fcf780950b4ab319ff7297662f7676f6d",
         "loss_trace.csv": "018fec1900cdafdada4645e802159d8d7b3c2b49c06a74048056e12f8cbe54af",
         "apex_report.json": "eaeffd888eb775ff104c10932aa8f47b997505abd15530997a08e5070d6d3aa6",
     },
     "Sandybridge": {
-        "weights.json": "afd84d04af840f944d9d9cb4d6e44369d91d84851853424656f215cfa42c9ccb",
+        "weights.json": "185f9e7abe93f2210abde52ba1de2ddd0c96a00dfb10f98c4ec7811072b45825",
         "loss_trace.csv": "018fec1900cdafdada4645e802159d8d7b3c2b49c06a74048056e12f8cbe54af",
         "apex_report.json": "a9d48d714ea9ea7709eba12cbc7bd3b08e231f5b8f6fbacb8ad472077279b30a",
     },
