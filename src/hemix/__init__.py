@@ -29,7 +29,7 @@ from .lorentz import (
     lorentz_inner,
     tangent_project,
 )
-from .metrics import EvalSample, MatchReport, iou, iou_at_05, match_sample, n_acc, precision_at_f1
+from .metrics import EvalSample, MatchReport, iou, match_sample, n_acc, precision_at_f1
 from .mixture import MixtureErrorModel, monte_carlo_mse, mse_of_mix, optimal_alpha, quadratic_coeffs
 from .similarity import (
     ProjectionBundle,

@@ -466,8 +466,7 @@ def main(argv=None) -> int:
     _echo_config(args)
     try:
         return args.func(args)
-    except (OSError, jsonl.SchemaError, decouple.DecoupleError, ValueError, KeyError,
-            trainer.TrainingDiverged) as exc:
+    except (OSError, decouple.DecoupleError, ValueError, KeyError, trainer.TrainingDiverged) as exc:
         print(f"error: {jsonl._message(exc)}", file=sys.stderr)
         return 2
 

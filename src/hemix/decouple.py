@@ -76,8 +76,6 @@ class DecoupleResult:
         object.__setattr__(self, "phrases", tuple(self.phrases))
         if self.count != len(self.phrases):
             raise ValueError(f"count {self.count} does not match {len(self.phrases)} phrases")
-        if self.count < 0:
-            raise ValueError("count must be nonnegative")
         for p in self.phrases:
             if not p or p != p.strip() or "\n" in p:
                 raise ValueError(f"phrases must be nonempty, trimmed, single-line; got {p!r}")
@@ -202,9 +200,8 @@ def rule_based_decompose(expression: str) -> DecoupleResult:
     if not text:
         return DecoupleResult(count=0, phrases=(), raw=raw)
     if " and " in text:
-        parts = [p.strip() for p in text.split(" and ") if p.strip()]
-        if len(parts) > 1:
-            return DecoupleResult(count=len(parts), phrases=tuple(parts), raw=raw)
+        parts = text.split(" and ")
+        return DecoupleResult(count=len(parts), phrases=tuple(parts), raw=raw)
     tokens = text.split()
     if len(tokens) >= 2:
         head = tokens[0].lower()

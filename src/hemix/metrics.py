@@ -85,7 +85,7 @@ def match_sample(s: EvalSample, iou_thresh: float = 0.5) -> MatchReport:
     tp = len(matched_gts)
     fp = n_pred - tp
     fn = n_gt - tp
-    f1 = 2.0 * tp / (2.0 * tp + fp + fn) if (2 * tp + fp + fn) > 0 else 1.0
+    f1 = 2.0 * tp / (2.0 * tp + fp + fn)
     return MatchReport(tp=tp, fp=fp, fn=fn, f1=f1)
 
 
@@ -117,12 +117,3 @@ def _single_box_iou(s: EvalSample) -> float:
             "predicted boxes; this metric needs exactly one of each"
         )
     return iou(s.pred_boxes[0], s.gt_boxes[0])
-
-
-def iou_at_05(samples: list, iou_thresh: float = 0.5) -> float:
-    """Single-box protocol: fraction of samples with IoU >= threshold."""
-    _check_threshold(iou_thresh)
-    if not samples:
-        raise ValueError("sample set is empty")
-    ious = [_single_box_iou(s) for s in samples]
-    return sum(v >= iou_thresh for v in ious) / len(ious)

@@ -288,6 +288,11 @@ def test_eval_cli_wrec_metric(capsys, tmp_path):
     code, out, _ = run(capsys, "eval", "--gt", str(gt), "--pred", str(pred), "--metric", "wrec")
     assert code == 0
     assert json.loads(out)["iou_at_thresh"] == 1.0
+    # An IoU of exactly the threshold counts as a hit.
+    jsonl.write_jsonl(pred, [{"sample_id": "a", "boxes": [[0, 0, 10, 5]]}])
+    code, out, _ = run(capsys, "eval", "--gt", str(gt), "--pred", str(pred), "--metric", "wrec", "--iou", "0.5")
+    assert code == 0
+    assert json.loads(out)["iou_at_thresh"] == 1.0
 
 
 def test_eval_wrec_fails_each_sample_without_one_box_in_each_file(capsys, tmp_path):
@@ -443,9 +448,9 @@ def test_eval_rejects_an_iou_threshold_outside_unit_interval(capsys, tmp_path, m
 
 
 def test_pipeline_reproduces_golden(capsys, tmp_path):
+    # Without --report the report goes to stdout (C8 checks the --report file).
     preds = tmp_path / "preds.jsonl"
-    report = tmp_path / "report.json"
-    code, _, _ = run(
+    code, out, _ = run(
         capsys, "pipeline",
         "--anchors", str(DATA / "anchors.jsonl"),
         "--texts", str(DATA / "texts.jsonl"),
@@ -453,13 +458,12 @@ def test_pipeline_reproduces_golden(capsys, tmp_path):
         "--gt", str(DATA / "gt.jsonl"),
         "--offline",
         "--out", str(preds),
-        "--report", str(report),
     )
     assert code == 0
     assert preds.read_bytes() == (DATA / "golden_predictions.jsonl").read_bytes()
-    assert report.read_bytes() == (DATA / "golden_report.json").read_bytes()
+    assert out.encode() == (DATA / "golden_report.json").read_bytes()
     assert len(strict_json.load_jsonl(preds)) == 9  # the header and eight predictions
-    strict_json.loads(report.read_text())
+    strict_json.loads(out)
 
 
 def test_pipeline_rejects_a_bad_iou_before_any_work(capsys, tmp_path, monkeypatch):

@@ -69,6 +69,11 @@ class TestParseResponse:
         r = D.parse_response("1\n1.   padded phrase   ")
         assert r.phrases == ("padded phrase",)
 
+    def test_empty_phrase(self):
+        with pytest.raises(D.ParseError, match="^line 2: phrase is empty$") as exc:
+            D.parse_response("1\n1.")
+        assert exc.value.line_number == 2
+
 
 class TestRenderRoundtrip:
     def test_examples(self):
@@ -100,6 +105,17 @@ class TestRuleBasedDecompose:
     def test_conjunction_split(self):
         r = D.rule_based_decompose("a guy in green and a rightmost guy")
         assert (r.count, r.phrases) == (2, ("a guy in green", "a rightmost guy"))
+
+    @pytest.mark.parametrize("expr, phrases", [
+        ("a  and\tb", ("a", "b")),
+        ("and and and", ("and", "and")),
+        ("x and and y", ("x", "and y")),
+        (" red cup and\xa0blue cup ", ("red cup", "blue cup")),
+    ])
+    def test_conjunction_split_after_whitespace_collapse(self, expr, phrases):
+        # Whitespace runs, a no-break space included, become one space before the split.
+        r = D.rule_based_decompose(expr)
+        assert (r.count, r.phrases) == (len(phrases), phrases)
 
     def test_single_target(self):
         assert D.rule_based_decompose("left person").phrases == ("left person",)
@@ -168,6 +184,12 @@ class TestBuildPrompt:
     def test_user_message_order(self):
         msg = D.build_prompt("a dog").user_message()
         assert msg.index("You should provide") < msg.index("For example") < msg.index("The referring expression is")
+
+    @pytest.mark.parametrize("part", ["general", "constraints", "query"])
+    def test_empty_part_rejected(self, part):
+        parts = {"general": "g", "constraints": "c", "examples": None, "query": "q", part: ""}
+        with pytest.raises(ValueError, match="^general, constraints, and query parts must be nonempty$"):
+            D.PromptParts(**parts)
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -248,6 +270,14 @@ class TestServiceClient:
         handler.responses = [(200, body)]
         with pytest.raises(D.DecoupleError):
             D.decouple_via_service("x", None, D.VlmConfig(endpoint=url))
+        assert len(handler.requests) == 1
+
+    def test_object_without_text(self, stub_server):
+        url, handler = stub_server
+        handler.responses = [(200, b'{"answer": "1\\n1. a dog"}')]
+        with pytest.raises(D.DecoupleError, match="^service response lacks a 'text' field$") as exc:
+            D.decouple_via_service("x", None, D.VlmConfig(endpoint=url))
+        assert exc.value.raw == "None"
         assert len(handler.requests) == 1
 
     def test_http_error_status(self, stub_server):

@@ -113,6 +113,10 @@ class TestTangentProject:
             v = L.tangent_project(p, rng.standard_normal(5))
             assert abs(L.lorentz_inner(p.as_vector(), v.as_vector())) < 1e-10
 
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a 3-vector, got shape \(2,\)$"):
+            L.tangent_project(L.apex(2, 1.0), vec(0.3, -0.4))
+
 
 class TestExpMap:
     def test_zero_velocity_returns_base(self):
@@ -139,6 +143,15 @@ class TestExpMap:
         with pytest.raises(ValueError):
             L.TangentVector(1.0, vec(0.1, 0.0), p)
 
+    def test_wrong_dimension_tangent_rejected(self):
+        with pytest.raises(ValueError, match="^tangent vector dimension does not match base point$"):
+            L.TangentVector(0.0, vec(1.0, 0.0, 0.0), L.apex(2, 1.0))
+
+    def test_tangent_based_elsewhere_rejected(self):
+        p, q = L.apex(2, 1.0), L.lift(vec(0.5, 0.0), 1.0)
+        with pytest.raises(ValueError, match="^tangent vector is not based at the given point$"):
+            L.exp_map(q, L.TangentVector(0.0, vec(1.0, 0.0), p))
+
 
 class TestLogMap:
     def test_log_of_same_point_is_zero(self):
@@ -164,6 +177,10 @@ class TestLogMap:
             d = L.geodesic_distance(p, q)
             assert lorentz_norm(L.log_map(p, q)) == pytest.approx(d, abs=1e-9 * (1 + d))
 
+    def test_curvature_mismatch(self):
+        with pytest.raises(ValueError, match=r"^curvature mismatch: 1\.0 != 2\.0$"):
+            L.log_map(L.apex(2, 1.0), L.apex(2, 2.0))
+
 
 class TestMembership:
     def test_lift_is_member(self):
@@ -186,6 +203,8 @@ def test_curved_point_rejects_invalid():
         L.CurvedPoint(time=-1.0, spatial=np.zeros(2), kappa=1.0)
     with pytest.raises(ValueError):
         L.CurvedPoint(time=5.0, spatial=np.zeros(2), kappa=1.0)
+    with pytest.raises(ValueError, match="^kappa must be positive, got 0.0$"):
+        L.CurvedPoint(time=1.0, spatial=np.zeros(2), kappa=0.0)
 
 
 def rand_cases(rng, n):
@@ -284,26 +303,54 @@ class TestStableDistance:
             self.check(zx, towards * radius * rng.uniform(0.1, 1.0), [0.25, 1.0, 4.0][i % 3])
 
 
-class TestPropertySuiteCases:
-    def test_planted_failure_names_first_failing_case(self, monkeypatch):
-        real = L.distance_rows
-
-        def planted(x, y, kappa):
-            d = real(x, y, kappa)
-            return np.where(np.asarray(kappa) > 3.0, d + 1.0, d)  # breaks d(p,p) = 0
-
-        monkeypatch.setattr(L, "distance_rows", planted)
-        # Replay check_distance_axioms' draws up to the first case with kappa > 3.
-        rng = np.random.default_rng(44)
-        for i in range(100):
-            dim, kappa = int(rng.integers(1, 6)), rng.uniform(0.25, 4.0)
-            for _ in range(3):
-                rng.uniform(-1.0, 1.0, size=dim), rng.uniform(0.0, 3.0)
+def first_planted_case(check, seed, cases):
+    """(index, dim, kappa, how it fails) of the first case of the check named
+    ``check`` to fail under TestPropertySuiteCases' planted fault, found by
+    replaying the per-case draws."""
+    rng = np.random.default_rng(seed)
+    if check == "hyperboloid-closure":
+        for i, (dim, _, _, kappa) in enumerate(closure_cases(rng, cases)):
             if kappa > 3.0:
-                break
-        result = L.check_distance_axioms(seed=44, cases=100)
+                return i, dim, kappa, "residual inf"
+    if check == "exp-log-inverse":
+        for i, (dim, _, _, kappa, norm, _) in enumerate(exp_log_cases(rng, cases)):
+            if kappa > 3.0:
+                return i, dim, kappa, f"error nan at ||v||={norm:.3f}"
+    for i in range(cases):
+        dim, kappa = int(rng.integers(1, 6)), rng.uniform(0.25, 4.0)
+        x, y1, y2 = (L._points(rng.uniform(-1.0, 1.0, size=(1, dim)), np.array([rng.uniform(0.0, 3.0)]), kappa)
+                     for _ in range(3))
+        if kappa <= 3.0:
+            continue
+        if check == "distance-axioms":
+            return i, dim, kappa, "d(p,p) != 0"
+        i1, i2 = L.inner_rows(x, y1)[0], L.inner_rows(x, y2)[0]
+        if i1 > i2:
+            return i, dim, kappa, f"inner {i1:.6f} > {i2:.6f} but distance not smaller"
+
+
+class TestPropertySuiteCases:
+    # Per check: its seed, the row function planted with a fault, and the
+    # shift that the fault adds to each row with a kappa above 3.
+    @pytest.mark.parametrize("check, seed, row_function, shift", [
+        (L.check_hyperboloid_closure, 42, "lift_rows", math.nan),
+        (L.check_exp_log_inverse, 43, "log_map_rows", math.nan),
+        (L.check_distance_axioms, 44, "distance_rows", 1.0),  # d(p,p) = 1, symmetry kept
+        (L.check_inner_monotonicity, 45, "distance_rows", math.nan),  # "not smaller" wherever <x,y1> > <x,y2>
+    ], ids=["hyperboloid-closure", "exp-log-inverse", "distance-axioms", "inner-monotonicity"])
+    def test_planted_failure_names_first_failing_case(self, monkeypatch, check, seed, row_function, shift):
+        real = getattr(L, row_function)
+
+        def planted(*args):
+            out = real(*args)
+            above = np.asarray(args[-1]) > 3.0
+            return out + np.where(above, shift, 0.0).reshape(-1, *[1] * (out.ndim - 1))
+
+        monkeypatch.setattr(L, row_function, planted)
+        result = check(seed, 100)
+        i, dim, kappa, how = first_planted_case(result.name, seed, 100)
         assert not result.passed
-        assert result.detail == f"case {i} (dim {dim}, kappa={kappa:.3f}): d(p,p) != 0"
+        assert result.detail == f"case {i} (dim {dim}, kappa={kappa:.3f}): {how}"
 
 
 # The property suite draws each case as one rng.integers call, one

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hemix.metrics import EvalSample, iou, iou_at_05, match_sample, n_acc, precision_at_f1
+from hemix.metrics import EvalSample, iou, match_sample, n_acc, precision_at_f1
 from naive_oracle import naive_match
 
 
@@ -135,22 +135,3 @@ class TestAggregates:
     def test_n_acc_undefined_without_no_target(self):
         with pytest.raises(ValueError):
             n_acc([sample([A], [A])])
-
-
-class TestIouAtThreshold:
-    def test_all_perfect(self):
-        assert iou_at_05([sample([A], [A], f"s{i}") for i in range(4)]) == 1.0
-
-    def test_boundary_counts_as_correct(self):
-        half = (0.0, 0.0, 10.0, 5.0)
-        assert iou_at_05([sample([A], [half])]) == 1.0
-
-    def test_all_disjoint(self):
-        far = (100.0, 100.0, 110.0, 110.0)
-        assert iou_at_05([sample([A], [far])]) == 0.0
-
-    def test_multi_box_sample_rejected(self):
-        with pytest.raises(ValueError):
-            iou_at_05([sample([A, A], [A])])
-        with pytest.raises(ValueError):
-            iou_at_05([sample([A], [])])

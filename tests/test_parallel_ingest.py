@@ -13,6 +13,7 @@ at run time. After each test no child process and no pipe may be left
 behind.
 """
 
+import errno
 import json
 import mmap
 import os
@@ -621,6 +622,31 @@ def test_worker_that_dies_without_a_result_fails_the_run(monkeypatch, capsys, tm
     assert len(forks) == 3
     assert code == 2
     assert message == f"error: {path}: a process decoding part of this file exited without a result"
+
+
+def test_a_failed_fork_ends_the_run_and_leaves_nothing_behind(monkeypatch, capsys, tmp_path, forks):
+    # The first child is forked; the second fork fails as when the system is out of processes.
+    path, _ = bad_file(tmp_path, {})
+    counted = os.fork
+
+    def fork():
+        if forks:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return counted()
+
+    monkeypatch.setattr(os, "fork", fork)
+    set_cpus(monkeypatch, 2)
+    outputs = [tmp_path / "preds.jsonl", tmp_path / "report.json"]
+    code = cli.main(["pipeline", "--anchors", str(path), "--texts", str(DATA / "texts.jsonl"),
+                     "--weights", str(DATA / "weights.json"), "--gt", str(DATA / "gt.jsonl"), "--offline",
+                     "--out", str(outputs[0]), "--report", str(outputs[1])])
+    captured = capsys.readouterr()
+    assert len(forks) == 1
+    assert code == 2
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        f"error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"]
+    assert not any(out.exists() for out in outputs)
 
 
 @pytest.mark.parametrize("cpus", [2, 3])

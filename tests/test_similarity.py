@@ -262,6 +262,10 @@ class TestBundleContract:
         with pytest.raises(ValueError):
             ProjectionBundle(np.zeros((2, 3)), np.eye(2), np.eye(2), np.eye(2), alpha=0.5)
 
+    def test_matrices_of_different_sizes_rejected(self):
+        with pytest.raises(ValueError, match="^all projection matrices must share one dimension$"):
+            ProjectionBundle(np.eye(2), np.eye(2), np.eye(3), np.eye(2), alpha=0.5)
+
 
 MATRICES = ("w_ev", "w_et", "w_hv", "w_ht")
 

@@ -110,6 +110,13 @@ class TestTraining:
             with pytest.raises(ValueError, match="lr must be finite and nonnegative"):
                 T.TrainConfig(lr=lr)
 
+    def test_data_validation(self):
+        with pytest.raises(ValueError, match="^training data is empty$"):
+            T.train([], T.TrainConfig())
+        batches = [GroundingBatch([ImageRecord(anchors=np.ones((2, dim)), text=np.ones(dim))]) for dim in (2, 3)]
+        with pytest.raises(ValueError, match="^all batches must share one feature dimension$"):
+            T.train(batches, T.TrainConfig())
+
 
 class _TextbookAdam:
     """The allocating Adam update, one whole-matrix expression per line."""
