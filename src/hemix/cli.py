@@ -11,8 +11,6 @@ samples), 2 configuration or IO error.
 from __future__ import annotations
 
 import argparse
-import base64
-import csv
 import json
 import math
 import sys
@@ -21,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import contrastive, decouple, grounding, ingest, jsonl, lorentz, metrics, mixture, records, similarity, trainer
+# Only what ground, eval, pipeline and decouple run is loaded here; each other command
+# imports its modules when it runs (README: "Scale").
+from . import decouple, grounding, ingest, jsonl, lorentz, metrics, records, similarity
 
 
 def _echo_config(args: argparse.Namespace) -> None:
@@ -63,7 +63,9 @@ def cmd_geom_check(args) -> int:
     return 0 if ok else 1
 
 
-def _random_batch(rng: np.random.Generator, dim: int) -> contrastive.GroundingBatch:
+def _random_batch(rng: np.random.Generator, dim: int):
+    from . import contrastive
+
     n_images = int(rng.integers(1, 5))
     images = []
     for _ in range(n_images):
@@ -81,6 +83,8 @@ def cmd_grad_check(args) -> int:
     _check_count("--batches", args.batches)
     if not 0.0 < args.tolerance < math.inf:
         raise ValueError(f"--tolerance must be finite and positive, got {args.tolerance}")
+    from . import contrastive
+
     rng = np.random.default_rng(args.seed)
     dims = [4, 8, 16]
     worst = 0.0
@@ -105,6 +109,8 @@ def cmd_grad_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze_alpha(args) -> int:
+    from . import mixture
+
     model = mixture.MixtureErrorModel(
         b_e=args.b_e, b_h=args.b_h, sigma_e=args.sigma_e, sigma_h=args.sigma_h, rho=args.rho
     )
@@ -143,6 +149,10 @@ def cmd_analyze_alpha(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_train_toy(args) -> int:
+    import csv
+
+    from . import trainer
+
     out = Path(args.out)
     trace_path = Path(args.trace_out) if args.trace_out else out.parent / "loss_trace.csv"
     apex_path = Path(args.apex_out) if args.apex_out else out.parent / "apex_report.json"
@@ -202,6 +212,8 @@ def cmd_decouple(args) -> int:
         cfg = decouple.VlmConfig.from_env(timeout_s=args.vlm_timeout_s, retries=args.retries)
         image_b64 = None
         if args.image:
+            import base64
+
             image_b64 = base64.b64encode(Path(args.image).read_bytes()).decode("ascii")
         result = decouple.decouple_via_service(
             args.expr, image_b64, cfg, include_examples=not args.no_examples
@@ -460,13 +472,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reported() -> tuple:
+    """The exceptions main reports as one error line, TrainingDiverged among them once hemix.trainer, which
+    alone raises it, is loaded."""
+    errors = (OSError, decouple.DecoupleError, ValueError, KeyError)
+    trainer = sys.modules.get(f"{__package__}.trainer")
+    return errors + (trainer.TrainingDiverged,) if trainer else errors
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _echo_config(args)
     try:
         return args.func(args)
-    except (OSError, decouple.DecoupleError, ValueError, KeyError, trainer.TrainingDiverged) as exc:
+    except _reported() as exc:
         print(f"error: {jsonl._message(exc)}", file=sys.stderr)
         return 2
 

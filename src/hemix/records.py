@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import struct
 import sys
+from functools import reduce
+from operator import iadd
 
 import numpy as np
 
@@ -35,14 +37,23 @@ def _id(rec, key: str, seen: set | None = None):
     return value
 
 
+# One struct call per row costs more than packing a row of a few values: rows
+# of at most _NARROW values are packed _PACK_VALUES values to a call. On wider
+# rows, joining them into one argument list costs more than the calls it saves.
+_NARROW = 16
+_PACK_VALUES = 128
+
+
 def _rows(rows, width: int | None, not_numbers: str, bad_shape: str | None = None) -> np.ndarray | None:
     """``rows`` as one [n, width] float64 array of numbers (any width for None); another shape fails or is None.
 
     The shape holds when ``rows`` is a list of lists of ``width`` values (or the
     first row's length, for None), none of them a list; a value that is not a
-    number (see _is_number) fails with ``not_numbers``. Each row is packed
-    straight into the array by ``struct``, and the rows are looked at one by one
-    only when it refuses one or when there is nothing to pack.
+    number (see _is_number) fails with ``not_numbers``. The rows are packed
+    straight into the array by ``struct``: rows of at most _NARROW values, once
+    each is known to be a list of that many, _PACK_VALUES // width rows to a
+    call, and any other row alone. The rows are looked at one by one only when
+    ``struct`` refuses one or when there is nothing to pack.
     """
     cols = len(rows[0]) if isinstance(rows, list) and rows and isinstance(rows[0], list) else width or 0
     arr = np.empty((len(rows) if isinstance(rows, list) else 0, cols))
@@ -50,8 +61,14 @@ def _rows(rows, width: int | None, not_numbers: str, bad_shape: str | None = Non
         row = struct.Struct(f"{cols}d")
         try:
             with memoryview(arr).cast("B") as buf:
-                for offset, values in zip(range(0, arr.nbytes, row.size), rows):
-                    row.pack_into(buf, offset, *values)
+                if cols <= _NARROW and {*map(type, rows)} == {list} and {*map(len, rows)} == {cols}:
+                    step = _PACK_VALUES // cols
+                    for start in range(0, len(rows), step):
+                        part = rows[start:start + step]
+                        struct.pack_into(f"{len(part) * cols}d", buf, start * row.size, *reduce(iadd, part, []))
+                else:
+                    for offset, values in zip(range(0, arr.nbytes, row.size), rows):
+                        row.pack_into(buf, offset, *values)
         except (struct.error, TypeError):  # not a number or beyond float, another length, or not a row
             pass
         else:  # struct packs NaN, infinities, ints it rounds to the largest float, and bools as 1 or 0

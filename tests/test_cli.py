@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import strict_json
 
-from hemix import cli, grounding, ingest, jsonl, metrics, trainer
+from hemix import cli, contrastive, grounding, ingest, jsonl, metrics, trainer
 from hemix.similarity import ProjectionBundle, save_bundle
 
 DATA = Path(__file__).parent / "data"
@@ -50,7 +50,7 @@ def test_verification_run_that_checks_nothing_is_an_error(capsys, monkeypatch, c
         raise AssertionError("a check ran")
 
     monkeypatch.setattr(cli.lorentz, "run_property_suite", never)
-    monkeypatch.setattr(cli.contrastive, "gradient_check", never)
+    monkeypatch.setattr(contrastive, "gradient_check", never)
     code, out, err = run(capsys, command, flag, value)
     assert code == 2
     assert out == ""
@@ -62,7 +62,7 @@ def test_grad_check_tolerance_must_be_finite_and_positive(capsys, monkeypatch, v
     def never(*args, **kwargs):
         raise AssertionError("a check ran")
 
-    monkeypatch.setattr(cli.contrastive, "gradient_check", never)
+    monkeypatch.setattr(contrastive, "gradient_check", never)
     code, out, err = run(capsys, "grad-check", "--tolerance", value)
     assert (code, out) == (2, "")
     assert err.splitlines()[-1] == f"error: --tolerance must be finite and positive, got {float(value)}"
@@ -199,6 +199,27 @@ def test_train_toy_rejects_non_finite_scalar_before_writing(capsys, tmp_path, fl
     assert stdout == ""
     assert f"error: {flag[2:]} must be finite and positive, got {value}" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_train_toy_reports_a_diverged_run_and_lets_other_runtime_errors_through(capsys, tmp_path, monkeypatch):
+    # main reports the TrainingDiverged that trainer.train raises, and no other RuntimeError.
+    def overflowed(*args, **kwargs):
+        raise ValueError("projected rows are not finite")
+
+    monkeypatch.setattr(trainer, "contrastive_loss", overflowed)
+    argv = ["train-toy", "--dim", "4", "--steps", "3", "--samples", "8", "--out", str(tmp_path / "weights.json")]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: training diverged at step 0: projected rows are not finite"]
+    assert list(tmp_path.iterdir()) == []
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("not a divergence")
+
+    monkeypatch.setattr(trainer, "train", broken)
+    with pytest.raises(RuntimeError, match="not a divergence"):
+        cli.main(argv)
 
 
 @pytest.mark.parametrize("flag, value, error", [

@@ -18,6 +18,7 @@ import json
 import mmap
 import os
 import signal
+import sys
 import threading
 from pathlib import Path
 
@@ -648,6 +649,48 @@ def test_a_failed_fork_ends_the_run_and_leaves_nothing_behind(monkeypatch, capsy
         f"error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"]
     assert not any(out.exists() for out in outputs)
 
+
+
+@pytest.fixture
+def failed_queue_write(monkeypatch):
+    """Makes the span queue's one os.write raise ENOSPC; every other os.write runs. Returns the raised errors."""
+    real, raised = os.write, []
+
+    def write(fd, data):
+        if sys._getframe(1).f_code is ingest._span_queue.__code__:
+            raised.append(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+            raise raised[-1]
+        return real(fd, data)
+
+    monkeypatch.setattr(os, "write", write)
+    return raised
+
+
+def test_a_failed_queue_write_is_raised_before_any_fork(monkeypatch, tmp_path, forks, failed_queue_write):
+    path, _ = bad_file(tmp_path, {})
+    set_cpus(monkeypatch, 2)
+    assert len(spans_of(path, 2)) > 1
+    meanwhile = []
+    with pytest.raises(OSError) as caught:
+        ingest.load_anchor_map(path, 0.5, lambda: meanwhile.append(1))
+    assert [caught.value] == failed_queue_write
+    assert forks == [] and meanwhile == []
+
+
+def test_a_failed_queue_write_ends_the_pipeline(monkeypatch, capsys, tmp_path, forks, failed_queue_write):
+    path, _ = bad_file(tmp_path, {})
+    set_cpus(monkeypatch, 2)
+    outputs = [tmp_path / "preds.jsonl", tmp_path / "report.json"]
+    code = cli.main(["pipeline", "--anchors", str(path), "--texts", str(DATA / "texts.jsonl"),
+                     "--weights", str(DATA / "weights.json"), "--gt", str(DATA / "gt.jsonl"), "--offline",
+                     "--out", str(outputs[0]), "--report", str(outputs[1])])
+    captured = capsys.readouterr()
+    assert len(failed_queue_write) == 1 and forks == []
+    assert code == 2
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+    assert not any(out.exists() for out in outputs)
 
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_pipeline_reproduces_golden_when_split(monkeypatch, tmp_path, capsys, forks, cpus):

@@ -61,6 +61,8 @@ PACKED = {
     "int at the top of float": [[int(MAX) - 2 ** 971, 1.0]],
     "tiny and huge floats": [[5e-324, -5e-324, 1e308, -1e308]],
     "float max": [[MAX, -MAX]],
+    # Narrow rows are packed many to a call: 70 boxes take three calls, the last of six rows.
+    "seventy boxes": [[i, i + 0.5, i + 1.0, i + 2] for i in range(70)],
 }
 # Everything else: rows that struct refuses or that give nothing to pack, which _rows looks at one by one,
 # and packed rows that the checks after the pack refuse.
@@ -107,6 +109,10 @@ OTHER = {
     "number row after a list row": [[1.0, 2.0], 3.0],
     "float max beside an int rounded to it": [[MAX, 1.0], [int(MAX) + 1, 0.0]],
     "float max beside true": [[MAX, True]],
+    "ragged, lengths that add up to the width": [[1.0, 2.0], [3.0, 4.0, 5.0, 6.0], [7.0], [8.0]],
+    "true in a later call": [[i, i + 0.5, 1.0, True if i == 40 else i + 2] for i in range(70)],
+    "string in the last call": [[i, i + 0.5, 1.0, "x" if i == 69 else i + 2] for i in range(70)],
+    "short row in a later call": [[i, i + 0.5, 1.0, i + 2][:3 if i == 50 else 4] for i in range(70)],
 }
 TABLE = {**PACKED, **OTHER}
 
