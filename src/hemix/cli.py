@@ -172,7 +172,10 @@ def cmd_train_toy(args) -> int:
         hierarchy, args.samples,
         negatives_per_image=args.negatives, batch_images=args.batch_images,
     )
-    bundle, trace = trainer.train(data, cfg)
+    try:
+        bundle, trace = trainer.train(data, cfg)
+    except trainer.TrainingDiverged as exc:  # a RuntimeError; main reports ValueError
+        raise ValueError(str(exc)) from exc
 
     similarity.save_bundle(bundle, out)
     with trace_path.open("w", newline="") as fh:
@@ -472,22 +475,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _reported() -> tuple:
-    """The exceptions main reports as one error line, TrainingDiverged among them once hemix.trainer, which
-    alone raises it, is loaded."""
-    errors = (OSError, decouple.DecoupleError, ValueError, KeyError)
-    trainer = sys.modules.get(f"{__package__}.trainer")
-    return errors + (trainer.TrainingDiverged,) if trainer else errors
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _echo_config(args)
     try:
         return args.func(args)
-    except _reported() as exc:
-        print(f"error: {jsonl._message(exc)}", file=sys.stderr)
+    except (OSError, decouple.DecoupleError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

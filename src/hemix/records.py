@@ -144,8 +144,8 @@ def boxes_record(rec, seen: set) -> tuple:
     return sample_id, tuple(map(tuple, _boxes(rec["boxes"]).tolist()))
 
 
-# The weight file's format fields and the one value each may have. "linear" is the only
-# embedding: the key keeps the header stable, and a file may leave it out.
+# The weight file's format fields and the one value each must have. "linear" is the only
+# embedding: the key keeps the header stable.
 _WEIGHT_FORMAT = {"layout": "row-major", "encoding": "raw-f8le", "embed_strategy": "linear"}
 _WEIGHT_SCALARS = {
     "dim": ("a positive integer", lambda x: type(x) is int and x > 0),
@@ -160,10 +160,10 @@ def _weight_header(payload) -> dict:
     if not isinstance(payload, dict):
         raise ValueError("a weight file must be a JSON object")
     for key in (*_WEIGHT_FORMAT, *_WEIGHT_SCALARS):
-        if key not in payload and key != "embed_strategy":
+        if key not in payload:
             raise ValueError(f"{key}: missing")
     for key, want in _WEIGHT_FORMAT.items():
-        if payload.get(key, want) != want:
+        if payload[key] != want:
             raise ValueError(f"{key}: must be {json.dumps(want)}, got {json.dumps(payload[key])}")
     for key, (rule, ok) in _WEIGHT_SCALARS.items():
         if not ok(payload[key]):

@@ -57,6 +57,19 @@ def test_verification_run_that_checks_nothing_is_an_error(capsys, monkeypatch, c
     assert err.splitlines()[-1] == f"error: {flag} must be at least 1, got {value}"
 
 
+def test_grad_check_epsilon_outside_its_range_is_an_error(capsys):
+    code, out, err = run(capsys, "grad-check", "--epsilon", "1e-3")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: epsilon must lie in [1e-6, 1e-4], got 0.001"
+
+
+@pytest.mark.parametrize("epsilon", ["1e-6", "1e-4"])
+def test_grad_check_passes_at_each_end_of_the_epsilon_range(capsys, epsilon):
+    code, out, _ = run(capsys, "grad-check", "--batches", "3", "--epsilon", epsilon)
+    assert code == 0
+    assert out.startswith("ok   gradient-check: max rel error ")
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
 def test_grad_check_tolerance_must_be_finite_and_positive(capsys, monkeypatch, value):
     def never(*args, **kwargs):
@@ -186,6 +199,14 @@ def test_train_toy_writes_artifacts(capsys, tmp_path):
     apex = json.loads((tmp_path / "apex_report.json").read_text())
     assert "parent_child_ratio" in apex
     assert summary["final_loss"] > 0.0
+
+
+def test_train_toy_children_per_parent_shapes_the_apex_report(capsys, tmp_path):
+    code, _, _ = run(capsys, "train-toy", "--children-per-parent", "2", "--steps", "5", "--samples", "8",
+                     "--out", str(tmp_path / "weights.json"))
+    assert code == 0
+    norms = json.loads((tmp_path / "apex_report.json").read_text())["concept_norms"]
+    assert sorted(norms) == sorted(f"p{i}{child}" for i in range(3) for child in ("", "/c0", "/c1"))
 
 
 @pytest.mark.parametrize("flag", ["--tau", "--kappa"])

@@ -320,6 +320,18 @@ class TestServiceClient:
         assert handler.requests[0]["body"]["image_b64"] == base64.b64encode(image.read_bytes()).decode("ascii")
         assert json.loads(out) == D.parse_response(THREE_GLASSES).to_dict()
 
+    def test_cli_no_examples_drops_the_examples_part(self, stub_server, monkeypatch, capsys):
+        url, handler = stub_server
+        handler.responses = [TWO_GUYS]
+        monkeypatch.setenv("VLM_ENDPOINT", url)
+        code = cli.main(["decouple", "--expr", "two guys", "--no-examples"])
+        out = capsys.readouterr().out
+        assert code == 0
+        user = handler.requests[0]["body"]["user"]
+        assert user == D.build_prompt("two guys", include_examples=False).user_message()
+        assert D.IN_CONTEXT_EXAMPLES not in user
+        assert json.loads(out) == D.parse_response(TWO_GUYS).to_dict()
+
     def test_cli_fails_a_missing_image_file_before_any_request(self, stub_server, monkeypatch, tmp_path, capsys):
         url, handler = stub_server
         handler.responses = [THREE_GLASSES]

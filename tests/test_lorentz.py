@@ -152,6 +152,20 @@ class TestExpMap:
         with pytest.raises(ValueError, match="^tangent vector is not based at the given point$"):
             L.exp_map(q, L.TangentVector(0.0, vec(1.0, 0.0), p))
 
+    def test_tangent_based_at_an_equal_copy_maps_as_on_the_point(self):
+        rng = np.random.default_rng(5)
+        p = random_point(rng, 3, 0.8)
+        v = random_tangent(rng, p, 0.6)
+        copy = L.CurvedPoint(p.time, p.spatial.copy(), p.kappa)
+        moved = L.exp_map(p, L.TangentVector(v.time, v.spatial, copy))
+        assert moved.as_vector().tobytes() == L.exp_map(p, v).as_vector().tobytes()
+
+    def test_tangent_based_at_another_point_of_the_same_time_rejected(self):
+        p = L.lift(vec(1.0, 0.0), 1.0)
+        other = L.CurvedPoint(p.time, vec(0.0, 1.0), p.kappa)
+        with pytest.raises(ValueError, match="^tangent vector is not based at the given point$"):
+            L.exp_map(p, L.TangentVector(0.0, vec(1.0, 0.0), other))
+
 
 class TestLogMap:
     def test_log_of_same_point_is_zero(self):

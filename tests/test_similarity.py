@@ -293,7 +293,8 @@ def test_load_rejects_expmap_strategy(tmp_path):
     save_bundle(b, path)
     data = path.read_bytes()
     edit_header(path, b'"embed_strategy": "linear", ', b"")
-    assert np.array_equal(load_bundle(path).w_ev, b.w_ev)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: embed_strategy: missing')}$"):
+        load_bundle(path)
     path.write_bytes(data)
     edit_header(path, b'"linear"', b'"expmap"')
     with pytest.raises(ValueError):
@@ -356,6 +357,8 @@ WEIGHT_FAULTS = {
     "unknown encoding": (lambda data: data.replace(b"raw-f8le", b"raw-f4le", 1),
                          'encoding: must be "raw-f8le", got "raw-f4le"'),
     "no encoding": (lambda data: data.replace(b'"encoding": "raw-f8le", ', b"", 1), "encoding: missing"),
+    "no embed_strategy": (lambda data: data.replace(b'"embed_strategy": "linear", ', b"", 1),
+                          "embed_strategy: missing"),
     "NaN entry": (lambda data: with_entry(data, 0, math.nan), "w_et contains non-finite entries"),
     "infinite entry": (lambda data: with_entry(data, -1, -math.inf), "w_hv contains non-finite entries"),
 }
