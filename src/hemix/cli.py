@@ -81,8 +81,7 @@ def _random_batch(rng: np.random.Generator, dim: int):
 
 def cmd_grad_check(args) -> int:
     _check_count("--batches", args.batches)
-    if not 0.0 < args.tolerance < math.inf:
-        raise ValueError(f"--tolerance must be finite and positive, got {args.tolerance}")
+    lorentz._positive("--tolerance", args.tolerance)
     from . import contrastive
 
     rng = np.random.default_rng(args.seed)
@@ -235,9 +234,11 @@ def _failure(sample_id, error: str) -> dict:
 
 
 def _image_key(rec):
-    """A texts record's raw image_id where it is a string or a number (see records._id), else None."""
-    key = rec.get("image_id") if isinstance(rec, dict) else None
-    return key if isinstance(key, str) or records._is_number(key) else None
+    """A texts record's image_id where records._id accepts it, else None."""
+    try:
+        return records._id(rec, "image_id")
+    except (KeyError, ValueError):
+        return None
 
 
 def _ground_records(texts: list, phrases_of, anchor_map: dict, bundle, args) -> tuple[list, list]:

@@ -8,9 +8,10 @@ numbered phrase lines:
     2. <phrase>
     ...
 
-K = 0 stands alone and means "no target". Both the bare "1." and the spaced
-"1. " ordinal forms are accepted; phrases are trimmed of surrounding
-whitespace. Anything else is a ParseError carrying the offending line number.
+K = 0 stands alone and means "no target". K and the ordinals are ASCII
+digits, any number of them. Both the bare "1." and the spaced "1. " ordinal
+forms are accepted; phrases are trimmed of surrounding whitespace. Anything
+else is a ParseError carrying the offending line number.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class DecoupleResult:
         if self.count != len(self.phrases):
             raise ValueError(f"count {self.count} does not match {len(self.phrases)} phrases")
         for p in self.phrases:
-            if not p or p != p.strip() or "\n" in p:
+            if p.splitlines() != [p] or p != p.strip():  # the line rule parse_response splits by
                 raise ValueError(f"phrases must be nonempty, trimmed, single-line; got {p!r}")
 
     def to_dict(self) -> dict:
@@ -116,7 +117,16 @@ def build_prompt(expression: str, include_examples: bool = True) -> PromptParts:
     )
 
 
-_ORDINAL_LINE = re.compile(r"^(\d+)\.\s?(.*)$")
+_ORDINAL_LINE = re.compile(r"([^.]*)\.\s?(.*)")
+
+
+def _read_count(text: str, bound: int) -> tuple[str, int] | None:
+    """(its digits without leading zeros, its number) for ``text`` in ASCII digits, any number of them, else None;
+    a number above ``bound`` reads as bound + 1, so int() never sees more digits than ``bound`` has."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    digits = text.lstrip("0") or "0"
+    return digits, min(int(digits), bound + 1) if len(digits) <= len(str(bound)) else bound + 1
 
 
 def parse_response(raw: str) -> DecoupleResult:
@@ -130,18 +140,18 @@ def parse_response(raw: str) -> DecoupleResult:
         raise ParseError(1, "response contains no content")
 
     first_no, first = content[0]
-    if not re.fullmatch(r"\d+", first):
+    said, count = _read_count(first, len(content) - 1) or (None, 0)  # a count above the lines left fails anyway
+    if said is None:
         raise ParseError(first_no, f"expected a nonnegative integer count, got {first!r}")
-    count = int(first)
 
     phrases = []
     for expected, (line_no, line) in enumerate(content[1 : count + 1], start=1):
-        m = _ORDINAL_LINE.match(line)
-        if m is None:
+        m = _ORDINAL_LINE.fullmatch(line)
+        ordinal = m and _read_count(m.group(1), expected)
+        if not ordinal:
             raise ParseError(line_no, f"expected an ordinal phrase line, got {line!r}")
-        ordinal = int(m.group(1))
-        if ordinal != expected:
-            raise ParseError(line_no, f"expected ordinal {expected}, got {ordinal}")
+        if ordinal[1] != expected:
+            raise ParseError(line_no, f"expected ordinal {expected}, got {ordinal[0]}")
         phrase = m.group(2).strip()
         if not phrase:
             raise ParseError(line_no, "phrase is empty")
@@ -149,7 +159,7 @@ def parse_response(raw: str) -> DecoupleResult:
 
     if len(phrases) != count:
         raise ParseError(
-            content[-1][0], f"count says {count} phrases but only {len(phrases)} given"
+            content[-1][0], f"count says {said} phrases but only {len(phrases)} given"
         )
     extra = content[count + 1 :]
     if extra:
@@ -204,12 +214,7 @@ def rule_based_decompose(expression: str) -> DecoupleResult:
         return DecoupleResult(count=len(parts), phrases=tuple(parts), raw=raw)
     tokens = text.split()
     if len(tokens) >= 2:
-        head = tokens[0].lower()
-        if head.isascii() and head.isdigit():  # not int() past the limit's digits: it refuses over 4300
-            head = head.lstrip("0") or "0"
-            count = int(head) if len(head) <= len(str(_MAX_COUNT)) else _MAX_COUNT + 1
-        else:
-            count = _COUNT_WORDS.get(head)
+        head, count = _read_count(tokens[0], _MAX_COUNT) or (tokens[0], _COUNT_WORDS.get(tokens[0].lower()))
         rest = " ".join(tokens[1:])
         plural_head = rest.lower().endswith("s") and not rest.lower().endswith("ss")
         if count and count > 1 and plural_head:

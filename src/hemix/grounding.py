@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import anchor_entries
+from .records import _boxes, _is_number, anchor_entries
 from .similarity import Embedded, ProjectionBundle, embed_rows, pair_scores
 
 
@@ -19,14 +19,9 @@ class AnchorRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "feature", np.asarray(self.feature, dtype=np.float64))
-        object.__setattr__(self, "box", tuple(float(c) for c in self.box))
-        if len(self.box) != 4:
-            raise ValueError(f"box must have four coordinates, got {self.box}")
-        x1, y1, x2, y2 = self.box
-        if not (x1 < x2 and y1 < y2):
-            raise ValueError(f"box must satisfy x1<x2 and y1<y2, got {self.box}")
-        if not math.isfinite(self.confidence):
-            raise ValueError("confidence must be finite")
+        object.__setattr__(self, "box", tuple(_boxes([list(self.box)])[0].tolist()))
+        if not _is_number(self.confidence):
+            raise ValueError("confidence must be a finite number")
 
 
 def _check_fraction(top_fraction: float) -> None:

@@ -13,10 +13,10 @@ Each formula lives in one row function over [m, n+1] stacks of ambient
 vectors, with one kappa per row or one for all rows: ``inner_rows``,
 ``lift_time``/``lift_rows``, ``distance_rows``, ``exp_map_rows``,
 ``log_map_rows`` and ``tangent_project_rows``. ``CurvedPoint`` and
-``TangentVector`` validate single points and vectors at the API edge; the
-per-object functions (``lift``, ``geodesic_distance``, ``exp_map``,
-``log_map``, ``tangent_project``) check their arguments and call the row
-functions with n = 1.
+``TangentVector`` validate single points and vectors at the API edge (NaN and
+infinities fail); the per-object functions (``lift``, ``geodesic_distance``,
+``exp_map``, ``log_map``, ``tangent_project``) check their arguments and call
+the row functions with n = 1.
 
 Distance and log map work from y - x with its time part taken from the
 spatial parts, so neither subtracts two large times and near-coincident
@@ -42,13 +42,19 @@ MEMBERSHIP_TOL = 1e-9
 _SERIES_EPS = 1e-8
 
 
+def _positive(name: str, value, message: str = "") -> None:
+    """Raise ValueError(``message`` or "<name> must be finite and positive") unless 0 < value < inf; NaN fails."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(message or f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class CurvedPoint:
     """A point on the hyperboloid of curvature -kappa.
 
     ``time`` is the 0th (temporal) coordinate, ``spatial`` the remaining n
-    coordinates. Valid points satisfy time > 0 and <x,x>_L = -1/kappa within
-    a tolerance scaled by the spatial magnitude.
+    coordinates. Valid points have a finite, positive kappa and time and satisfy
+    <x,x>_L = -1/kappa within a tolerance scaled by the spatial magnitude.
     """
 
     time: float
@@ -57,16 +63,12 @@ class CurvedPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "spatial", np.asarray(self.spatial, dtype=np.float64))
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.time <= 0:
-            raise ValueError(f"time component must be positive, got {self.time}")
+        _positive("kappa", self.kappa)
+        _positive("time component", self.time)
         sq = float(self.spatial @ self.spatial)
         residual = abs(-self.time * self.time + sq + 1.0 / self.kappa)
-        if residual > MEMBERSHIP_TOL * max(1.0, sq):
-            raise ValueError(
-                f"point violates hyperboloid constraint: |<x,x>_L + 1/kappa| = {residual:.3e}"
-            )
+        _positive("membership slack", MEMBERSHIP_TOL * max(1.0, sq) - residual,
+                  f"point violates hyperboloid constraint: |<x,x>_L + 1/kappa| = {residual:.3e}")
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate(([self.time], self.spatial))
@@ -88,11 +90,9 @@ class TangentVector:
         object.__setattr__(self, "spatial", np.asarray(self.spatial, dtype=np.float64))
         if self.spatial.shape != self.base.spatial.shape:
             raise ValueError("tangent vector dimension does not match base point")
-        ortho = abs(lorentz_inner(self.base.as_vector(), self.as_vector()))
-        if ortho > MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(self.as_vector()))):
-            raise ValueError(
-                f"vector is not orthogonal to its base point: <p,v>_L = {ortho:.3e}"
-            )
+        ortho = abs(lorentz_inner(self.base.as_vector(), v := self.as_vector()))
+        _positive("orthogonality slack", MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(v))) - ortho,
+                  f"vector is not orthogonal to its base point: <p,v>_L = {ortho:.3e}")
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate(([self.time], self.spatial))
@@ -224,8 +224,7 @@ def lorentz_inner(x: np.ndarray, y: np.ndarray) -> float:
 def lift(z: np.ndarray, kappa: float) -> CurvedPoint:
     """Lift spatial coordinates onto the hyperboloid: x_0 = sqrt(||z||^2 + 1/kappa)."""
     z = np.asarray(z, dtype=np.float64)
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    _positive("kappa", kappa)
     if not np.all(np.isfinite(z)):
         raise ValueError("spatial coordinates must be finite")
     return CurvedPoint(time=float(lift_time(z[None], kappa)[0]), spatial=z, kappa=kappa)

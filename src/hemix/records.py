@@ -19,8 +19,9 @@ from .decouple import DecoupleResult
 
 
 def _is_number(x) -> bool:
-    """A number is a finite JSON int or float, and neither a bool nor a numeric string."""
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+    """A number is a finite JSON int or float or NumPy real scalar, and neither a bool nor a numeric string."""
+    return (type(x) in (int, float) and abs(x) <= sys.float_info.max
+            or isinstance(x, (np.integer, np.floating)) and _is_number(float(x)))  # float32 and int8 arithmetic warns
 
 
 def _id(rec, key: str, seen: set | None = None):
@@ -93,7 +94,7 @@ def _boxes(boxes) -> np.ndarray:
     if box is None:
         bad = (next((b for b in boxes if not (isinstance(b, list) and len(b) == 4)), boxes)
                if isinstance(boxes, list) else boxes)
-        raise ValueError(f"box must have four coordinates, got {json.dumps(bad)}")
+        raise ValueError(f"box must have four coordinates, got {json.dumps(bad, default=float)}")
     inverted = ~((box[:, 0] < box[:, 2]) & (box[:, 1] < box[:, 3]))
     if inverted.any():
         raise ValueError(f"box must satisfy x1<x2 and y1<y2, got {tuple(box[inverted.argmax()].tolist())}")

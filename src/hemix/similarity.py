@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import records
-from .lorentz import lift_time
+from .lorentz import _positive, lift_time
 
 DEFAULT_DIM = 512
 DEFAULT_TAU = 0.07
@@ -123,9 +123,8 @@ def _check_scalars(alpha: float, tau: float, kappa: float) -> None:
     """Raise ValueError unless alpha lies in [0, 1] and tau and kappa are finite and positive."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    for name, value in (("tau", tau), ("kappa", kappa)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    _positive("tau", tau)
+    _positive("kappa", kappa)
 
 
 @dataclass

@@ -1,5 +1,7 @@
 import base64
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 import strict_json
 
-from hemix import cli, contrastive, grounding, ingest, jsonl, metrics, trainer
+from hemix import cli, contrastive, decouple, grounding, ingest, jsonl, metrics, trainer
 from hemix.similarity import ProjectionBundle, save_bundle
 
 DATA = Path(__file__).parent / "data"
@@ -185,6 +187,37 @@ def test_service_settings_are_checked_before_any_work(capsys, monkeypatch, tmp_p
     assert (code, out) == (2, "")
     assert err.splitlines()[-1] == f"error: {error}"
     assert list(tmp_path.iterdir()) == []
+
+
+def _parameter_defaults(fn) -> dict:
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+
+def test_cli_defaults_match_the_library_defaults():
+    # cli.py restates these defaults: it loads trainer only when train-toy runs.
+    parser = cli.build_parser()
+    config = {f.name: f.default for f in dataclasses.fields(trainer.TrainConfig)}
+    hierarchy = _parameter_defaults(trainer.default_hierarchy)
+    dataset = _parameter_defaults(trainer.generate_dataset)
+    vlm = {f.name: f.default for f in dataclasses.fields(decouple.VlmConfig)}
+    ground = {"top_frac": _parameter_defaults(grounding.ground)["top_fraction"]}
+    service = {"vlm_timeout_s": vlm["timeout_s"], "retries": vlm["retries"]}
+    iou = {"iou": _parameter_defaults(metrics.match_sample)["iou_thresh"]}
+    expected = {
+        ("train-toy", "--out", "w"): {
+            **{k: config[k] for k in ("steps", "lr", "alpha", "tau", "kappa", "seed", "intra_negatives")},
+            "parents": hierarchy["n_parents"], "children_per_parent": hierarchy["children_per_parent"],
+            "dim": hierarchy["feature_dim"], "noise": hierarchy["noise_scale"],
+            "negatives": dataset["negatives_per_image"], "batch_images": dataset["batch_images"],
+        },
+        ("decouple", "--expr", "x"): service,
+        ("ground", "--anchors", "a", "--texts", "t", "--weights", "w", "--out", "o"): ground,
+        ("eval", "--gt", "g", "--pred", "p"): iou,
+        ("pipeline", "--anchors", "a", "--texts", "t", "--weights", "w", "--gt", "g"): {**ground, **service, **iou},
+    }
+    for argv, defaults in expected.items():
+        args = vars(parser.parse_args(list(argv)))
+        assert {k: args[k] for k in defaults} == defaults, argv
 
 
 def test_train_toy_writes_artifacts(capsys, tmp_path):

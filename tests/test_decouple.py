@@ -74,6 +74,25 @@ class TestParseResponse:
             D.parse_response("1\n1.")
         assert exc.value.line_number == 2
 
+    def test_a_count_too_long_for_int_names_its_line(self):
+        # 5000 digits are past the interpreter's int() limit.
+        with pytest.raises(D.ParseError, match="^line 1: count says 1{5000} phrases but only 0 given$") as exc:
+            D.parse_response("1" * 5000)
+        assert exc.value.line_number == 1
+
+    def test_an_ordinal_too_long_for_int_names_its_line(self):
+        with pytest.raises(D.ParseError, match="^line 3: expected ordinal 2, got 2{5000}$") as exc:
+            D.parse_response("2\n1. a\n" + "2" * 5000 + ". b")
+        assert exc.value.line_number == 3
+        assert D.parse_response("1\n" + "0" * 5000 + "1. a").phrases == ("a",)
+
+    @pytest.mark.parametrize("raw", ["\u0663\n1. a\n2. b\n3. c", "1\n\u0661. a"])
+    def test_counts_and_ordinals_are_ascii_digits_only(self, raw):
+        # An Arabic-Indic three, then an Arabic-Indic one.
+        with pytest.raises(D.ParseError, match="^line 1: expected a nonnegative integer count|"
+                                               "^line 2: expected an ordinal phrase line"):
+            D.parse_response(raw)
+
 
 class TestRenderRoundtrip:
     def test_examples(self):
@@ -96,9 +115,33 @@ class TestRenderRoundtrip:
             result = D.DecoupleResult(k, phrases)
             assert D.parse_response(D.render(result)) == result
 
+    def test_every_valid_result_round_trips(self):
+        # Phrases drawn from characters that trim, split lines, look like digits or end an ordinal.
+        rng = np.random.default_rng(7)
+        chars = list("ab1.  \t\r\n\x0b\x1c\x85\u2028\u0663")
+        valid = 0
+        for _ in range(2000):
+            k = int(rng.integers(0, 4))
+            phrases = tuple("".join(rng.choice(chars, size=rng.integers(1, 6))) for _ in range(k))
+            try:
+                result = D.DecoupleResult(k, phrases)
+            except ValueError:
+                continue
+            valid += 1
+            assert D.parse_response(D.render(result)) == result
+        assert valid > 500
+
     def test_invariant_count_matches_phrases(self):
         with pytest.raises(ValueError):
             D.DecoupleResult(2, ("only one",))
+
+    # Every separator str.splitlines splits on, the rule parse_response splits a response by.
+    @pytest.mark.parametrize("sep", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"], ids=repr)
+    def test_a_phrase_is_one_line(self, sep):
+        assert f"a{sep}b".splitlines() == ["a", "b"]
+        with pytest.raises(ValueError, match="^phrases must be nonempty, trimmed, single-line; got "):
+            D.DecoupleResult(1, (f"a{sep}b",))
 
 
 class TestRuleBasedDecompose:
@@ -250,6 +293,13 @@ class TestServiceClient:
         result = D.decouple_via_service("x", None, D.VlmConfig(endpoint=url, retries=2))
         assert result.count == 2
         assert len(handler.requests) == 2
+
+    def test_a_count_too_long_for_int_is_retried(self, stub_server):
+        url, handler = stub_server
+        handler.responses = ["1" * 5000] * 3
+        with pytest.raises(D.DecoupleError, match="^response stayed malformed after 3 attempts: line 1: "):
+            D.decouple_via_service("x", None, D.VlmConfig(endpoint=url, retries=2))
+        assert len(handler.requests) == 3
 
     def test_garbage_exhausts_retries(self, stub_server):
         url, handler = stub_server

@@ -163,6 +163,33 @@ class TestAnchorRecord:
         with pytest.raises(ValueError):
             AnchorRecord(feature=np.zeros(2), confidence=float("nan"), box=(0, 0, 1, 1))
 
+    @pytest.mark.parametrize("box, match", [
+        (("0", "0", "1", "1"), "^box must have finite coordinates$"),
+        ((0, 0, 1, float("inf")), "^box must have finite coordinates$"),
+        ((0, 0, 1, True), "^box must have finite coordinates$"),
+        ((0, 0, 1), r"^box must have four coordinates, got \[0, 0, 1\]$"),
+        (np.array([0, 0, 1]), r"^box must have four coordinates, got \[0.0, 0.0, 1.0\]$"),
+    ])
+    def test_the_box_follows_the_box_rule(self, box, match):
+        with pytest.raises(ValueError, match=match):
+            AnchorRecord(feature=np.zeros(2), confidence=0.5, box=box)
+
+    @pytest.mark.parametrize("confidence", [True, "0.5", float("inf")])
+    def test_the_confidence_follows_the_number_rule(self, confidence):
+        with pytest.raises(ValueError, match="^confidence must be a finite number$"):
+            AnchorRecord(feature=np.zeros(2), confidence=confidence, box=(0, 0, 1, 1))
+
+    @pytest.mark.parametrize("confidence", [np.float64(0.5), np.float32(0.5), np.int8(-128), np.uint64(2)])
+    def test_numpy_real_scalars_are_numbers(self, confidence):
+        a = AnchorRecord(feature=np.zeros(2), confidence=confidence, box=np.array([0, 0, 1, 2]))
+        assert a.confidence == confidence and a.box == (0.0, 0.0, 1.0, 2.0)
+        assert all(type(c) is float for c in a.box)
+
+    @pytest.mark.parametrize("confidence", [np.float32("inf"), np.float64("nan"), np.longdouble("1e400"), np.True_])
+    def test_numpy_scalars_that_are_not_numbers(self, confidence):
+        with pytest.raises(ValueError, match="^confidence must be a finite number$"):
+            AnchorRecord(feature=np.zeros(2), confidence=confidence, box=(0, 0, 1, 1))
+
 
 class TestAnchorSet:
     @pytest.mark.parametrize("field, value", [

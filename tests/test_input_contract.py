@@ -366,6 +366,17 @@ def test_ground_and_pipeline_hold_given_phrases_to_one_rule(tmp_path, command):
     assert jsonl.read_jsonl(tmp_path / "preds.jsonl") == []
 
 
+def test_a_phrase_with_a_line_separator_fails_its_sample_alone(tmp_path):
+    # U+2028 splits a line for str.splitlines, which parse_response splits a response by.
+    texts = edited("texts.jsonl", 0, lambda rec: rec.update(phrases=["left\u2028person"]))
+    code, _, preds, report = pipeline(tmp_path, texts=texts)
+    assert code == 1
+    assert strict_json.loads(report)["failures"] == [
+        {"sample_id": "s1", "error": "phrases must be nonempty, trimmed, single-line; got 'left\\u2028person'"}]
+    golden = (DATA / "golden_predictions.jsonl").read_text().splitlines(keepends=True)
+    assert preds == "".join(line for line in golden if '"s1"' not in line)
+
+
 def test_an_empty_boxes_list_still_evaluates(tmp_path):
     code, out, _ = run("eval", "--gt", DATA / "gt.jsonl", "--pred", DATA / "golden_predictions.jsonl",
                        "--per-sample")

@@ -217,8 +217,26 @@ def test_curved_point_rejects_invalid():
         L.CurvedPoint(time=-1.0, spatial=np.zeros(2), kappa=1.0)
     with pytest.raises(ValueError):
         L.CurvedPoint(time=5.0, spatial=np.zeros(2), kappa=1.0)
-    with pytest.raises(ValueError, match="^kappa must be positive, got 0.0$"):
+    with pytest.raises(ValueError, match="^kappa must be finite and positive, got 0.0$"):
         L.CurvedPoint(time=1.0, spatial=np.zeros(2), kappa=0.0)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf])
+def test_lift_rejects_a_non_finite_kappa(kappa):
+    with pytest.raises(ValueError, match=f"^kappa must be finite and positive, got {kappa}$"):
+        L.lift(vec(0.3, -0.2), kappa)
+
+
+def test_curved_point_rejects_nan():
+    with pytest.raises(ValueError, match="^time component must be finite and positive, got nan$"):
+        L.CurvedPoint(time=math.nan, spatial=np.zeros(2), kappa=1.0)
+    with pytest.raises(ValueError, match="^point violates hyperboloid constraint"):
+        L.CurvedPoint(time=1.0, spatial=vec(math.nan, 0.0), kappa=1.0)
+
+
+def test_tangent_project_rejects_a_nan_component():
+    with pytest.raises(ValueError, match="^vector is not orthogonal to its base point"):
+        L.tangent_project(L.apex(2, 1.0), vec(0.0, math.nan, 0.5))
 
 
 def rand_cases(rng, n):

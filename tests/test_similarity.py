@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -590,3 +592,36 @@ class TestTwoThreads:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+
+    def test_the_worker_keeps_no_array_of_a_finished_call(self, two_threads):
+        two_threads()
+
+        def job(values):  # second alone holds ``values``
+            return lambda: float(values.sum())
+
+        values = np.arange(4.0)
+        used, second = weakref.ref(values), job(values)
+        del values
+        assert _both(lambda: 0.0, second) == (0.0, 6.0)
+        del second
+        gc.collect()
+        assert used() is None
+
+    @pytest.mark.parametrize("nested_in", ["first", "second"])
+    def test_a_call_made_inside_either_half_completes(self, two_threads, nested_in):
+        # The worker is busy while either half runs, so the nested call runs
+        # both its halves on the thread of the half that makes it.
+        two_threads()
+
+        def nested():
+            return threading.get_ident(), _both(threading.get_ident, threading.get_ident)
+
+        halves = (nested, lambda: None) if nested_in == "first" else (lambda: None, nested)
+        got = []
+        caller = threading.Thread(target=lambda: got.append(_both(*halves)), daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        here, inner = got[0][0 if nested_in == "first" else 1]
+        assert inner == (here, here)
+        assert (here == caller.ident) == (nested_in == "first")
